@@ -44,9 +44,11 @@ SHAPES = {
 
 GEN_SEED = 42
 #: Import-only interpreter starts per run, on top of one per pass.
-SETUP_STARTS = 3
-#: Share of --seconds each pass spends repeating itself warm.
-WARM_SHARE = 0.15
+SETUP_STARTS = 5
+#: Share of --seconds each pass spends repeating itself warm.  The host's
+#: CPU speed changes in episodes of a few seconds, so the window spans
+#: several of them rather than one.
+WARM_SHARE = 0.35
 WARM_MIN = 3
 WARM_MAX = 200
 #: ADI rows the order_fsim check compares with the bigint engine.
@@ -228,4 +230,7 @@ def _trace(outcome: common.Outcome, workload: str,
 
 
 def _verdict(text: str, ok: bool) -> str:
-    return f"accept   {'PASS' if ok else 'MISS'} {text}"
+    """A line saying whether the workload stresses the layers it was
+    chosen for.  It informs; it never fails the run, because the shares
+    describe the program on this host rather than a wrong output."""
+    return f"accept   {'PASS' if ok else 'MISS'} {text} (informational)"

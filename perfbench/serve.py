@@ -3,27 +3,37 @@
 Set-up starts the server several times; ``setup_s`` is the median time
 from process start to a healthy ``/healthz``.  The cold pass
 (``cold_run_s``) primes, over HTTP, a working set of small generator
-configs -- larger than the server's 128-entry result memo, so later hits
-come both from the memo and from disk -- plus one diagnosis config and
-its first ``/diagnose``.
+configs -- twice the server's 128-entry result memo, so later hits come
+both from the memo and from disk -- plus one diagnosis config and its
+first ``/diagnose``.
 
 Phase A is a seeded open loop at a fixed rate over two persistent
 HTTP/1.1 connections from one client process (the host has two cores).
-It mixes Zipf-popular ``/run`` hits over the working set (the reads), a
-few never-seen configs each sent twice back to back (the writes:
-compute, cache writes and single-flight coalescing) and ``/diagnose``
-batches of synthetic failing devices, a third of them with failing
-outputs for the causal-chain re-rank.  Every request is timed from its
-scheduled send time.  The generator's own lateness is reported, and a
-run whose generator fell behind is invalid rather than slow.  Phase B is
-a closed loop of hits on both connections.
+The client is a stock ``http.client`` connection, so a response costs
+what it costs any keep-alive client.  The server writes headers and body
+in two sends with Nagle's algorithm on, so when a client sends its next
+request as soon as the last answer arrived, the body waits for that
+client's delayed ACK: about 44 ms per response on Linux loopback.  Phase
+B, which sends back to back, shows the limit this sets (about 45
+requests per second on two connections); phase A runs well below it,
+each connection sending every ~143 ms.  Phase A mixes Zipf-popular
+``/run`` hits over the working set (the reads), a few percent never-seen
+configs each sent on both connections at once (the writes: compute,
+cache writes and single-flight coalescing) and ``/diagnose`` batches of
+synthetic failing devices, a third of them with failing outputs for the
+causal-chain re-rank.  Every request is timed from its scheduled send
+time.  The
+generator's own lateness is reported, and a run whose generator fell
+behind is invalid rather than slow.  Phase B is a closed loop of hits on
+both connections.
 
-The output checks run after the server stops.  Every ``/run`` document
-must carry the ``tests``, ``curve`` and ``adi`` blocks of an in-process
-``Flow.run().summary()`` of its config (a seeded sample is recomputed
-from scratch as well), its ``source`` must fit how it was sent, and every
-``/diagnose`` document must equal ``diagnose_batch`` run in-process on
-the same devices.
+The references are computed before the server starts, in-process and
+without a cache: ``Flow.run().summary()`` of every config the run sends
+and the diagnosis context of a freshly computed diagnosis flow.  After
+the server stops, every ``/run`` document must carry the ``tests``,
+``curve`` and ``adi`` blocks of its config's reference, its ``source``
+must fit how it was sent, and every ``/diagnose`` document must equal
+``diagnose_batch`` run in-process on the same devices.
 """
 
 from __future__ import annotations
@@ -32,12 +42,12 @@ import bisect
 import http.client
 import itertools
 import json
+import multiprocessing
 import queue
 import random
 import re
 import select
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -58,9 +68,15 @@ CONNECTIONS = 2
 MAX_LAG_P99_MS = 50.0
 BOOT_TIMEOUT = 60.0
 STOP_TIMEOUT = 60.0
-#: Generator seed of the diagnosis config: one fixed circuit, so its cold
-#: cost does not swing with the workload seed.
+#: The diagnosis config is fixed -- circuit, flow seed and a PODEM
+#: backtrack limit of 20 instead of 200 -- so its cold computation takes
+#: about 1.5 s instead of 9 s and does not swing with the workload seed,
+#: which draws the failing devices instead.
 DIAG_GEN_SEED = 42
+DIAG_SEED = 1
+DIAG_BACKTRACK_LIMIT = 20
+#: Processes computing the reference summaries (the host has two cores).
+REFERENCE_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -78,19 +94,25 @@ class Sizing:
     batches: int                      # distinct /diagnose batches
     miss_share: float                 # phase-A slots sending a new config
     diag_share: float                 # phase-A slots sending /diagnose
-    fresh_checks: int                 # configs the checks recompute
     min_hits: int                     # phase-A hits a run needs
-    min_diagnose: int                 # phase-A /diagnose a run needs
 
 
-FULL = Sizing(working_set=160, shape=(6, 24, 3), diag_shape=(12, 150, 6),
-              rate=160.0, phase_a=0.4, phase_b=0.15, boots=3, devices=32,
-              batches=48, miss_share=0.006, diag_share=0.1,
-              fresh_checks=4, min_hits=1000, min_diagnose=100)
+#: The working set is twice the 128-entry result memo; under Zipf
+#: popularity about a quarter of the hits then decode from disk, so the
+#: 90th percentile lies among the decodes.  Phase-A slots alternate
+#: between the two connections, so at 14 requests per second each sends
+#: one request every ~143 ms, well past the ~40 ms delayed-ACK window
+#: after its last answer (see the module docstring): a request meets the
+#: stall only when the one before it on its connection ran long.  3% of
+#: slots send a never-seen config twice ("a few percent" writes).  100
+#: hits is the least that leaves ten samples above the reported 90th
+#: percentile.
+FULL = Sizing(working_set=256, shape=(6, 24, 3), diag_shape=(12, 150, 6),
+              rate=14.0, phase_a=0.8, phase_b=0.15, boots=5, devices=32,
+              batches=48, miss_share=0.03, diag_share=0.2, min_hits=100)
 SMALL = Sizing(working_set=12, shape=(6, 24, 3), diag_shape=(8, 40, 4),
-               rate=40.0, phase_a=0.5, phase_b=0.25, boots=2, devices=8,
-               batches=4, miss_share=0.05, diag_share=0.2, fresh_checks=2,
-               min_hits=1, min_diagnose=1)
+               rate=14.0, phase_a=0.5, phase_b=0.25, boots=2, devices=8,
+               batches=4, miss_share=0.05, diag_share=0.2, min_hits=1)
 
 
 @dataclass
@@ -102,6 +124,7 @@ class Request:
     path: str
     body: bytes
     phase: str      # cold | A | B
+    lane: int = 0   # the phase-A connection that sends it
     due: float = 0.0
     done: float = 0.0
     status: int = 0
@@ -127,12 +150,6 @@ class Connection:
         try:
             self._http.request("POST", request.path, body=request.body,
                                headers={"Content-Type": "application/json"})
-            # The server writes headers and body separately with Nagle's
-            # algorithm on; acknowledge at once so the body is not held
-            # for a delayed ACK (~40 ms per response on a kept-alive
-            # connection).
-            self._http.sock.setsockopt(socket.IPPROTO_TCP,
-                                       socket.TCP_QUICKACK, 1)
             response = self._http.getresponse()
             request.payload = response.read()
             request.status = response.status
@@ -236,6 +253,10 @@ def _config(name: str, shape: Tuple[int, int, int], gen_seed: int,
             "seed": seed}
 
 
+def _key(config: Dict[str, Any]) -> str:
+    return json.dumps(config, sort_keys=True)
+
+
 class Plan:
     """Everything the traffic is made of, derived from the workload seed."""
 
@@ -243,13 +264,15 @@ class Plan:
         self.seed = seed
         self.sizing = sizing
         rng = random.Random(f"serve_mixed:{seed}")
-        gen_seeds = rng.sample(range(1, 1_000_000), sizing.working_set)
+        # The circuits are fixed, so the cold pass costs the same on every
+        # seed; the workload seed picks each config's flow seed.
         self.working_set = [
-            _config(f"ws{k}", sizing.shape, gen_seeds[k],
-                    rng.randrange(1 << 30))
+            _config(f"ws{k}", sizing.shape, 1 + k, rng.randrange(1 << 30))
             for k in range(sizing.working_set)]
         self.diag_config = _config("diag", sizing.diag_shape, DIAG_GEN_SEED,
-                                   rng.randrange(1 << 30))
+                                   DIAG_SEED)
+        self.diag_config["testgen"] = {
+            "backtrack_limit": DIAG_BACKTRACK_LIMIT}
         self.bodies = [json.dumps(c).encode() for c in self.working_set]
         ranks = list(range(sizing.working_set))
         rng.shuffle(ranks)
@@ -260,10 +283,10 @@ class Plan:
         #: generator seeds lie above the working set's range.
         self.misses: List[Dict[str, Any]] = []
 
-    def hit(self, rng: random.Random, phase: str) -> Request:
+    def hit(self, rng: random.Random, phase: str, lane: int = 0) -> Request:
         k = bisect.bisect(self._cumulative,
                           rng.random() * self._cumulative[-1])
-        return Request("hit", k, "/run", self.bodies[k], phase)
+        return Request("hit", k, "/run", self.bodies[k], phase, lane)
 
     def config_of(self, request: Request) -> Dict[str, Any]:
         if request.kind == "miss":
@@ -318,28 +341,35 @@ class Plan:
         """The open-loop schedule: requests and their send offsets."""
         sizing = self.sizing
         rng = random.Random(f"serve_mixed:a:{self.seed}")
+        slots = max(1, int(sizing.rate * seconds))
+        # Exact shares at seeded positions, so every run sends the same
+        # number of misses and /diagnose.
+        misses = round(sizing.miss_share * slots)
+        diagnoses = round(sizing.diag_share * slots)
+        kinds = (["miss"] * misses + ["diagnose"] * diagnoses
+                 + ["hit"] * (slots - misses - diagnoses))
+        rng.shuffle(kinds)
         requests: List[Request] = []
         offsets: List[float] = []
-        for slot in range(max(1, int(sizing.rate * seconds))):
+        for slot, kind in enumerate(kinds):
             at = slot / sizing.rate
-            draw = rng.random()
-            if draw < sizing.miss_share:
+            if kind == "miss":
                 k = len(self.misses)
                 self.misses.append(_config(f"miss{k}", sizing.shape,
                                            1_000_000 + k,
                                            rng.randrange(1 << 30)))
                 body = json.dumps(self.misses[k]).encode()
-                for __ in range(2):
-                    requests.append(Request("miss", k, "/run", body, "A"))
-                    offsets.append(at)
-            elif draw < sizing.miss_share + sizing.diag_share:
+                # One copy on each connection, at the same time.
+                batch = [Request("miss", k, "/run", body, "A", lane)
+                         for lane in range(CONNECTIONS)]
+            elif kind == "diagnose":
                 j = rng.randrange(len(batches))
-                requests.append(Request("diagnose", j, "/diagnose",
-                                        batches[j], "A"))
-                offsets.append(at)
+                batch = [Request("diagnose", j, "/diagnose", batches[j], "A",
+                                 slot % CONNECTIONS)]
             else:
-                requests.append(self.hit(rng, "A"))
-                offsets.append(at)
+                batch = [self.hit(rng, "A", slot % CONNECTIONS)]
+            requests += batch
+            offsets += [at] * len(batch)
         return requests, offsets
 
 
@@ -368,19 +398,21 @@ def send_each(connections: Sequence[Connection],
 
 def open_loop(connections: Sequence[Connection], requests: List[Request],
               offsets: Sequence[float]) -> List[float]:
-    """Send each request at its offset from now on the first free
-    connection; returns how late the generator dispatched each (ms)."""
-    pending: "queue.SimpleQueue[Optional[Request]]" = queue.SimpleQueue()
+    """Send each request at its offset from now on its lane's connection
+    (after the requests before it there); returns how late the generator
+    dispatched each (ms)."""
+    lanes: List["queue.SimpleQueue[Optional[Request]]"] = [
+        queue.SimpleQueue() for __ in connections]
 
-    def drain(connection: Connection) -> None:
+    def drain(k: int) -> None:
         while True:
-            request = pending.get()
+            request = lanes[k].get()
             if request is None:
                 return
-            connection.send(request)
+            connections[k].send(request)
 
-    threads = [threading.Thread(target=drain, args=(connection,))
-               for connection in connections]
+    threads = [threading.Thread(target=drain, args=(k,))
+               for k in range(len(connections))]
     for thread in threads:
         thread.start()
     lags = []
@@ -392,10 +424,10 @@ def open_loop(connections: Sequence[Connection], requests: List[Request],
             if wait > 0:
                 time.sleep(wait)
             lags.append((time.perf_counter() - request.due) * 1000.0)
-            pending.put(request)
+            lanes[request.lane].put(request)
     finally:
-        for __ in threads:
-            pending.put(None)
+        for lane in lanes:
+            lane.put(None)
         for thread in threads:
             thread.join()
     return lags
@@ -454,17 +486,50 @@ def total(samples, name: str, **labels: str) -> float:
                if family == name and want <= set(pairs))
 
 
-def _reference_context(plan: Plan, cache_dir: Path):
-    """The diagnosis config's context, built in-process from the
-    server's cache: the source of the fail logs and of their check."""
+def _fresh_summary(config: Dict[str, Any]) -> Dict[str, Any]:
+    """``Flow.run().summary()`` of a config, computed without a cache."""
+    from repro.flow import Flow, FlowConfig
+
+    return checks.wire(Flow(FlowConfig.from_dict(config)).run().summary())
+
+
+@dataclass
+class Traffic:
+    """A run's phase-A schedule and the references its responses must
+    equal, all made before the server starts."""
+
+    context: Any                      # DiagnosisContext of a fresh flow
+    batches: List[Dict[str, Any]]     # /diagnose bodies
+    phase_a: List[Request]
+    offsets: List[float]
+    summaries: Dict[str, Any]         # _key(config) -> wire summary
+
+
+def prepare(plan: Plan, seconds: float) -> Traffic:
+    """Compute the diagnosis context of a fresh diagnosis flow, draw the
+    phase-A schedule from it, and compute the reference summary of every
+    config the run sends, all in-process and without a cache."""
     from repro.flow import Flow, FlowConfig
     from repro.flow.diagnose import build_diagnosis_context
 
-    flow = Flow(FlowConfig.from_dict(plan.diag_config), cache=str(cache_dir))
-    return build_diagnosis_context(flow), flow.circuit()
+    flow = Flow(FlowConfig.from_dict(plan.diag_config))
+    context = build_diagnosis_context(flow)
+    batches = plan.batches(context, flow.circuit())
+    requests, offsets = plan.phase_a(
+        [json.dumps(b).encode() for b in batches],
+        plan.sizing.phase_a * seconds)
+    configs = plan.working_set + plan.misses
+    fork = multiprocessing.get_context("fork")
+    with fork.Pool(REFERENCE_WORKERS) as pool:
+        summaries = pool.map(_fresh_summary, configs, chunksize=8)
+        pool.close()
+        pool.join()
+    references = {_key(c): s for c, s in zip(configs, summaries)}
+    references[_key(plan.diag_config)] = checks.wire(flow.run().summary())
+    return Traffic(context, batches, requests, offsets, references)
 
 
-def _measure(server: Server, plan: Plan, seconds: float,
+def _measure(server: Server, plan: Plan, traffic: Traffic, seconds: float,
              phases: bool) -> Dict[str, Any]:
     connections = [Connection(server.port) for __ in range(CONNECTIONS)]
     try:
@@ -478,19 +543,14 @@ def _measure(server: Server, plan: Plan, seconds: float,
         data: Dict[str, Any] = {"cold_s": cold, "requests": priming + [first]}
         if not phases:
             return data
-        context, circ = _reference_context(plan, server.cache_dir)
-        batches = plan.batches(context, circ)
-        requests, offsets = plan.phase_a(
-            [json.dumps(b).encode() for b in batches],
-            plan.sizing.phase_a * seconds)
+        requests = traffic.phase_a
         before = scrape(server.port)
-        lags = open_loop(connections, requests, offsets)
+        lags = open_loop(connections, requests, traffic.offsets)
         after = scrape(server.port)
         closed, elapsed = closed_loop(connections, plan,
                                       plan.sizing.phase_b * seconds)
         data.update(phase_a=requests, phase_b=closed, lags=lags,
-                    b_seconds=elapsed, before=before, after=after,
-                    context=context, batches=batches)
+                    b_seconds=elapsed, before=before, after=after)
         data["requests"] = data["requests"] + requests + closed
         return data
     finally:
@@ -505,34 +565,15 @@ _SOURCES = {"prime": ("computed",), "hit": ("cache", "inflight"),
             "diagnose": ("cache",)}
 
 
-def _check(plan: Plan, runs: Sequence[Dict[str, Any]],
-           cache_dir: Path) -> Tuple[List[str], int]:
-    """Check every response of every server run; returns the problems and
-    the number of wrong or failed requests."""
-    from repro.flow import Flow, FlowConfig
+def _check(plan: Plan, traffic: Traffic, runs: Sequence[Dict[str, Any]]
+           ) -> Tuple[List[str], int]:
+    """Check every response of every server run against the references;
+    returns the problems and the number of wrong or failed requests."""
     from repro.flow.diagnose import diagnosis_document, parse_fail_entries
-
-    summaries: Dict[str, Any] = {}
-
-    def summary(config: Dict[str, Any]) -> Dict[str, Any]:
-        key = json.dumps(config, sort_keys=True)
-        if key not in summaries:
-            flow = Flow(FlowConfig.from_dict(config), cache=str(cache_dir))
-            summaries[key] = checks.wire(flow.run().summary())
-        return summaries[key]
 
     problems: List[str] = []
     failed = 0
-    rng = random.Random(f"serve_mixed:check:{plan.seed}")
-    sample = rng.sample(plan.working_set,
-                        min(plan.sizing.fresh_checks, len(plan.working_set)))
-    for config in sample + plan.misses[:2]:
-        fresh = checks.wire(Flow(FlowConfig.from_dict(config)).run().summary())
-        problems += checks.check_run_document(
-            {"result": fresh}, summary(config),
-            f"fresh run of {config['circuit']['name']}")
-
-    expected: Dict[int, Any] = {}
+    expected: Dict[bytes, Any] = {}
     for data in runs:
         miss_sources: Dict[int, List[str]] = defaultdict(list)
         for request in data["requests"]:
@@ -555,20 +596,23 @@ def _check(plan: Plan, runs: Sequence[Dict[str, Any]],
                                  f"{_SOURCES[request.kind]!r}")
                 if request.path == "/run":
                     found += checks.check_run_document(
-                        document, summary(plan.config_of(request)), label)
-                elif request.kind == "diagnose":
-                    if request.ref not in expected:
-                        batch = data["batches"][request.ref]
-                        context = data["context"]
+                        document,
+                        traffic.summaries[_key(plan.config_of(request))],
+                        label)
+                else:
+                    if request.body not in expected:
+                        batch = json.loads(request.body)
+                        context = traffic.context
                         log = parse_fail_entries(batch["devices"],
                                                  context.num_tests)
-                        expected[request.ref] = checks.wire(
+                        expected[request.body] = checks.wire(
                             diagnosis_document(
                                 context, log,
-                                max_candidates=batch["max_candidates"],
-                                chain=batch["chain"], source="cache"))
+                                max_candidates=batch.get("max_candidates",
+                                                         10),
+                                chain=batch.get("chain", False)))
                     found += checks.check_diagnose_document(
-                        document, expected[request.ref], label)
+                        document, expected[request.body], label)
             if found:
                 failed += 1
                 problems += found
@@ -587,6 +631,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     sizing = SMALL if small else FULL
     plan = Plan(seed, sizing)
     common.use_source_tree()
+    traffic = prepare(plan, seconds)
     with common.workdir(workload) as work:
         boots: List[float] = []
         runs: List[Dict[str, Any]] = []
@@ -595,7 +640,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
             # The same cold pass with no wrappers: the overhead's base.
             server = Server(work / "plain", work / "plain.log")
             try:
-                untraced = _measure(server, plan, seconds, phases=False)
+                untraced = _measure(server, plan, traffic, seconds,
+                                    phases=False)
             finally:
                 server.stop()
             runs.append(untraced)
@@ -608,12 +654,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         server = Server(work / "cache", work / "server.log", spans=spans_path)
         try:
             boots.append(server.boot_s)
-            data = _measure(server, plan, seconds, phases=True)
+            data = _measure(server, plan, traffic, seconds, phases=True)
             rss = server.peak_rss_mb()
         finally:
             server.stop()
         runs.append(data)
-        problems, failed = _check(plan, runs, work / "cache")
+        problems, failed = _check(plan, traffic, runs)
         spans = None
         if trace:
             try:
@@ -626,6 +672,28 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                              problems=problems)
     _summarize(outcome, plan, data, untraced, boots, rss, spans)
     return outcome
+
+
+def _hit_sources(data: Dict[str, Any]) -> Tuple[int, int, int]:
+    """Phase-A hits served from the result memo, decoded from disk, and
+    joined onto a decode already running.  Every phase-A ``/run`` leader
+    is a disk decode or the computing half of a miss pair."""
+    def source(request: Request) -> Optional[str]:
+        try:
+            return json.loads(request.payload).get("source")
+        except (ValueError, AttributeError):
+            return None
+
+    served = [r for r in data["phase_a"]
+              if r.path == "/run" and r.status == 200]
+    hits = sum(r.kind == "hit" for r in served)
+    joined = sum(r.kind == "hit" and source(r) == "inflight" for r in served)
+    computed = sum(r.kind == "miss" and source(r) == "computed"
+                   for r in served)
+    leaders = (total(data["after"], "repro_dedupe_leaders_total")
+               - total(data["before"], "repro_dedupe_leaders_total"))
+    disk = int(leaders) - computed
+    return hits - disk - joined, disk, joined
 
 
 def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
@@ -646,9 +714,6 @@ def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
     if len(hits) < sizing.min_hits:
         outcome.problems.append(f"only {len(hits)} phase-A hits "
                                 f"(need {sizing.min_hits})")
-    if len(diagnose) < sizing.min_diagnose:
-        outcome.problems.append(f"only {len(diagnose)} phase-A /diagnose "
-                                f"(need {sizing.min_diagnose})")
     if lag_p99 > MAX_LAG_P99_MS:
         outcome.problems.append(
             f"run invalid: the load generator fell behind its schedule "
@@ -673,6 +738,10 @@ def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
     report.append(f"phase A  {len(hits)} hits, {len(misses)} miss requests, "
                   f"{len(diagnose)} /diagnose at {sizing.rate:g}/s; "
                   f"generator lag p99 {lag_p99:.2f} ms")
+    memo, disk, joined = _hit_sources(data)
+    report.append(f"phase A  hits served from the memo {memo}, decoded from "
+                  f"disk {disk} ({disk / max(len(hits), 1):.1%}), joined a "
+                  f"running decode {joined}")
     report.append(f"cold     {data['cold_s']:.3f} s for {sizing.working_set} "
                   f"working-set configs + the diagnosis config; server "
                   f"starts " + ", ".join("%.3f" % b for b in boots) + " s")
@@ -747,5 +816,5 @@ def _server_layers(outcome: common.Outcome, data: Dict[str, Any],
                    if row[0].startswith(prefix) and row[2] > 0]
         outcome.report.append(
             f"accept   {'PASS' if present else 'MISS'} {prefix}* self-time "
-            f"rows present ({len(present)})")
+            f"rows present ({len(present)}) (informational)")
     return metrics
