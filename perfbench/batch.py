@@ -4,13 +4,16 @@ Each timed pass runs in a fresh interpreter (``child.py``), because a
 user pays every stage on each ``repro run``.  ``setup_s`` is the time from
 starting that interpreter to the end of its imports, over several starts.
 A pass runs every config cold on a fresh cache directory (``cold_run_s``)
-and then repeats the whole pass warm on the cache it filled
-(``warm_p50_ms`` / ``warm_p90_ms``).  The first pass also runs the output
-checks.  With tracing, one more pass runs with the layer wrappers
-installed.
+and then repeats itself warm on the cache it filled (``warm_p50_ms`` /
+``warm_p90_ms`` over the repeats).  The first pass also runs the output
+checks.  With tracing, one more pass runs with the layer
+wrappers installed.  Every interval is scaled to reference core speed by
+the gauge (``gauge.py``) that runs beside the passes.
 
-The circuits are fixed (generator seed 42); the workload seed picks each
-config's flow seed, which drives the U candidate pool and the X-fill.
+The circuits are fixed; the workload seed picks each config's flow seed,
+which drives the U candidate pool and the X-fill.  cold_atpg runs four
+configs, two circuits per fault model, so that the cost of one pass
+varies little from seed to seed.
 """
 
 from __future__ import annotations
@@ -23,34 +26,35 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 import common
+import gauge
 import layers
 from spec import PER_LAYER
 
-#: (circuit name, inputs, gates, outputs, fault model, U candidate pool).
+#: (circuit name, inputs, gates, outputs, generator seed, fault model,
+#: U candidate pool).
 SHAPES = {
     "cold_atpg": {
-        "full": [("atpg_sa", 14, 200, 8, "stuck_at", 10_000),
-                 ("atpg_tr", 12, 150, 6, "transition", 10_000)],
-        "small": [("atpg_sa", 8, 40, 4, "stuck_at", 512),
-                  ("atpg_tr", 6, 30, 3, "transition", 512)],
+        "full": [("atpg_sa42", 12, 120, 6, 42, "stuck_at", 1024),
+                 ("atpg_sa43", 12, 120, 6, 43, "stuck_at", 1024),
+                 ("atpg_tr42", 10, 120, 5, 42, "transition", 1024),
+                 ("atpg_tr43", 10, 120, 5, 43, "transition", 1024)],
+        "small": [("atpg_sa", 8, 40, 4, 42, "stuck_at", 512),
+                  ("atpg_tr", 6, 30, 3, 42, "transition", 512)],
     },
     "order_fsim": {
-        "full": [("order_sa", 64, 5000, 32, "stuck_at", 1024),
-                 ("order_tr", 32, 2000, 16, "transition", 1024)],
-        "small": [("order_sa", 16, 300, 8, "stuck_at", 256),
-                  ("order_tr", 10, 150, 5, "transition", 256)],
+        "full": [("order_sa", 64, 5000, 32, 42, "stuck_at", 1024),
+                 ("order_tr", 32, 2000, 16, 42, "transition", 1024)],
+        "small": [("order_sa", 16, 300, 8, 42, "stuck_at", 256),
+                  ("order_tr", 10, 150, 5, 42, "transition", 256)],
     },
 }
 
-GEN_SEED = 42
 #: Import-only interpreter starts per run, on top of one per pass.
-SETUP_STARTS = 5
-#: Share of --seconds each pass spends repeating itself warm.  The host's
-#: CPU speed changes in episodes of a few seconds, so the window spans
-#: several of them rather than one.
-WARM_SHARE = 0.35
-WARM_MIN = 3
-WARM_MAX = 200
+SETUP_STARTS = 8
+#: Share of --seconds each pass spends on warm runs.
+WARM_SHARE = 0.25
+WARM_MIN = 10
+WARM_MAX = 1000
 #: ADI rows the order_fsim check compares with the bigint engine.
 SAMPLE_ROWS = 256
 CHILD_TIMEOUT = 170.0
@@ -65,16 +69,16 @@ def configs(workload: str, seed: int, small: bool) -> List[Dict[str, Any]]:
     size = "small" if small else "full"
     return [{"circuit": {"kind": "generator", "name": name,
                          "num_inputs": inputs, "num_gates": gates,
-                         "num_outputs": outputs, "gen_seed": GEN_SEED},
+                         "num_outputs": outputs, "gen_seed": gen_seed},
              "fault_model": {"name": model},
              "u": {"max_vectors": pool},
              "seed": rng.randrange(1 << 30)}
-            for name, inputs, gates, outputs, model, pool
+            for name, inputs, gates, outputs, gen_seed, model, pool
             in SHAPES[workload][size]]
 
 
 def _spawn(work: Path, tag: str, job: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one fresh interpreter; its result plus its set-up time."""
+    """Run one fresh interpreter; its result plus when it started."""
     job_path = work / f"{tag}.job.json"
     out_path = work / f"{tag}.out.json"
     job_path.write_text(json.dumps(job))
@@ -86,7 +90,7 @@ def _spawn(work: Path, tag: str, job: Dict[str, Any]) -> Dict[str, Any]:
         raise common.BenchError(f"{tag} exited {proc.returncode}:\n"
                                 f"{proc.stderr.strip()[-2000:]}")
     result = json.loads(out_path.read_text())
-    result["setup_s"] = result["ready"] - started
+    result["started"] = started
     return result
 
 
@@ -118,9 +122,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
             "warm_seconds": 0.0 if trace else WARM_SHARE * seconds,
             "warm_min": 0 if trace else WARM_MIN, "warm_max": WARM_MAX,
             "sample_rows": SAMPLE_ROWS, "check_seed": seed}
-    with common.workdir(workload) as work:
+    with common.workdir(workload) as work, gauge.Gauge(work) as meter:
         setups = ([] if trace else
-                  [_spawn(work, f"setup{k}", {"setup_only": True})["setup_s"]
+                  [_spawn(work, f"setup{k}", {"setup_only": True})
                    for k in range(SETUP_STARTS)])
         passes: List[Dict[str, Any]] = []
         started = time.monotonic()
@@ -143,17 +147,21 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         if k and _digests(result) != outcome.digests:
             outcome.problems.append(
                 f"pass {k} produced other artifacts than pass 0")
-    outcome.attempted = sum(len(base["configs"]) * (1 + len(r["warm_ms"]))
+    outcome.attempted = sum(len(base["configs"]) * (1 + len(r["warm"]))
                             for r in runs)
     outcome.failed = min(outcome.attempted, len(outcome.problems))
-    _report(outcome, workload, seed, small, passes)
+    _report(outcome, workload, seed, small, passes, meter)
     if traced is not None:
-        _trace(outcome, workload, passes[0], traced)
+        _trace(outcome, workload, _cold_s(meter, passes[0]), traced,
+               _cold_s(meter, traced))
     else:
-        warm = [ms for r in passes for ms in r["warm_ms"]]
+        warm = [1000.0 * meter.scale(a, b)
+                for r in passes for a, b in r["warm"]]
+        starts = [meter.scale(r["started"], r["ready"])
+                  for r in setups + passes]
         outcome.end_to_end = {
-            "setup_s": common.median(setups + [r["setup_s"] for r in passes]),
-            "cold_run_s": common.median([r["cold_s"] for r in passes]),
+            "setup_s": common.median(starts),
+            "cold_run_s": common.median([_cold_s(meter, r) for r in passes]),
             "warm_p50_ms": common.percentile(warm, 0.5),
             "warm_p90_ms": common.percentile(warm, 0.9),
             "peak_rss_mb": max(r["rss_mb"] for r in passes),
@@ -161,15 +169,23 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     return outcome
 
 
+def _cold_s(meter: gauge.Gauge, result: Dict[str, Any]) -> float:
+    """A pass's cold seconds at reference core speed."""
+    return sum(meter.scale(a, b) for a, b in result["cold"])
+
+
 def _report(outcome: common.Outcome, workload: str, seed: int, small: bool,
-            passes: List[Dict[str, Any]]) -> None:
+            passes: List[Dict[str, Any]], meter: gauge.Gauge) -> None:
     lines = outcome.report
-    cold = ", ".join("%.3f" % r["cold_s"] for r in passes)
-    warm = sum(len(r["warm_ms"]) for r in passes)
-    lines.append(f"passes   {len(passes)} (cold {cold} s), "
-                 f"{warm} warm repeats")
-    for c in passes[0]["configs"]:
-        text = f"config   {c['name']} ({c['model']}): {c['faults']} faults"
+    cold = ", ".join("%.3f" % _cold_s(meter, r) for r in passes)
+    raw = ", ".join("%.3f" % sum(b - a for a, b in r["cold"]) for r in passes)
+    warm = sum(len(r["warm"]) for r in passes)
+    lines.append(f"passes   {len(passes)} (cold {cold} s at reference speed, "
+                 f"{raw} s as timed), {warm} warm repeats")
+    lines.append(meter.summary())
+    for c, (a, b) in zip(passes[0]["configs"], passes[0]["cold"]):
+        text = (f"config   {c['name']} ({c['model']}): cold "
+                f"{meter.scale(a, b):.3f} s, {c['faults']} faults")
         if "tests" in c:
             text += (f", {c['tests']} tests, AVE {c['ave']:.3f}, "
                      f"{c['detected']} detected, {c['undetectable']} "
@@ -198,8 +214,10 @@ def _report(outcome: common.Outcome, workload: str, seed: int, small: bool,
                      + ", ".join(changed))
 
 
-def _trace(outcome: common.Outcome, workload: str,
-           untraced: Dict[str, Any], traced: Dict[str, Any]) -> None:
+def _trace(outcome: common.Outcome, workload: str, untraced_s: float,
+           traced: Dict[str, Any], traced_s: float) -> None:
+    """Per-layer metrics of the traced pass.  Layer shares compare span
+    times with the pass as timed; the overhead compares scaled times."""
     spans = traced["spans"]
     metrics = layers.layer_metrics(spans, roots=("flow",))
     metrics.update(_quality(traced))
@@ -207,12 +225,11 @@ def _trace(outcome: common.Outcome, workload: str,
         sum(c["retries"] for c in traced["configs"]))
     metrics["fsim.sharded.degradations"] = float(
         sum(c["degradations"] for c in traced["configs"]))
-    metrics["telemetry.trace_overhead"] = (traced["cold_s"]
-                                           / untraced["cold_s"] - 1.0)
+    metrics["telemetry.trace_overhead"] = traced_s / untraced_s - 1.0
     metrics["bench.failed_frac"] = outcome.failed / max(outcome.attempted, 1)
     outcome.layers = metrics
     outcome.report += layers.table_lines(spans)
-    cold = traced["cold_s"]
+    cold = sum(b - a for a, b in traced["cold"])
     if workload == "cold_atpg":
         podem = sum(metrics.get(f"atpg.podem.{status}_s", 0.0)
                     for status in ("success", "undetectable", "aborted"))

@@ -7,7 +7,8 @@ every stage -- interpreter start and imports included -- on each
 ``repro run``.  The job names the flow configs, a fresh cache directory,
 whether to trace the pass, how long to repeat it warm, and whether to run
 the output checks.  Every timed window wraps public ``repro.flow`` calls;
-the checks run after them.
+the checks run after them.  Windows are ``time.monotonic()`` intervals,
+which the benchmark scales to reference core speed with its gauge.
 """
 
 from __future__ import annotations
@@ -57,15 +58,14 @@ def run_pass(job: Dict[str, Any]) -> Dict[str, Any]:
     tracer = layers.Tracer() if job["trace"] else None
     if tracer is not None:
         layers.install(tracer)
-    flows, outputs, events = [], [], []
-    cold = 0.0
+    flows, outputs, events, cold = [], [], [], []
     for config in configs:
         flow = Flow(config, cache=cache)
         with resilience.collecting() as collected:
-            started = time.perf_counter()
+            started = time.monotonic()
             with tracer.span("flow") if tracer else nullcontext():
                 outputs.append(op(flow))
-            cold += time.perf_counter() - started
+            cold.append((started, time.monotonic()))
         flows.append(flow)
         events.append(collected)
     problems = []
@@ -74,14 +74,15 @@ def run_pass(job: Dict[str, Any]) -> Dict[str, Any]:
         if left:
             problems.append(f"wrappers left installed: {left}")
 
+    # Each warm repeat runs every config again on the filled cache.
     warm = []
-    deadline = time.perf_counter() + job["warm_seconds"]
+    deadline = time.monotonic() + job["warm_seconds"]
     while len(warm) < job["warm_min"] or (
-            time.perf_counter() < deadline and len(warm) < job["warm_max"]):
-        started = time.perf_counter()
+            time.monotonic() < deadline and len(warm) < job["warm_max"]):
+        started = time.monotonic()
         for config in configs:
             op(Flow(config, cache=cache))
-        warm.append((time.perf_counter() - started) * 1000.0)
+        warm.append((started, time.monotonic()))
     rss = _peak_rss_mb()
 
     entries = []
@@ -110,7 +111,7 @@ def run_pass(job: Dict[str, Any]) -> Dict[str, Any]:
             problems += checks.check_orders(out, entry["faults"], label)
             problems += checks.check_adi_matrix(flow, job["sample_rows"],
                                                 job["check_seed"], label)
-    return {"cold_s": cold, "warm_ms": warm, "rss_mb": rss,
+    return {"cold": cold, "warm": warm, "rss_mb": rss,
             "configs": entries, "problems": problems,
             "spans": tracer.snapshot() if tracer else None}
 

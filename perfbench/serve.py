@@ -25,7 +25,8 @@ causal-chain re-rank.  Every request is timed from its scheduled send
 time.  The
 generator's own lateness is reported, and a run whose generator fell
 behind is invalid rather than slow.  Phase B is a closed loop of hits on
-both connections.
+both connections.  Every timing is scaled to reference core speed by the
+gauge (``gauge.py``) that runs beside the server.
 
 The references are computed before the server starts, in-process and
 without a cache: ``Flow.run().summary()`` of every config the run sends
@@ -59,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import checks
 import common
+import gauge
 import layers
 from spec import PER_LAYER
 
@@ -77,6 +79,9 @@ DIAG_SEED = 1
 DIAG_BACKTRACK_LIMIT = 20
 #: Processes computing the reference summaries (the host has two cores).
 REFERENCE_WORKERS = 2
+#: U candidate pool of the working-set and never-seen configs (the
+#: diagnosis config draws from 1024).
+WORKING_SET_POOL = 256
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,9 @@ class Sizing:
     min_hits: int                     # phase-A hits a run needs
 
 
-#: The working set is twice the 128-entry result memo; under Zipf
-#: popularity about a quarter of the hits then decode from disk, so the
-#: 90th percentile lies among the decodes.  Phase-A slots alternate
+#: The working set is twice the 128-entry result memo; with the
+#: popularity below (``ZIPF_EXPONENT``) about 30% of the hits then decode
+#: from disk, so the 90th percentile lies well inside the decodes.  Phase-A slots alternate
 #: between the two connections, so at 14 requests per second each sends
 #: one request every ~143 ms, well past the ~40 ms delayed-ACK window
 #: after its last answer (see the module docstring): a request meets the
@@ -113,6 +118,13 @@ FULL = Sizing(working_set=256, shape=(6, 24, 3), diag_shape=(12, 150, 6),
 SMALL = Sizing(working_set=12, shape=(6, 24, 3), diag_shape=(8, 40, 4),
                rate=14.0, phase_a=0.5, phase_b=0.25, boots=2, devices=8,
                batches=4, miss_share=0.05, diag_share=0.2, min_hits=1)
+
+#: Popularity: the config of rank r is drawn with weight 1 / r**0.7, in
+#: the 0.64-0.83 range measured for web requests (Breslau et al., "Web
+#: caching and Zipf-like distributions", INFOCOM 1999).
+ZIPF_EXPONENT = 0.7
+#: Draws of the popularity stream that orders the priming (see Plan).
+PRIMING_DRAWS = 1000
 
 
 @dataclass
@@ -156,7 +168,7 @@ class Connection:
         except (OSError, http.client.HTTPException):
             self.close()
             request.status = 0
-        request.done = time.perf_counter()
+        request.done = time.monotonic()
 
     def close(self) -> None:
         if self._http is not None:
@@ -198,7 +210,8 @@ class Server:
         except BaseException:
             self.stop()
             raise
-        self.boot_s = time.monotonic() - started
+        #: Process start to a healthy ``/healthz``.
+        self.boot = (started, time.monotonic())
 
     def _read_port(self) -> int:
         ready, __, __ = select.select([self.proc.stdout], [], [],
@@ -244,12 +257,12 @@ class Server:
 
 
 def _config(name: str, shape: Tuple[int, int, int], gen_seed: int,
-            seed: int) -> Dict[str, Any]:
+            seed: int, pool: int = WORKING_SET_POOL) -> Dict[str, Any]:
     inputs, gates, outputs = shape
     return {"circuit": {"kind": "generator", "name": name,
                         "num_inputs": inputs, "num_gates": gates,
                         "num_outputs": outputs, "gen_seed": gen_seed},
-            "u": {"max_vectors": 1024},
+            "u": {"max_vectors": pool},
             "seed": seed}
 
 
@@ -270,15 +283,22 @@ class Plan:
             _config(f"ws{k}", sizing.shape, 1 + k, rng.randrange(1 << 30))
             for k in range(sizing.working_set)]
         self.diag_config = _config("diag", sizing.diag_shape, DIAG_GEN_SEED,
-                                   DIAG_SEED)
+                                   DIAG_SEED, pool=1024)
         self.diag_config["testgen"] = {
             "backtrack_limit": DIAG_BACKTRACK_LIMIT}
         self.bodies = [json.dumps(c).encode() for c in self.working_set]
         ranks = list(range(sizing.working_set))
         rng.shuffle(ranks)
-        # Zipf popularity: the config of rank r is drawn with weight 1/r.
         self._cumulative = list(itertools.accumulate(
-            1.0 / (rank + 1) for rank in ranks))
+            1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in ranks))
+        # Priming sends the configs in the order a stream of popular
+        # requests last touched them, so whatever the server keeps in its
+        # memo when priming ends is what it would keep under phase A's
+        # traffic, and phase A starts in its steady state.
+        warm = random.Random(f"serve_mixed:prime:{seed}")
+        last = {self.hit(warm, "cold").ref: i for i in range(PRIMING_DRAWS)}
+        self.priming_order = sorted(range(sizing.working_set),
+                                    key=lambda k: last.get(k, -1))
         #: Never-seen configs, created as phase A draws them; their
         #: generator seeds lie above the working set's range.
         self.misses: List[Dict[str, Any]] = []
@@ -296,8 +316,8 @@ class Plan:
         return self.working_set[request.ref]
 
     def priming(self) -> List[Request]:
-        requests = [Request("prime", k, "/run", body, "cold")
-                    for k, body in enumerate(self.bodies)]
+        requests = [Request("prime", k, "/run", self.bodies[k], "cold")
+                    for k in self.priming_order]
         requests.append(Request("prime", -1, "/run",
                                 json.dumps(self.diag_config).encode(),
                                 "cold"))
@@ -383,17 +403,17 @@ def _in_threads(jobs: Sequence[Tuple[Callable, tuple]]) -> None:
 
 
 def send_each(connections: Sequence[Connection],
-              requests: Sequence[Request]) -> float:
+              requests: Sequence[Request]) -> Tuple[float, float]:
     """Send every request, the list split over the connections, each
-    sending its share in turn; returns the wall time."""
+    sending its share in turn; returns when it started and ended."""
     def share(k: int) -> None:
         for request in requests[k::len(connections)]:
-            request.due = time.perf_counter()
+            request.due = time.monotonic()
             connections[k].send(request)
 
-    started = time.perf_counter()
+    started = time.monotonic()
     _in_threads([(share, (k,)) for k in range(len(connections))])
-    return time.perf_counter() - started
+    return started, time.monotonic()
 
 
 def open_loop(connections: Sequence[Connection], requests: List[Request],
@@ -416,14 +436,14 @@ def open_loop(connections: Sequence[Connection], requests: List[Request],
     for thread in threads:
         thread.start()
     lags = []
-    start = time.perf_counter() + 0.01
+    start = time.monotonic() + 0.01
     try:
         for request, offset in zip(requests, offsets):
             request.due = start + offset
-            wait = request.due - time.perf_counter()
+            wait = request.due - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
-            lags.append((time.perf_counter() - request.due) * 1000.0)
+            lags.append((time.monotonic() - request.due) * 1000.0)
             lanes[request.lane].put(request)
     finally:
         for lane in lanes:
@@ -434,23 +454,24 @@ def open_loop(connections: Sequence[Connection], requests: List[Request],
 
 
 def closed_loop(connections: Sequence[Connection], plan: Plan,
-                seconds: float) -> Tuple[List[Request], float]:
-    """Each connection sends its next hit as soon as the last returns."""
+                seconds: float) -> Tuple[List[Request], Tuple[float, float]]:
+    """Each connection sends its next hit as soon as the last returns;
+    returns the requests and when the loop started and ended."""
     done: List[List[Request]] = [[] for __ in connections]
-    stop_at = time.perf_counter() + seconds
+    stop_at = time.monotonic() + seconds
 
     def loop(k: int) -> None:
         rng = random.Random(f"serve_mixed:b:{plan.seed}:{k}")
-        while time.perf_counter() < stop_at:
+        while time.monotonic() < stop_at:
             request = plan.hit(rng, "B")
-            request.due = time.perf_counter()
+            request.due = time.monotonic()
             connections[k].send(request)
             done[k].append(request)
 
-    started = time.perf_counter()
+    started = time.monotonic()
     _in_threads([(loop, (k,)) for k in range(len(connections))])
     return ([r for share in done for r in share],
-            time.perf_counter() - started)
+            (started, time.monotonic()))
 
 
 _SAMPLE = re.compile(r"^([A-Za-z_:][\w:]*)(?:\{(.*)\})?\s+(\S+)$")
@@ -534,23 +555,23 @@ def _measure(server: Server, plan: Plan, traffic: Traffic, seconds: float,
     connections = [Connection(server.port) for __ in range(CONNECTIONS)]
     try:
         priming = plan.priming()
-        cold = send_each(connections, priming)
+        cold = [send_each(connections, priming)]
         if priming[-1].status != 200:
             raise common.BenchError(f"priming the diagnosis config answered "
                                     f"{priming[-1].status}")
         first = plan.first_diagnose()
-        cold += send_each(connections[:1], [first])
-        data: Dict[str, Any] = {"cold_s": cold, "requests": priming + [first]}
+        cold.append(send_each(connections[:1], [first]))
+        data: Dict[str, Any] = {"cold": cold, "requests": priming + [first]}
         if not phases:
             return data
         requests = traffic.phase_a
         before = scrape(server.port)
         lags = open_loop(connections, requests, traffic.offsets)
         after = scrape(server.port)
-        closed, elapsed = closed_loop(connections, plan,
-                                      plan.sizing.phase_b * seconds)
+        closed, window = closed_loop(connections, plan,
+                                     plan.sizing.phase_b * seconds)
         data.update(phase_a=requests, phase_b=closed, lags=lags,
-                    b_seconds=elapsed, before=before, after=after)
+                    b_window=window, before=before, after=after)
         data["requests"] = data["requests"] + requests + closed
         return data
     finally:
@@ -632,8 +653,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     plan = Plan(seed, sizing)
     common.use_source_tree()
     traffic = prepare(plan, seconds)
-    with common.workdir(workload) as work:
-        boots: List[float] = []
+    with common.workdir(workload) as work, gauge.Gauge(work) as meter:
+        boots: List[Tuple[float, float]] = []
         runs: List[Dict[str, Any]] = []
         untraced = None
         if trace:
@@ -649,11 +670,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
             for k in range(sizing.boots - 1):
                 server = Server(work / f"boot{k}", work / f"boot{k}.log")
                 server.stop()
-                boots.append(server.boot_s)
+                boots.append(server.boot)
         spans_path = work / "spans.json" if trace else None
         server = Server(work / "cache", work / "server.log", spans=spans_path)
         try:
-            boots.append(server.boot_s)
+            boots.append(server.boot)
             data = _measure(server, plan, traffic, seconds, phases=True)
             rss = server.peak_rss_mb()
         finally:
@@ -670,7 +691,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     attempted = sum(len(r["requests"]) for r in runs)
     outcome = common.Outcome(attempted=attempted, failed=failed,
                              problems=problems)
-    _summarize(outcome, plan, data, untraced, boots, rss, spans)
+    _summarize(outcome, plan, meter, data, untraced, boots, rss, spans)
     return outcome
 
 
@@ -696,14 +717,19 @@ def _hit_sources(data: Dict[str, Any]) -> Tuple[int, int, int]:
     return hits - disk - joined, disk, joined
 
 
-def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
-               untraced: Optional[Dict[str, Any]], boots: List[float],
-               rss: float, spans: Optional[Dict[str, Any]]) -> None:
+def _summarize(outcome: common.Outcome, plan: Plan, meter: gauge.Gauge,
+               data: Dict[str, Any], untraced: Optional[Dict[str, Any]],
+               boots: List[Tuple[float, float]], rss: float,
+               spans: Optional[Dict[str, Any]]) -> None:
     sizing = plan.sizing
 
     def latencies(kind: str) -> List[float]:
-        return [r.latency_ms for r in data["phase_a"]
+        """Phase-A latencies at reference core speed."""
+        return [1000.0 * meter.scale(r.due, r.done) for r in data["phase_a"]
                 if r.kind == kind and r.status == 200]
+
+    def cold_s(run: Dict[str, Any]) -> float:
+        return sum(meter.scale(a, b) for a, b in run["cold"])
 
     def pct(values: List[float], q: float) -> float:
         return common.percentile(values, q) if values else 0.0
@@ -724,7 +750,7 @@ def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
         "flow.server.run_miss_p50_ms": pct(misses, 0.5),
         "flow.server.diagnose_p50_ms": pct(diagnose, 0.5),
         "flow.server.diagnose_p90_ms": pct(diagnose, 0.9),
-        "flow.server.run_hit_rps": b_ok / data["b_seconds"],
+        "flow.server.run_hit_rps": b_ok / meter.scale(*data["b_window"]),
         "bench.gen_lag_p99_ms": lag_p99,
         "bench.failed_frac": outcome.failed / max(outcome.attempted, 1),
     }
@@ -735,37 +761,48 @@ def _summarize(outcome: common.Outcome, plan: Plan, data: Dict[str, Any],
         ok = sum(r.status == 200 for r in requests)
         report.append(f"phase {phase:4s} sent {len(requests):6d}  "
                       f"succeeded {ok:6d}  failed {len(requests) - ok:4d}")
+    timed = [r.latency_ms for r in data["phase_a"]
+             if r.kind == "hit" and r.status == 200]
     report.append(f"phase A  {len(hits)} hits, {len(misses)} miss requests, "
                   f"{len(diagnose)} /diagnose at {sizing.rate:g}/s; "
-                  f"generator lag p99 {lag_p99:.2f} ms")
+                  f"generator lag p99 {lag_p99:.2f} ms; hit p50 "
+                  f"{pct(timed, 0.5):.3f} ms, p90 {pct(timed, 0.9):.3f} ms "
+                  f"as timed")
     memo, disk, joined = _hit_sources(data)
     report.append(f"phase A  hits served from the memo {memo}, decoded from "
                   f"disk {disk} ({disk / max(len(hits), 1):.1%}), joined a "
                   f"running decode {joined}")
-    report.append(f"cold     {data['cold_s']:.3f} s for {sizing.working_set} "
+    starts = [meter.scale(a, b) for a, b in boots]
+    raw = sum(b - a for a, b in data["cold"])
+    report.append(f"cold     {cold_s(data):.3f} s at reference speed "
+                  f"({raw:.3f} s as timed) for {sizing.working_set} "
                   f"working-set configs + the diagnosis config; server "
-                  f"starts " + ", ".join("%.3f" % b for b in boots) + " s")
+                  f"starts " + ", ".join("%.3f" % b for b in starts) + " s")
+    report.append(meter.summary())
     for name, value in client.items():
         unit, better, __ = PER_LAYER[name]
         report.append(f"serve    {name:34s} {value:14.6g} {unit:6s} "
                       f"{better} is better")
     if spans is None:
         outcome.end_to_end = {
-            "setup_s": common.median(boots),
-            "cold_run_s": data["cold_s"],
+            "setup_s": common.median(starts),
+            "cold_run_s": cold_s(data),
             "warm_p50_ms": pct(hits, 0.5),
             "warm_p90_ms": pct(hits, 0.9),
             "peak_rss_mb": rss,
         }
         return
-    metrics = _server_layers(outcome, data, untraced, spans, hits)
+    metrics = _server_layers(outcome, data, spans)
+    metrics["flow.server.wait_ms"] = (
+        sum(timed) / len(timed) - metrics["flow.server.hit_ms"]
+        if timed else 0.0)
+    metrics["telemetry.trace_overhead"] = cold_s(data) / cold_s(untraced) - 1
     metrics.update(client)
     outcome.layers = metrics
 
 
 def _server_layers(outcome: common.Outcome, data: Dict[str, Any],
-                   untraced: Dict[str, Any], spans_doc: Dict[str, Any],
-                   hits: List[float]) -> Dict[str, float]:
+                   spans_doc: Dict[str, Any]) -> Dict[str, float]:
     """Per-layer metrics of the traced server run: spans for the layers,
     ``GET /metrics`` deltas around phase A for handler times."""
     if spans_doc.get("left_wrapped"):
@@ -789,8 +826,6 @@ def _server_layers(outcome: common.Outcome, data: Dict[str, Any],
     metrics["flow.server.miss_ms"] = mean_ms("/run", ("computed", "inflight"))
     metrics["flow.server.diagnose_ms"] = mean_ms("/diagnose",
                                                  ("cache", "computed"))
-    metrics["flow.server.wait_ms"] = (
-        sum(hits) / len(hits) - metrics["flow.server.hit_ms"] if hits else 0.0)
     runs = delta("repro_http_requests_total", route="/run")
     leaders = delta("repro_dedupe_leaders_total")
     coalesced = delta("repro_dedupe_coalesced_total")
@@ -807,8 +842,6 @@ def _server_layers(outcome: common.Outcome, data: Dict[str, Any],
     metrics["diagnosis.compression_ratio"] = (
         sum(s["compression_ratio"] for s in summaries) / len(summaries)
         if summaries else 0.0)
-    metrics["telemetry.trace_overhead"] = (data["cold_s"]
-                                           / untraced["cold_s"] - 1.0)
     outcome.report += layers.table_lines(spans)
     rows = layers.self_time_table(spans)
     for prefix in ("flow.server", "diagnosis."):

@@ -16,7 +16,11 @@ result line of every run carries each of them:
 * ``peak_rss_mb``  -- peak resident memory of the program.
 
 What "set-up", "pass" and "repeat" mean on each workload is in
-``WORKLOADS``.  Metrics that exist on one workload only (test count, AVE,
+``WORKLOADS``.  Every timing is in seconds at one reference core speed:
+the gauge (``gauge.py``) reads the speed of the cores the program runs on
+while it runs, and each measured interval is scaled by it, because the
+shared hosts this runs on change core speed by up to 1.5x for minutes at
+a time.  Metrics that exist on one workload only (test count, AVE,
 fault efficiency, miss and ``/diagnose`` latency, closed-loop throughput)
 are printed in every run's report and recorded in the traced run's
 per-layer table, at the layer that produces them.
@@ -38,14 +42,14 @@ RUN_SECONDS = 12
 
 WORKLOADS: Dict[str, Dict[str, str]] = {
     "cold_atpg": {
-        "why": "cold repro run of a 200-gate stuck-at and a 150-gate "
-               "transition config: PODEM aborts dominate, so ATPG changes "
+        "why": "cold repro run of two 120-gate stuck-at and two 120-gate "
+               "transition configs: PODEM is ~95% of it, so ATPG changes "
                "show and fsim or server changes should not",
         "setup": "interpreter start plus imports, median of several starts",
-        "pass": "cold Flow(config, cache=<fresh dir>).run() of both configs "
-                "in a fresh interpreter",
-        "repeat": "warm Flow(config, cache=<the filled dir>).run() of both "
-                  "configs",
+        "pass": "cold Flow(config, cache=<fresh dir>).run() of the four "
+                "configs in a fresh interpreter",
+        "repeat": "warm Flow(config, cache=<the filled dir>).run() of the "
+                  "four configs",
     },
     "order_fsim": {
         "why": "repro order on 5000- and 2000-gate circuits with all six "
@@ -71,9 +75,8 @@ WORKLOADS: Dict[str, Dict[str, str]] = {
 #: name -> (unit, better, bound).  ``bound`` is the share of the parent's
 #: median by which the metric may worsen before a change is rejected.
 #: Peak RSS repeats within 1% across seeds, so 0.05 is several times its
-#: spread.  The timings take the largest bound allowed, 0.25: on a 2-core
-#: VM whose CPU speed drifts about 1.5x between episodes, their spread
-#: over ten runs measured 0.08 to 0.57 (see ``README.md``).
+#: spread.  The timings take the largest bound allowed, 0.25; their
+#: measured spreads are in ``README.md``.
 END_TO_END: Dict[str, Tuple[str, str, float]] = {
     "setup_s": ("s", "lower", 0.25),
     "cold_run_s": ("s", "lower", 0.25),
