@@ -51,8 +51,11 @@ class Outcome:
 
 def child_env() -> Dict[str, str]:
     """Environment of the program's processes: ``src`` importable and no
-    ``REPRO_*`` overrides, so every run sees the program's defaults."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    ``REPRO_*`` overrides, so every run sees the program's defaults.
+    Python may write its bytecode caches, as an installed program has
+    them: only the first start in a fresh checkout compiles ``src``."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_") and k != "PYTHONDONTWRITEBYTECODE"}
     paths = [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return env
