@@ -51,7 +51,7 @@ SHAPES = {
 
 #: Import-only interpreter starts per run, on top of one per pass.
 SETUP_STARTS = 8
-#: Share of --seconds each pass spends on warm runs.
+#: Share of --seconds each pass spends on warm repeats.
 WARM_SHARE = 0.25
 WARM_MIN = 10
 WARM_MAX = 1000

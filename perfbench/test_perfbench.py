@@ -19,6 +19,7 @@ import pytest
 
 import checks
 import common
+import gauge
 import layers
 import spec
 
@@ -135,6 +136,19 @@ def test_uninstall_restores_every_wrapped_object():
     assert PodemEngine.run is run
     assert adi.ORDERS == orders
     assert "detection_matrix" not in vars(ParallelFaultSimulator)
+
+
+def test_the_gauge_scales_intervals_by_the_speed_it_read(tmp_path):
+    with gauge.Gauge(tmp_path) as meter:
+        start = time.monotonic()
+        time.sleep(0.5)
+        end = time.monotonic()
+    assert meter.factor(start, end) > 0
+    assert meter.scale(start, end) == pytest.approx(
+        (end - start) * meter.factor(start, end))
+    assert gauge.trimmed_mean([100.0] + [1.0] * 9) == 1.0
+    with pytest.raises(common.BenchError):
+        meter.scale(end + 100.0, end + 101.0)
 
 
 def test_self_times_partition_the_traced_time():
