@@ -1,26 +1,42 @@
 """PODEM test generation (Goel's path-oriented decision making).
 
-The implementation keeps *two* 3-valued circuit copies — fault-free
-(``gval``) and faulty (``fval``) — instead of a 5-valued algebra.  A node
-"carries D" when both copies are defined and differ; the D-frontier,
-X-path check, objective selection and SCOAP-guided backtrace then follow
-the textbook algorithm.  Decisions assign primary inputs only, and both
-values of every decided PI are tried before giving up, so with an
-unlimited backtrack budget PODEM is *complete*: exhausting the decision
-tree proves the fault undetectable.  That completeness is what the
-redundancy-removal pass (:mod:`repro.circuit.redundancy`) relies on.
+Every node carries the values of two circuit copies at once, fault-free
+(good) and faulty, as one 4-bit *pair code*: bits 0-1 hold the good copy
+and bits 2-3 the faulty copy, each as a rail pair ``X = 00``, ``0 = 01``,
+``1 = 10`` (the low bit of a pair says "is 0", the high bit "is 1").  A
+node "carries D" when both copies are defined and differ, i.e. its code
+is ``0b1001`` or ``0b0110``.  The D-frontier, X-path check, objective
+selection and SCOAP-guided backtrace then follow the textbook algorithm.
+Decisions assign primary inputs only, and both values of every decided PI
+are tried before giving up, so with an unlimited backtrack budget PODEM is
+*complete*: exhausting the decision tree proves the fault undetectable.
+That completeness is what the redundancy-removal pass
+(:mod:`repro.circuit.redundancy`) relies on.
 
-Event-driven implication: each PI assignment propagates through the two
-copies with a topological-order heap, recording every changed node on a
-trail so backtracking is O(changed nodes).
+Implication is compiled.  :class:`PodemEngine` builds one evaluator per
+gate (:func:`gate_evaluator`) with its fanin ids bound, which computes both
+copies in one step: one ``|`` and one ``&`` over the codes for the AND/OR
+families, a 256-entry pair table for XOR/XNOR and a 16-entry rail swap for
+inversion.  A run injects its fault by wrapping only the fault site's
+evaluator: a stem fault forces the faulty rails of the node
+(:func:`stem_fault_evaluator`), a branch fault substitutes the stuck value
+on the faulty rails of one input pin (:func:`branch_fault_evaluator`).
+
+Each PI assignment propagates events in node-id (topological) order
+through a heap and records ``(node, old code)`` on a trail, so
+backtracking is O(changed nodes).  Every node is evaluated after all its
+changed fanins, so implication settles at the unique 3-valued fixpoint of
+both copies: the values, and with them every decision, are those of two
+separately simulated copies (:func:`repro.sim.threeval.eval_gate3` is the
+reference the tests hold each evaluator to).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappop, heappush
-from typing import List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.scoap import Scoap, compute_scoap
 from repro.circuit.flatten import CompiledCircuit
@@ -31,7 +47,174 @@ from repro.circuit.gate_types import (
 )
 from repro.errors import AtpgError
 from repro.faults.model import Fault, check_fault
-from repro.sim.threeval import X, eval_gate3
+from repro.sim.threeval import X
+
+#: The "is 0" rails of both copies, and the "is 1" rails.
+_ZERO_RAILS = 0b0101
+_ONE_RAILS = 0b1010
+#: 3-valued value (0, 1, X) -> the rail pair of one copy.
+_RAILS = (0b01, 0b10, 0b00)
+#: Rail pair of one copy -> 3-valued value (``0b11`` never occurs).
+_VALUES = (X, 0, 1, X)
+
+
+def pair_code(good: int, faulty: int) -> int:
+    """The pair code of a (good, faulty) pair of 0/1/X values."""
+    return _RAILS[good] | _RAILS[faulty] << 2
+
+
+def pair_values(code: int) -> Tuple[int, int]:
+    """The (good, faulty) 0/1/X values of a pair code."""
+    return _VALUES[code & 3], _VALUES[code >> 2]
+
+
+def _xor_pair(a: int, b: int) -> int:
+    good_a, faulty_a = pair_values(a)
+    good_b, faulty_b = pair_values(b)
+    return pair_code(X if X in (good_a, good_b) else good_a ^ good_b,
+                     X if X in (faulty_a, faulty_b) else faulty_a ^ faulty_b)
+
+
+#: Inversion of both copies: swap each copy's "is 0" and "is 1" rails.
+_SWAP = tuple((c & _ZERO_RAILS) << 1 | (c & _ONE_RAILS) >> 1
+              for c in range(16))
+_SAME = tuple(range(16))
+#: XOR of two pair codes, indexed by ``a << 4 | b``; XNOR is its swap.
+_XOR = tuple(_xor_pair(ab >> 4, ab & 15) for ab in range(256))
+_XNOR = tuple(_SWAP[c] for c in _XOR)
+#: Codes of a node carrying D (good 1, faulty 0) or D-bar.
+_CARRIES_D = tuple(c in (pair_code(1, 0), pair_code(0, 1))
+                   for c in range(16))
+#: Codes with at least one copy at X.
+_UNRESOLVED = tuple(not (c & 0b0011 and c & 0b1100) for c in range(16))
+#: A fault-free PI assignment: value -> code.
+_BOTH = (pair_code(0, 0), pair_code(1, 1))
+
+#: A compiled gate: returns the node's pair code from its fanin codes.
+Evaluator = Callable[[], int]
+
+
+def gate_evaluator(gtype: GateType, fanin: Sequence[int],
+                   codes: List[int]) -> Evaluator:
+    """Compile one gate into a function returning its pair code.
+
+    The evaluator reads the pair codes of ``fanin`` from ``codes`` (the
+    per-node code array, bound once) and applies the gate to both copies.
+    """
+    fanin = tuple(fanin)
+    if gtype in (GateType.CONST0, GateType.CONST1):
+        value = 1 if gtype == GateType.CONST1 else 0
+        const = pair_code(value, value)
+        return lambda: const
+    if gtype in (GateType.BUF, GateType.NOT):
+        (a,) = fanin
+        if gtype == GateType.BUF:
+            return lambda: codes[a]
+        swap = _SWAP
+        return lambda: swap[codes[a]]
+    out = _SWAP if is_inverting(gtype) else _SAME
+    if gtype in (GateType.AND, GateType.NAND):
+        # Some input at 0 makes the output 0; all inputs at 1 make it 1.
+        return _and_or_evaluator(fanin, codes, _ZERO_RAILS, _ONE_RAILS, out)
+    if gtype in (GateType.OR, GateType.NOR):
+        return _and_or_evaluator(fanin, codes, _ONE_RAILS, _ZERO_RAILS, out)
+    if gtype in (GateType.XOR, GateType.XNOR):
+        return _xor_evaluator(fanin, codes, out)
+    raise AtpgError(f"cannot compile node type {gtype!r}")
+
+
+def _and_or_evaluator(fanin: Tuple[int, ...], codes: List[int],
+                      any_rails: int, all_rails: int,
+                      out: Tuple[int, ...]) -> Evaluator:
+    """An output rail in ``any_rails`` is set when some input has it, one
+    in ``all_rails`` when every input has it; ``out`` applies inversion."""
+    if len(fanin) == 1:
+        (a,) = fanin
+        return lambda: out[codes[a]]
+    if len(fanin) == 2:
+        a, b = fanin
+
+        def evaluate2() -> int:
+            x = codes[a]
+            y = codes[b]
+            return out[(x | y) & any_rails | x & y & all_rails]
+        return evaluate2
+    if len(fanin) == 3:
+        a, b, c = fanin
+
+        def evaluate3() -> int:
+            x = codes[a]
+            y = codes[b]
+            z = codes[c]
+            return out[(x | y | z) & any_rails | x & y & z & all_rails]
+        return evaluate3
+    if len(fanin) == 4:
+        a, b, c, d = fanin
+
+        def evaluate4() -> int:
+            w = codes[a]
+            x = codes[b]
+            y = codes[c]
+            z = codes[d]
+            return out[(w | x | y | z) & any_rails
+                       | w & x & y & z & all_rails]
+        return evaluate4
+
+    def evaluate() -> int:
+        some = 0
+        every = 0b1111
+        for s in fanin:
+            x = codes[s]
+            some |= x
+            every &= x
+        return out[some & any_rails | every & all_rails]
+    return evaluate
+
+
+def _xor_evaluator(fanin: Tuple[int, ...], codes: List[int],
+                   out: Tuple[int, ...]) -> Evaluator:
+    """Fold the inputs through the pair table; ``out`` applies XNOR."""
+    last = _XNOR if out is _SWAP else _XOR
+    if len(fanin) == 1:
+        (a,) = fanin
+        return lambda: out[codes[a]]
+    if len(fanin) == 2:
+        a, b = fanin
+        return lambda: last[codes[a] << 4 | codes[b]]
+    if len(fanin) == 3:
+        a, b, c = fanin
+        xor = _XOR
+        return lambda: last[xor[codes[a] << 4 | codes[b]] << 4 | codes[c]]
+    first, rest = fanin[0], fanin[1:]
+
+    def evaluate() -> int:
+        xor = _XOR
+        acc = codes[first]
+        for s in rest:
+            acc = xor[acc << 4 | codes[s]]
+        return out[acc]
+    return evaluate
+
+
+def stem_fault_evaluator(evaluator: Evaluator, stuck: int) -> Evaluator:
+    """``evaluator`` with the node's faulty copy stuck at ``stuck``."""
+    forced = _RAILS[stuck] << 2
+    return lambda: evaluator() & 0b0011 | forced
+
+
+def branch_fault_evaluator(gtype: GateType, fanin: Sequence[int], pin: int,
+                           stuck: int, codes: List[int]) -> Evaluator:
+    """The gate's evaluator with input ``pin`` stuck at ``stuck`` in the
+    faulty copy only (the driver's other fanout branches are unaffected)."""
+    pins = [0] * len(fanin)
+    inner = gate_evaluator(gtype, range(len(fanin)), pins)
+    forced = _RAILS[stuck] << 2
+
+    def evaluate() -> int:
+        pins[:] = [codes[s] for s in fanin]
+        pins[pin] = pins[pin] & 0b0011 | forced
+        return inner()
+    return evaluate
 
 
 class PodemStatus(Enum):
@@ -63,19 +246,48 @@ class _Decision:
     pi: int
     value: int
     tried_both: bool
-    trail: List[Tuple[int, int, int]] = field(default_factory=list)
+    trail: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class PodemEngine:
     """Reusable PODEM engine bound to one circuit.
 
-    Construction computes SCOAP once; :meth:`run` can then be called for
-    many faults.
+    Construction computes SCOAP, compiles every gate's evaluator and
+    settles the constants once; :meth:`run` can then be called for many
+    faults.
     """
 
     def __init__(self, circ: CompiledCircuit, scoap: Optional[Scoap] = None):
         self.circ = circ
         self.scoap = scoap or compute_scoap(circ)
+        scoap = self.scoap
+        self._num_inputs = circ.num_inputs
+        self._num_nodes = circ.num_nodes
+        # The evaluators are bound to this list: it is reset in place,
+        # never replaced.
+        self._codes: List[int] = [pair_code(X, X)] * circ.num_nodes
+        self._evals: List[Optional[Evaluator]] = [None] * circ.num_nodes
+        for node in circ.gate_nodes():
+            self._evals[node] = gate_evaluator(
+                circ.node_type[node], circ.fanin[node], self._codes
+            )
+        # A gate reading one signal on two pins is one event, not two.
+        self._fanout = tuple(tuple(dict.fromkeys(f)) for f in circ.fanout)
+        self._outputs = frozenset(circ.outputs)
+        self._cost = (scoap.cc0, scoap.cc1)
+        self._cheapest = tuple(min(c0, c1)
+                               for c0, c1 in zip(scoap.cc0, scoap.cc1))
+        self._ctrl = tuple(controlling_value(t) for t in circ.node_type)
+        self._inverting = tuple(int(is_inverting(t)) for t in circ.node_type)
+
+        # Fault-free state with every PI at X: the constants and whatever
+        # they imply, the starting point of every run.
+        self._d_nodes: Set[int] = set()
+        consts = [node for node in circ.gate_nodes()
+                  if circ.node_type[node] in (GateType.CONST0,
+                                              GateType.CONST1)]
+        self._propagate(consts, [])
+        self._settled = tuple(self._codes)
 
     # -- public API ---------------------------------------------------------
 
@@ -87,207 +299,184 @@ class PodemEngine:
         complete (used for undetectability proofs).
         """
         check_fault(self.circ, fault)
-        circ = self.circ
-        self._fault = fault
-        self._stuck = fault.value
-        self._gval = [X] * circ.num_nodes
-        self._fval = [X] * circ.num_nodes
-        self._d_nodes: Set[int] = set()
-
-        if fault.is_stem:
-            self._site_good_node = fault.node
-        else:
-            self._site_good_node = circ.fanin[fault.node][fault.pin]
-
-        # Constant gates have no fanin and are never reached by PI
-        # propagation: seed their values explicitly (good copy always,
-        # faulty copy unless the fault pins this very node).
-        seeds = []
-        for node in circ.gate_nodes():
-            gtype = circ.node_type[node]
-            if gtype in (GateType.CONST0, GateType.CONST1):
-                value = 1 if gtype == GateType.CONST1 else 0
-                fvalue = value
-                if fault.is_stem and node == fault.node:
-                    fvalue = self._stuck
-                self._set_node(node, value, fvalue, None)
-                seeds.extend(circ.fanout[node])
-
-        # Permanently inject the fault into the faulty copy and let any
-        # unconditional implications settle (no trail: never undone).
-        if fault.is_stem:
-            if self._gval[fault.node] == X:  # const nodes already seeded
-                self._set_node(fault.node, X, self._stuck, None)
-            seeds.extend(circ.fanout[fault.node])
-        else:
-            seeds.append(fault.node)
-        self._propagate(seeds, None)
-
-        result = PodemResult(fault=fault, status=PodemStatus.UNDETECTABLE)
-        stack: List[_Decision] = []
-
-        while True:
-            action = self._next_action()
-            if action == "success":
-                result.status = PodemStatus.SUCCESS
-                result.cube = [self._gval[i] for i in range(circ.num_inputs)]
-                break
-            if action == "backtrack":
-                flipped = False
-                while stack:
-                    decision = stack.pop()
-                    self._undo(decision.trail)
-                    if not decision.tried_both:
-                        result.backtracks += 1
-                        if (backtrack_limit is not None
-                                and result.backtracks > backtrack_limit):
-                            result.status = PodemStatus.ABORTED
-                            return result
-                        value = decision.value ^ 1
-                        trail: List[Tuple[int, int, int]] = []
-                        self._assign_pi(decision.pi, value, trail)
-                        stack.append(_Decision(decision.pi, value, True, trail))
-                        flipped = True
-                        break
-                if not flipped:
-                    result.status = PodemStatus.UNDETECTABLE
-                    break
-                continue
-            # action is an (objective_node, objective_value) pair.
-            target = self._backtrace(*action)
-            if target is None:
-                # No X-path of assignable inputs towards the objective.
-                action = "backtrack"
-                # Treat exactly like a conflict on the next loop entry by
-                # forcing a backtrack via the stack.
-                flipped = False
-                while stack:
-                    decision = stack.pop()
-                    self._undo(decision.trail)
-                    if not decision.tried_both:
-                        result.backtracks += 1
-                        if (backtrack_limit is not None
-                                and result.backtracks > backtrack_limit):
-                            result.status = PodemStatus.ABORTED
-                            return result
-                        value = decision.value ^ 1
-                        trail = []
-                        self._assign_pi(decision.pi, value, trail)
-                        stack.append(_Decision(decision.pi, value, True, trail))
-                        flipped = True
-                        break
-                if not flipped:
-                    result.status = PodemStatus.UNDETECTABLE
-                    break
-                continue
-            pi, value = target
-            result.decisions += 1
-            trail = []
-            self._assign_pi(pi, value, trail)
-            stack.append(_Decision(pi, value, False, trail))
-
-        return result
+        site_evaluator = self._evals[fault.node]
+        try:
+            self._inject(fault)
+            return self._search(fault, backtrack_limit)
+        finally:
+            self._evals[fault.node] = site_evaluator
 
     # -- value management ----------------------------------------------------
 
-    def _set_node(self, node: int, g: int, f: int,
-                  trail: Optional[List[Tuple[int, int, int]]]) -> None:
-        if trail is not None:
-            trail.append((node, self._gval[node], self._fval[node]))
-        self._gval[node] = g
-        self._fval[node] = f
-        if g != X and f != X and g != f:
-            self._d_nodes.add(node)
+    def _inject(self, fault: Fault) -> None:
+        """Reset to the settled state and permanently insert ``fault``."""
+        codes = self._codes
+        codes[:] = self._settled
+        self._d_nodes = set()
+        node = fault.node
+        stuck = fault.value
+        self._stuck = stuck
+        self._forced = _RAILS[stuck] << 2
+        self._stuck_rails = _RAILS[stuck]
+        self._active_rails = _RAILS[stuck ^ 1]
+        self._stem_pi = -1
+        self._branch_gate = -1
+        if fault.is_stem:
+            self._site = node
         else:
-            self._d_nodes.discard(node)
+            self._site = self.circ.fanin[node][fault.pin]
+            self._branch_gate = node
 
-    def _undo(self, trail: List[Tuple[int, int, int]]) -> None:
-        for node, g, f in reversed(trail):
-            self._gval[node] = g
-            self._fval[node] = f
-            if g != X and f != X and g != f:
-                self._d_nodes.add(node)
+        # Let the unconditional implications settle (no trail: never
+        # undone).
+        if fault.is_stem and node < self._num_inputs:
+            self._stem_pi = node
+            codes[node] = self._forced
+            self._propagate(self._fanout[node], [])
+            return
+        if fault.is_stem:
+            self._evals[node] = stem_fault_evaluator(self._evals[node], stuck)
+        else:
+            self._evals[node] = branch_fault_evaluator(
+                self.circ.node_type[node], self.circ.fanin[node], fault.pin,
+                stuck, codes,
+            )
+        self._propagate((node,), [])
+
+    def _undo(self, trail: List[Tuple[int, int]]) -> None:
+        codes = self._codes
+        carries_d = _CARRIES_D
+        d_nodes = self._d_nodes
+        for node, old in reversed(trail):
+            codes[node] = old
+            if carries_d[old]:
+                d_nodes.add(node)
             else:
-                self._d_nodes.discard(node)
-
-    def _eval_good(self, node: int) -> int:
-        srcs = self.circ.fanin[node]
-        return eval_gate3(
-            self.circ.node_type[node], [self._gval[s] for s in srcs]
-        )
-
-    def _eval_faulty(self, node: int) -> int:
-        fault = self._fault
-        if fault.is_stem and node == fault.node:
-            return self._stuck
-        srcs = self.circ.fanin[node]
-        values = [self._fval[s] for s in srcs]
-        if fault.is_branch and node == fault.node:
-            values[fault.pin] = self._stuck
-        return eval_gate3(self.circ.node_type[node], values)
+                d_nodes.discard(node)
 
     def _assign_pi(self, pi: int, value: int,
-                   trail: List[Tuple[int, int, int]]) -> None:
-        fault = self._fault
-        fval = value
-        if fault.is_stem and pi == fault.node:
-            fval = self._stuck
-        self._set_node(pi, value, fval, trail)
-        self._propagate(self.circ.fanout[pi], trail)
+                   trail: List[Tuple[int, int]]) -> None:
+        code = _BOTH[value]
+        if pi == self._stem_pi:
+            code = code & 0b0011 | self._forced
+        trail.append((pi, self._codes[pi]))
+        self._codes[pi] = code
+        if _CARRIES_D[code]:
+            self._d_nodes.add(pi)
+        else:
+            self._d_nodes.discard(pi)
+        self._propagate(self._fanout[pi], trail)
 
     def _propagate(self, start_nodes: Sequence[int],
-                   trail: Optional[List[Tuple[int, int, int]]]) -> None:
-        heap: List[int] = []
-        queued: Set[int] = set()
-        for node in start_nodes:
-            if node not in queued:
-                queued.add(node)
-                heappush(heap, node)
+                   trail: List[Tuple[int, int]]) -> None:
+        codes = self._codes
+        evals = self._evals
+        fanout = self._fanout
+        carries_d = _CARRIES_D
+        d_nodes = self._d_nodes
+        record = trail.append
+        heap = list(start_nodes)
+        heapify(heap)
+        queued = set(heap)
         while heap:
             node = heappop(heap)
-            new_g = self._eval_good(node)
-            new_f = self._eval_faulty(node)
-            if new_g == self._gval[node] and new_f == self._fval[node]:
+            new = evals[node]()
+            old = codes[node]
+            if new == old:
                 continue
-            self._set_node(node, new_g, new_f, trail)
-            for nxt in self.circ.fanout[node]:
+            codes[node] = new
+            record((node, old))
+            if carries_d[new]:
+                d_nodes.add(node)
+            elif carries_d[old]:
+                d_nodes.discard(node)
+            for nxt in fanout[node]:
                 if nxt not in queued:
                     queued.add(nxt)
                     heappush(heap, nxt)
 
     # -- search logic ----------------------------------------------------------
 
-    def _branch_carries_d(self) -> bool:
-        fault = self._fault
-        if not fault.is_branch:
-            return False
-        return self._gval[self._site_good_node] == (self._stuck ^ 1)
+    def _search(self, fault: Fault,
+                backtrack_limit: Optional[int]) -> PodemResult:
+        result = PodemResult(fault=fault, status=PodemStatus.UNDETECTABLE)
+        stack: List[_Decision] = []
+        while True:
+            action = self._next_action()
+            if action == "success":
+                result.status = PodemStatus.SUCCESS
+                result.cube = [_VALUES[c & 0b0011]
+                               for c in self._codes[:self._num_inputs]]
+                return result
+            if action != "backtrack":
+                # action is an (objective_node, objective_value) pair.
+                target = self._backtrace(*action)
+                if target is not None:
+                    pi, value = target
+                    result.decisions += 1
+                    trail: List[Tuple[int, int]] = []
+                    self._assign_pi(pi, value, trail)
+                    stack.append(_Decision(pi, value, False, trail))
+                    continue
+                # No X-path of assignable inputs towards the objective:
+                # treat it exactly like a conflict.
+            status = self._backtrack(stack, result, backtrack_limit)
+            if status is not None:
+                result.status = status
+                return result
 
-    def _unresolved(self, node: int) -> bool:
-        return self._gval[node] == X or self._fval[node] == X
+    def _backtrack(self, stack: List[_Decision], result: PodemResult,
+                   backtrack_limit: Optional[int]) -> Optional[PodemStatus]:
+        """Undo decisions up to the newest one with an untried value and
+        try that value.
+
+        Returns ``None`` once a value is flipped, ABORTED when the flip
+        would exceed ``backtrack_limit`` and UNDETECTABLE when the decision
+        tree is exhausted.
+        """
+        while stack:
+            decision = stack.pop()
+            self._undo(decision.trail)
+            if not decision.tried_both:
+                result.backtracks += 1
+                if (backtrack_limit is not None
+                        and result.backtracks > backtrack_limit):
+                    return PodemStatus.ABORTED
+                value = decision.value ^ 1
+                trail: List[Tuple[int, int]] = []
+                self._assign_pi(decision.pi, value, trail)
+                stack.append(_Decision(decision.pi, value, True, trail))
+                return None
+        return PodemStatus.UNDETECTABLE
 
     def _frontier(self) -> List[int]:
+        codes = self._codes
+        unresolved = _UNRESOLVED
+        fanout = self._fanout
         frontier: Set[int] = set()
         for d in self._d_nodes:
-            for gate in self.circ.fanout[d]:
-                if self._unresolved(gate):
+            for gate in fanout[d]:
+                if unresolved[codes[gate]]:
                     frontier.add(gate)
-        if self._branch_carries_d() and self._unresolved(self._fault.node):
-            frontier.add(self._fault.node)
+        # A branch fault's D sits on the consuming gate's pin, not on a
+        # node: the gate joins the frontier once the site is activated.
+        gate = self._branch_gate
+        if (gate >= 0 and codes[self._site] & 0b0011 == self._active_rails
+                and unresolved[codes[gate]]):
+            frontier.add(gate)
         return sorted(frontier)
 
     def _next_action(self):
         """Decide the next step: success, backtrack, or an objective."""
-        circ = self.circ
-        for node in self._d_nodes:
-            if circ.is_output[node]:
-                return "success"
+        if not self._d_nodes.isdisjoint(self._outputs):
+            return "success"
 
-        site_val = self._gval[self._site_good_node]
-        if site_val == self._stuck:
+        codes = self._codes
+        site_good = codes[self._site] & 0b0011
+        if site_good == self._stuck_rails:
             return "backtrack"
-        if site_val == X:
-            return (self._site_good_node, self._stuck ^ 1)
+        if not site_good:
+            return (self._site, self._stuck ^ 1)
 
         frontier = self._frontier()
         if not frontier:
@@ -297,56 +486,56 @@ class PodemEngine:
 
         # Pick the most observable frontier gate that still offers an
         # unassigned (good-copy X) side input to work on.
+        fanin = self.circ.fanin
+        co = self.scoap.co
         candidates = []
         for gate in frontier:
-            x_pins = [
-                s for s in circ.fanin[gate] if self._gval[s] == X
-            ]
+            x_pins = [s for s in fanin[gate] if not codes[s] & 0b0011]
             if x_pins:
-                candidates.append((self.scoap.co[gate], gate, x_pins))
+                candidates.append((co[gate], gate, x_pins))
         if not candidates:
             return "backtrack"
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        __, gate, x_pins = candidates[0]
-        gtype = circ.node_type[gate]
-        ctrl = controlling_value(gtype)
-        if ctrl is not None:
-            value = ctrl ^ 1
-        else:
-            # XOR family: any defined value unblocks; choose the cheaper.
-            value = 0
+        __, gate, x_pins = min(candidates, key=lambda item: item[:2])
+        ctrl = self._ctrl[gate]
+        # XOR family: any defined value unblocks; 0 is the fixed choice.
+        value = 0 if ctrl is None else ctrl ^ 1
         # The easiest side input keeps the backtrace shallow.
-        src = min(x_pins, key=lambda s: self.scoap.cost(s, value))
+        src = min(x_pins, key=self._cost[value].__getitem__)
         return (src, value)
 
     def _x_path_exists(self, frontier: Sequence[int]) -> bool:
         """Can some frontier gate still reach an unresolved primary output?"""
-        circ = self.circ
+        codes = self._codes
+        unresolved = _UNRESOLVED
+        fanout = self._fanout
+        outputs = self._outputs
         seen: Set[int] = set()
-        stack = [g for g in frontier if self._unresolved(g)]
+        stack = [g for g in frontier if unresolved[codes[g]]]
         seen.update(stack)
         while stack:
             node = stack.pop()
-            if circ.is_output[node]:
+            if node in outputs:
                 return True
-            for nxt in circ.fanout[node]:
-                if nxt not in seen and self._unresolved(nxt):
+            for nxt in fanout[node]:
+                if nxt not in seen and unresolved[codes[nxt]]:
                     seen.add(nxt)
                     stack.append(nxt)
         return False
 
     def _backtrace(self, node: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk an objective back to an unassigned PI, SCOAP-guided."""
-        circ = self.circ
-        scoap = self.scoap
+        codes = self._codes
+        node_type = self.circ.node_type
+        fanin = self.circ.fanin
+        num_inputs = self._num_inputs
         guard = 0
-        while node >= circ.num_inputs:
+        while node >= num_inputs:
             guard += 1
-            if guard > circ.num_nodes:
+            if guard > self._num_nodes:
                 raise AtpgError("backtrace failed to terminate")
-            gtype = circ.node_type[node]
-            srcs = circ.fanin[node]
-            x_srcs = [s for s in srcs if self._gval[s] == X]
+            gtype = node_type[node]
+            srcs = fanin[node]
+            x_srcs = [s for s in srcs if not codes[s] & 0b0011]
             if not x_srcs:
                 return None
             if gtype in (GateType.BUF, GateType.NOT):
@@ -358,31 +547,27 @@ class PodemEngine:
                 if len(x_srcs) == 1:
                     parity = value ^ (1 if gtype == GateType.XNOR else 0)
                     for s in srcs:
-                        if self._gval[s] != X:
-                            parity ^= self._gval[s]
+                        # A defined good copy is 0b01 (0) or 0b10 (1).
+                        parity ^= (codes[s] & 0b0011) >> 1
                     node, value = x_srcs[0], parity
                 else:
-                    node = min(
-                        x_srcs,
-                        key=lambda s: min(scoap.cc0[s], scoap.cc1[s]),
-                    )
-                    value = 0 if scoap.cc0[node] <= scoap.cc1[node] else 1
+                    node = min(x_srcs, key=self._cheapest.__getitem__)
+                    value = 0 if self._cost[0][node] <= self._cost[1][node] else 1
                 continue
-            ctrl = controlling_value(gtype)
-            base = value ^ (1 if is_inverting(gtype) else 0)
+            ctrl = self._ctrl[node]
+            base = value ^ self._inverting[node]
             if base == ctrl:
                 # One controlling input suffices: take the easiest.
-                node = min(x_srcs, key=lambda s: scoap.cost(s, ctrl))
+                node = min(x_srcs, key=self._cost[ctrl].__getitem__)
                 value = ctrl
             else:
                 # Every input must be non-controlling: attack the hardest
                 # first so conflicts surface early.
                 noncontrolling = ctrl ^ 1
-                node = max(
-                    x_srcs, key=lambda s: scoap.cost(s, noncontrolling)
-                )
+                node = max(x_srcs,
+                           key=self._cost[noncontrolling].__getitem__)
                 value = noncontrolling
-        if self._gval[node] != X:
+        if codes[node] & 0b0011:
             return None
         return node, value
 

@@ -135,6 +135,9 @@ class FlowResult:
             "tests": {
                 "count": self.tests.num_tests,
                 "coverage": self.tests.fault_coverage(),
+                "detected": self.tests.num_detected,
+                "undetectable": self.tests.num_undetectable,
+                "aborted": self.tests.num_aborted,
                 "podem_calls": self.tests.podem_calls,
                 "backtracks": self.tests.backtracks,
             },

@@ -119,6 +119,13 @@ class TestCliMatchesExperimentRunner:
         assert document["tests"]["coverage"] == pytest.approx(
             tests.fault_coverage()
         )
+        outcomes = {key: document["tests"][key]
+                    for key in ("detected", "undetectable", "aborted")}
+        assert outcomes == {"detected": tests.num_detected,
+                            "undetectable": tests.num_undetectable,
+                            "aborted": tests.num_aborted}
+        # Every target fault ends in exactly one outcome.
+        assert sum(outcomes.values()) == prepared.num_faults
         assert document["curve"]["ave"] == pytest.approx(curve.ave)
 
     def test_warm_cli_rerun_all_cached(self, tmp_path, capsys):
