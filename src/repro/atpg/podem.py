@@ -69,10 +69,11 @@ def pair_values(code: int) -> Tuple[int, int]:
 
 
 def _xor_pair(a: int, b: int) -> int:
-    good_a, faulty_a = pair_values(a)
-    good_b, faulty_b = pair_values(b)
-    return pair_code(X if X in (good_a, good_b) else good_a ^ good_b,
-                     X if X in (faulty_a, faulty_b) else faulty_a ^ faulty_b)
+    # Per copy, the output is 0 when the inputs are equal and 1 when they
+    # differ; an X input (rails 00) sets neither output rail.
+    a0, a1 = a & _ZERO_RAILS, a >> 1 & _ZERO_RAILS
+    b0, b1 = b & _ZERO_RAILS, b >> 1 & _ZERO_RAILS
+    return a0 & b0 | a1 & b1 | (a0 & b1 | a1 & b0) << 1
 
 
 #: Inversion of both copies: swap each copy's "is 0" and "is 1" rails.

@@ -292,9 +292,9 @@ def _render_run(flow: Flow, config: FlowConfig):
         f"order      {result.order_name}",
         f"tests      {result.tests.num_tests}, fault coverage "
         f"{result.tests.fault_coverage():.1%} "
-        f"({result.tests.num_detected} detected, "
-        f"{result.tests.num_undetectable} undetectable, "
-        f"{result.tests.num_aborted} aborted)",
+        f"({summary['tests']['detected']} detected, "
+        f"{summary['tests']['undetectable']} undetectable, "
+        f"{summary['tests']['aborted']} aborted)",
         f"AVE        {result.report.ave:.3f}",
         "stages     " + ", ".join(
             f"{info.stage}={info.source}" for info in result.stages
