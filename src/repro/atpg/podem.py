@@ -107,20 +107,19 @@ def gate_evaluator(gtype: GateType, fanin: Sequence[int],
         value = 1 if gtype == GateType.CONST1 else 0
         const = pair_code(value, value)
         return lambda: const
-    if gtype in (GateType.BUF, GateType.NOT):
-        (a,) = fanin
-        if gtype == GateType.BUF:
-            return lambda: codes[a]
-        swap = _SWAP
-        return lambda: swap[codes[a]]
     out = _SWAP if is_inverting(gtype) else _SAME
+    if len(fanin) == 1:
+        # BUF/NOT, or any other gate of one input: the input, inverted
+        # for the inverting types.
+        (a,) = fanin
+        return lambda: out[codes[a]]
     if gtype in (GateType.AND, GateType.NAND):
         # Some input at 0 makes the output 0; all inputs at 1 make it 1.
         return _and_or_evaluator(fanin, codes, _ZERO_RAILS, _ONE_RAILS, out)
     if gtype in (GateType.OR, GateType.NOR):
         return _and_or_evaluator(fanin, codes, _ONE_RAILS, _ZERO_RAILS, out)
     if gtype in (GateType.XOR, GateType.XNOR):
-        return _xor_evaluator(fanin, codes, out)
+        return _xor_evaluator(fanin, codes, _XNOR if out is _SWAP else _XOR)
     raise AtpgError(f"cannot compile node type {gtype!r}")
 
 
@@ -129,9 +128,6 @@ def _and_or_evaluator(fanin: Tuple[int, ...], codes: List[int],
                       out: Tuple[int, ...]) -> Evaluator:
     """An output rail in ``any_rails`` is set when some input has it, one
     in ``all_rails`` when every input has it; ``out`` applies inversion."""
-    if len(fanin) == 1:
-        (a,) = fanin
-        return lambda: out[codes[a]]
     if len(fanin) == 2:
         a, b = fanin
 
@@ -173,12 +169,9 @@ def _and_or_evaluator(fanin: Tuple[int, ...], codes: List[int],
 
 
 def _xor_evaluator(fanin: Tuple[int, ...], codes: List[int],
-                   out: Tuple[int, ...]) -> Evaluator:
-    """Fold the inputs through the pair table; ``out`` applies XNOR."""
-    last = _XNOR if out is _SWAP else _XOR
-    if len(fanin) == 1:
-        (a,) = fanin
-        return lambda: out[codes[a]]
+                   last: Tuple[int, ...]) -> Evaluator:
+    """Fold the inputs through the XOR pair table; the final input goes
+    through ``last``, the XOR or the XNOR table."""
     if len(fanin) == 2:
         a, b = fanin
         return lambda: last[codes[a] << 4 | codes[b]]
@@ -186,14 +179,14 @@ def _xor_evaluator(fanin: Tuple[int, ...], codes: List[int],
         a, b, c = fanin
         xor = _XOR
         return lambda: last[xor[codes[a] << 4 | codes[b]] << 4 | codes[c]]
-    first, rest = fanin[0], fanin[1:]
+    first, middle, final = fanin[0], fanin[1:-1], fanin[-1]
 
     def evaluate() -> int:
         xor = _XOR
         acc = codes[first]
-        for s in rest:
+        for s in middle:
             acc = xor[acc << 4 | codes[s]]
-        return out[acc]
+        return last[acc << 4 | codes[final]]
     return evaluate
 
 
