@@ -1,14 +1,14 @@
 """PODEM's compiled dual-rail evaluators against the 3-valued reference.
 
 Every evaluator must decode to :func:`eval_gate3` applied to the good copy
-and to the faulty copy separately.  Gate evaluators of arities 1-4 run
-over every (good, faulty) pair per input; arities 5-9 use seeded samples.
-The fault site wrappers are held to the same reference with the stuck
-value put into the faulty copy only: on the output for a stem fault, on
-each pin in turn for a branch fault (every pair up to arity 3, seeded
-samples above, since the wrapped gate is the evaluator checked above).
+and to the faulty copy separately.  Arities 1-4 run over every
+(good, faulty) pair per input; arities 5-9 use seeded samples.  The fault
+site wrappers are held to the same reference with the stuck value put
+into the faulty copy only: on the output for a stem fault, on each pin in
+turn for a branch fault.
 """
 
+import functools
 import itertools
 import random
 
@@ -49,14 +49,19 @@ def _ids(case):
     return f"{gtype.name}{arity}"
 
 
-def _input_pairs(arity, exhaustive=4):
-    """Every combination of input pairs up to ``exhaustive`` inputs, else
-    seeded samples."""
-    if arity <= exhaustive:
+def _input_pairs(arity):
+    """Every combination of input pairs up to arity 4, else samples."""
+    if arity <= 4:
         return itertools.product(PAIRS, repeat=arity)
     rng = random.Random(f"podem-evaluators:{arity}")
     return [tuple(rng.choice(PAIRS) for _ in range(arity))
             for _ in range(SAMPLES)]
+
+
+@functools.lru_cache(maxsize=None)
+def _eval3(gtype, values):
+    """The reference, memoized: the loops below repeat input tuples."""
+    return eval_gate3(gtype, values)
 
 
 def _bound(arity):
@@ -66,16 +71,12 @@ def _bound(arity):
 
 
 def _load(codes, fanin, inputs):
+    """Write the input pairs to ``codes``; return the good and faulty
+    input values."""
     for node, (good, faulty) in zip(fanin, inputs):
         codes[node] = pair_code(good, faulty)
-
-
-def _reference(gtype, inputs, pin=None, stuck=None):
-    good = [g for g, _ in inputs]
-    faulty = [f for _, f in inputs]
-    if pin is not None:
-        faulty[pin] = stuck
-    return eval_gate3(gtype, good), eval_gate3(gtype, faulty)
+    return (tuple(good for good, _ in inputs),
+            tuple(faulty for _, faulty in inputs))
 
 
 def test_code_table():
@@ -97,8 +98,9 @@ def test_gate_matches_eval_gate3_on_each_copy(case):
     codes, fanin = _bound(arity)
     evaluate = gate_evaluator(gtype, fanin, codes)
     for inputs in _input_pairs(arity):
-        _load(codes, fanin, inputs)
-        assert pair_values(evaluate()) == _reference(gtype, inputs), inputs
+        good, faulty = _load(codes, fanin, inputs)
+        expected = (_eval3(gtype, good), _eval3(gtype, faulty))
+        assert pair_values(evaluate()) == expected, inputs
 
 
 @pytest.mark.parametrize("stuck", (0, 1))
@@ -108,10 +110,9 @@ def test_stem_fault_forces_the_faulty_copy(case, stuck):
     codes, fanin = _bound(arity)
     evaluate = stem_fault_evaluator(gate_evaluator(gtype, fanin, codes),
                                     stuck)
-    for inputs in _input_pairs(arity, exhaustive=3):
-        _load(codes, fanin, inputs)
-        good, _ = _reference(gtype, inputs)
-        assert pair_values(evaluate()) == (good, stuck), inputs
+    for inputs in _input_pairs(arity):
+        good, _ = _load(codes, fanin, inputs)
+        assert pair_values(evaluate()) == (_eval3(gtype, good), stuck), inputs
 
 
 @pytest.mark.parametrize("stuck", (0, 1))
@@ -119,12 +120,15 @@ def test_stem_fault_forces_the_faulty_copy(case, stuck):
 def test_branch_fault_substitutes_one_pin(case, stuck):
     gtype, arity = case
     codes, fanin = _bound(arity)
-    for pin in range(arity):
-        evaluate = branch_fault_evaluator(gtype, fanin, pin, stuck, codes)
-        for inputs in _input_pairs(arity, exhaustive=3):
-            _load(codes, fanin, inputs)
-            assert pair_values(evaluate()) == _reference(
-                gtype, inputs, pin, stuck), (pin, inputs)
+    evaluators = [branch_fault_evaluator(gtype, fanin, pin, stuck, codes)
+                  for pin in range(arity)]
+    for inputs in _input_pairs(arity):
+        good, faulty = _load(codes, fanin, inputs)
+        good_out = _eval3(gtype, good)
+        for pin, evaluate in enumerate(evaluators):
+            pinned = faulty[:pin] + (stuck,) + faulty[pin + 1:]
+            expected = (good_out, _eval3(gtype, pinned))
+            assert pair_values(evaluate()) == expected, (pin, inputs)
 
 
 @pytest.mark.parametrize("gtype", MULTI_INPUT, ids=lambda g: g.name)
@@ -132,9 +136,9 @@ def test_repeated_fanin_faults_only_the_named_pin(gtype):
     # A gate reading one signal on two pins: a branch fault on pin 1
     # must leave pin 0's copy of the same signal fault-free.
     codes = [pair_code(X, X)] * 2
-    fanin = (0, 0, 1)
-    evaluate = branch_fault_evaluator(gtype, fanin, 1, 0, codes)
-    for (a, b) in itertools.product(PAIRS, repeat=2):
+    evaluate = branch_fault_evaluator(gtype, (0, 0, 1), 1, 0, codes)
+    for a, b in itertools.product(PAIRS, repeat=2):
         codes[:] = [pair_code(*a), pair_code(*b)]
-        inputs = (a, a, b)
-        assert pair_values(evaluate()) == _reference(gtype, inputs, 1, 0)
+        expected = (_eval3(gtype, (a[0], a[0], b[0])),
+                    _eval3(gtype, (a[1], 0, b[1])))
+        assert pair_values(evaluate()) == expected, (a, b)
