@@ -23,8 +23,9 @@ future model (e.g. bridging) means registering one new
 the fault orders, the :class:`repro.flow.flow.Flow` facade and the CLI
 all dispatch through this registry and pick it up unchanged.
 
-:func:`query_detection_words` and the :data:`PatternBlock` alias moved
-here from :mod:`repro.fsim.dropping` (which keeps deprecated aliases).
+The block-to-engine dispatch (:data:`PatternBlock`,
+:func:`query_detection_words`, :func:`query_detection_matrix`) lives
+here; :mod:`repro.fsim.dropping` and the other consumers import it.
 """
 
 from __future__ import annotations

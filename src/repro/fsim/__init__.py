@@ -3,10 +3,10 @@ n-detection — and the unified backend registry that fronts them.
 
 Hot-path consumers (ADI, dropping, ATPG, dictionaries) select an engine
 through :mod:`repro.fsim.backend`: ``bigint`` (event-driven big-int
-PPSFP), ``numpy`` (batched word-parallel, :mod:`repro.fsim.npfsim`),
-``parallel`` (sharded multi-core over worker processes,
-:mod:`repro.fsim.sharded`) or ``auto`` (threshold dispatch, the
-default).  Set ``REPRO_FSIM_BACKEND`` or pass ``backend=`` to switch
+PPSFP), ``numpy`` (fanout-free regions over ``uint64`` words,
+:mod:`repro.fsim.npfsim`), ``parallel`` (sharded multi-core over worker
+processes, :mod:`repro.fsim.sharded`) or ``auto`` (threshold dispatch,
+the default).  Set ``REPRO_FSIM_BACKEND`` or pass ``backend=`` to switch
 the whole pipeline.
 
 Every registered backend speaks both fault models: single-vector blocks

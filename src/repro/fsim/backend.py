@@ -25,10 +25,11 @@ Registered backends:
     soon as the faulty/fault-free difference dies.  Cheapest for single
     faults and narrow blocks.
 ``numpy``
-    The word-parallel batched engine of :mod:`repro.fsim.npfsim`:
-    patterns packed into ``uint64`` words, whole *batches* of faults
-    propagated level-by-level with masked numpy ops.  Fastest for large
-    circuits × many faults × wide blocks.
+    The fanout-free-region engine of :mod:`repro.fsim.npfsim`: patterns
+    packed into ``uint64`` words, every fault's effect traced to its
+    region stem with vectorized word ANDs, and only the stems simulated,
+    level-by-level in batches.  Fastest for large circuits × many faults
+    × wide blocks.
 ``parallel``
     The sharded multi-core engine of :mod:`repro.fsim.sharded`: the
     fault universe is split into contiguous shards, each simulated by a

@@ -20,7 +20,6 @@ This single routine powers three of the paper's needs:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,38 +32,7 @@ from repro.faults.registry import PatternBlock as _PatternBlock
 from repro.faults.registry import (
     query_detection_matrix as _query_detection_matrix,
 )
-from repro.faults.registry import query_detection_words as _query_detection_words
 from repro.fsim.backend import FaultSimBackend, resolve_backend
-
-#: Canonical homes of the names that moved to the fault-model registry.
-_MOVED_TO_REGISTRY = {
-    "PatternBlock": _PatternBlock,
-    "query_detection_words": _query_detection_words,
-}
-
-
-def __getattr__(name: str):
-    """Deprecated aliases for symbols that moved to the fault-model registry.
-
-    ``PatternBlock`` and ``query_detection_words`` now live in
-    :mod:`repro.faults.registry`, where the dispatch on pattern-container
-    types is owned by the registered :class:`~repro.faults.registry.FaultModel`
-    entries.  Importing them from here still works but emits a
-    :class:`DeprecationWarning`.
-    """
-    if name in _MOVED_TO_REGISTRY:
-        warnings.warn(
-            f"repro.fsim.dropping.{name} moved to repro.faults.registry; "
-            "update the import (the alias will be removed in a future "
-            "release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _MOVED_TO_REGISTRY[name]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 
 @dataclass
 class DropSimResult:
@@ -143,9 +111,11 @@ def drop_simulate(
         return result
     target = None
     if stop_fraction is not None:
-        # Smallest detected-count reaching the fraction.
-        target = -(-total * stop_fraction // 1)
-        target = int(target)
+        # Smallest detected count d with d / total >= stop_fraction: the
+        # comparison DropSimResult.coverage makes.
+        target = int(total * stop_fraction)
+        while target / total < stop_fraction:
+            target += 1
 
     engine = resolve_backend(circ, backend)
     remaining: List[Fault] = list(faults)

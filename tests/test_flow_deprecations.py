@@ -1,44 +1,16 @@
-"""Backward-compatibility shims: moved symbols stay importable and warn.
+"""Moved symbols and unified seeding.
 
-``PatternBlock`` and ``query_detection_words`` moved from
-``repro.fsim.dropping`` to ``repro.faults.registry`` in the flow-API
-redesign; the old locations must keep working (so existing code and all
-pre-redesign tests run unmodified) while emitting a
-:class:`DeprecationWarning` that names the new home.
+``PatternBlock`` and ``query_detection_words`` live in
+``repro.faults.registry`` (the old ``repro.fsim.dropping`` aliases are
+gone); importing them from their canonical homes must not warn.
 """
 
 import warnings
 
 import pytest
 
-from repro.faults import registry
-
 
 class TestDroppingShims:
-    def test_query_detection_words_alias_warns(self):
-        import repro.fsim.dropping as dropping
-
-        with pytest.warns(DeprecationWarning, match="repro.faults.registry"):
-            alias = dropping.query_detection_words
-        assert alias is registry.query_detection_words
-
-    def test_pattern_block_alias_warns(self):
-        import repro.fsim.dropping as dropping
-
-        with pytest.warns(DeprecationWarning, match="repro.faults.registry"):
-            alias = dropping.PatternBlock
-        assert alias == registry.PatternBlock
-
-    def test_from_import_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.fsim.dropping import query_detection_words  # noqa: F401
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.fsim.dropping as dropping
-
-        with pytest.raises(AttributeError, match="no_such_symbol"):
-            dropping.no_such_symbol
-
     def test_canonical_import_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

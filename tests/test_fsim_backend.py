@@ -6,12 +6,22 @@ bigint engine is the oracle (itself property-tested against the serial
 simulator); the numpy and auto engines must match it exactly.
 """
 
+import random
+
 import pytest
 
 from helpers import generated_circuit
 
+from repro.circuit.flatten import compile_circuit
+from repro.circuit.gate_types import GateType
+from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
-from repro.faults import collapsed_fault_list
+from repro.faults import (
+    TransitionFault,
+    collapsed_fault_list,
+    full_universe,
+    transition_universe,
+)
 from repro.faults.model import Fault
 from repro.fsim import backend as backend_mod
 from repro.fsim.backend import (
@@ -22,12 +32,59 @@ from repro.fsim.backend import (
     detection_words,
     register_backend,
     resolve_backend,
+    transition_detection_words,
 )
 from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.parallel import ParallelFaultSimulator
-from repro.sim.patterns import PatternSet
+from repro.sim.patterns import PatternPairSet, PatternSet
 
 ALL_BACKENDS = ("bigint", "numpy", "auto")
+
+
+def region_edge_circuit():
+    """A hand-built netlist with every fanout-free-region corner case.
+
+    ``po`` is a primary output that also feeds logic; ``twice`` reads one
+    signal on two pins; ``k0``/``k1`` are constants feeding logic;
+    ``and1``/``or1`` are one-input AND/OR gates; ``ch1`` .. ``ch5`` is a
+    fanout-free chain of 3- and 4-input gates, with XOR and XNOR links,
+    that ends at an output.  ``a`` reconverges at ``ch3`` through ``po``
+    and ``or1``.
+    """
+    circuit = Circuit(name="regions")
+    for name in ("a", "b", "c", "d", "e", "f"):
+        circuit.add_input(name)
+    circuit.add_gate("po", GateType.NAND, ("a", "b"))
+    circuit.add_gate("twice", GateType.OR, ("c", "c"))
+    circuit.add_gate("k0", GateType.CONST0, ())
+    circuit.add_gate("k1", GateType.CONST1, ())
+    circuit.add_gate("m0", GateType.OR, ("k0", "d"))
+    circuit.add_gate("m1", GateType.AND, ("k1", "e"))
+    circuit.add_gate("and1", GateType.AND, ("f",))
+    circuit.add_gate("or1", GateType.OR, ("a",))
+    circuit.add_gate("ch1", GateType.AND, ("po", "twice", "m0"))
+    circuit.add_gate("ch2", GateType.XOR, ("ch1", "m1"))
+    circuit.add_gate("ch3", GateType.NOR, ("ch2", "and1", "or1", "b"))
+    circuit.add_gate("ch4", GateType.XNOR, ("ch3", "e", "f"))
+    circuit.add_gate("ch5", GateType.NAND, ("ch4", "c", "d", "m1"))
+    circuit.add_output("po")
+    circuit.add_output("ch5")
+    return compile_circuit(circuit)
+
+
+def with_every_pin(circ, universe, make):
+    """``universe`` plus faults on the pins it leaves out, shuffled.
+
+    The uncollapsed universe skips pins whose driver does not branch;
+    ``make(node, pin, value)`` builds the two faults of each such pin.
+    """
+    faults = set(universe)
+    for node in circ.gate_nodes():
+        for pin in range(len(circ.fanin[node])):
+            faults.update((make(node, pin, 0), make(node, pin, 1)))
+    faults = sorted(faults)
+    random.Random(len(faults)).shuffle(faults)
+    return faults
 
 
 class TestRegistry:
@@ -151,6 +208,25 @@ class TestCrossBackendEquivalence:
         for name in ("numpy", "auto"):
             assert detection_words(circ, faults, patterns,
                                    backend=name) == reference, name
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+    def test_region_edge_cases_stuck_at(self, width):
+        circ = region_edge_circuit()
+        faults = with_every_pin(circ, full_universe(circ), Fault)
+        patterns = PatternSet.random(circ.num_inputs, width, seed=width)
+        assert (detection_words(circ, faults, patterns, backend="numpy")
+                == detection_words(circ, faults, patterns, backend="bigint"))
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+    def test_region_edge_cases_transition(self, width):
+        circ = region_edge_circuit()
+        faults = with_every_pin(circ, transition_universe(circ),
+                                TransitionFault)
+        pairs = PatternPairSet.random(circ.num_inputs, width, seed=width)
+        assert (transition_detection_words(circ, faults, pairs,
+                                           backend="numpy")
+                == transition_detection_words(circ, faults, pairs,
+                                              backend="bigint"))
 
     def test_good_values_agree(self, c17_circuit):
         patterns = PatternSet.random(c17_circuit.num_inputs, 40, seed=2)

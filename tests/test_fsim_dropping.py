@@ -17,16 +17,14 @@ def _naive_drop(circ, faults, patterns, stop_fraction=None):
     """One-vector-at-a-time reference for drop_simulate."""
     remaining = list(faults)
     first = {}
-    target = None
-    if stop_fraction is not None:
-        target = -(-len(faults) * stop_fraction // 1)
     for p in range(patterns.num_patterns):
         vec = patterns.vector(p)
         hit = [f for f in remaining if detects_serial(circ, vec, f)]
         for f in hit:
             first[f] = p
         remaining = [f for f in remaining if f not in first]
-        if target is not None and len(first) >= target:
+        if (stop_fraction is not None
+                and len(first) / len(faults) >= stop_fraction):
             return first, p + 1
     return first, patterns.num_patterns
 
@@ -70,6 +68,27 @@ class TestDropSimulate:
                                stop_fraction=0.01)
         assert result.num_simulated >= 1
         assert min(result.first_detection.values()) == result.num_simulated - 1
+
+    def test_stop_target_is_smallest_count_reaching_fraction(self):
+        # 100 * 0.55 is just above 55 in floating point, yet 55 of 100
+        # detections already reach 55% coverage: the run must end at the
+        # vector of the 55th first detection, which here comes before the
+        # vector of the 56th.
+        circ = generated_circuit(2, num_inputs=8, num_gates=60,
+                                 num_outputs=5)
+        faults = collapsed_fault_list(circ)[:100]
+        patterns = PatternSet.random(circ.num_inputs, 40, seed=2)
+        full, __ = _naive_drop(circ, faults, patterns)
+        firsts = sorted(full.values())
+        assert firsts[54] < firsts[55]
+
+        result = drop_simulate(circ, faults, patterns, chunk_size=8,
+                               stop_fraction=0.55)
+        expected, consumed = _naive_drop(circ, faults, patterns,
+                                         stop_fraction=0.55)
+        assert result.num_simulated == consumed == firsts[54] + 1
+        assert result.first_detection == expected
+        assert result.coverage >= 0.55
 
     def test_empty_fault_list(self, c17_circuit):
         result = drop_simulate(c17_circuit, [], PatternSet.exhaustive(5))
