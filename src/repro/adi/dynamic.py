@@ -8,28 +8,46 @@ updated counts.  The next fault placed is always one with the currently
 highest ADI (ties broken by original position, mirroring the static
 orders).
 
-Complexity.  Because one placement decrements every ``ndet(u)`` it
-touches by exactly 1, a fault's current ADI only ever *decreases*, and
-only by small steps — the top of any priority structure is a dense
-plateau of tied values, which makes per-candidate numpy recomputation
-(the classic lazy max-heap) the bottleneck.  The minimum-mode order
-therefore runs on a **bucket queue over the packed detection sets**:
-faults sit in buckets keyed by their last-known ADI upper bound, and a
-candidate at plateau value ``V`` is verified with one big-int AND
-against a *threshold mask* — the pattern set ``{u : ndet(u) < V}`` kept
-as a Python integer.  ``D(f)`` intersects that mask iff the fault's
-true ADI has dropped below ``V`` (then it descends one bucket);
-otherwise its ADI is exactly ``V`` and it is placed.  Each verification
-is one ``O(P/64)`` word AND instead of a numpy gather+reduce, and the
-mask is maintained incrementally from the patterns whose ``ndet``
-crosses the plateau threshold.  Average mode (no min structure to
-exploit) keeps the lazy max-heap.
+Complexity.  One placement decrements every ``ndet(u)`` it touches by
+exactly 1, so a fault's current ADI only ever *decreases*, and only by
+small steps: the top of the order is a dense plateau of tied values.
+The minimum-mode order therefore runs as a **per-level sweep over the
+packed detection sets**.  Faults sit in buckets keyed by an upper bound
+on their ADI (initially the static ADI), each bucket a position-sorted
+list.  At plateau ``V`` the sweep builds the *threshold mask*
+``{u : ndet(u) < V}`` as a Python integer once, then walks bucket ``V``
+in position order.  ``D(f)`` meets the mask iff the fault's true ADI
+has fallen below ``V``: it goes on a down list.  Otherwise its ADI is
+exactly ``V`` and it is placed; the patterns its placement takes from
+``V`` to ``V - 1`` are OR'd into the mask, so every later fault in the
+walk is tested against the counts as they are at that moment.  The
+down list is sorted because it fills in walk order; merged with bucket
+``V - 1`` (two sorted runs) it becomes the next level's walk.
+
+Why the sweep is exact.  While the plateau sits at ``V`` only faults
+whose every ``ndet(u)`` over ``D(f)`` is at least ``V`` are placed, so
+no count below ``V`` changes and none falls below ``V - 1``.  By
+induction every bucket key is the fault's exact ADI when its level
+starts: a fault found stale at ``V`` has ADI exactly ``V - 1`` and
+keeps it until the plateau gets there, so it cannot skip a value (and
+computing its ADI on descent would gain nothing).  At plateau ``V``
+the remaining faults with ADI ``V`` are therefore exactly the live
+ones of bucket ``V``; the walk meets them in position order, and a
+fault once found stale stays stale because the mask only grows.  So
+each placement is the paper's argmax with the lowest position on
+ties.
+
+Each test is one ``O(P/64)`` big-int AND and each level costs one mask
+build.  The full placement sequence is computed once per
+:class:`~repro.adi.index.AdiResult` and cached on it, so :func:`fdynm`,
+:func:`f0dynm` and :func:`dynamic_prefix` share one sweep.  Average
+mode (no min structure to exploit) keeps the lazy max-heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,11 +61,13 @@ def _threshold_mask(ndet: np.ndarray, bound: int) -> int:
     )
 
 
-def _minimum_placements(result: AdiResult, active: List[int],
-                        limit: int) -> List[Tuple[int, int]]:
-    """Bucket-queue dynamic order for ``AdiMode.MINIMUM`` (see module doc)."""
+def _minimum_placements(result: AdiResult,
+                        active: List[int]) -> List[Tuple[int, int]]:
+    """Per-level sweep for ``AdiMode.MINIMUM`` (see module doc).
+
+    ``active`` must be ascending: buckets inherit its order.
+    """
     ndet = result.ndet.astype(np.int64).copy()
-    num_patterns = result.num_vectors
     det_vectors = result.det_vectors
     masks = result.detection_masks
     adi = result.adi
@@ -55,43 +75,28 @@ def _minimum_placements(result: AdiResult, active: List[int],
     buckets = {}
     for i in active:
         buckets.setdefault(int(adi[i]), []).append(i)
-    for bucket in buckets.values():
-        heapq.heapify(bucket)
     placements: List[Tuple[int, int]] = []
-    if not buckets:
-        return placements
-    remaining = len(active)
-    value = max(buckets)
-    below = _threshold_mask(ndet, value - 1)
-
-    while remaining and len(placements) < limit:
-        bucket = buckets.get(value)
-        if not bucket:
-            value -= 1
-            below = _threshold_mask(ndet, value - 1)
+    down: List[int] = []
+    for value in range(max(buckets, default=0), 0, -1):
+        level = buckets.pop(value, [])
+        if down:
+            # Two sorted runs: timsort merges them in one linear pass.
+            level = sorted(level + down) if level else down
+            down = []
+        if not level:
             continue
-        i = heapq.heappop(bucket)
-        if masks[i] & below:
-            # Some detecting pattern fell under the plateau: the true
-            # ADI is < value.  Descend one bucket; the exact value is
-            # discovered when (if) the fault reaches the top again.
-            heapq.heappush(buckets.setdefault(value - 1, []), i)
-            continue
-        # No detecting pattern is below the plateau and ``value`` is an
-        # upper bound, so the ADI is exactly ``value`` — and ``i`` is
-        # the smallest active position at it: place.
-        placements.append((i, value))
-        remaining -= 1
-        seg = det_vectors[i]
-        if seg.size:
+        below = _threshold_mask(ndet, value - 1)
+        for i in level:
+            if masks[i] & below:
+                # Some detecting pattern fell under the plateau: the
+                # ADI is now ``value - 1`` (module doc).
+                down.append(i)
+                continue
+            placements.append((i, value))
+            seg = det_vectors[i]
             ndet[seg] -= 1
-            crossed = seg[ndet[seg] == value - 1]
-            if crossed.size:
-                buf = np.zeros(num_patterns, dtype=np.uint8)
-                buf[crossed] = 1
-                below |= int.from_bytes(
-                    np.packbits(buf, bitorder="little").tobytes(), "little"
-                )
+            for u in seg[ndet[seg] == value - 1].tolist():
+                below |= 1 << u
     return placements
 
 
@@ -128,27 +133,25 @@ def _average_placements(result: AdiResult, active: List[int],
     return placements
 
 
-def _dynamic_placements(result: AdiResult, active: List[int],
-                        count: Optional[int] = None
-                        ) -> List[Tuple[int, int]]:
-    """Place ``active`` fault positions by dynamically-updated ADI.
+def _placements(result: AdiResult) -> Tuple[Tuple[int, int], ...]:
+    """``(position, adi_at_placement)`` for every fault ``U`` detects
+    (exactly the nonzero-ADI faults).
 
-    Returns ``(position, adi_at_placement)`` pairs, at most ``count`` of
-    them (all when ``count`` is None).  The placement sequence is the
-    unique one the paper defines — at every step the remaining fault
-    with the highest current ADI, ties to the lowest position — so both
-    implementations yield identical output (cross-checked in the test
-    suite); they differ only in how the argmax is found.
+    The placement sequence is the unique one the paper defines — at
+    every step the remaining fault with the highest current ADI, ties to
+    the lowest position — so both implementations yield identical output
+    (cross-checked in the test suite); they differ only in how the
+    argmax is found.  Computed once per result and cached on it as a
+    tuple, so no caller can change what the next one reads.
     """
-    limit = len(active) if count is None else max(0, min(count, len(active)))
-    if result.mode == AdiMode.MINIMUM:
-        return _minimum_placements(result, active, limit)
-    return _average_placements(result, active, limit)
-
-
-def _dynamic_core(result: AdiResult, active: List[int]) -> List[int]:
-    """Order ``active`` fault positions by dynamically-updated ADI."""
-    return [i for i, __ in _dynamic_placements(result, active)]
+    if result._placements is None:
+        active = result.detected_indices
+        if result.mode == AdiMode.MINIMUM:
+            placements = _minimum_placements(result, active)
+        else:
+            placements = _average_placements(result, active, len(active))
+        result._placements = tuple(placements)
+    return result._placements
 
 
 def fdynm(result: AdiResult) -> List[int]:
@@ -157,9 +160,7 @@ def fdynm(result: AdiResult) -> List[int]:
     This is the order the paper recommends for steep fault-coverage
     curves (and walks through step by step on ``lion`` in Section 3).
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    return _dynamic_core(result, nonzero) + zeros
+    return [i for i, __ in _placements(result)] + result.undetected_indices
 
 
 def f0dynm(result: AdiResult) -> List[int]:
@@ -168,9 +169,7 @@ def f0dynm(result: AdiResult) -> List[int]:
     This is the order the paper recommends for dynamic test compaction
     (smallest test sets, Table 5's best column).
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    return zeros + _dynamic_core(result, nonzero)
+    return result.undetected_indices + [i for i, __ in _placements(result)]
 
 
 def dynamic_order(circ, faults: Sequence, patterns,
@@ -201,14 +200,11 @@ def dynamic_prefix(result: AdiResult, count: int) -> List[tuple]:
     detection index is obtained for f22 with ADI = 15, ...").  Returns
     ``(position, adi_at_placement)`` pairs.
 
-    Shares :func:`_dynamic_placements` with :func:`fdynm` instead of
-    rescanning every remaining fault per placement, so the placements
-    are identical to ``fdynm(result)[:count]`` by construction
-    (regression-tested on the paper's ``lion`` walk-through).  This
-    includes honouring ``result.mode``: an ``AdiMode.AVERAGE`` result
-    yields mean-based placements, matching ``fdynm`` (the historical
-    rescan always used the minimum and could disagree with ``fdynm``
-    on average-mode results).
+    A slice of the placement sequence :func:`fdynm` reads, so the
+    placements are identical to ``fdynm(result)[:count]`` by
+    construction (regression-tested on the paper's ``lion``
+    walk-through).  This includes honouring ``result.mode``: an
+    ``AdiMode.AVERAGE`` result yields mean-based placements, matching
+    ``fdynm``.
     """
-    nonzero = [i for i in range(len(result.faults)) if result.adi[i] != 0]
-    return _dynamic_placements(result, nonzero, count=count)
+    return list(_placements(result)[:max(count, 0)])

@@ -88,6 +88,9 @@ class AdiResult:
         default=None, init=False, repr=False, compare=False)
     _positions: Optional[Dict[TargetFault, int]] = field(
         default=None, init=False, repr=False, compare=False)
+    # The dynamic orders' placement sequence, filled by repro.adi.dynamic.
+    _placements: Optional[Tuple[Tuple[int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def detection_masks(self) -> Tuple[int, ...]:

@@ -455,8 +455,8 @@ class Flow:
         return self._stage(
             f"order:{name}", "order", self.order_key(name),
             lambda: list(ORDERS[name](self.adi())),
-            encode=lambda perm: {"permutation": perm},
-            decode=lambda payload: [int(i) for i in payload["permutation"]],
+            encode=serialize.permutation_to_json,
+            decode=serialize.permutation_from_json,
         )
 
     def ordered_faults(self, order: Optional[str] = None) -> list:

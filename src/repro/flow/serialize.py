@@ -18,6 +18,8 @@ strings, numbers) so the artifact cache can persist them as-is:
   masks back into a :class:`~repro.utils.detmatrix.DetectionMatrix`
   once — guaranteeing a deserialized result can never disagree with
   its masks;
+* fault orders — the permutation of target-list positions, checked on
+  load to be one;
 * test-generation results and curve reports.
 
 Every decoder validates shape and raises
@@ -28,6 +30,8 @@ deserializes into nonsense must fail loudly, not propagate.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Union
+
+import numpy as np
 
 from repro.adi.index import AdiResult, adi_from_detection_words
 from repro.adi.metrics import CurveReport
@@ -179,6 +183,29 @@ def adi_from_json(data: Dict[str, Any], faults: Sequence) -> AdiResult:
     return adi_from_detection_words(
         faults, words, int(data["num_vectors"]), AdiMode(data["mode"])
     )
+
+
+# -- fault orders -------------------------------------------------------------
+
+def permutation_to_json(permutation: List[int]) -> Dict[str, Any]:
+    """Encode a fault order (positions into the target list)."""
+    return {"permutation": permutation}
+
+
+def permutation_from_json(data: Dict[str, Any]) -> List[int]:
+    """Decode :func:`permutation_to_json` output.
+
+    The payload must be a permutation of ``range(len(payload))``: a
+    truncated or duplicated order would otherwise send a silently wrong
+    target list to test generation.
+    """
+    perm = np.asarray(data["permutation"], dtype=np.int64)
+    _require(perm.ndim == 1 and (not perm.size or perm.min() >= 0),
+             "order payload is not a list of positions")
+    counts = np.bincount(perm, minlength=perm.size)
+    _require(counts.size == perm.size and counts.all(),
+             "order payload is not a permutation")
+    return perm.tolist()
 
 
 # -- test-generation results --------------------------------------------------

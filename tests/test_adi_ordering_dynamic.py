@@ -5,6 +5,7 @@ import pytest
 
 from repro.adi import (
     ORDERS,
+    AdiMode,
     compute_adi,
     dynamic_prefix,
     f0decr,
@@ -15,8 +16,10 @@ from repro.adi import (
     forig,
     select_u,
 )
+from repro.adi.index import adi_from_detection_matrix
 from repro.faults import collapsed_fault_list
 from repro.sim import PatternSet
+from repro.utils.detmatrix import DetectionMatrix
 
 from helpers import generated_circuit
 
@@ -91,6 +94,51 @@ class TestStaticOrders:
                 assert a < b
 
 
+def _current_adi(adi, ndet, vecs):
+    """A fault's ADI against the current counts, in the result's mode."""
+    if adi.mode == AdiMode.AVERAGE:
+        return int(ndet[vecs].mean())
+    return int(ndet[vecs].min())
+
+
+def _random_result(num_patterns, mode, seed):
+    """An ADI result over random packed detection rows, no circuit.
+
+    Half the faults draw only from a few shared patterns, so they tie at
+    the top and ride the plateau down; the rest are random rows, with
+    some empty rows and some duplicates of earlier rows mixed in.
+    """
+    rng = np.random.default_rng(seed)
+    num_faults = int(rng.integers(20, 60))
+    shared = rng.choice(num_patterns, size=min(num_patterns, 3),
+                        replace=False).tolist()
+    rows = []
+    for __ in range(num_faults):
+        kind = rng.random()
+        if kind < 0.1:
+            row = 0
+        elif kind < 0.2 and rows:
+            row = rows[int(rng.integers(len(rows)))]
+        elif kind < 0.6:
+            picks = rng.choice(shared, size=int(rng.integers(1, 3)))
+            row = sum(1 << int(u) for u in set(picks.tolist()))
+        else:
+            density = rng.choice([0.02, 0.1, 0.4])
+            bits = np.flatnonzero(rng.random(num_patterns) < density)
+            row = sum(1 << int(u) for u in bits.tolist())
+        rows.append(row)
+    matrix = DetectionMatrix.from_bigints(rows, num_patterns)
+    return adi_from_detection_matrix(list(range(num_faults)), matrix, mode)
+
+
+RANDOM_CASES = [
+    pytest.param(width, mode, seed, id=f"P{width}-{mode.value}-{seed}")
+    for width in (1, 63, 64, 65, 129)
+    for mode in (AdiMode.MINIMUM, AdiMode.AVERAGE)
+    for seed in range(4)
+]
+
+
 class TestDynamicOrders:
     def _reference_dynamic(self, adi):
         """Brute-force reimplementation of the paper's dynamic procedure."""
@@ -100,8 +148,7 @@ class TestDynamicOrders:
         while remaining:
             best, best_value = None, -1
             for i in remaining:
-                vecs = adi.det_vectors[i]
-                value = int(ndet[vecs].min())
+                value = _current_adi(adi, ndet, adi.det_vectors[i])
                 if value > best_value:
                     best, best_value = i, value
             placed.append(best)
@@ -142,7 +189,8 @@ class TestDynamicOrders:
         assert [i for i, _ in prefix] == order[:5]
 
     def _reference_prefix(self, adi, count):
-        """The pre-heap O(count x F) rescan implementation, verbatim."""
+        """The pre-heap O(count x F) rescan implementation (extended to
+        AVERAGE mode)."""
         ndet = adi.ndet.astype(np.int64).copy()
         det_vectors = adi.det_vectors
         nonzero = {i for i in range(len(adi.faults)) if adi.adi[i] != 0}
@@ -151,7 +199,7 @@ class TestDynamicOrders:
             best, best_value = None, -1
             for i in sorted(nonzero):
                 vecs = det_vectors[i]
-                value = int(ndet[vecs].min()) if vecs.size else 0
+                value = _current_adi(adi, ndet, vecs) if vecs.size else 0
                 if value > best_value:
                     best, best_value = i, value
             placements.append((best, best_value))
@@ -197,3 +245,41 @@ class TestDynamicOrders:
         the static sort on a circuit with overlapping detection sets."""
         __, __, adi = zero_adi_data
         assert fdynm(adi) != fdecr(adi)
+
+    @pytest.mark.parametrize("width, mode, seed", RANDOM_CASES)
+    def test_random_matrices_match_references(self, width, mode, seed):
+        """Every entry point against the brute-force references on random
+        packed rows, with the cached sequence filled by either caller."""
+        probe = _random_result(width, mode, seed)
+        zeros = probe.undetected_indices
+        placed = self._reference_dynamic(probe)
+        nonzero = len(placed)
+        counts = (0, 1, 7, nonzero, nonzero + 5)
+        prefixes = {c: self._reference_prefix(probe, c) for c in counts}
+        assert [i for i, __ in prefixes[nonzero]] == placed
+
+        def check_fdynm(adi):
+            order = fdynm(adi)
+            assert order == placed + zeros
+            order.reverse()
+            assert fdynm(adi) == placed + zeros
+
+        def check_f0dynm(adi):
+            order = f0dynm(adi)
+            assert order == zeros + fdynm(adi)[:nonzero]
+            assert order == zeros + placed
+            order.clear()
+            assert f0dynm(adi) == zeros + placed
+
+        def check_prefixes(adi):
+            for count in counts:
+                prefix = dynamic_prefix(adi, count)
+                assert prefix == prefixes[count], count
+                prefix.append((-1, -1))
+                assert dynamic_prefix(adi, count) == prefixes[count], count
+
+        checks = (check_fdynm, check_f0dynm, check_prefixes)
+        for sequence in (checks, checks[::-1]):
+            adi = _random_result(width, mode, seed)
+            for check in sequence:
+                check(adi)

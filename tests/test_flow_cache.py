@@ -19,6 +19,7 @@ from repro.atpg import (
     generate_transition_tests,
 )
 from repro.circuit import lion_like
+from repro.errors import ExperimentError
 from repro.faults import collapsed_fault_list, transition_fault_list
 from repro.flow import (
     ArtifactCache,
@@ -254,6 +255,18 @@ class TestArtifactRoundTrips:
         assert restored.status == result.status
         assert restored.launch_fallbacks == result.launch_fallbacks
 
+    def test_permutation(self):
+        perm = [2, 0, 3, 1]
+        data = json.loads(json.dumps(serialize.permutation_to_json(perm)))
+        assert serialize.permutation_from_json(data) == perm
+        assert serialize.permutation_from_json({"permutation": []}) == []
+
+    @pytest.mark.parametrize("bad", [[2, 0], [0, 1, 1], [1, 2, 3],
+                                     [0, -1], [[0], [1]]])
+    def test_permutation_rejects_non_permutations(self, bad):
+        with pytest.raises(ExperimentError, match="corrupt flow artifact"):
+            serialize.permutation_from_json({"permutation": bad})
+
     def test_curve_report(self, lion):
         faults = collapsed_fault_list(lion)
         tests = PatternSet.random(lion.num_inputs, 12, seed=5)
@@ -298,13 +311,34 @@ class TestFlowCacheBehaviour:
         assert sources["testgen"] == "computed"
         assert sources["curve"] == "computed"
 
-    def test_corrupt_stage_file_recomputed(self, tmp_path):
+    @pytest.mark.parametrize("corruption", ["adi-garbage", "order-truncated",
+                                            "order-duplicated"])
+    def test_corrupt_stage_file_recomputed(self, tmp_path, corruption):
         flow = Flow(self.CONFIG, cache=tmp_path)
         cold = flow.run()
-        adi_file = tmp_path / "adi" / f"{flow.adi_key()}.json"
-        assert adi_file.exists()
-        adi_file.write_text("garbage{{{")
+        name = self.CONFIG.order.name
+        if corruption == "adi-garbage":
+            stage = "adi"
+            path = tmp_path / "adi" / f"{flow.adi_key()}.json"
+            assert path.exists()
+            path.write_text("garbage{{{")
+        else:
+            stage = f"order:{name}"
+            path = tmp_path / "order" / f"{flow.order_key(name)}.json"
+            document = json.loads(path.read_text())
+            perm = document["payload"]["permutation"]
+            document["payload"]["permutation"] = (
+                perm[: len(perm) // 2] if corruption == "order-truncated"
+                else perm + perm
+            )
+            path.write_text(json.dumps(document))
+            # Make the rerun generate tests from the order it decodes.
+            for directory, key in (("testgen", flow.testgen_key(name)),
+                                   ("curve", flow.report_key(name))):
+                (tmp_path / directory / f"{key}.json").unlink()
         rerun = Flow(self.CONFIG, cache=tmp_path).run()
         sources = {info.stage: info.source for info in rerun.stages}
-        assert sources["adi"] == "computed"
+        assert sources[stage] == "computed"
         assert (rerun.adi.adi == cold.adi.adi).all()
+        assert rerun.permutation == cold.permutation
+        assert rerun.tests.tests == cold.tests.tests
