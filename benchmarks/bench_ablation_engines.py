@@ -2,8 +2,7 @@
 
 1. PODEM vs SAT-based ATPG — same verdicts, different costs (the paper's
    authors used a structural ATPG; SAT is the modern alternative);
-2. PPSFP vs deductive fault simulation for the fault-dropping pass;
-3. equivalence vs equivalence+dominance collapsed target lists.
+2. equivalence vs equivalence+dominance collapsed target lists.
 """
 
 import pytest
@@ -11,9 +10,6 @@ import pytest
 from repro.atpg import PodemEngine, PodemStatus, SatAtpg
 from repro.experiments import build_circuit
 from repro.faults import collapsed_fault_list, dominance_reduction
-from repro.fsim import drop_simulate
-from repro.fsim.deductive import deductive_drop_simulate
-from repro.sim import PatternSet
 from repro.utils.tables import render_table
 
 CIRCUIT = "irs298"
@@ -69,39 +65,6 @@ def test_ablation_podem_vs_sat(benchmark, circ, faults, record):
     # wherever neither aborted (aborts count against agreement here, so
     # demand a high floor rather than perfection).
     assert agree >= total * 0.95
-
-
-def test_ablation_ppsfp_vs_deductive_dropping(benchmark, circ, faults, record):
-    """Two independent fault-dropping implementations, one contract."""
-    patterns = PatternSet.random(circ.num_inputs, 96, seed=11)
-
-    def run_both():
-        import time
-
-        t0 = time.perf_counter()
-        ppsfp = drop_simulate(circ, faults, patterns)
-        ppsfp_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        deduced = deductive_drop_simulate(circ, faults, patterns)
-        deductive_time = time.perf_counter() - t0
-        assert deduced == ppsfp.first_detection
-        return ppsfp_time, deductive_time, len(ppsfp.first_detection)
-
-    ppsfp_time, deductive_time, detected = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    record(
-        "ablation_fsim_engines",
-        render_table(
-            ["engine", "time (s)", "detected"],
-            [
-                ("PPSFP (bit-parallel)", f"{ppsfp_time:.3f}", detected),
-                ("deductive", f"{deductive_time:.3f}", detected),
-            ],
-            title=f"Ablation: fault-dropping engines on {CIRCUIT} "
-                  f"(96 vectors, {len(faults)} faults)",
-        ),
-    )
 
 
 def test_ablation_dominance_collapse(benchmark, record):

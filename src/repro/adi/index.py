@@ -43,8 +43,6 @@ from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
 from repro.faults.registry import PatternBlock, query_detection_matrix
 from repro.fsim.backend import FaultSimBackend, resolve_backend
-from repro.fsim.parallel import detection_word
-from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.utils.detmatrix import DetectionMatrix
 
 
@@ -148,7 +146,6 @@ def compute_adi(
     faults: Sequence[TargetFault],
     patterns: PatternBlock,
     mode: AdiMode = AdiMode.MINIMUM,
-    good_values: Optional[List[int]] = None,
     backend: Union[str, FaultSimBackend, None] = None,
 ) -> AdiResult:
     """Compute ADI for every fault of ``faults`` over ``patterns``.
@@ -161,31 +158,16 @@ def compute_adi(
     ``faults`` are stuck-at faults) or a :class:`PatternPairSet` of
     two-pattern transition tests (then ``faults`` are transition faults);
     ``backend`` selects the fault-simulation engine (name, instance, or
-    ``None`` for the registry default).  ``good_values`` — precomputed
-    fault-free node words — forces the legacy big-int stuck-at path that
-    can reuse them; leave it ``None`` to let the backend batch the
-    simulation and keep the detection sets packed end to end.
+    ``None`` for the registry default); the detection sets stay packed
+    end to end.
     """
     if patterns.num_inputs != circ.num_inputs:
         raise SimulationError(
             f"pattern set has {patterns.num_inputs} inputs, "
             f"circuit has {circ.num_inputs}"
         )
-    n = patterns.num_patterns
-    if good_values is not None:
-        if isinstance(patterns, PatternPairSet):
-            raise SimulationError(
-                "good_values applies to the single-vector stuck-at path "
-                "only; two-pattern blocks always go through a backend"
-            )
-        words = [
-            detection_word(circ, good_values, fault, n) for fault in faults
-        ]
-        matrix = DetectionMatrix.from_bigints(words, n)
-    else:
-        engine = resolve_backend(circ, backend)
-        matrix = query_detection_matrix(engine, patterns, faults)
-
+    engine = resolve_backend(circ, backend)
+    matrix = query_detection_matrix(engine, patterns, faults)
     return adi_from_detection_matrix(faults, matrix, mode)
 
 

@@ -15,7 +15,7 @@ from repro.faults.registry import (
     available_fault_models,
     fault_model,
     model_for_block,
-    query_detection_words,
+    query_detection_matrix,
     register_fault_model,
 )
 from repro.faults.sets import FaultSet, FaultStatus
@@ -54,7 +54,7 @@ __all__ = [
     "full_universe",
     "line_branches",
     "model_for_block",
-    "query_detection_words",
+    "query_detection_matrix",
     "register_fault_model",
     "transition_fault_list",
     "transition_universe",

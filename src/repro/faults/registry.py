@@ -12,8 +12,9 @@ about one model —
 * which pattern container carries its tests (:class:`PatternSet` for
   single vectors, :class:`PatternPairSet` for launch/capture pairs) and
   how to draw a random candidate pool of them;
-* how to stage a block into a fault-simulation backend and query
-  detection words (the stuck-at vs. two-pattern engine contract);
+* how to stage a block into a fault-simulation backend and query its
+  packed detection matrix (the stuck-at vs. two-pattern half of the
+  engine contract);
 * which ordered test-generation loop produces its tests;
 * a JSON codec for individual faults (artifact caching).
 
@@ -24,14 +25,15 @@ the fault orders, the :class:`repro.flow.flow.Flow` facade and the CLI
 all dispatch through this registry and pick it up unchanged.
 
 The block-to-engine dispatch (:data:`PatternBlock`,
-:func:`query_detection_words`, :func:`query_detection_matrix`) lives
-here; :mod:`repro.fsim.dropping` and the other consumers import it.
+:func:`query_detection_matrix`) lives here: it is the one place a
+pipeline stage queries an engine, and the one place the
+``fsim.detection_matrix`` span is opened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.errors import FaultModelError
 from repro.faults.collapse import collapsed_fault_list
@@ -43,6 +45,7 @@ from repro.faults.transition import (
 )
 from repro.faults.universe import full_universe
 from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.telemetry import span
 from repro.utils.detmatrix import DetectionMatrix
 
 #: A simulatable block of tests: single vectors, or two-pattern
@@ -79,15 +82,10 @@ class FaultModel:
         container type (the raw material of ``U`` selection).
     ``load(engine, block)`` / ``query(engine, faults)``
         Stage a block into a :class:`repro.fsim.backend.FaultSimBackend`
-        and answer detection words for it — the stuck-at contract for
-        single vectors, the two-pattern contract for pairs.
-    ``query_matrix(engine, faults)``
-        The packed counterpart of ``query``: a
-        :class:`repro.utils.detmatrix.DetectionMatrix` instead of
-        big-int words (bit-identical rows).  The built-in models route
-        to the engine's native matrix query when it has one and pack
-        the big-int words once otherwise, so third-party engines keep
-        working unchanged.
+        and answer its packed
+        :class:`repro.utils.detmatrix.DetectionMatrix` — the stuck-at
+        half of the engine contract for single vectors, the two-pattern
+        half for pairs.
     ``testgen(circ, ordered_faults, config)``
         The ordered fault-dropping test-generation loop
         (:func:`repro.atpg.engine.generate_tests` or
@@ -114,30 +112,10 @@ class FaultModel:
     fault_to_json: Callable
     fault_from_json: Callable
     testgen_result_from_json: Callable = default_testgen_result_from_json
-    #: Packed counterpart of ``query``; ``None`` falls back to packing
-    #: the big-int words of ``query`` once (third-party models).
-    query_matrix: Optional[Callable] = None
 
     def target_faults(self, circ, collapse: bool = True) -> list:
         """The model's target list ``F``: collapsed by default."""
         return list(self.collapse(circ) if collapse else self.universe(circ))
-
-    def shard_target_faults(self, circ, num_shards: int,
-                            collapse: bool = True) -> List[list]:
-        """The target list split into ``num_shards`` contiguous slices.
-
-        The sharding contract of :mod:`repro.fsim.sharded` for any
-        registered model: slices are balanced, order-preserving, and
-        concatenate back to :meth:`target_faults` exactly — so per-shard
-        detection-matrix rows reassemble bit-identically.  Shards past
-        the fault count come back empty rather than failing, matching
-        the planner.
-        """
-        from repro.fsim.sharded import plan_shards
-
-        faults = self.target_faults(circ, collapse=collapse)
-        return [faults[start:stop]
-                for start, stop in plan_shards(len(faults), num_shards)]
 
 
 _REGISTRY: Dict[str, FaultModel] = {}
@@ -199,57 +177,26 @@ def model_for_block(block: PatternBlock) -> FaultModel:
     )
 
 
-def query_detection_words(engine, block: PatternBlock,
-                          faults: Sequence) -> List[int]:
-    """Load ``block`` into ``engine`` and query every fault's word.
+def query_detection_matrix(engine, block: PatternBlock,
+                           faults: Sequence) -> DetectionMatrix:
+    """Load ``block`` into ``engine`` and query the packed matrix.
 
     Dispatches through the registry on the block type: a
     :class:`PatternPairSet` routes to the engine's two-pattern transition
     contract, a :class:`PatternSet` to the plain stuck-at contract.  This
     one switch makes every consumer built on blocks of patterns
-    (dropping, ``U`` selection, coverage curves, ADI) work for every
-    registered fault model.
+    (dropping, ``U`` selection, coverage curves, ADI, dictionaries) work
+    for every registered fault model.  The load and the query are
+    recorded as one ``fsim.detection_matrix`` span.
     """
     model = model_for_block(block)
-    model.load(engine, block)
-    return model.query(engine, faults)
-
-
-def query_detection_matrix(engine, block: PatternBlock,
-                           faults: Sequence) -> DetectionMatrix:
-    """Load ``block`` into ``engine`` and query the packed matrix.
-
-    The packed counterpart of :func:`query_detection_words`: same
-    registry dispatch on the block type, but the answer stays a
-    ``uint64`` :class:`~repro.utils.detmatrix.DetectionMatrix` end to
-    end — no per-fault big-int materialization.  Models without a
-    ``query_matrix`` entry (third-party registrations) fall back to
-    packing their big-int words once.
-    """
-    model = model_for_block(block)
-    model.load(engine, block)
-    if model.query_matrix is not None:
-        return model.query_matrix(engine, faults)
-    return DetectionMatrix.from_bigints(
-        model.query(engine, faults), block.num_patterns
-    )
+    with span("fsim.detection_matrix", backend=engine.name,
+              faults=len(faults), model=model.name):
+        model.load(engine, block)
+        return model.query(engine, faults)
 
 
 # -- built-in models ----------------------------------------------------------
-
-def _stuck_at_query_matrix(engine, faults) -> DetectionMatrix:
-    """Native packed query when the engine has one; pack once otherwise."""
-    from repro.fsim.backend import backend_detection_matrix
-
-    return backend_detection_matrix(engine, faults)
-
-
-def _transition_query_matrix(engine, faults) -> DetectionMatrix:
-    """Packed two-pattern query with the same pack-once fallback."""
-    from repro.fsim.backend import backend_transition_detection_matrix
-
-    return backend_transition_detection_matrix(engine, faults)
-
 
 def _stuck_at_testgen(circ, ordered_faults, config=None):
     """Lazy forwarder to :func:`repro.atpg.engine.generate_tests`."""
@@ -295,8 +242,7 @@ STUCK_AT = FaultModel(
         num_inputs, count, seed=seed
     ),
     load=lambda engine, block: engine.load(block),
-    query=lambda engine, faults: engine.detection_words(faults),
-    query_matrix=_stuck_at_query_matrix,
+    query=lambda engine, faults: engine.detection_matrix(faults),
     testgen=_stuck_at_testgen,
     fault_to_json=lambda f: [f.node, f.pin, f.value],
     fault_from_json=_stuck_at_from_json,
@@ -312,8 +258,7 @@ TRANSITION = FaultModel(
         num_inputs, count, seed=seed
     ),
     load=lambda engine, block: engine.load_pairs(block),
-    query=lambda engine, faults: engine.transition_detection_words(faults),
-    query_matrix=_transition_query_matrix,
+    query=lambda engine, faults: engine.transition_detection_matrix(faults),
     testgen=_transition_testgen,
     fault_to_json=lambda f: [f.node, f.pin, f.rise],
     fault_from_json=_transition_from_json,

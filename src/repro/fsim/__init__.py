@@ -1,5 +1,5 @@
-"""Fault simulation engines: serial oracle, PPSFP, deductive, dropping,
-n-detection — and the unified backend registry that fronts them.
+"""Fault simulation engines: serial oracle, PPSFP, fanout-free regions,
+sharding, dropping, n-detection — and the backend registry that fronts them.
 
 Hot-path consumers (ADI, dropping, ATPG, dictionaries) select an engine
 through :mod:`repro.fsim.backend`: ``bigint`` (event-driven big-int
@@ -9,16 +9,19 @@ processes, :mod:`repro.fsim.sharded`) or ``auto`` (threshold dispatch,
 the default).  Set ``REPRO_FSIM_BACKEND`` or pass ``backend=`` to switch
 the whole pipeline.
 
-Every registered backend speaks both fault models: single-vector blocks
-detect stuck-at faults (``load`` / ``detection_words``), two-pattern
-launch/capture blocks detect transition faults (``load_pairs`` /
-``transition_detection_words``, :mod:`repro.fsim.transition`).
+Every engine derives from :class:`FaultSimBackend` and supplies only its
+block staging and one stuck-at query; the base class gives every engine
+both fault models: single-vector blocks detect stuck-at faults
+(``load`` / ``detection_matrix``), two-pattern launch/capture blocks
+detect transition faults (``load_pairs`` /
+``transition_detection_matrix``, the reduction of
+:mod:`repro.fsim.transition`).  Pipeline stages query through
+:func:`repro.faults.registry.query_detection_matrix`.
 """
 
 from repro.fsim.backend import (
     BACKEND_ENV_VAR,
     AutoFaultSim,
-    BackendCapabilities,
     FaultSimBackend,
     available_backends,
     create_backend,
@@ -32,21 +35,11 @@ from repro.fsim.sharded import (
     ShardedFaultSim,
     plan_shards,
 )
-from repro.fsim.deductive import (
-    deductive_detected,
-    deductive_drop_simulate,
-    deductive_fault_lists,
-)
-from repro.fsim.backend import transition_detection_words
 from repro.fsim.dropping import (
     DropSimResult,
     coverage_curve,
     drop_simulate,
 )
-
-# Canonical home since the fault-model registry took over container
-# dispatch; re-exported here because every fsim consumer needs it.
-from repro.faults.registry import query_detection_words
 from repro.fsim.ndetect import detection_counts, ndet_per_vector, redundancy_candidates
 from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.parallel import (
@@ -56,7 +49,6 @@ from repro.fsim.parallel import (
     detects,
 )
 from repro.fsim.transition import (
-    TwoPatternSupport,
     initialization_word,
     launch_line_word,
 )
@@ -71,18 +63,13 @@ from repro.fsim.serial import (
 __all__ = [
     "AutoFaultSim",
     "BACKEND_ENV_VAR",
-    "BackendCapabilities",
     "DropSimResult",
     "FaultSimBackend",
     "NumpyFaultSim",
     "ParallelFaultSimulator",
-    "TwoPatternSupport",
     "available_backends",
     "coverage_curve",
     "create_backend",
-    "deductive_detected",
-    "deductive_drop_simulate",
-    "deductive_fault_lists",
     "default_backend_name",
     "detected_set_serial",
     "detection_counts",
@@ -96,10 +83,8 @@ __all__ = [
     "launch_line_word",
     "ndet_per_vector",
     "output_response",
-    "query_detection_words",
     "redundancy_candidates",
     "register_backend",
     "resolve_backend",
     "simulate_with_fault",
-    "transition_detection_words",
 ]

@@ -1,17 +1,21 @@
 """Unified fault-simulation backend layer.
 
-Every pipeline stage that needs detection words — ADI computation,
+Every pipeline stage that needs detection sets — ADI computation,
 n-detection analysis, fault dropping, ordered test generation, fault
 dictionaries — goes through one engine contract instead of calling a
 specific simulator:
 
-* :class:`FaultSimBackend` — the protocol: bind a circuit, ``load`` a
-  pattern block, answer ``detection_word`` / ``detection_words`` queries
-  (bit ``p`` set iff pattern ``p`` detects the fault, identical across
-  backends, property-tested).  The two-pattern extension — ``load_pairs``
-  a :class:`repro.sim.patterns.PatternPairSet`, answer
-  ``transition_detection_words`` for transition faults — follows the same
-  bit-identical contract (see :mod:`repro.fsim.transition`).
+* :class:`FaultSimBackend` — the base class every engine derives from.
+  It binds a circuit, checks and stages pattern blocks (``load`` for
+  single vectors, ``load_pairs`` for launch/capture pairs), and answers
+  four queries: ``detection_words`` / ``detection_matrix`` for stuck-at
+  faults and ``transition_detection_words`` /
+  ``transition_detection_matrix`` for transition faults.  Bit ``p`` of a
+  fault's row is set iff pattern (pair) ``p`` detects it, identically
+  across engines (property-tested).  An engine supplies only its block
+  staging and *one* stuck-at query; the base class converts between
+  big-int words and packed rows and derives the transition queries by
+  the two-pattern reduction (see :mod:`repro.fsim.transition`).
 * a **registry** — backends register under a short name; consumers take a
   ``backend=`` argument (name or instance) and resolve it here, so one
   argument — or the ``REPRO_FSIM_BACKEND`` environment variable — switches
@@ -45,28 +49,17 @@ Registered backends:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
 from repro.faults.model import Fault
+from repro.faults.transition import TransitionFault, check_transition_fault
+from repro.fsim.transition import initialization_word
+from repro.sim.bitsim import simulate
 from repro.sim.patterns import PatternPairSet, PatternSet
-from repro.telemetry import span
+from repro.utils.bitvec import full_mask
 from repro.utils.detmatrix import DetectionMatrix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.faults.transition import TransitionFault
 
 #: Environment variable naming the default backend for the whole process.
 BACKEND_ENV_VAR = "REPRO_FSIM_BACKEND"
@@ -75,118 +68,127 @@ BACKEND_ENV_VAR = "REPRO_FSIM_BACKEND"
 DEFAULT_BACKEND = "auto"
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """Static traits consumers may use to pick or tune a backend.
-
-    ``batched`` — ``detection_words`` is amortized over fault batches
-    (faster than a loop of ``detection_word`` calls).
-    ``incremental`` — single-fault queries are cheap (event-driven with
-    early exit), so interleaving queries with dropping costs little.
-    """
-
-    batched: bool
-    incremental: bool
-    description: str = ""
-
-
-@runtime_checkable
-class FaultSimBackend(Protocol):
+class FaultSimBackend:
     """The engine contract every fault-simulation backend implements.
 
     Lifecycle: construct with a :class:`CompiledCircuit`, :meth:`load` a
-    pattern block, then query detection words.  ``load`` may be called
-    again with a new block at any time; queries always refer to the most
-    recently loaded block.
+    pattern block (or :meth:`load_pairs` a two-pattern block), then
+    query.  A block may be replaced at any time; queries always refer to
+    the most recently loaded one.
+
+    A subclass supplies its block staging (:meth:`_stage`, which sees
+    every block after its input count is checked — for a pair block, the
+    capture half) and one stuck-at query: :meth:`detection_words` or
+    :meth:`detection_matrix`.  Everything else is shared here.
     """
 
+    #: Registry key; also labels the query's ``fsim.detection_matrix`` span.
     name: str
-    capabilities: BackendCapabilities
-    circ: CompiledCircuit
+
+    def __init__(self, circ: CompiledCircuit):
+        self.circ = circ
+        self._block: Optional[PatternSet] = None
+        self._launch_good: Optional[List[int]] = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The two stuck-at queries default to each other.
+        if (cls.detection_words is FaultSimBackend.detection_words
+                and cls.detection_matrix is FaultSimBackend.detection_matrix):
+            raise TypeError(
+                f"{cls.__name__} must define detection_words or "
+                "detection_matrix"
+            )
+
+    # -- staging --------------------------------------------------------------
 
     def load(self, patterns: PatternSet) -> None:
-        """Simulate the fault-free circuit for a pattern block."""
+        """Stage a single-vector block for stuck-at queries."""
+        self._check_inputs(patterns)
+        self._launch_good = None
+        self._stage(patterns)
+        self._block = patterns
+
+    def load_pairs(self, pairs: PatternPairSet) -> None:
+        """Stage a two-pattern block for transition queries.
+
+        The launch half is simulated fault-free here, once; the capture
+        half is staged like a single-vector block, so stuck-at queries
+        refer to it until the next load.
+        """
+        self._check_inputs(pairs)
+        launch_good = simulate(self.circ, pairs.launch)
+        self._stage(pairs.capture)
+        self._block = pairs.capture
+        self._launch_good = launch_good
+
+    def _stage(self, patterns: PatternSet) -> None:
+        """Engine hook: prepare a checked single-vector block."""
+
+    def _check_inputs(self, block: Union[PatternSet, PatternPairSet]) -> None:
+        if block.num_inputs != self.circ.num_inputs:
+            raise SimulationError(
+                f"{self.circ.name}: {type(block).__name__} has "
+                f"{block.num_inputs} inputs, circuit has "
+                f"{self.circ.num_inputs}"
+            )
+
+    def _require_block(self) -> PatternSet:
+        """The staged single-vector block (capture half for pairs)."""
+        if self._block is None:
+            raise SimulationError("no pattern block loaded; call load() first")
+        return self._block
 
     @property
     def num_patterns(self) -> int:
-        """Width of the loaded block (0 before :meth:`load`)."""
+        """Width of the staged block (0 before the first load)."""
+        return self._block.num_patterns if self._block is not None else 0
 
-    def detection_word(self, fault: Fault) -> int:
-        """Bit ``p`` set iff loaded pattern ``p`` detects ``fault``."""
+    # -- stuck-at queries (an engine defines one of the two) ------------------
 
     def detection_words(self, faults: Sequence[Fault]) -> List[int]:
-        """Detection word per fault, in input order."""
+        """Bit ``p`` of word ``i`` set iff pattern ``p`` detects ``faults[i]``."""
+        return self.detection_matrix(faults).to_bigints()
 
     def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
-        """Packed ``uint64`` detection matrix, one row per fault.
-
-        Row ``f`` is ``detection_words([faults[f]])[0]`` packed; the two
-        views are bit-identical by contract.  Engines with a packed
-        internal representation return it without a big-int round-trip;
-        big-int engines pack once (see :class:`PackedQueryAdapter`).
-        """
-
-    def load_pairs(self, pairs: PatternPairSet) -> None:
-        """Stage a two-pattern block for transition-fault queries."""
-
-    def transition_detection_word(self, fault: "TransitionFault") -> int:
-        """Bit ``p`` set iff loaded pair ``p`` detects ``fault``."""
-
-    def transition_detection_words(self, faults: Sequence["TransitionFault"]
-                                   ) -> List[int]:
-        """Transition detection word per fault, in input order."""
-
-    def transition_detection_matrix(self, faults: Sequence["TransitionFault"]
-                                    ) -> DetectionMatrix:
-        """Packed transition detection matrix, one row per fault."""
-
-
-class PackedQueryAdapter:
-    """Default packed-matrix queries over the big-int word contract.
-
-    Mixing this into a backend whose native representation is big-int
-    words satisfies the ``detection_matrix`` half of the protocol by
-    packing the words exactly once; third-party backends without even
-    the mixin are handled by :func:`backend_detection_matrix`, which
-    falls back to the same single packing step.
-    """
-
-    def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
-        """Pack ``detection_words`` once into a :class:`DetectionMatrix`."""
+        """:meth:`detection_words` packed: one ``uint64`` row per fault."""
         return DetectionMatrix.from_bigints(
             self.detection_words(faults), self.num_patterns
         )
 
+    # -- transition queries: the two-pattern reduction ------------------------
 
-def backend_detection_matrix(engine, faults: Sequence[Fault]
-                             ) -> DetectionMatrix:
-    """``engine.detection_matrix`` with a pack-once fallback.
+    def transition_detection_words(self, faults: Sequence[TransitionFault]
+                                   ) -> List[int]:
+        """Bit ``p`` of word ``i`` set iff pair ``p`` detects ``faults[i]``."""
+        init = self._initialization_words(faults)
+        stuck = self.detection_words([fault.as_stuck_at() for fault in faults])
+        return [a & b for a, b in zip(init, stuck)]
 
-    Engines predating the packed contract (third-party registrations)
-    keep working: their big-int words are packed exactly once here.
-    """
-    with span("fsim.detection_matrix",
-              backend=getattr(engine, "name", type(engine).__name__),
-              faults=len(faults)):
-        native = getattr(engine, "detection_matrix", None)
-        if native is not None:
-            return native(faults)
-        return DetectionMatrix.from_bigints(
-            engine.detection_words(faults), engine.num_patterns
+    def transition_detection_matrix(self, faults: Sequence[TransitionFault]
+                                    ) -> DetectionMatrix:
+        """:meth:`transition_detection_words` packed, one row per fault."""
+        init = DetectionMatrix.from_bigints(
+            self._initialization_words(faults), self.num_patterns
         )
+        return self.detection_matrix(
+            [fault.as_stuck_at() for fault in faults]
+        ) & init
 
-
-def backend_transition_detection_matrix(engine, faults) -> DetectionMatrix:
-    """``engine.transition_detection_matrix`` with a pack-once fallback."""
-    with span("fsim.transition_detection_matrix",
-              backend=getattr(engine, "name", type(engine).__name__),
-              faults=len(faults)):
-        native = getattr(engine, "transition_detection_matrix", None)
-        if native is not None:
-            return native(faults)
-        return DetectionMatrix.from_bigints(
-            engine.transition_detection_words(faults), engine.num_patterns
-        )
+    def _initialization_words(self, faults: Sequence[TransitionFault]
+                              ) -> List[int]:
+        launch_good = self._launch_good
+        if launch_good is None:
+            raise SimulationError(
+                "no pattern-pair block loaded; call load_pairs() first"
+            )
+        mask = full_mask(self.num_patterns)
+        words = []
+        for fault in faults:
+            check_transition_fault(self.circ, fault)
+            words.append(initialization_word(self.circ, launch_good, fault,
+                                             mask))
+        return words
 
 
 BackendFactory = Callable[[CompiledCircuit], FaultSimBackend]
@@ -266,63 +268,18 @@ def resolve_backend(circ: CompiledCircuit,
     return backend
 
 
-def detection_words(circ: CompiledCircuit, faults: Sequence[Fault],
-                    patterns: PatternSet,
-                    backend: Union[str, FaultSimBackend, None] = None
-                    ) -> List[int]:
-    """One-shot convenience: load ``patterns``, query all ``faults``."""
-    engine = resolve_backend(circ, backend)
-    engine.load(patterns)
-    return engine.detection_words(faults)
-
-
-def detection_matrix(circ: CompiledCircuit, faults: Sequence[Fault],
-                     patterns: PatternSet,
-                     backend: Union[str, FaultSimBackend, None] = None
-                     ) -> DetectionMatrix:
-    """One-shot convenience: load ``patterns``, query the packed matrix."""
-    engine = resolve_backend(circ, backend)
-    engine.load(patterns)
-    return backend_detection_matrix(engine, faults)
-
-
-def transition_detection_words(circ: CompiledCircuit,
-                               faults: Sequence["TransitionFault"],
-                               pairs: PatternPairSet,
-                               backend: Union[str, FaultSimBackend, None] = None
-                               ) -> List[int]:
-    """One-shot convenience: load ``pairs``, query all transition ``faults``."""
-    engine = resolve_backend(circ, backend)
-    engine.load_pairs(pairs)
-    return engine.transition_detection_words(faults)
-
-
-def transition_detection_matrix(circ: CompiledCircuit,
-                                faults: Sequence["TransitionFault"],
-                                pairs: PatternPairSet,
-                                backend: Union[str, FaultSimBackend, None] = None
-                                ) -> DetectionMatrix:
-    """One-shot convenience: load ``pairs``, query the packed matrix."""
-    engine = resolve_backend(circ, backend)
-    engine.load_pairs(pairs)
-    return backend_transition_detection_matrix(engine, faults)
-
-
-class AutoFaultSim:
-    """Threshold-based dispatcher over the bigint and numpy engines.
+class AutoFaultSim(FaultSimBackend):
+    """Threshold-based dispatcher over the bigint, numpy and parallel engines.
 
     The numpy engine wins when there is enough work to amortize array
     set-up — batch queries on big circuits over wide blocks; the bigint
-    engine wins for single-fault queries and small problems thanks to its
-    event-driven early exit.  Both engines are created lazily and share
-    the loaded pattern block.
+    engine wins for small problems thanks to its event-driven early
+    exit.  Engines are created lazily and load the staged block on
+    first use.  Both stuck-at queries dispatch, so each reaches the
+    chosen engine's own query.
     """
 
     name = "auto"
-    capabilities = BackendCapabilities(
-        batched=True, incremental=True,
-        description="dispatches to bigint/numpy by problem size",
-    )
 
     #: Batch queries below any of these thresholds go to the bigint engine.
     MIN_FAULTS = 24
@@ -340,43 +297,22 @@ class AutoFaultSim:
     PARALLEL_MIN_PATTERNS = 256
 
     def __init__(self, circ: CompiledCircuit):
-        self.circ = circ
-        self._patterns: Optional[PatternSet] = None
-        self._pairs: Optional[PatternPairSet] = None
+        super().__init__(circ)
         self._engines: Dict[str, FaultSimBackend] = {}
         self._loaded: Dict[str, bool] = {}
 
-    def load(self, patterns: PatternSet) -> None:
-        """Stage a pattern block; sub-engines simulate it on first use."""
-        self._patterns = patterns
-        self._pairs = None
+    def _stage(self, patterns: PatternSet) -> None:
         self._loaded = {}
 
-    def load_pairs(self, pairs: PatternPairSet) -> None:
-        """Stage a two-pattern block; sub-engines simulate it on first use."""
-        self._pairs = pairs
-        self._patterns = None
-        self._loaded = {}
-
-    @property
-    def num_patterns(self) -> int:
-        """Width of the staged block (single vectors or pairs)."""
-        if self._pairs is not None:
-            return self._pairs.num_patterns
-        return self._patterns.num_patterns if self._patterns else 0
-
-    def _engine(self, name: str) -> FaultSimBackend:
-        if self._patterns is None and self._pairs is None:
-            raise SimulationError("no pattern block loaded; call load() first")
+    def _engine(self, num_faults: int) -> FaultSimBackend:
+        block = self._require_block()
+        name = self._pick(num_faults)
         engine = self._engines.get(name)
         if engine is None:
             engine = create_backend(self.circ, name)
             self._engines[name] = engine
         if not self._loaded.get(name):
-            if self._pairs is not None:
-                engine.load_pairs(self._pairs)
-            else:
-                engine.load(self._patterns)
+            engine.load(block)
             self._loaded[name] = True
         return engine
 
@@ -394,39 +330,13 @@ class AutoFaultSim:
             return "numpy"
         return "bigint"
 
-    def detection_word(self, fault: Fault) -> int:
-        """Single-fault query — always the event-driven bigint engine."""
-        return self._engine("bigint").detection_word(fault)
-
     def detection_words(self, faults: Sequence[Fault]) -> List[int]:
-        """Batch query, dispatched by :meth:`_pick`."""
-        return self._engine(self._pick(len(faults))).detection_words(faults)
+        """Big-int query on the engine :meth:`_pick` chooses."""
+        return self._engine(len(faults)).detection_words(faults)
 
     def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
-        """Packed batch query, dispatched by :meth:`_pick`."""
-        engine = self._engine(self._pick(len(faults)))
-        return backend_detection_matrix(engine, faults)
-
-    def transition_detection_word(self, fault: "TransitionFault") -> int:
-        """Single transition-fault query — the event-driven bigint engine."""
-        return self._engine("bigint").transition_detection_word(fault)
-
-    def transition_detection_words(self, faults: Sequence["TransitionFault"]
-                                   ) -> List[int]:
-        """Batch transition query, dispatched by :meth:`_pick`."""
-        engine = self._engine(self._pick(len(faults)))
-        return engine.transition_detection_words(faults)
-
-    def transition_detection_matrix(self, faults: Sequence["TransitionFault"]
-                                    ) -> DetectionMatrix:
-        """Packed batch transition query, dispatched by :meth:`_pick`."""
-        engine = self._engine(self._pick(len(faults)))
-        return backend_transition_detection_matrix(engine, faults)
-
-    @property
-    def good_values(self) -> List[int]:
-        """Fault-free node words of the loaded block (bigint engine's)."""
-        return self._engine("bigint").good_values
+        """Packed query on the engine :meth:`_pick` chooses."""
+        return self._engine(len(faults)).detection_matrix(faults)
 
 
 def _bigint_factory(circ: CompiledCircuit) -> FaultSimBackend:

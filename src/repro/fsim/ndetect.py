@@ -22,8 +22,10 @@ import numpy as np
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.fsim.backend import FaultSimBackend, detection_matrix
+from repro.faults.registry import query_detection_matrix
+from repro.fsim.backend import FaultSimBackend, resolve_backend
 from repro.sim.patterns import PatternSet
+
 BackendArg = Union[str, FaultSimBackend, None]
 
 
@@ -33,7 +35,8 @@ def detection_counts(circ: CompiledCircuit, faults: Sequence[Fault],
     """Per-fault detection counts, capped at ``n`` (uncapped when None)."""
     if n is not None and n < 1:
         raise SimulationError("n must be >= 1")
-    matrix = detection_matrix(circ, faults, patterns, backend=backend)
+    matrix = query_detection_matrix(resolve_backend(circ, backend),
+                                    patterns, faults)
     counts = matrix.row_popcounts()
     if n is not None:
         counts = np.minimum(counts, n)
@@ -52,7 +55,8 @@ def ndet_per_vector(circ: CompiledCircuit, faults: Sequence[Fault],
     """
     if n is not None and n < 1:
         raise SimulationError("n must be >= 1")
-    matrix = detection_matrix(circ, faults, patterns, backend=backend)
+    matrix = query_detection_matrix(resolve_backend(circ, backend),
+                                    patterns, faults)
     if n is None:
         return matrix.column_counts()
     width = patterns.num_patterns
@@ -75,6 +79,7 @@ def redundancy_candidates(circ: CompiledCircuit, faults: Sequence[Fault],
     A helper for redundancy identification flows: random patterns weed out
     the easy faults so the expensive exhaustive ATPG only sees the rest.
     """
-    matrix = detection_matrix(circ, faults, patterns, backend=backend)
+    matrix = query_detection_matrix(resolve_backend(circ, backend),
+                                    patterns, faults)
     detected = matrix.any_rows()
     return [f for f, hit in zip(faults, detected) if not hit]

@@ -36,20 +36,17 @@ faulty machine per fault, at the cost of one machine per stem.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
-from repro.errors import SimulationError
 from repro.faults.model import Fault, check_fault
-from repro.fsim.backend import BackendCapabilities
-from repro.fsim.transition import TwoPatternSupport
+from repro.fsim.backend import FaultSimBackend
 from repro.sim.npsim import (
     ONES64,
     LevelSchedule,
-    matrix_row_to_int,
     simulate_matrix_levelized,
     words_to_matrix,
 )
@@ -156,29 +153,22 @@ class FanoutFreeRegions:
         return path
 
 
-class NumpyFaultSim(TwoPatternSupport):
+class NumpyFaultSim(FaultSimBackend):
     """Fault-simulation backend over ``uint64`` pattern words.
 
-    Conforms to :class:`repro.fsim.backend.FaultSimBackend`.  Construction
-    levelizes the circuit and partitions it into fanout-free regions;
-    :meth:`load` packs and simulates the fault-free block;
+    Construction levelizes the circuit and partitions it into fanout-free
+    regions; staging a block packs and simulates it fault-free;
     :meth:`detection_matrix` combines per-fault local words with the
-    simulated observability of the query's stems.  Transition queries
-    (``load_pairs`` / ``transition_detection_words``, from
-    :class:`repro.fsim.transition.TwoPatternSupport`) simulate the launch
-    half through the same :class:`LevelSchedule` and feed the capture
-    half to the stuck-at path, so the expensive part stays vectorized.
+    simulated observability of the query's stems.  Word and transition
+    queries come from :class:`repro.fsim.backend.FaultSimBackend`, so
+    the capture half of a pair block rides the same vectorized path.
     """
 
     name = "numpy"
-    capabilities = BackendCapabilities(
-        batched=True, incremental=False,
-        description="fanout-free regions over uint64 words",
-    )
 
     def __init__(self, circ: CompiledCircuit,
                  max_batch_bytes: int = DEFAULT_BATCH_BYTES):
-        self.circ = circ
+        super().__init__(circ)
         self.schedule = LevelSchedule(circ)
         self.regions = FanoutFreeRegions(circ)
         self.max_batch_bytes = max_batch_bytes
@@ -186,66 +176,23 @@ class NumpyFaultSim(TwoPatternSupport):
         self._level_numbers = [level.number for level in self.schedule.levels]
         self._outputs = np.asarray(circ.outputs, dtype=np.int64)
         self._good: Optional[np.ndarray] = None  # (num_nodes, W)
-        self._good_ints: Optional[List[int]] = None
         self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._num_patterns = 0
         self._num_words = 0
         self._tail_mask = ONES64
 
-    # -- FaultSimBackend interface -------------------------------------------
-
-    def load(self, patterns: PatternSet) -> None:
+    def _stage(self, patterns: PatternSet) -> None:
         """Pack and simulate the fault-free circuit for a pattern block."""
-        if patterns.num_inputs != self.circ.num_inputs:
-            raise SimulationError(
-                f"{self.circ.name}: pattern set has {patterns.num_inputs} "
-                f"inputs, circuit has {self.circ.num_inputs}"
-            )
         matrix = words_to_matrix(patterns.words, patterns.num_patterns)
         self._good = simulate_matrix_levelized(
             self.circ, matrix, schedule=self.schedule
         )
-        self._good_ints = None
         self._tables = None
-        self._num_patterns = patterns.num_patterns
         self._num_words = matrix.shape[1]
         tail_bits = patterns.num_patterns - 64 * (self._num_words - 1)
         self._tail_mask = (
             ONES64 if tail_bits >= 64
             else np.uint64((1 << max(tail_bits, 0)) - 1)
         )
-        self._launch_good = None
-
-    def _launch_values(self, patterns: PatternSet) -> List[int]:
-        """Launch-half fault-free words via the levelized matrix simulator."""
-        matrix = words_to_matrix(patterns.words, patterns.num_patterns)
-        values = simulate_matrix_levelized(
-            self.circ, matrix, schedule=self.schedule
-        )
-        return [
-            matrix_row_to_int(values[node], patterns.num_patterns)
-            for node in range(self.circ.num_nodes)
-        ]
-
-    @property
-    def num_patterns(self) -> int:
-        """Width of the loaded block (0 before :meth:`load`)."""
-        return self._num_patterns
-
-    @property
-    def good_values(self) -> List[int]:
-        """Fault-free node words as big-ints (PPSFP-compatible view)."""
-        good = self._require_loaded()
-        if self._good_ints is None:
-            self._good_ints = [
-                matrix_row_to_int(good[node], self._num_patterns)
-                for node in range(self.circ.num_nodes)
-            ]
-        return self._good_ints
-
-    def detection_word(self, fault: Fault) -> int:
-        """Single-fault query (a batch of one — prefer batched calls)."""
-        return self.detection_words([fault])[0]
 
     def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
         """Packed detection matrix of every fault — the native query.
@@ -253,11 +200,12 @@ class NumpyFaultSim(TwoPatternSupport):
         Returns the engine's ``(num_faults, num_words)`` uint64 rows
         directly; no big-int round-trip anywhere.
         """
-        good = self._require_loaded()
+        width = self._require_block().num_patterns
+        good = self._good
         for fault in faults:
             check_fault(self.circ, fault)
-        if not faults or self._num_patterns == 0:
-            return DetectionMatrix.zeros(len(faults), self._num_patterns)
+        if not faults or width == 0:
+            return DetectionMatrix.zeros(len(faults), width)
         regions = self.regions
         if self._tables is None:
             sens = regions.sensitization(good)
@@ -281,23 +229,9 @@ class NumpyFaultSim(TwoPatternSupport):
         stems, stem_row = np.unique(regions.stem_of[node[live]],
                                     return_inverse=True)
         rows[live] &= self._observability(good, stems)[stem_row]
-        return DetectionMatrix(rows, self._num_patterns)
-
-    def detection_words(self, faults: Sequence[Fault]) -> List[int]:
-        """Detection word of every fault, in input order (big-int view)."""
-        return self.detection_matrix(faults).to_bigints()
-
-    def detected_faults(self, faults: Sequence[Fault]) -> List[Fault]:
-        """Subset of ``faults`` detected by at least one loaded pattern."""
-        words = self.detection_words(faults)
-        return [f for f, w in zip(faults, words) if w]
+        return DetectionMatrix(rows, width)
 
     # -- internals ------------------------------------------------------------
-
-    def _require_loaded(self) -> np.ndarray:
-        if self._good is None:
-            raise SimulationError("no pattern block loaded; call load() first")
-        return self._good
 
     def _batch_size(self) -> int:
         per_stem = self.circ.num_nodes * max(self._num_words, 1) * 8

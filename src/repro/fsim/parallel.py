@@ -21,10 +21,8 @@ from heapq import heappop, heappush
 from typing import Dict, List, Sequence
 
 from repro.circuit.flatten import CompiledCircuit
-from repro.errors import SimulationError
 from repro.faults.model import Fault, check_fault
-from repro.fsim.backend import BackendCapabilities, PackedQueryAdapter
-from repro.fsim.transition import TwoPatternSupport
+from repro.fsim.backend import FaultSimBackend
 from repro.sim.bitsim import eval_gate_words, simulate
 from repro.sim.patterns import PatternSet
 from repro.utils.bitvec import full_mask
@@ -108,60 +106,27 @@ def detects(circ: CompiledCircuit, vector: Sequence[int], fault: Fault) -> bool:
     return bool(detection_word(circ, good, fault, 1))
 
 
-class ParallelFaultSimulator(PackedQueryAdapter, TwoPatternSupport):
+class ParallelFaultSimulator(FaultSimBackend):
     """Binds a circuit and reuses fault-free values across fault queries.
 
-    Typical use: simulate a pattern block once with :meth:`load`, then ask
-    for many faults' detection words.  This is the ``bigint`` entry of the
-    backend registry (:mod:`repro.fsim.backend`): event-driven per-fault
-    propagation with early exit, cheapest for single-fault queries and
-    small problems.  Two-pattern transition queries (``load_pairs`` /
-    ``transition_detection_words``) come from
-    :class:`repro.fsim.transition.TwoPatternSupport` and reuse the same
-    per-fault propagation on the capture half.  Packed-matrix queries
-    pack the big-int words once
-    (:class:`repro.fsim.backend.PackedQueryAdapter`).
+    This is the ``bigint`` entry of the backend registry
+    (:mod:`repro.fsim.backend`): :meth:`load` simulates the fault-free
+    block once, and :meth:`detection_words` propagates each fault
+    event-driven with early exit — cheapest for small problems and the
+    one-vector dropping inside test generation.  Packed and transition
+    queries come from :class:`repro.fsim.backend.FaultSimBackend`.
     """
 
     name = "bigint"
-    capabilities = BackendCapabilities(
-        batched=False, incremental=True,
-        description="event-driven big-int PPSFP with early exit",
-    )
 
     def __init__(self, circ: CompiledCircuit):
-        self.circ = circ
-        self._good: List[int] | None = None
-        self._num_patterns = 0
+        super().__init__(circ)
+        self._good: List[int] = []
 
-    def load(self, patterns: PatternSet) -> None:
-        """Simulate the fault-free circuit for a pattern block."""
+    def _stage(self, patterns: PatternSet) -> None:
         self._good = simulate(self.circ, patterns)
-        self._num_patterns = patterns.num_patterns
-        self._launch_good = None
-
-    @property
-    def num_patterns(self) -> int:
-        """Width of the loaded block (0 before :meth:`load`)."""
-        return self._num_patterns
-
-    @property
-    def good_values(self) -> List[int]:
-        """Fault-free node words of the loaded block."""
-        if self._good is None:
-            raise SimulationError("no pattern block loaded; call load() first")
-        return self._good
-
-    def detection_word(self, fault: Fault) -> int:
-        """Detection word of ``fault`` over the loaded block."""
-        if self._good is None:
-            raise SimulationError("no pattern block loaded; call load() first")
-        return detection_word(self.circ, self._good, fault, self._num_patterns)
 
     def detection_words(self, faults: Sequence[Fault]) -> List[int]:
         """Detection word of every fault (a loop — this engine is per-fault)."""
-        return [self.detection_word(f) for f in faults]
-
-    def detected_faults(self, faults: Sequence[Fault]) -> List[Fault]:
-        """Subset of ``faults`` detected by at least one loaded pattern."""
-        return [f for f in faults if self.detection_word(f)]
+        width = self._require_block().num_patterns
+        return [detection_word(self.circ, self._good, f, width) for f in faults]

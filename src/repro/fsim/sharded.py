@@ -21,6 +21,11 @@ The moving parts:
   available, so the compiled circuit is inherited, not re-pickled per
   task), each holding one base engine and reloading a staged pattern
   block only when its generation changes;
+* one query — the engine defines only the stuck-at ``detection_matrix``.
+  A transition query reduces to it in the parent
+  (:class:`repro.fsim.backend.FaultSimBackend` simulates the launch half
+  once and ANDs the initialization words in), so workers only ever load
+  single-vector blocks and answer stuck-at queries;
 * reassembly — :meth:`repro.utils.detmatrix.DetectionMatrix.concat_rows`
   over the per-shard row blocks, in shard order;
 * error/teardown propagation — a worker failure (any ``BaseException``,
@@ -46,9 +51,9 @@ The moving parts:
   so they survive pool restarts and redraw per retry attempt); the
   failure itself executes inside the worker, exercising the real
   cross-process error path;
-* telemetry — each worker records faults simulated and shard sim time
-  into a :func:`repro.telemetry.scoped_registry` and ships the snapshot
-  home with its row block; the parent merges every snapshot under a
+* telemetry — each worker records faults simulated (by base engine)
+  and shard sim time into a :func:`repro.telemetry.scoped_registry` and
+  ships the snapshot home with its row block; the parent merges every snapshot under a
   ``shard`` label, so per-shard series appear in the process registry
   (and on ``GET /metrics``) with sums equal to the single-core totals.
 
@@ -69,17 +74,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
-from repro.fsim.backend import (
-    BackendCapabilities,
-    backend_detection_matrix,
-    backend_transition_detection_matrix,
-    create_backend,
-)
+from repro.faults.model import Fault
+from repro.fsim.backend import FaultSimBackend, create_backend
 from repro.resilience import chaos as _chaos
 from repro.resilience import context as _resilience
 from repro.resilience.chaos import ChaosInjected
 from repro.resilience.supervisor import RetryPolicy
-from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.sim.patterns import PatternSet
 from repro.telemetry import get_registry, scoped_registry, span
 from repro.utils.detmatrix import DetectionMatrix
 
@@ -92,7 +93,7 @@ SHARDS_ENV_VAR = "REPRO_FSIM_SHARDS"
 #: fault count of every query — the invariant the telemetry merge
 #: tests assert.
 FAULTS_METRIC = "repro_fsim_faults_total"
-_FAULTS_HELP = "Faults simulated, by base engine, query kind and shard."
+_FAULTS_HELP = "Faults simulated, by base engine and shard."
 
 #: Environment variable overriding the base engine workers run.
 SHARD_BASE_ENV_VAR = "REPRO_FSIM_SHARD_BASE"
@@ -188,18 +189,10 @@ def _worker_init(circ: CompiledCircuit, base: str) -> None:
     _worker_state["loaded"] = None
 
 
-def _worker_query(engine, kind: str, faults: Sequence) -> DetectionMatrix:
-    """One shard's packed query on the worker's base engine."""
-    if kind == "pairs":
-        return backend_transition_detection_matrix(engine, faults)
-    return backend_detection_matrix(engine, faults)
-
-
 def _simulate_shard(task):
     """Run one shard; never raise — errors travel home as tuples.
 
-    ``task`` is ``(shard_index, kind, generation, block, faults,
-    inject)``.  Returns ``("ok", shard_index, words,
+    ``task`` is ``(shard_index, generation, block, faults, inject)``.  Returns ``("ok", shard_index, words,
     telemetry_snapshot)`` with the shard's uint64 row block and the
     worker-local registry snapshot (the parent merges it back under a
     ``shard`` label), or ``("error", shard_index, summary,
@@ -212,7 +205,7 @@ def _simulate_shard(task):
     home as an error tuple like any real worker crash), or ``("hang",
     seconds)`` (sleep past the supervisor's shard deadline).
     """
-    shard_index, kind, generation, block, faults, inject = task
+    shard_index, generation, block, faults, inject = task
     try:
         with scoped_registry() as registry:
             if inject is not None:
@@ -227,17 +220,14 @@ def _simulate_shard(task):
                 engine = create_backend(_worker_state["circ"],
                                         _worker_state["base"])
                 _worker_state["engine"] = engine
-            if _worker_state.get("loaded") != (kind, generation):
-                if kind == "pairs":
-                    engine.load_pairs(block)
-                else:
-                    engine.load(block)
-                _worker_state["loaded"] = (kind, generation)
+            if _worker_state.get("loaded") != generation:
+                engine.load(block)
+                _worker_state["loaded"] = generation
             registry.counter(FAULTS_METRIC, _FAULTS_HELP).labels(
-                base=_worker_state["base"], kind=kind).inc(len(faults))
-            with span("fsim.shard", kind=kind, base=_worker_state["base"]):
+                base=_worker_state["base"]).inc(len(faults))
+            with span("fsim.shard", base=_worker_state["base"]):
                 if faults:
-                    matrix = _worker_query(engine, kind, faults)
+                    matrix = engine.detection_matrix(faults)
                 else:  # empty shard: 0-row block of the right width
                     matrix = DetectionMatrix.zeros(0, block.num_patterns)
             return ("ok", shard_index, matrix.words, registry.snapshot())
@@ -252,16 +242,17 @@ def _terminate_pool(pool) -> None:
     pool.join()
 
 
-class ShardedFaultSim:
+class ShardedFaultSim(FaultSimBackend):
     """The ``parallel`` backend: fault-universe sharding over processes.
 
-    Conforms to :class:`repro.fsim.backend.FaultSimBackend`.  Batch
-    queries shard the fault list with :func:`plan_shards`, fan the
-    ranges out to a lazy worker pool (each worker running the ``base``
-    engine), and reassemble the per-shard rows in shard order — bit
-    identical to the single-core result.  Single-fault queries and
-    batches below ``min_faults`` run inline on an in-process base
-    engine instead.
+    :meth:`detection_matrix` shards the fault list with
+    :func:`plan_shards`, fans the ranges out to a lazy worker pool (each
+    worker running the ``base`` engine), and reassembles the per-shard
+    rows in shard order — bit identical to the single-core result.
+    Batches below ``min_faults`` run inline on an in-process base engine
+    instead.  Transition queries reduce to this stuck-at query in the
+    parent (:class:`repro.fsim.backend.FaultSimBackend`), so workers
+    only ever see single-vector blocks.
 
     The pool is created on first sharded query and torn down by
     :meth:`close`, by garbage collection (a ``weakref`` finalizer), or —
@@ -270,10 +261,6 @@ class ShardedFaultSim:
     """
 
     name = "parallel"
-    capabilities = BackendCapabilities(
-        batched=True, incremental=False,
-        description="shards the fault universe across worker processes",
-    )
 
     def __init__(self, circ: CompiledCircuit, base: Optional[str] = None,
                  num_shards: Optional[int] = None,
@@ -285,7 +272,7 @@ class ShardedFaultSim:
             raise SimulationError(
                 "the parallel backend cannot use itself as base engine"
             )
-        self.circ = circ
+        super().__init__(circ)
         self.base = base
         self.num_shards = (default_num_shards() if num_shards is None
                            else num_shards)
@@ -305,52 +292,20 @@ class ShardedFaultSim:
         self._pool = None
         self._finalizer = None
         self._inline = None  # in-process base engine for small queries
-        self._inline_loaded: Optional[Tuple[str, int]] = None
-        self._patterns: Optional[PatternSet] = None
-        self._pairs: Optional[PatternPairSet] = None
+        self._inline_loaded = 0
         self._generation = 0
 
-    # -- block staging --------------------------------------------------------
-
-    def load(self, patterns: PatternSet) -> None:
-        """Stage a single-vector block; engines load it on first use."""
-        self._patterns = patterns
-        self._pairs = None
+    def _stage(self, patterns: PatternSet) -> None:
+        # Engines (inline and in the workers) load the block on first use.
         self._generation += 1
 
-    def load_pairs(self, pairs: PatternPairSet) -> None:
-        """Stage a two-pattern block; engines load it on first use."""
-        self._pairs = pairs
-        self._patterns = None
-        self._generation += 1
-
-    @property
-    def num_patterns(self) -> int:
-        """Width of the staged block (single vectors or pairs)."""
-        if self._pairs is not None:
-            return self._pairs.num_patterns
-        return self._patterns.num_patterns if self._patterns else 0
-
-    def _block(self, kind: str):
-        block = self._pairs if kind == "pairs" else self._patterns
-        if block is None:
-            what = ("two-pattern block; call load_pairs()" if kind == "pairs"
-                    else "pattern block; call load()")
-            raise SimulationError(f"no {what} first")
-        return block
-
-    # -- inline engine (small queries, single-fault queries) ------------------
-
-    def _inline_engine(self, kind: str):
-        block = self._block(kind)
+    def _inline_engine(self) -> FaultSimBackend:
+        block = self._require_block()
         if self._inline is None:
             self._inline = create_backend(self.circ, self.base)
-        if self._inline_loaded != (kind, self._generation):
-            if kind == "pairs":
-                self._inline.load_pairs(block)
-            else:
-                self._inline.load(block)
-            self._inline_loaded = (kind, self._generation)
+        if self._inline_loaded != self._generation:
+            self._inline.load(block)
+            self._inline_loaded = self._generation
         return self._inline
 
     # -- pool lifecycle -------------------------------------------------------
@@ -391,114 +346,110 @@ class ShardedFaultSim:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(terminate=exc_type is not None)
 
-    # -- the sharded query core -----------------------------------------------
+    # -- the sharded query ----------------------------------------------------
 
-    def _sharded_matrix(self, kind: str, faults: Sequence) -> DetectionMatrix:
-        block = self._block(kind)
+    def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
+        """Packed batch query, sharded across the worker pool."""
+        block = self._require_block()
         if self.num_shards == 1 or len(faults) < self.min_faults:
             get_registry().counter(FAULTS_METRIC, _FAULTS_HELP).labels(
-                base=self.base, kind=kind, shard="inline",
+                base=self.base, shard="inline",
             ).inc(len(faults))
-            with span("fsim.query", backend=self.name, kind=kind,
-                      shards="inline"):
-                return _worker_query(self._inline_engine(kind), kind, faults)
+            return self._inline_engine().detection_matrix(faults)
         shards = str(self.num_shards)
         policy = self.policy
-        with span("fsim.query", backend=self.name, kind=kind, shards=shards):
-            plan = plan_shards(len(faults), self.num_shards)
-            attempt = 0
-            last_error: Optional[SimulationError] = None
-            while True:
-                # Chaos orders are drawn fresh per attempt in the parent:
-                # the seeded streams and max_fires caps live here, so a
-                # "fail once" plan crashes attempt 1 and spares attempt 2
-                # even though the pool was rebuilt in between.
-                tasks = [
-                    (index, kind, self._generation, block,
-                     list(faults[start:stop]), self._injection(index))
-                    for index, (start, stop) in enumerate(plan)
-                ]
-                if self._pool is None:
-                    with span("fsim.pool_spinup", shards=shards):
-                        pool = self._ensure_pool()
-                else:
+        plan = plan_shards(len(faults), self.num_shards)
+        attempt = 0
+        last_error: Optional[SimulationError] = None
+        while True:
+            # Chaos orders are drawn fresh per attempt in the parent:
+            # the seeded streams and max_fires caps live here, so a
+            # "fail once" plan crashes attempt 1 and spares attempt 2
+            # even though the pool was rebuilt in between.
+            tasks = [
+                (index, self._generation, block,
+                 list(faults[start:stop]), self._injection(index))
+                for index, (start, stop) in enumerate(plan)
+            ]
+            if self._pool is None:
+                with span("fsim.pool_spinup", shards=shards):
                     pool = self._ensure_pool()
-                results = None
-                try:
-                    with span("fsim.shard_map", shards=shards):
-                        handle = pool.map_async(_simulate_shard, tasks)
-                        results = handle.get(policy.shard_timeout)
-                except multiprocessing.TimeoutError:
-                    # A worker is hung (or the map is simply over budget):
-                    # hard-stop the pool so the stragglers die now.
-                    self.close(terminate=True)
-                    last_error = SimulationError(
-                        f"parallel shard map (base {self.base!r}, {shards} "
-                        f"shards) exceeded its {policy.shard_timeout:g}s "
-                        f"deadline on attempt {attempt + 1}/"
-                        f"{policy.max_attempts}"
-                    )
-                except BaseException:
-                    # Parent-side failure (KeyboardInterrupt included):
-                    # reap the workers before propagating so nothing is
-                    # orphaned.  Never retried — the parent is the one
-                    # failing, not a shard.
-                    self.close(terminate=True)
-                    raise
-                if results is not None:
-                    errors = [r for r in results if r[0] == "error"]
-                    if not errors:
-                        registry = get_registry()
-                        for __, index, __, snapshot in results:
-                            # Worker-local series come home with the row
-                            # block; the shard label keeps per-worker
-                            # resolution after merging.  Only successful
-                            # attempts merge, so retried work is counted
-                            # once and shard sums still equal the query's
-                            # fault count.
-                            registry.merge(
-                                snapshot, extra_labels={"shard": str(index)}
-                            )
-                        with span("fsim.concat", shards=shards):
-                            parts = [
-                                DetectionMatrix(words, block.num_patterns)
-                                for __, __, words, __ in results  # in order
-                            ]
-                            return DetectionMatrix.concat_rows(
-                                parts, block.num_patterns
-                            )
-                    self.close(terminate=True)
-                    __, index, summary, trace = errors[0]
-                    start, stop = plan[index]
-                    last_error = SimulationError(
-                        f"parallel shard {index} (faults {start}:{stop}, "
-                        f"base {self.base!r}) failed: {summary}\n{trace}"
-                    )
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    break
-                _resilience.record(
-                    "retry", "fsim.parallel",
-                    attempt=attempt, max_attempts=policy.max_attempts,
-                    query=kind, error=str(last_error).splitlines()[0],
+            else:
+                pool = self._ensure_pool()
+            results = None
+            try:
+                with span("fsim.shard_map", shards=shards):
+                    handle = pool.map_async(_simulate_shard, tasks)
+                    results = handle.get(policy.shard_timeout)
+            except multiprocessing.TimeoutError:
+                # A worker is hung (or the map is simply over budget):
+                # hard-stop the pool so the stragglers die now.
+                self.close(terminate=True)
+                last_error = SimulationError(
+                    f"parallel shard map (base {self.base!r}, {shards} "
+                    f"shards) exceeded its {policy.shard_timeout:g}s "
+                    f"deadline on attempt {attempt + 1}/"
+                    f"{policy.max_attempts}"
                 )
-                delay = policy.backoff(attempt - 1)
-                if delay > 0:
-                    time.sleep(delay)
-            if policy.degrade:
-                _resilience.record(
-                    "degradation", "fsim.parallel",
-                    query=kind, attempts=policy.max_attempts,
-                    error=str(last_error).splitlines()[0],
+            except BaseException:
+                # Parent-side failure (KeyboardInterrupt included):
+                # reap the workers before propagating so nothing is
+                # orphaned.  Never retried — the parent is the one
+                # failing, not a shard.
+                self.close(terminate=True)
+                raise
+            if results is not None:
+                errors = [r for r in results if r[0] == "error"]
+                if not errors:
+                    registry = get_registry()
+                    for __, index, __, snapshot in results:
+                        # Worker-local series come home with the row
+                        # block; the shard label keeps per-worker
+                        # resolution after merging.  Only successful
+                        # attempts merge, so retried work is counted
+                        # once and shard sums still equal the query's
+                        # fault count.
+                        registry.merge(
+                            snapshot, extra_labels={"shard": str(index)}
+                        )
+                    with span("fsim.concat", shards=shards):
+                        parts = [
+                            DetectionMatrix(words, block.num_patterns)
+                            for __, __, words, __ in results  # in order
+                        ]
+                        return DetectionMatrix.concat_rows(
+                            parts, block.num_patterns
+                        )
+                self.close(terminate=True)
+                __, index, summary, trace = errors[0]
+                start, stop = plan[index]
+                last_error = SimulationError(
+                    f"parallel shard {index} (faults {start}:{stop}, "
+                    f"base {self.base!r}) failed: {summary}\n{trace}"
                 )
-                get_registry().counter(FAULTS_METRIC, _FAULTS_HELP).labels(
-                    base=self.base, kind=kind, shard="degraded",
-                ).inc(len(faults))
-                with span("fsim.degraded_inline", kind=kind):
-                    return _worker_query(
-                        self._inline_engine(kind), kind, faults
-                    )
-            raise last_error
+            attempt += 1
+            if attempt >= policy.max_attempts:
+                break
+            _resilience.record(
+                "retry", "fsim.parallel",
+                attempt=attempt, max_attempts=policy.max_attempts,
+                error=str(last_error).splitlines()[0],
+            )
+            delay = policy.backoff(attempt - 1)
+            if delay > 0:
+                time.sleep(delay)
+        if policy.degrade:
+            _resilience.record(
+                "degradation", "fsim.parallel",
+                attempts=policy.max_attempts,
+                error=str(last_error).splitlines()[0],
+            )
+            get_registry().counter(FAULTS_METRIC, _FAULTS_HELP).labels(
+                base=self.base, shard="degraded",
+            ).inc(len(faults))
+            with span("fsim.degraded_inline"):
+                return self._inline_engine().detection_matrix(faults)
+        raise last_error
 
     def _injection(self, shard_index: int):
         """The parent-side chaos decision for one shard task (or None)."""
@@ -510,33 +461,6 @@ class ShardedFaultSim:
             )
             return ("hang", seconds)
         return None
-
-    # -- the FaultSimBackend surface ------------------------------------------
-
-    def detection_word(self, fault) -> int:
-        """Single-fault query — inline, never worth a process hop."""
-        return self._inline_engine("single").detection_word(fault)
-
-    def detection_words(self, faults: Sequence) -> List[int]:
-        """Batch query as big-int words (compatibility view)."""
-        return self.detection_matrix(faults).to_bigints()
-
-    def detection_matrix(self, faults: Sequence) -> DetectionMatrix:
-        """Packed batch query, sharded across the worker pool."""
-        return self._sharded_matrix("single", faults)
-
-    def transition_detection_word(self, fault) -> int:
-        """Single transition-fault query — inline."""
-        return self._inline_engine("pairs").transition_detection_word(fault)
-
-    def transition_detection_words(self, faults: Sequence) -> List[int]:
-        """Batch transition query as big-int words (compatibility view)."""
-        return self.transition_detection_matrix(faults).to_bigints()
-
-    def transition_detection_matrix(self, faults: Sequence
-                                    ) -> DetectionMatrix:
-        """Packed transition batch query, sharded across the pool."""
-        return self._sharded_matrix("pairs", faults)
 
 
 def sharded_from_spec(circ: CompiledCircuit, spec: str) -> ShardedFaultSim:

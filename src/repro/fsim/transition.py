@@ -1,7 +1,7 @@
-"""Two-pattern transition-fault simulation support.
+"""Two-pattern transition-fault simulation: the reduction's launch half.
 
-Both registered fault-simulation backends detect a transition fault with
-the classic full-scan reduction (see :mod:`repro.faults.transition`):
+Every fault-simulation backend detects a transition fault with the
+classic full-scan reduction (see :mod:`repro.faults.transition`):
 
     pair ``(v1, v2)`` detects slow-to-rise at ``s``  iff
     ``s = 0`` under ``v1``  and  ``s`` stuck-at-0 is detected by ``v2``
@@ -14,28 +14,20 @@ machinery already produces:
   fault-free simulation of the launch half, shared by *all* faults of a
   query — no per-fault propagation at all;
 * the **stuck-at detection word** of :meth:`TransitionFault.as_stuck_at`
-  over the capture half — exactly the hot path each backend optimizes
-  (event-driven early exit for ``bigint``, batched level-parallel tensors
-  for ``numpy``), reused rather than duplicated.
+  over the capture half — exactly the query each engine optimizes.
 
-:class:`TwoPatternSupport` is the mixin that adds the contract to a
-backend: ``load_pairs`` stages a :class:`PatternPairSet` (fault-free
-launch simulation + a normal capture-half ``load``), and
-``transition_detection_words`` runs the reduction.  A backend only has to
-override :meth:`TwoPatternSupport._launch_values` when it owns a faster
-fault-free simulator than the default big-int one.
+:class:`repro.fsim.backend.FaultSimBackend` runs the reduction for every
+engine (``load_pairs`` simulates the launch half, the transition queries
+AND the words); this module holds the launch-half helpers it and the
+two-pattern test generator share.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.circuit.flatten import CompiledCircuit
-from repro.errors import SimulationError
-from repro.faults.transition import TransitionFault, check_transition_fault
-from repro.sim.patterns import PatternPairSet
-from repro.utils.bitvec import full_mask
-from repro.utils.detmatrix import DetectionMatrix
+from repro.faults.transition import TransitionFault
 
 
 def launch_line_word(circ: CompiledCircuit, launch_good: Sequence[int],
@@ -58,97 +50,3 @@ def initialization_word(circ: CompiledCircuit, launch_good: Sequence[int],
     """
     line = launch_line_word(circ, launch_good, fault) & mask
     return (line ^ mask) if fault.rise else line
-
-
-class TwoPatternSupport:
-    """Mixin implementing the two-pattern backend contract.
-
-    Requires the host class to provide the single-pattern contract
-    (``circ``, ``load``, ``num_patterns``, ``detection_words``).  The
-    host's ``load`` must reset :attr:`_launch_good` to ``None`` so a
-    plain single-vector ``load`` invalidates any staged pair block.
-    """
-
-    #: Fault-free launch-half node words; ``None`` until ``load_pairs``.
-    _launch_good = None
-
-    def load_pairs(self, pairs: PatternPairSet) -> None:
-        """Stage a two-pattern block: simulate both fault-free halves.
-
-        After this call ``num_patterns`` is the number of pairs and
-        ``detection_words`` refers to the capture half (it *is* a loaded
-        single-vector block); ``transition_detection_words`` combines
-        both halves.
-        """
-        if pairs.num_inputs != self.circ.num_inputs:
-            raise SimulationError(
-                f"{self.circ.name}: pair set has {pairs.num_inputs} "
-                f"inputs, circuit has {self.circ.num_inputs}"
-            )
-        launch = self._launch_values(pairs.launch)
-        self.load(pairs.capture)
-        self._launch_good = launch
-
-    def _launch_values(self, patterns) -> List[int]:
-        """Fault-free node words of the launch half (override to go faster)."""
-        from repro.sim.bitsim import simulate
-
-        return simulate(self.circ, patterns)
-
-    def transition_detection_word(self, fault: TransitionFault) -> int:
-        """Bit ``p`` set iff loaded pair ``p`` detects ``fault``."""
-        return self.transition_detection_words([fault])[0]
-
-    def transition_detection_words(self, faults: Sequence[TransitionFault]
-                                   ) -> List[int]:
-        """Transition detection word per fault, in input order."""
-        launch_good = self._launch_good
-        if launch_good is None:
-            raise SimulationError(
-                "no pattern-pair block loaded; call load_pairs() first"
-            )
-        for fault in faults:
-            check_transition_fault(self.circ, fault)
-        mask = full_mask(self.num_patterns)
-        stuck_words = self.detection_words(
-            [fault.as_stuck_at() for fault in faults]
-        )
-        return [
-            initialization_word(self.circ, launch_good, fault, mask) & word
-            for fault, word in zip(faults, stuck_words)
-        ]
-
-    def transition_detection_matrix(self, faults: Sequence[TransitionFault]
-                                    ) -> DetectionMatrix:
-        """Packed transition detection matrix (one row per fault).
-
-        The reduction stays packed: the capture-half stuck-at matrix
-        comes from the host's (possibly native) ``detection_matrix``,
-        the launch-half initialization words pack once, and the AND is
-        one vectorized word operation.
-        """
-        launch_good = self._launch_good
-        if launch_good is None:
-            raise SimulationError(
-                "no pattern-pair block loaded; call load_pairs() first"
-            )
-        from repro.fsim.backend import backend_detection_matrix
-
-        for fault in faults:
-            check_transition_fault(self.circ, fault)
-        stuck = backend_detection_matrix(
-            self, [fault.as_stuck_at() for fault in faults]
-        )
-        mask = full_mask(self.num_patterns)
-        init = DetectionMatrix.from_bigints(
-            (initialization_word(self.circ, launch_good, fault, mask)
-             for fault in faults),
-            self.num_patterns,
-        )
-        return stuck & init
-
-    def detected_transition_faults(self, faults: Sequence[TransitionFault]
-                                   ) -> List[TransitionFault]:
-        """Subset of ``faults`` detected by at least one loaded pair."""
-        words = self.transition_detection_words(faults)
-        return [f for f, w in zip(faults, words) if w]

@@ -24,3 +24,22 @@ def generated_circuit(seed: int, num_inputs: int = 8, num_gates: int = 40,
         hardness=hardness,
     )
     return generate_circuit(spec)
+
+
+def engine_words(circ, faults, block, backend: str) -> list:
+    """Detection words of ``faults`` from one engine's word query.
+
+    A :class:`~repro.sim.patterns.PatternPairSet` goes through
+    ``load_pairs`` / ``transition_detection_words``, a
+    :class:`~repro.sim.patterns.PatternSet` through ``load`` /
+    ``detection_words``.
+    """
+    from repro.fsim.backend import create_backend
+    from repro.sim.patterns import PatternPairSet
+
+    engine = create_backend(circ, backend)
+    if isinstance(block, PatternPairSet):
+        engine.load_pairs(block)
+        return engine.transition_detection_words(faults)
+    engine.load(block)
+    return engine.detection_words(faults)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.adi import AdiMode, ORDERS, compute_adi, dynamic_order, select_u
 from repro.circuit import c17, lion_like
-from repro.errors import SimulationError
 from repro.faults import transition_fault_list
-from repro.fsim.backend import transition_detection_words
 from repro.fsim.dropping import drop_simulate
 from repro.sim.patterns import PatternPairSet
+
+from helpers import engine_words
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +24,8 @@ class TestComputeAdi:
     def test_masks_match_backend_words(self, setup):
         circ, faults, pairs = setup
         result = compute_adi(circ, faults, pairs)
-        assert list(result.detection_masks) == transition_detection_words(
-            circ, faults, pairs, backend="bigint"
+        assert list(result.detection_masks) == engine_words(
+            circ, faults, pairs, "bigint"
         )
         assert result.num_vectors == pairs.num_patterns
 
@@ -51,11 +51,6 @@ class TestComputeAdi:
         for i, vecs in enumerate(result.det_vectors):
             if vecs.size:
                 assert result.adi[i] == int(np.mean(result.ndet[vecs]))
-
-    def test_good_values_with_pairs_raises(self, setup):
-        circ, faults, pairs = setup
-        with pytest.raises(SimulationError, match="good_values"):
-            compute_adi(circ, faults, pairs, good_values=[0] * circ.num_nodes)
 
     def test_backends_agree(self, setup):
         circ, faults, pairs = setup
@@ -113,8 +108,7 @@ class TestDropSimulate:
     def test_first_detection_matches_words(self, setup):
         circ, faults, pairs = setup
         result = drop_simulate(circ, faults, pairs, chunk_size=16)
-        words = transition_detection_words(circ, faults, pairs,
-                                           backend="bigint")
+        words = engine_words(circ, faults, pairs, "bigint")
         for fault, word in zip(faults, words):
             if word:
                 first = (word & -word).bit_length() - 1

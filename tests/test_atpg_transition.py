@@ -32,8 +32,8 @@ class TestGeneration:
         circ, _, result = lion_run
         engine = create_backend(circ, "bigint")
         engine.load_pairs(result.tests)
-        for i, fault in enumerate(result.targeted_faults):
-            word = engine.transition_detection_word(fault)
+        words = engine.transition_detection_words(result.targeted_faults)
+        for i, (fault, word) in enumerate(zip(result.targeted_faults, words)):
             assert (word >> i) & 1, fault.describe(circ)
 
     def test_detected_per_test_sums_to_detected(self, lion_run):

@@ -17,7 +17,7 @@ from repro.faults.registry import (
     available_fault_models,
     fault_model,
     model_for_block,
-    query_detection_words,
+    query_detection_matrix,
     register_fault_model,
 )
 from repro.fsim.backend import create_backend
@@ -62,23 +62,23 @@ class TestDispatch:
         with pytest.raises(FaultModelError, match="list"):
             model_for_block([0, 1])
 
-    def test_query_detection_words_single_vectors(self):
+    def test_query_detection_matrix_single_vectors(self):
         circ = lion_like()
         faults = collapsed_fault_list(circ)
         engine = create_backend(circ, "bigint")
         block = PatternSet.exhaustive(circ.num_inputs)
-        words = query_detection_words(engine, block, faults)
-        assert len(words) == len(faults)
-        assert any(words)  # the exhaustive set detects something
+        matrix = query_detection_matrix(engine, block, faults)
+        assert matrix.num_faults == len(faults)
+        assert matrix.any_rows().any()  # the exhaustive set detects something
 
-    def test_query_detection_words_pairs(self):
+    def test_query_detection_matrix_pairs(self):
         circ = lion_like()
         faults = transition_fault_list(circ)
         engine = create_backend(circ, "bigint")
         block = PatternPairSet.random(circ.num_inputs, 64, seed=3)
-        words = query_detection_words(engine, block, faults)
-        assert len(words) == len(faults)
-        assert any(words)
+        matrix = query_detection_matrix(engine, block, faults)
+        assert matrix.num_faults == len(faults)
+        assert matrix.any_rows().any()
 
 
 class TestModelSurface:
@@ -128,7 +128,7 @@ class TestExtension:
             collapse=lambda circ: [],
             random_pool=lambda n, c, s: MarkerBlock(n, 0, tuple([0] * n)),
             load=lambda engine, block: engine.load(block),
-            query=lambda engine, faults: engine.detection_words(faults),
+            query=lambda engine, faults: engine.detection_matrix(faults),
             testgen=lambda circ, ordered, config=None: None,
             fault_to_json=lambda f: [f.node, f.pin, f.value],
             fault_from_json=lambda d: Fault(*d),

@@ -39,7 +39,7 @@ def exhaustive_pairs(num_inputs: int) -> PatternPairSet:
 def transition_detection(circ, pairs, fault):
     engine = create_backend(circ, "bigint")
     engine.load_pairs(pairs)
-    return engine.transition_detection_word(fault)
+    return engine.transition_detection_words([fault])[0]
 
 
 class TestModel:
@@ -112,9 +112,10 @@ class TestCollapseSemantics:
         engine.load_pairs(pairs)
         collapsed = collapse_transition_faults(small_circuit)
         for rep in collapsed.representatives:
-            expected = engine.transition_detection_word(rep)
-            for member in collapsed.members(rep):
-                assert engine.transition_detection_word(member) == expected, (
+            members = collapsed.members(rep)
+            words = engine.transition_detection_words([rep, *members])
+            for member, word in zip(members, words[1:]):
+                assert word == words[0], (
                     f"{member.describe(small_circuit)} !~ "
                     f"{rep.describe(small_circuit)}"
                 )
@@ -128,10 +129,9 @@ class TestCollapseSemantics:
             engine.load_pairs(pairs)
             collapsed = collapse_transition_faults(circ)
             for rep in collapsed.representatives:
-                expected = engine.transition_detection_word(rep)
-                for member in collapsed.members(rep):
-                    assert (engine.transition_detection_word(member)
-                            == expected)
+                words = engine.transition_detection_words(
+                    [rep, *collapsed.members(rep)])
+                assert words == [words[0]] * len(words)
 
 
 class TestCollapseStructure:

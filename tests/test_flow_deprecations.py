@@ -1,8 +1,8 @@
 """Moved symbols and unified seeding.
 
-``PatternBlock`` and ``query_detection_words`` live in
+``PatternBlock`` and ``query_detection_matrix`` live in
 ``repro.faults.registry`` (the old ``repro.fsim.dropping`` aliases are
-gone); importing them from their canonical homes must not warn.
+gone); importing them from their canonical home must not warn.
 """
 
 import warnings
@@ -16,9 +16,8 @@ class TestDroppingShims:
             warnings.simplefilter("error", DeprecationWarning)
             from repro.faults.registry import (  # noqa: F401
                 PatternBlock,
-                query_detection_words,
+                query_detection_matrix,
             )
-            from repro.fsim import query_detection_words  # noqa: F401,F811
 
 
 class TestSeedUnification:

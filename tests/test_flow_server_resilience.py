@@ -210,6 +210,11 @@ class TestCapacityShedding:
             status, __, __d = http_error_of(
                 lambda: post_run(server, tiny_config()))
             assert status == 504
+            # The handler frees its slot in its finally, after the 504
+            # is flushed (drain counts a handler until its response is
+            # written), so the client can hold the 504 a hair earlier.
+            _wait(lambda: server._handler_runs == 0,
+                  message="timed-out handler never freed its slot")
             # The handler exited: admission is open again...
             assert server.enter_run() is None
             server.exit_run()

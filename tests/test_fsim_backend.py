@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import generated_circuit
+from helpers import engine_words, generated_circuit
 
 from repro.circuit.flatten import compile_circuit
 from repro.circuit.gate_types import GateType
@@ -29,14 +29,15 @@ from repro.fsim.backend import (
     available_backends,
     create_backend,
     default_backend_name,
-    detection_words,
     register_backend,
     resolve_backend,
-    transition_detection_words,
 )
 from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.parallel import ParallelFaultSimulator
+from repro.fsim.sharded import ShardedFaultSim
+from repro.resilience import RetryPolicy
 from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.telemetry import scoped_registry
 
 ALL_BACKENDS = ("bigint", "numpy", "auto")
 
@@ -152,7 +153,63 @@ class TestRegistry:
         for name in ALL_BACKENDS:
             engine = create_backend(c17_circuit, name)
             with pytest.raises(SimulationError, match="load"):
-                engine.detection_word(fault)
+                engine.detection_words([fault])
+
+
+class TestLoadChecks:
+    """A block with the wrong input count is a caller error, raised at load."""
+
+    @staticmethod
+    def _engine(circ, name):
+        if name == "parallel":
+            # Two shards and min_faults=1: queries take the pool path.
+            return ShardedFaultSim(
+                circ, num_shards=2, min_faults=1,
+                policy=RetryPolicy(max_attempts=3, backoff_seconds=0.0),
+            )
+        return create_backend(circ, name)
+
+    @pytest.mark.parametrize("name", ("bigint", "numpy", "auto", "parallel"))
+    def test_wrong_width_blocks_raise_at_load(self, name):
+        circ = generated_circuit(5, num_inputs=8, num_gates=40)
+        engine = self._engine(circ, name)
+        with scoped_registry() as registry:
+            with pytest.raises(SimulationError, match="9 inputs"):
+                engine.load(PatternSet.random(9, 16, seed=1))
+            with pytest.raises(SimulationError, match="9 inputs"):
+                engine.load_pairs(PatternPairSet.random(9, 16, seed=1))
+        assert [family.name for family in registry.families()
+                if family.name.startswith("repro_resilience_")] == []
+        assert engine.num_patterns == 0
+
+    @pytest.mark.parametrize("name", ("bigint", "numpy", "auto", "parallel"))
+    def test_rejected_block_keeps_the_staged_one(self, name):
+        circ = generated_circuit(5, num_inputs=8, num_gates=40)
+        faults = collapsed_fault_list(circ)
+        transition_faults = transition_universe(circ)
+        patterns = PatternSet.random(8, 16, seed=2)
+        pairs = PatternPairSet.random(8, 24, seed=3)
+        engine = self._engine(circ, name)
+        try:
+            engine.load(patterns)
+            with pytest.raises(SimulationError, match="9 inputs"):
+                engine.load(PatternSet.random(9, 16, seed=1))
+            assert engine.num_patterns == 16
+            assert engine.detection_words(faults) == \
+                engine_words(circ, faults, patterns, "bigint")
+            engine.load_pairs(pairs)
+            with pytest.raises(SimulationError, match="9 inputs"):
+                engine.load(PatternSet.random(9, 16, seed=1))
+            with pytest.raises(SimulationError, match="9 inputs"):
+                engine.load_pairs(PatternPairSet.random(9, 16, seed=1))
+            assert engine.num_patterns == 24
+            assert engine.transition_detection_words(transition_faults) == \
+                engine_words(circ, transition_faults, pairs, "bigint")
+            assert engine.detection_words(faults) == \
+                engine_words(circ, faults, pairs.capture, "bigint")
+        finally:
+            if isinstance(engine, ShardedFaultSim):
+                engine.close()
 
 
 class TestCrossBackendEquivalence:
@@ -162,19 +219,18 @@ class TestCrossBackendEquivalence:
                                  num_outputs=5)
         faults = collapsed_fault_list(circ)
         patterns = PatternSet.random(circ.num_inputs, 96, seed=seed + 1)
-        reference = detection_words(circ, faults, patterns, backend="bigint")
+        reference = engine_words(circ, faults, patterns, "bigint")
         for name in ("numpy", "auto"):
-            assert detection_words(circ, faults, patterns,
-                                   backend=name) == reference, name
+            assert engine_words(circ, faults, patterns, name) == reference, \
+                name
 
     def test_small_circuits_exhaustive(self, small_circuit):
         faults = collapsed_fault_list(small_circuit)
         patterns = PatternSet.exhaustive(small_circuit.num_inputs)
-        reference = detection_words(small_circuit, faults, patterns,
-                                    backend="bigint")
+        reference = engine_words(small_circuit, faults, patterns, "bigint")
         for name in ("numpy", "auto"):
-            assert detection_words(small_circuit, faults, patterns,
-                                   backend=name) == reference, name
+            assert engine_words(small_circuit, faults, patterns,
+                                name) == reference, name
 
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 200])
     def test_word_boundary_widths(self, width):
@@ -182,8 +238,8 @@ class TestCrossBackendEquivalence:
         circ = generated_circuit(7, num_inputs=6, num_gates=40)
         faults = collapsed_fault_list(circ)
         patterns = PatternSet.random(circ.num_inputs, width, seed=width)
-        assert (detection_words(circ, faults, patterns, backend="numpy")
-                == detection_words(circ, faults, patterns, backend="bigint"))
+        assert (engine_words(circ, faults, patterns, "numpy")
+                == engine_words(circ, faults, patterns, "bigint"))
 
     def test_degenerate_arity_gates(self):
         # Single-input AND/OR and 3-input gates are legal netlists; the
@@ -204,18 +260,18 @@ class TestCrossBackendEquivalence:
 
         faults = collapsed_fault_list(circ)
         patterns = PatternSet.exhaustive(circ.num_inputs)
-        reference = detection_words(circ, faults, patterns, backend="bigint")
+        reference = engine_words(circ, faults, patterns, "bigint")
         for name in ("numpy", "auto"):
-            assert detection_words(circ, faults, patterns,
-                                   backend=name) == reference, name
+            assert engine_words(circ, faults, patterns, name) == reference, \
+                name
 
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
     def test_region_edge_cases_stuck_at(self, width):
         circ = region_edge_circuit()
         faults = with_every_pin(circ, full_universe(circ), Fault)
         patterns = PatternSet.random(circ.num_inputs, width, seed=width)
-        assert (detection_words(circ, faults, patterns, backend="numpy")
-                == detection_words(circ, faults, patterns, backend="bigint"))
+        assert (engine_words(circ, faults, patterns, "numpy")
+                == engine_words(circ, faults, patterns, "bigint"))
 
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
     def test_region_edge_cases_transition(self, width):
@@ -223,21 +279,8 @@ class TestCrossBackendEquivalence:
         faults = with_every_pin(circ, transition_universe(circ),
                                 TransitionFault)
         pairs = PatternPairSet.random(circ.num_inputs, width, seed=width)
-        assert (transition_detection_words(circ, faults, pairs,
-                                           backend="numpy")
-                == transition_detection_words(circ, faults, pairs,
-                                              backend="bigint"))
-
-    def test_good_values_agree(self, c17_circuit):
-        patterns = PatternSet.random(c17_circuit.num_inputs, 40, seed=2)
-        engines = {
-            name: create_backend(c17_circuit, name) for name in ALL_BACKENDS
-        }
-        for engine in engines.values():
-            engine.load(patterns)
-        reference = engines["bigint"].good_values
-        assert engines["numpy"].good_values == reference
-        assert engines["auto"].good_values == reference
+        assert (engine_words(circ, faults, pairs, "numpy")
+                == engine_words(circ, faults, pairs, "bigint"))
 
 
 class TestEdgeCases:
@@ -255,7 +298,7 @@ class TestEdgeCases:
         single = PatternSet.from_vectors([[1, 0, 1, 0, 1]],
                                          c17_circuit.num_inputs)
         words = {
-            name: detection_words(c17_circuit, faults, single, backend=name)
+            name: engine_words(c17_circuit, faults, single, name)
             for name in ALL_BACKENDS
         }
         assert words["numpy"] == words["bigint"] == words["auto"]
@@ -293,8 +336,8 @@ class TestEdgeCases:
             engine.detection_words(faults)
             engine.load(second)
             assert engine.num_patterns == 32
-            assert engine.detection_words(faults) == detection_words(
-                c17_circuit, faults, second, backend="bigint"
+            assert engine.detection_words(faults) == engine_words(
+                c17_circuit, faults, second, "bigint"
             )
 
 

@@ -6,9 +6,8 @@ is **bit-identical** to the single-core result — for shard counts
 {1, 2, 3, 7} (uneven splits included), block widths straddling uint64
 word boundaries {63, 64, 65, 129}, both fault models, and both base
 engines.  Around it: the shard planner, the ``parallel[:S[:BASE]]``
-spec strings, the env knobs, the ``BackendSpec``/CLI plumbing, the
-fault-model registry's shard slicing, and the ``auto`` dispatcher's
-parallel thresholds.
+spec strings, the env knobs, the ``BackendSpec``/CLI plumbing, and the
+``auto`` dispatcher's parallel thresholds.
 """
 
 import multiprocessing
@@ -78,7 +77,7 @@ def reference(circuit, faults_by_model):
             engine = create_backend(circuit, "numpy")
             block = _block(model_name, circuit.num_inputs, width)
             model.load(engine, block)
-            out[(model_name, width)] = model.query_matrix(engine, faults)
+            out[(model_name, width)] = model.query(engine, faults)
     return out
 
 
@@ -130,7 +129,7 @@ class TestCrossShardEquivalence:
                 for width in BOUNDARY_WIDTHS:
                     block = _block(model_name, circuit.num_inputs, width)
                     model.load(engine, block)
-                    matrix = model.query_matrix(engine, faults)
+                    matrix = model.query(engine, faults)
                     assert matrix == reference[(model_name, width)], (
                         model_name, width)
         assert len(multiprocessing.active_children()) == before
@@ -144,8 +143,7 @@ class TestCrossShardEquivalence:
             matrix = engine.detection_matrix(faults)
         assert matrix == reference[("stuck_at", 65)].row_slice(0, 5)
 
-    def test_words_and_single_fault_views_match(self, circuit,
-                                                faults_by_model):
+    def test_words_view_matches(self, circuit, faults_by_model):
         faults = faults_by_model["stuck_at"]
         serial = create_backend(circuit, "bigint")
         block = _block("stuck_at", circuit.num_inputs, 64)
@@ -155,7 +153,6 @@ class TestCrossShardEquivalence:
                              min_faults=1) as engine:
             engine.load(block)
             assert engine.detection_words(faults) == expected
-            assert engine.detection_word(faults[0]) == expected[0]
             assert engine.num_patterns == 64
 
     def test_transition_word_views_match(self, circuit, faults_by_model):
@@ -167,7 +164,6 @@ class TestCrossShardEquivalence:
         with ShardedFaultSim(circuit, num_shards=2, min_faults=1) as engine:
             engine.load_pairs(block)
             assert engine.transition_detection_words(faults) == expected
-            assert engine.transition_detection_word(faults[1]) == expected[1]
 
     def test_small_queries_run_inline(self, circuit, faults_by_model):
         """Below min_faults the pool is never created."""
@@ -295,25 +291,6 @@ class TestBackendSpecKnobs:
             ["run", "--config", str(path), "--backend", "numpy"]
         ))
         assert config.backend == BackendSpec(fsim="numpy")
-
-
-class TestRegistrySharding:
-    @pytest.mark.parametrize("model_name", MODELS)
-    def test_shard_target_faults_round_trips(self, circuit, faults_by_model,
-                                             model_name):
-        model = fault_model(model_name)
-        for num_shards in SHARD_COUNTS:
-            shards = model.shard_target_faults(circuit, num_shards)
-            assert len(shards) == num_shards
-            rejoined = [fault for shard in shards for fault in shard]
-            assert rejoined == faults_by_model[model_name]
-
-    def test_oversubscribed_universe_has_empty_shards(self, circuit):
-        model = fault_model("stuck_at")
-        total = len(model.target_faults(circuit))
-        shards = model.shard_target_faults(circuit, total + 3)
-        assert sum(len(s) for s in shards) == total
-        assert [len(s) for s in shards[-3:]] == [0, 0, 0]
 
 
 class TestAutoDispatch:

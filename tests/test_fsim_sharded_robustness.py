@@ -21,7 +21,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults import collapsed_fault_list
 from repro.faults.model import Fault
-from repro.fsim import sharded
+from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.sharded import ShardedFaultSim
 from repro.resilience import RetryPolicy
 from repro.sim.patterns import PatternSet
@@ -100,11 +100,11 @@ class TestWorkerFailure:
     def test_keyboard_interrupt_inside_worker(self, circuit, faults,
                                               monkeypatch, census):
         """A KI delivered to a worker comes home as one SimulationError."""
-        def interrupted(engine, kind, shard_faults):
+        def interrupted(engine, shard_faults):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(sharded, "_worker_query", interrupted)
-        engine = _loaded_engine(circuit, num_shards=2)
+        monkeypatch.setattr(NumpyFaultSim, "detection_matrix", interrupted)
+        engine = _loaded_engine(circuit, num_shards=2, base="numpy")
         with pytest.raises(SimulationError, match="KeyboardInterrupt"):
             engine.detection_matrix(faults)
         assert engine._pool is None

@@ -92,7 +92,7 @@ class TestDegradation:
         # The degraded inline pass accounts its faults under shard label
         # "degraded" — visibly not the normal sharded path.
         assert registry.counter(FAULTS_METRIC).labels(
-            base=engine.base, kind="single", shard="degraded",
+            base=engine.base, shard="degraded",
         ).value == len(faults)
 
     def test_degrade_disabled_raises_after_retries(

@@ -11,20 +11,20 @@ single-fault simulator, independent of both production engines.
 
 import pytest
 
-from helpers import generated_circuit
+from helpers import engine_words, generated_circuit
 
 from repro.circuit import Circuit, compile_circuit
 from repro.errors import SimulationError
 from repro.faults import TransitionFault, transition_universe
 from repro.faults.model import STEM
-from repro.fsim.backend import create_backend, transition_detection_words
+from repro.fsim.backend import create_backend
 from repro.fsim.serial import detection_word_serial
 from repro.fsim.transition import initialization_word, launch_line_word
 from repro.sim.bitsim import simulate
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.utils.bitvec import full_mask
 
-ALL_BACKENDS = ("bigint", "numpy", "auto")
+ALL_BACKENDS = ("bigint", "numpy", "auto", "parallel")
 
 #: Pair counts straddling the numpy engine's 64-bit word boundary.
 WORD_BOUNDARY_WIDTHS = (1, 63, 64, 65, 130)
@@ -90,8 +90,7 @@ class TestCrossBackend:
         pairs = PatternPairSet.random(circ.num_inputs, width, seed=width)
         reference = None
         for name in ALL_BACKENDS:
-            words = transition_detection_words(circ, faults, pairs,
-                                               backend=name)
+            words = engine_words(circ, faults, pairs, name)
             if reference is None:
                 reference = words
             else:
@@ -105,18 +104,17 @@ class TestCrossBackend:
             pairs = PatternPairSet.random(circ.num_inputs, width, seed=3)
             expected = [reduction_oracle(circ, pairs, f) for f in faults]
             for name in ALL_BACKENDS:
-                assert transition_detection_words(
-                    circ, faults, pairs, backend=name
-                ) == expected, name
+                assert engine_words(circ, faults, pairs, name) == expected, \
+                    name
 
-    def test_convenience_equals_manual_flow(self, c17_circuit):
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_matrix_equals_words(self, c17_circuit, name):
         faults = transition_universe(c17_circuit)
         pairs = PatternPairSet.random(c17_circuit.num_inputs, 40, seed=2)
-        engine = create_backend(c17_circuit, "numpy")
+        engine = create_backend(c17_circuit, name)
         engine.load_pairs(pairs)
-        assert transition_detection_words(
-            c17_circuit, faults, pairs, backend="numpy"
-        ) == engine.transition_detection_words(faults)
+        assert engine.transition_detection_matrix(faults).to_bigints() == \
+            engine.transition_detection_words(faults)
 
 
 class TestLifecycle:
@@ -133,8 +131,8 @@ class TestLifecycle:
         pairs = PatternPairSet.random(c17_circuit.num_inputs, 8, seed=0)
         engine.load_pairs(pairs)
         engine.load(pairs.capture)
-        with pytest.raises(SimulationError):
-            engine.transition_detection_word(TransitionFault(0, STEM, 1))
+        with pytest.raises(SimulationError, match="load_pairs"):
+            engine.transition_detection_words([TransitionFault(0, STEM, 1)])
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_reload_pairs_switches_block(self, c17_circuit, name):
@@ -145,8 +143,7 @@ class TestLifecycle:
         engine.load_pairs(first)
         engine.load_pairs(second)
         assert engine.transition_detection_words(faults) == \
-            transition_detection_words(c17_circuit, faults, second,
-                                       backend="bigint")
+            engine_words(c17_circuit, faults, second, "bigint")
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_capture_half_answers_stuck_at_queries(self, c17_circuit, name):
@@ -163,7 +160,7 @@ class TestLifecycle:
     def test_empty_pair_block(self, c17_circuit):
         faults = transition_universe(c17_circuit)
         empty = PatternPairSet.random(c17_circuit.num_inputs, 24, seed=0).take(0)
-        for name in ("bigint", "numpy"):
+        for name in ALL_BACKENDS:
             engine = create_backend(c17_circuit, name)
             engine.load_pairs(empty)
             assert engine.transition_detection_words(faults) == \

@@ -19,17 +19,21 @@ from repro.adi.index import (
     compute_adi,
 )
 from repro.faults import collapsed_fault_list
-from repro.faults.registry import (
-    query_detection_matrix,
-    query_detection_words,
-)
+from repro.faults.registry import query_detection_matrix
 from repro.faults.transition import transition_fault_list
-from repro.fsim.backend import available_backends, create_backend
+from repro.fsim import backend as backend_mod
+from repro.fsim.backend import (
+    FaultSimBackend,
+    available_backends,
+    create_backend,
+    register_backend,
+)
 from repro.fsim.dropping import coverage_curve, drop_simulate
+from repro.fsim.serial import detection_word_serial
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.utils.detmatrix import DetectionMatrix
 
-from helpers import generated_circuit
+from helpers import engine_words, generated_circuit
 
 #: Block widths straddling uint64 word boundaries.
 BOUNDARY_WIDTHS = (1, 63, 64, 65, 129)
@@ -70,9 +74,7 @@ class TestMatrixVsWords:
                                      model_name, width):
         faults = faults_for(model_name, stuck_faults, transition_faults)
         block = block_for(model_name, circuit.num_inputs, width)
-        words = query_detection_words(
-            create_backend(circuit, backend_name), block, faults
-        )
+        words = engine_words(circuit, faults, block, backend_name)
         matrix = query_detection_matrix(
             create_backend(circuit, backend_name), block, faults
         )
@@ -108,9 +110,7 @@ class TestAdiEquivalence:
         faults = faults_for(model_name, stuck_faults, transition_faults)
         block = block_for(model_name, circuit.num_inputs, width)
         packed = compute_adi(circuit, faults, block, mode=mode)
-        words = query_detection_words(
-            create_backend(circuit, "bigint"), block, faults
-        )
+        words = engine_words(circuit, faults, block, "bigint")
         via_words = adi_from_detection_words(faults, words, width, mode)
         assert packed.detection_masks == tuple(words)
         assert np.array_equal(packed.ndet, via_words.ndet)
@@ -148,9 +148,7 @@ class TestDroppingEquivalence:
         block = block_for(model_name, circuit.num_inputs, width)
         result = drop_simulate(circuit, faults, block, chunk_size=32,
                                backend=backend_name)
-        words = query_detection_words(
-            create_backend(circuit, backend_name), block, faults
-        )
+        words = engine_words(circuit, faults, block, backend_name)
         expected = {
             fault: (word & -word).bit_length() - 1
             for fault, word in zip(faults, words) if word
@@ -165,9 +163,7 @@ class TestDroppingEquivalence:
         faults = faults_for(model_name, stuck_faults, transition_faults)
         block = block_for(model_name, circuit.num_inputs, width)
         curve = coverage_curve(circuit, faults, block, chunk_size=16)
-        words = query_detection_words(
-            create_backend(circuit, "bigint"), block, faults
-        )
+        words = engine_words(circuit, faults, block, "bigint")
         firsts = [
             (w & -w).bit_length() - 1 for w in words if w
         ]
@@ -192,31 +188,84 @@ class TestDroppingEquivalence:
             assert stopped.num_simulated == crossing + 1
 
 
-class TestThirdPartyBackendFallback:
-    def test_query_matrix_packs_words_without_native_support(self, circuit,
-                                                             stuck_faults):
-        """Engines without detection_matrix still serve packed queries."""
+class MinimalEngine(FaultSimBackend):
+    """Staging plus one query: the serial oracle over the kept block."""
 
-        class WordsOnly:
-            name = "words-only"
-            circ = circuit
+    name = "minimal"
 
-            def __init__(self):
-                self._engine = create_backend(circuit, "bigint")
+    def _stage(self, patterns):
+        self.patterns = patterns
 
-            def load(self, patterns):
-                self._engine.load(patterns)
+    def detection_words(self, faults):
+        return [detection_word_serial(self.circ, self.patterns, fault)
+                for fault in faults]
 
-            @property
-            def num_patterns(self):
-                return self._engine.num_patterns
 
-            def detection_words(self, faults):
-                return self._engine.detection_words(faults)
+class PackedMinimalEngine(FaultSimBackend):
+    """Staging plus the packed query: the serial oracle, packed per query."""
 
-        block = block_for("stuck_at", circuit.num_inputs, 65)
-        matrix = query_detection_matrix(WordsOnly(), block, stuck_faults)
+    name = "minimal-packed"
+
+    def _stage(self, patterns):
+        self.patterns = patterns
+
+    def detection_matrix(self, faults):
+        return DetectionMatrix.from_bigints(
+            [detection_word_serial(self.circ, self.patterns, fault)
+             for fault in faults],
+            self.patterns.num_patterns,
+        )
+
+
+def _registered(engine_cls):
+    register_backend(engine_cls.name, engine_cls, replace=True)
+    yield engine_cls.name
+    backend_mod._REGISTRY.pop(engine_cls.name)
+
+
+@pytest.fixture
+def minimal_backend():
+    yield from _registered(MinimalEngine)
+
+
+@pytest.fixture
+def packed_minimal_backend():
+    yield from _registered(PackedMinimalEngine)
+
+
+class TestEngineContract:
+    """An engine that supplies staging and one query gets the rest."""
+
+    @pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
+    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+    def test_minimal_engine_matches_bigint(self, c17_circuit,
+                                           minimal_backend, model_name,
+                                           width):
+        faults = faults_for(model_name, collapsed_fault_list(c17_circuit),
+                            transition_fault_list(c17_circuit))
+        block = block_for(model_name, c17_circuit.num_inputs, width)
+        matrix = query_detection_matrix(
+            create_backend(c17_circuit, minimal_backend), block, faults
+        )
         reference = query_detection_matrix(
-            create_backend(circuit, "bigint"), block, stuck_faults
+            create_backend(c17_circuit, "bigint"), block, faults
         )
         assert matrix == reference
+        assert any(matrix.any_rows())
+
+    @pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
+    def test_packed_only_engine_answers_word_queries(self, c17_circuit,
+                                                     packed_minimal_backend,
+                                                     model_name):
+        faults = faults_for(model_name, collapsed_fault_list(c17_circuit),
+                            transition_fault_list(c17_circuit))
+        for width in BOUNDARY_WIDTHS:
+            block = block_for(model_name, c17_circuit.num_inputs, width)
+            assert engine_words(c17_circuit, faults, block,
+                                packed_minimal_backend) == \
+                engine_words(c17_circuit, faults, block, "bigint"), width
+
+    def test_an_engine_without_a_query_is_rejected(self):
+        with pytest.raises(TypeError, match="detection_words"):
+            class NoQuery(FaultSimBackend):
+                name = "no-query"

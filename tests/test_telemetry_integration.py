@@ -7,6 +7,9 @@ Two cross-layer invariants anchor the observability story:
   that appear in a ``--trace`` tree and in the process registry's
   ``repro_flow_stage_seconds`` histogram, so no two surfaces can
   disagree;
+* **One fsim span per pipeline query** — an engine query made through
+  the fault-model registry records exactly one ``fsim.detection_matrix``
+  span, however the engine dispatches or reduces it internally;
 * **Parent equals the sum of the workers** — the ``parallel`` backend's
   workers record into scoped registries whose snapshots merge back under
   a ``shard`` label; summing ``repro_fsim_faults_total`` across shard
@@ -18,7 +21,9 @@ import json
 
 import pytest
 
+from repro.adi import compute_adi
 from repro.faults import collapsed_fault_list
+from repro.faults.registry import fault_model
 from repro.flow import CircuitSpec, Flow, FlowConfig, USpec
 from repro.flow.cli import main as cli_main
 from repro.fsim.sharded import FAULTS_METRIC, ShardedFaultSim
@@ -107,6 +112,26 @@ def test_cli_trace_artifact_matches_summary(tmp_path, capsys):
     assert stages and all(node["seconds"] >= 0 for node in stages)
     assert document["total_seconds"] == pytest.approx(
         sum(node["seconds"] for node in document["spans"]))
+
+
+# -- one fsim span per pipeline query -----------------------------------------
+
+@pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
+def test_adi_query_records_one_fsim_span(model_name):
+    circuit = generated_circuit(17, num_inputs=12, num_gates=150,
+                                num_outputs=6)
+    model = fault_model(model_name)
+    faults = model.target_faults(circuit)
+    block = model.random_pool(circuit.num_inputs, 64, 3)
+    with tracing() as collector:
+        compute_adi(circuit, faults, block, backend="auto")
+    fsim = [node for __, node in collector.walk()
+            if node["name"].startswith("fsim")]
+    assert [node["name"] for node in fsim] == ["fsim.detection_matrix"]
+    assert fsim[0]["labels"] == {"backend": "auto",
+                                 "faults": str(len(faults)),
+                                 "model": model_name}
+    assert fsim[0]["children"] == []
 
 
 # -- sharded worker merge -----------------------------------------------------
