@@ -1,8 +1,9 @@
 """Deterministic test generation: SCOAP, PODEM, SAT-ATPG, compaction.
 
-Single-pattern stuck-at tests come from :func:`generate_tests`;
-two-pattern transition tests from :func:`generate_transition_tests`
-(same ordered-targets / fault-dropping loop, pair-shaped tests).
+One ordered-targets / fault-dropping loop (:func:`ordered_tests`)
+serves every fault model and returns one :class:`TestGenResult`:
+:func:`generate_tests` supplies single-vector stuck-at tests,
+:func:`generate_transition_tests` two-pattern transition tests.
 """
 
 from repro.atpg.compaction import (
@@ -13,7 +14,12 @@ from repro.atpg.compaction import (
     reverse_order_compaction,
 )
 from repro.atpg.cop import Cop, compute_cop, random_resistant_faults
-from repro.atpg.engine import TestGenConfig, TestGenResult, generate_tests
+from repro.atpg.engine import (
+    TestGenConfig,
+    TestGenResult,
+    generate_tests,
+    ordered_tests,
+)
 from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus, podem
 from repro.atpg.random_fill import (
     fill_constant,
@@ -30,10 +36,7 @@ from repro.atpg.sat import (
 )
 from repro.atpg.satgen import SatAtpg, sat_podem
 from repro.atpg.scoap import Scoap, compute_scoap
-from repro.atpg.transition import (
-    TransitionTestGenResult,
-    generate_transition_tests,
-)
+from repro.atpg.transition import generate_transition_tests
 
 __all__ = [
     "CnfFormula",
@@ -49,7 +52,6 @@ __all__ = [
     "Scoap",
     "TestGenConfig",
     "TestGenResult",
-    "TransitionTestGenResult",
     "compute_cop",
     "compute_scoap",
     "detection_matrix",
@@ -59,6 +61,7 @@ __all__ = [
     "generate_tests",
     "generate_transition_tests",
     "greedy_cover_compaction",
+    "ordered_tests",
     "podem",
     "random_resistant_faults",
     "reorder_by_detection",

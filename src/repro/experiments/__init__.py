@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     TRANSITION_ORDERS,
     ExperimentRunner,
     PreparedCircuit,
-    PreparedTransitionCircuit,
 )
 from repro.experiments.suite import (
     ALL_CIRCUITS,
@@ -50,7 +49,6 @@ __all__ = [
     "ExperimentRunner",
     "Figure1Result",
     "PreparedCircuit",
-    "PreparedTransitionCircuit",
     "QUICK_CIRCUITS",
     "SUITE",
     "SuiteEntry",

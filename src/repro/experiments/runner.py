@@ -11,12 +11,12 @@ between orders::
 Historically this module *was* a second implementation of that pipeline;
 it is now only a mapping from the experiment harness's vocabulary
 (circuit names, order names, the prepared-circuit bundles the table
-modules consume) onto :class:`~repro.flow.flow.Flow` calls.  The
-transition-fault experiment is the same mapping with
-``fault_model="transition"``.  Everything is deterministic given the
-runner's seed, and passing ``cache_dir`` persists every stage in the
-content-addressed artifact cache so repeated table runs skip whole
-stages.
+modules consume) onto :class:`~repro.flow.flow.Flow` calls.  Every
+stage method takes a ``fault_model`` argument; the transition-fault
+experiment is the same calls with ``fault_model="transition"``.
+Everything is deterministic given the runner's seed, and passing
+``cache_dir`` persists every stage in the content-addressed artifact
+cache so repeated table runs skip whole stages.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from dataclasses import dataclass
 
 from repro.adi import AdiResult, USelection
 from repro.adi.metrics import CurveReport
-from repro.atpg import TestGenResult, TransitionTestGenResult
+from repro.atpg import TestGenResult
 from repro.circuit.flatten import CompiledCircuit
 from repro.experiments import suite
-from repro.faults.model import Fault
-from repro.faults.transition import TransitionFault
 from repro.flow.cache import ArtifactCache
 from repro.flow.config import (
     BackendSpec,
@@ -56,36 +54,20 @@ TRANSITION_ORDERS: Tuple[str, ...] = ("orig", "dynm", "0dynm")
 
 @dataclass
 class PreparedCircuit:
-    """Everything up to (and including) the ADI computation."""
+    """Everything up to (and including) the ADI computation.
+
+    ``faults`` is one fault model's collapsed target list; ``selection``
+    holds ``U`` in that model's container (vectors or pairs).
+    """
 
     circuit: CompiledCircuit
-    faults: List[Fault]
+    faults: list
     selection: USelection
     adi: AdiResult
 
     @property
     def num_faults(self) -> int:
         """Size of the collapsed target fault list ``F``."""
-        return len(self.faults)
-
-
-@dataclass
-class PreparedTransitionCircuit:
-    """The transition-fault analogue of :class:`PreparedCircuit`.
-
-    ``faults`` is the collapsed transition target list; ``selection``
-    holds the two-pattern vector set ``U`` (a ``PatternPairSet``), and
-    ``adi`` the indices computed over those pairs.
-    """
-
-    circuit: CompiledCircuit
-    faults: List[TransitionFault]
-    selection: USelection
-    adi: AdiResult
-
-    @property
-    def num_faults(self) -> int:
-        """Size of the collapsed transition target list."""
         return len(self.faults)
 
 
@@ -113,8 +95,7 @@ class ExperimentRunner:
         self.fsim_backend = fsim_backend
         self._cache = cache_dir
         self._flows: Dict[Tuple[str, str], Flow] = {}
-        self._prepared: Dict[str, PreparedCircuit] = {}
-        self._prepared_transition: Dict[str, PreparedTransitionCircuit] = {}
+        self._prepared: Dict[Tuple[str, str], PreparedCircuit] = {}
 
     # -- the facade binding ---------------------------------------------------
 
@@ -139,69 +120,40 @@ class ExperimentRunner:
             self._flows[key] = Flow(config, cache=self._cache)
         return self._flows[key]
 
-    # -- stuck-at pipeline stages ---------------------------------------------
+    # -- pipeline stages ------------------------------------------------------
 
-    def prepare(self, name: str) -> PreparedCircuit:
+    def prepare(self, name: str,
+                fault_model: str = "stuck_at") -> PreparedCircuit:
         """Circuit + faults + ``U`` + ADI for one suite circuit (cached)."""
-        if name not in self._prepared:
-            with span("experiment.prepare", circuit=name):
-                flow = self.flow(name)
-                self._prepared[name] = PreparedCircuit(
-                    circuit=flow.circuit(),
-                    faults=list(flow.faults()),
-                    selection=flow.selection(),
-                    adi=flow.adi(),
-                )
-        return self._prepared[name]
-
-    def order_permutation(self, name: str, order: str) -> List[int]:
-        """The permutation a named order induces for one circuit."""
-        return self.flow(name).permutation(order)
-
-    def testgen(self, name: str, order: str) -> TestGenResult:
-        """Ordered test generation for (circuit, order), cached."""
-        with span("experiment.testgen", circuit=name, order=order):
-            return self.flow(name).tests(order)
-
-    def curve(self, name: str, order: str) -> CurveReport:
-        """Coverage curve of the generated test set, cached."""
-        return self.flow(name).report(order)
-
-    # -- transition-fault pipeline --------------------------------------------
-
-    def prepare_transition(self, name: str) -> PreparedTransitionCircuit:
-        """Circuit + transition faults + pair ``U`` + ADI (cached).
-
-        The same flow as :meth:`prepare` with the fault model swapped:
-        collapsed transition faults, a random two-pattern pool truncated
-        at the target coverage, ADI over the selected pairs.
-        """
-        if name not in self._prepared_transition:
+        key = (name, fault_model)
+        if key not in self._prepared:
             with span("experiment.prepare", circuit=name,
-                      fault_model="transition"):
-                flow = self.flow(name, "transition")
-                self._prepared_transition[name] = PreparedTransitionCircuit(
+                      fault_model=fault_model):
+                flow = self.flow(name, fault_model)
+                self._prepared[key] = PreparedCircuit(
                     circuit=flow.circuit(),
                     faults=list(flow.faults()),
                     selection=flow.selection(),
                     adi=flow.adi(),
                 )
-        return self._prepared_transition[name]
+        return self._prepared[key]
 
-    def transition_order_permutation(self, name: str, order: str) -> List[int]:
-        """The permutation a named order induces on the transition list."""
-        return self.flow(name, "transition").permutation(order)
+    def order_permutation(self, name: str, order: str,
+                          fault_model: str = "stuck_at") -> List[int]:
+        """The permutation a named order induces for one circuit."""
+        return self.flow(name, fault_model).permutation(order)
 
-    def transition_testgen(self, name: str,
-                           order: str) -> TransitionTestGenResult:
-        """Ordered two-pattern test generation for (circuit, order), cached."""
+    def testgen(self, name: str, order: str,
+                fault_model: str = "stuck_at") -> TestGenResult:
+        """Ordered test generation for (circuit, order), cached."""
         with span("experiment.testgen", circuit=name, order=order,
-                  fault_model="transition"):
-            return self.flow(name, "transition").tests(order)
+                  fault_model=fault_model):
+            return self.flow(name, fault_model).tests(order)
 
-    def transition_curve(self, name: str, order: str) -> CurveReport:
-        """Coverage curve of the generated two-pattern test set, cached."""
-        return self.flow(name, "transition").report(order)
+    def curve(self, name: str, order: str,
+              fault_model: str = "stuck_at") -> CurveReport:
+        """Coverage curve of the generated test set, cached."""
+        return self.flow(name, fault_model).report(order)
 
     # -- convenience -----------------------------------------------------------
 

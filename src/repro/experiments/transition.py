@@ -58,13 +58,13 @@ def run_transition(runner: Optional[ExperimentRunner] = None,
     runner = runner or ExperimentRunner()
     rows: List[TransitionRow] = []
     for name in circuits or selected_circuits():
-        prepared = runner.prepare_transition(name)
+        prepared = runner.prepare(name, "transition")
         tests: Dict[str, int] = {}
         coverage: Dict[str, float] = {}
         ave: Dict[str, float] = {}
         for order in orders:
-            result = runner.transition_testgen(name, order)
-            curve = runner.transition_curve(name, order)
+            result = runner.testgen(name, order, "transition")
+            curve = runner.curve(name, order, "transition")
             tests[order] = result.num_tests
             coverage[order] = result.fault_coverage()
             ave[order] = curve.ave
@@ -132,9 +132,9 @@ def run_transition_figure(runner: Optional[ExperimentRunner] = None,
     same normalization, only the fault model behind the curves differs.
     """
     runner = runner or ExperimentRunner()
-    prepared = runner.prepare_transition(circuit)
+    prepared = runner.prepare(circuit, "transition")
     reports: Dict[str, CurveReport] = {
-        order: runner.transition_curve(circuit, order) for order in orders
+        order: runner.curve(circuit, order, "transition") for order in orders
     }
     return figure_from_reports(circuit, len(prepared.faults), reports)
 

@@ -15,7 +15,7 @@ about one model —
 * how to stage a block into a fault-simulation backend and query its
   packed detection matrix (the stuck-at vs. two-pattern half of the
   engine contract);
-* which ordered test-generation loop produces its tests;
+* its test-generation step on the one ordered loop;
 * a JSON codec for individual faults (artifact caching).
 
 ``stuck_at`` and ``transition`` register here at import time; adding a
@@ -54,19 +54,6 @@ from repro.utils.detmatrix import DetectionMatrix
 PatternBlock = Union[PatternSet, PatternPairSet]
 
 
-def default_testgen_result_from_json(common, payload):
-    """Construct a plain :class:`~repro.atpg.engine.TestGenResult`.
-
-    The default ``testgen_result_from_json`` for models whose test
-    generator returns the standard result type; models with their own
-    type (extra fields, different class) override it — see the
-    transition model.
-    """
-    from repro.atpg.engine import TestGenResult
-
-    return TestGenResult(**common)
-
-
 @dataclass(frozen=True)
 class FaultModel:
     """Everything the pipeline needs to know about one fault model.
@@ -87,17 +74,12 @@ class FaultModel:
         half of the engine contract for single vectors, the two-pattern
         half for pairs.
     ``testgen(circ, ordered_faults, config)``
-        The ordered fault-dropping test-generation loop
+        The model's step on the one ordered fault-dropping loop
         (:func:`repro.atpg.engine.generate_tests` or
         :func:`repro.atpg.transition.generate_transition_tests`);
         implementations import lazily to keep the registry import-light.
     ``fault_to_json(fault)`` / ``fault_from_json(data)``
         A stable JSON codec for one fault, used by the artifact cache.
-    ``testgen_result_from_json(common, payload)``
-        Construct the model's test-generation result type from the
-        decoded shared fields plus the raw payload (for model-specific
-        extras like ``launch_fallbacks``) — the cache's counterpart of
-        ``testgen``, so deserialization never switches on model names.
     """
 
     name: str
@@ -111,7 +93,6 @@ class FaultModel:
     testgen: Callable
     fault_to_json: Callable
     fault_from_json: Callable
-    testgen_result_from_json: Callable = default_testgen_result_from_json
 
     def target_faults(self, circ, collapse: bool = True) -> list:
         """The model's target list ``F``: collapsed by default."""
@@ -198,28 +179,18 @@ def query_detection_matrix(engine, block: PatternBlock,
 
 # -- built-in models ----------------------------------------------------------
 
-def _stuck_at_testgen(circ, ordered_faults, config=None):
+def _stuck_at_tests(circ, ordered_faults, config=None):
     """Lazy forwarder to :func:`repro.atpg.engine.generate_tests`."""
     from repro.atpg.engine import generate_tests
 
     return generate_tests(circ, ordered_faults, config)
 
 
-def _transition_testgen(circ, ordered_faults, config=None):
+def _transition_tests(circ, ordered_faults, config=None):
     """Lazy forwarder to :func:`~repro.atpg.transition.generate_transition_tests`."""
     from repro.atpg.transition import generate_transition_tests
 
     return generate_transition_tests(circ, ordered_faults, config)
-
-
-def _transition_result_from_json(common, payload):
-    """Lazy constructor for a cached
-    :class:`~repro.atpg.transition.TransitionTestGenResult`."""
-    from repro.atpg.transition import TransitionTestGenResult
-
-    return TransitionTestGenResult(
-        launch_fallbacks=int(payload.get("launch_fallbacks", 0)), **common
-    )
 
 
 def _stuck_at_from_json(data) -> Fault:
@@ -243,7 +214,7 @@ STUCK_AT = FaultModel(
     ),
     load=lambda engine, block: engine.load(block),
     query=lambda engine, faults: engine.detection_matrix(faults),
-    testgen=_stuck_at_testgen,
+    testgen=_stuck_at_tests,
     fault_to_json=lambda f: [f.node, f.pin, f.value],
     fault_from_json=_stuck_at_from_json,
 )
@@ -259,10 +230,9 @@ TRANSITION = FaultModel(
     ),
     load=lambda engine, block: engine.load_pairs(block),
     query=lambda engine, faults: engine.transition_detection_matrix(faults),
-    testgen=_transition_testgen,
+    testgen=_transition_tests,
     fault_to_json=lambda f: [f.node, f.pin, f.rise],
     fault_from_json=_transition_from_json,
-    testgen_result_from_json=_transition_result_from_json,
 )
 
 register_fault_model(STUCK_AT)

@@ -291,7 +291,8 @@ def _render_run(flow: Flow, config: FlowConfig):
         f"ADI        {summary['adi']['min']} .. {summary['adi']['max']}",
         f"order      {result.order_name}",
         f"tests      {result.tests.num_tests}, fault coverage "
-        f"{result.tests.fault_coverage():.1%} "
+        f"{result.tests.fault_coverage():.1%}, efficiency "
+        f"{result.tests.fault_efficiency():.1%} "
         f"({summary['tests']['detected']} detected, "
         f"{summary['tests']['undetectable']} undetectable, "
         f"{summary['tests']['aborted']} aborted)",
@@ -325,6 +326,7 @@ def _render_testgen(flow: Flow, config: FlowConfig):
         "order": config.order.name,
         "num_tests": result.num_tests,
         "fault_coverage": result.fault_coverage(),
+        "fault_efficiency": result.fault_efficiency(),
         "num_detected": result.num_detected,
         "num_undetectable": result.num_undetectable,
         "num_aborted": result.num_aborted,
@@ -335,7 +337,8 @@ def _render_testgen(flow: Flow, config: FlowConfig):
             f"{result.num_detected} detected, "
             f"{result.num_undetectable} undetectable, "
             f"{result.num_aborted} aborted "
-            f"({result.fault_coverage():.1%} coverage)")
+            f"({result.fault_coverage():.1%} coverage, "
+            f"{result.fault_efficiency():.1%} efficiency)")
     return document, text
 
 

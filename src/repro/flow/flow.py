@@ -135,6 +135,7 @@ class FlowResult:
             "tests": {
                 "count": self.tests.num_tests,
                 "coverage": self.tests.fault_coverage(),
+                "fault_efficiency": self.tests.fault_efficiency(),
                 "detected": self.tests.num_detected,
                 "undetectable": self.tests.num_undetectable,
                 "aborted": self.tests.num_aborted,
@@ -465,12 +466,8 @@ class Flow:
         return [faults[i] for i in self.permutation(order)]
 
     def tests(self, order: Optional[str] = None):
-        """Ordered fault-dropping test generation for one order.
-
-        Returns the model's result type
-        (:class:`repro.atpg.engine.TestGenResult` or
-        :class:`repro.atpg.transition.TransitionTestGenResult`).
-        """
+        """Ordered fault-dropping test generation for one order: one
+        :class:`repro.atpg.engine.TestGenResult` for every fault model."""
         name = self._order_name(order)
 
         def compute():
@@ -484,7 +481,9 @@ class Flow:
             encode=lambda result: serialize.testgen_to_json(
                 self._model, result
             ),
-            decode=serialize.testgen_from_json,
+            decode=lambda payload: serialize.testgen_from_json(
+                payload, self.faults()
+            ),
         )
 
     def report(self, order: Optional[str] = None) -> CurveReport:

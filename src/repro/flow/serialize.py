@@ -20,7 +20,9 @@ strings, numbers) so the artifact cache can persist them as-is:
   its masks;
 * fault orders — the permutation of target-list positions, checked on
   load to be one;
-* test-generation results and curve reports.
+* test-generation results (one type for every fault model), checked
+  on load against the target list and for internal consistency;
+* curve reports.
 
 Every decoder validates shape and raises
 :class:`repro.errors.ExperimentError` on mismatch — a cache file that
@@ -36,6 +38,7 @@ import numpy as np
 from repro.adi.index import AdiResult, adi_from_detection_words
 from repro.adi.metrics import CurveReport
 from repro.adi.sampling import USelection
+from repro.atpg.engine import TestGenResult
 from repro.errors import ExperimentError
 from repro.faults.registry import FaultModel, fault_model
 from repro.faults.sets import FaultStatus
@@ -211,14 +214,12 @@ def permutation_from_json(data: Dict[str, Any]) -> List[int]:
 # -- test-generation results --------------------------------------------------
 
 def testgen_to_json(model: Union[str, FaultModel], result) -> Dict[str, Any]:
-    """Encode a (transition) test-generation result.
+    """Encode a :class:`repro.atpg.engine.TestGenResult` of any model.
 
-    Works for both :class:`repro.atpg.engine.TestGenResult` and
-    :class:`repro.atpg.transition.TransitionTestGenResult`; the model
-    name embedded in the payload picks the right type on load.
+    The model name embedded in the payload picks the fault codec on load.
     """
     model = fault_model(model)
-    payload = {
+    return {
         "model": model.name,
         "circuit_name": result.circuit_name,
         "tests": pattern_block_to_json(result.tests),
@@ -234,13 +235,17 @@ def testgen_to_json(model: Union[str, FaultModel], result) -> Dict[str, Any]:
         "backtracks": result.backtracks,
         "runtime_seconds": result.runtime_seconds,
     }
-    if hasattr(result, "launch_fallbacks"):
-        payload["launch_fallbacks"] = result.launch_fallbacks
-    return payload
 
 
-def testgen_from_json(data: Dict[str, Any]):
-    """Decode :func:`testgen_to_json` output to the model's result type."""
+def testgen_from_json(data: Dict[str, Any], faults: Sequence):
+    """Decode :func:`testgen_to_json` output against the target fault list.
+
+    The result must be consistent with ``faults`` and with itself: its
+    status map covers exactly the target list, it has one targeted
+    fault and one drop count per test, the drop counts add up to the
+    detected faults, and every targeted fault is detected.  A cached
+    test set failing any of these would report a wrong coverage.
+    """
     model = fault_model(data.get("model"))
     entries = data.get("status")
     _require(isinstance(entries, list), "testgen payload lacks status list")
@@ -248,7 +253,10 @@ def testgen_from_json(data: Dict[str, Any]):
         model.fault_from_json(fault_data): FaultStatus(value)
         for fault_data, value in entries
     }
-    common = dict(
+    _require(len(status) == len(entries) == len(faults)
+             and set(status) == set(faults),
+             "test-set status does not cover the target fault list")
+    result = TestGenResult(
         circuit_name=data["circuit_name"],
         tests=pattern_block_from_json(data["tests"]),
         status=status,
@@ -260,9 +268,15 @@ def testgen_from_json(data: Dict[str, Any]):
         backtracks=int(data["backtracks"]),
         runtime_seconds=float(data["runtime_seconds"]),
     )
-    # The registered model owns its result type (and any extra fields),
-    # exactly as it owns the fault codec — no model-name switches here.
-    return model.testgen_result_from_json(common, data)
+    _require(result.num_tests == len(result.targeted_faults)
+             == len(result.detected_per_test),
+             "test count, targeted faults and drop counts disagree")
+    _require(sum(result.detected_per_test) == result.num_detected,
+             "drop counts do not add up to the detected faults")
+    _require(all(status.get(f) == FaultStatus.DETECTED
+                 for f in result.targeted_faults),
+             "a targeted fault is not detected")
+    return result
 
 
 # -- curve reports ------------------------------------------------------------

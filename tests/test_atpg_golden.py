@@ -180,3 +180,23 @@ def test_launch_fallback_failure_aborts(fill):
     # A failed launch justification proves nothing about the target:
     # it must stay ABORTED, never become UNDETECTABLE.
     assert result.status[slow_to_rise[0]] == FaultStatus.ABORTED
+
+
+def test_fault_efficiency_discounts_only_proven_faults():
+    __, faults, result = _run("gen7_limit20", "stuck_at", "random")
+    assert result.num_undetectable > 0 and result.num_aborted > 0
+    assert result.fault_efficiency() == pytest.approx(
+        result.num_detected / (len(faults) - result.num_undetectable))
+    # Aborted faults still count against the run; proven ones do not.
+    assert result.fault_coverage() < result.fault_efficiency() < 1.0
+
+
+def test_fault_efficiency_all_undetectable_is_one():
+    circ, __, result = _run("gen3_unbounded", "stuck_at", "random")
+    redundant = [f for f, status in result.status.items()
+                 if status == FaultStatus.UNDETECTABLE]
+    rerun = generate_tests(circ, redundant, TestGenConfig(backtrack_limit=None))
+    assert rerun.num_undetectable == len(redundant) > 0
+    assert rerun.num_tests == 0
+    assert rerun.fault_coverage() == 0.0
+    assert rerun.fault_efficiency() == 1.0

@@ -33,7 +33,7 @@ def rows(runner):
 
 class TestPipeline:
     def test_prepare_transition_shapes(self, runner):
-        prepared = runner.prepare_transition("irs208")
+        prepared = runner.prepare("irs208", "transition")
         assert prepared.num_faults > 0
         assert isinstance(prepared.selection.patterns, PatternPairSet)
         assert prepared.adi.num_vectors == prepared.selection.num_vectors
@@ -50,17 +50,17 @@ class TestPipeline:
             assert row.num_faults > row.tests["orig"]
 
     def test_permutations_and_caching(self, runner):
-        perm = runner.transition_order_permutation("irs208", "dynm")
-        prepared = runner.prepare_transition("irs208")
+        perm = runner.order_permutation("irs208", "dynm", "transition")
+        prepared = runner.prepare("irs208", "transition")
         assert sorted(perm) == list(range(prepared.num_faults))
-        assert runner.transition_testgen("irs208", "dynm") is \
-            runner.transition_testgen("irs208", "dynm")
+        assert runner.testgen("irs208", "dynm", "transition") is \
+            runner.testgen("irs208", "dynm", "transition")
 
     def test_unknown_order_raises(self, runner):
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError, match="unknown order"):
-            runner.transition_order_permutation("irs208", "bogus")
+            runner.order_permutation("irs208", "bogus", "transition")
 
 
 class TestAcceptance:

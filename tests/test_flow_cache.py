@@ -236,7 +236,7 @@ class TestArtifactRoundTrips:
         data = json.loads(json.dumps(
             serialize.testgen_to_json("stuck_at", result)
         ))
-        restored = serialize.testgen_from_json(data)
+        restored = serialize.testgen_from_json(data, faults)
         assert type(restored) is type(result)
         assert restored.tests == result.tests
         assert restored.status == result.status
@@ -249,11 +249,47 @@ class TestArtifactRoundTrips:
         data = json.loads(json.dumps(
             serialize.testgen_to_json("transition", result)
         ))
-        restored = serialize.testgen_from_json(data)
+        restored = serialize.testgen_from_json(data, faults)
         assert type(restored) is type(result)
         assert restored.tests == result.tests
         assert restored.status == result.status
-        assert restored.launch_fallbacks == result.launch_fallbacks
+        assert restored.detected_per_test == result.detected_per_test
+        assert restored.targeted_faults == result.targeted_faults
+        assert restored.podem_calls == result.podem_calls
+        # Test sets cached before the two result types merged carry a
+        # launch_fallbacks count; the decoder ignores it.
+        data["launch_fallbacks"] = 1
+        assert serialize.testgen_from_json(data, faults).tests == result.tests
+
+    @pytest.mark.parametrize("corruption", [
+        "status-truncated", "status-foreign", "status-duplicated",
+        "target-dropped", "drop-count-off", "target-undetected",
+    ])
+    def test_testgen_rejects_inconsistent_payload(self, lion, corruption):
+        faults = collapsed_fault_list(lion)
+        result = generate_tests(lion, faults, TestGenConfig(seed=3))
+        data = json.loads(json.dumps(
+            serialize.testgen_to_json("stuck_at", result)
+        ))
+        status = data["status"]
+        if corruption == "status-truncated":
+            data["status"] = status[: len(status) // 2]
+        elif corruption == "status-foreign":
+            data["status"] = status[:-1] + [[[999, -1, 0], "detected"]]
+        elif corruption == "status-duplicated":
+            data["status"] = status + status[:1]
+        elif corruption == "target-dropped":
+            data["targeted_faults"] = data["targeted_faults"][:-1]
+        elif corruption == "drop-count-off":
+            data["detected_per_test"][0] += 1
+        else:
+            target = data["targeted_faults"][0]
+            for entry in status:
+                if entry[0] == target:
+                    entry[1] = "aborted"
+            data["detected_per_test"][0] -= 1
+        with pytest.raises(ExperimentError, match="corrupt flow artifact"):
+            serialize.testgen_from_json(data, faults)
 
     def test_permutation(self):
         perm = [2, 0, 3, 1]
@@ -311,8 +347,10 @@ class TestFlowCacheBehaviour:
         assert sources["testgen"] == "computed"
         assert sources["curve"] == "computed"
 
-    @pytest.mark.parametrize("corruption", ["adi-garbage", "order-truncated",
-                                            "order-duplicated"])
+    @pytest.mark.parametrize("corruption", [
+        "adi-garbage", "order-truncated", "order-duplicated",
+        "testgen-truncated-status", "testgen-dropped-target",
+    ])
     def test_corrupt_stage_file_recomputed(self, tmp_path, corruption):
         flow = Flow(self.CONFIG, cache=tmp_path)
         cold = flow.run()
@@ -322,6 +360,17 @@ class TestFlowCacheBehaviour:
             path = tmp_path / "adi" / f"{flow.adi_key()}.json"
             assert path.exists()
             path.write_text("garbage{{{")
+        elif corruption.startswith("testgen-"):
+            stage = f"testgen:{name}"
+            path = tmp_path / "testgen" / f"{flow.testgen_key(name)}.json"
+            document = json.loads(path.read_text())
+            payload = document["payload"]
+            if corruption == "testgen-truncated-status":
+                payload["status"] = payload["status"][
+                    : len(payload["status"]) // 2]
+            else:
+                payload["targeted_faults"] = payload["targeted_faults"][:-1]
+            path.write_text(json.dumps(document))
         else:
             stage = f"order:{name}"
             path = tmp_path / "order" / f"{flow.order_key(name)}.json"
@@ -342,3 +391,4 @@ class TestFlowCacheBehaviour:
         assert (rerun.adi.adi == cold.adi.adi).all()
         assert rerun.permutation == cold.permutation
         assert rerun.tests.tests == cold.tests.tests
+        assert rerun.summary()["tests"] == cold.summary()["tests"]

@@ -117,6 +117,22 @@ class TestSubcommands:
         patterns = read_patterns(tests_file)
         assert patterns.num_patterns == document["num_tests"]
 
+    def test_fault_efficiency_reported(self, capsys, tmp_path):
+        cache = str(tmp_path)
+        __, out, __ = _run(capsys, "run", *GEN, "--cache-dir", cache, "--json")
+        document = json.loads(out)
+        tests = document["tests"]
+        testable = document["faults"]["count"] - tests["undetectable"]
+        assert tests["fault_efficiency"] == pytest.approx(
+            tests["detected"] / testable)
+        __, out, __ = _run(capsys, "testgen", *GEN, "--cache-dir", cache,
+                           "--json")
+        assert json.loads(out)["fault_efficiency"] == tests["fault_efficiency"]
+        for command in ("run", "testgen"):
+            __, out, __ = _run(capsys, command, *GEN, "--cache-dir", cache)
+            assert "efficiency" in out
+            assert f"{tests['fault_efficiency']:.1%}" in out
+
     def test_report_json(self, capsys, tmp_path):
         code, out, _ = _run(
             capsys, "report", *GEN, "--cache-dir", str(tmp_path), "--json"

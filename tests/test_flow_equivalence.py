@@ -101,14 +101,9 @@ class TestCliMatchesExperimentRunner:
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == "repro.flow/v1"
 
-        if model == "stuck_at":
-            prepared = runner.prepare(CIRCUIT)
-            tests = runner.testgen(CIRCUIT, ORDER)
-            curve = runner.curve(CIRCUIT, ORDER)
-        else:
-            prepared = runner.prepare_transition(CIRCUIT)
-            tests = runner.transition_testgen(CIRCUIT, ORDER)
-            curve = runner.transition_curve(CIRCUIT, ORDER)
+        prepared = runner.prepare(CIRCUIT, model)
+        tests = runner.testgen(CIRCUIT, ORDER, model)
+        curve = runner.curve(CIRCUIT, ORDER, model)
 
         assert document["faults"]["count"] == prepared.num_faults
         assert document["u"]["num_vectors"] == prepared.selection.num_vectors
@@ -118,6 +113,9 @@ class TestCliMatchesExperimentRunner:
         assert document["tests"]["count"] == tests.num_tests
         assert document["tests"]["coverage"] == pytest.approx(
             tests.fault_coverage()
+        )
+        assert document["tests"]["fault_efficiency"] == pytest.approx(
+            tests.fault_efficiency()
         )
         outcomes = {key: document["tests"][key]
                     for key in ("detected", "undetectable", "aborted")}
