@@ -1,9 +1,10 @@
 """Deterministic test generation: SCOAP, PODEM, SAT-ATPG, compaction.
 
-One ordered-targets / fault-dropping loop (:func:`ordered_tests`)
-serves every fault model and returns one :class:`TestGenResult`:
-:func:`generate_tests` supplies single-vector stuck-at tests,
-:func:`generate_transition_tests` two-pattern transition tests.
+One ordered-targets / fault-dropping loop
+(:func:`repro.atpg.engine.ordered_tests`) serves every fault model and
+returns one :class:`TestGenResult`: :func:`generate_tests` supplies
+single-vector stuck-at tests, :func:`generate_transition_tests`
+two-pattern transition tests.
 """
 
 from repro.atpg.compaction import (
@@ -14,12 +15,7 @@ from repro.atpg.compaction import (
     reverse_order_compaction,
 )
 from repro.atpg.cop import Cop, compute_cop, random_resistant_faults
-from repro.atpg.engine import (
-    TestGenConfig,
-    TestGenResult,
-    generate_tests,
-    ordered_tests,
-)
+from repro.atpg.engine import TestGenConfig, TestGenResult, generate_tests
 from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus, podem
 from repro.atpg.random_fill import (
     fill_constant,
@@ -61,7 +57,6 @@ __all__ = [
     "generate_tests",
     "generate_transition_tests",
     "greedy_cover_compaction",
-    "ordered_tests",
     "podem",
     "random_resistant_faults",
     "reorder_by_detection",

@@ -108,6 +108,24 @@ class TestGenerateTests:
         with pytest.raises(AtpgError):
             generate_tests(lion_circuit, faults + faults[:1])
 
+    def test_test_missing_its_target_is_an_engine_bug(self, lion_circuit):
+        # A model step whose test does not detect its target must stop
+        # the loop, never leave the target silently undetected.
+        from repro.atpg.engine import ordered_tests
+        from repro.sim.patterns import PatternSet
+
+        width = lion_circuit.num_inputs
+
+        def all_zero_test(fault, podem, fill):
+            return [0] * width  # cannot detect every lion fault
+
+        with pytest.raises(AtpgError, match="engine bug"):
+            ordered_tests(
+                lion_circuit, collapsed_fault_list(lion_circuit), GenConfig(),
+                "fill", all_zero_test,
+                lambda vectors: PatternSet.from_vectors(vectors, width),
+            )
+
     def test_zero_fill_policy(self, lion_circuit):
         faults = collapsed_fault_list(lion_circuit)
         result = generate_tests(
