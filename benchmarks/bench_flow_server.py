@@ -41,6 +41,11 @@ ACCEPTANCE_RPS = 50.0
 #: Concurrent client threads during the timed window.
 CLIENTS = 4
 
+#: The request counter families recorded from ``GET /metrics``.
+COUNTER_FAMILIES = ("repro_http_requests_total",
+                    "repro_http_run_served_total",
+                    "repro_http_errors_total")
+
 
 def quickstart_config() -> FlowConfig:
     """The exact config examples/quickstart.py runs."""
@@ -56,6 +61,19 @@ def _post(base: str, body: bytes) -> dict:
     request = urllib.request.Request(base + "/run", data=body)
     with urllib.request.urlopen(request, timeout=120) as response:
         return json.loads(response.read())
+
+
+def _request_counters(base: str) -> dict:
+    """The server's request counters from ``GET /metrics``, keyed by
+    series (``'repro_http_run_served_total{source="cache"}'`` ...)."""
+    with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
+        text = response.read().decode("utf-8")
+    counters = {}
+    for line in text.splitlines():
+        if line.startswith(COUNTER_FAMILIES):
+            series, value = line.rsplit(" ", 1)
+            counters[series] = float(value)
+    return counters
 
 
 def run_benchmark(seconds: float = 2.0) -> dict:
@@ -92,8 +110,7 @@ def run_benchmark(seconds: float = 2.0) -> dict:
                 list(pool.map(hammer, range(CLIENTS)))
             elapsed = time.perf_counter() - timed_started
 
-            stats = json.loads(urllib.request.urlopen(
-                base + "/stats", timeout=30).read())
+            counters = _request_counters(base)
         finally:
             server.shutdown()
             server.server_close()
@@ -109,7 +126,7 @@ def run_benchmark(seconds: float = 2.0) -> dict:
         "warm_requests": warm_requests,
         "requests_per_sec": round(rps, 1),
         "non_cache_responses": non_cache,
-        "server_counters": stats["requests"],
+        "server_counters": counters,
         "acceptance_rps": ACCEPTANCE_RPS,
     }
 

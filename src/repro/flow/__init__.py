@@ -53,7 +53,6 @@ from repro.flow.flow import (
     FlowResult,
     StageInfo,
     build_circuit_from_spec,
-    run_flow,
 )
 from repro.flow.server import FlowServer
 
@@ -76,7 +75,6 @@ __all__ = [
     "USpec",
     "build_circuit_from_spec",
     "default_cache_root",
-    "run_flow",
     "stable_hash",
     "stage_key",
 ]

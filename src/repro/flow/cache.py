@@ -26,11 +26,13 @@ full disk — are detected on read, deleted, and transparently recomputed.
 Keys are pure content hashes, so the cache is safe to share between
 processes and to prune at any time (``repro cache prune``).
 
-For long-running services (:mod:`repro.flow.server`) the cache also
-keeps an append-only *access ledger* (``ledger.jsonl`` under the root):
-every hit and put appends one line, and :meth:`ArtifactCache.prune`
-accepts a byte budget (``max_bytes``) that evicts least-recently-used
-artifacts first until the cache fits.
+Recency lives in the artifact files themselves: every hit and every
+written put stamps its artifact's mtime with the wall clock
+(``os.utime``), and :meth:`ArtifactCache.prune` accepts a byte budget
+(``max_bytes``) that evicts the oldest stamps first until the cache
+fits — LRU pruning for long-running services
+(:mod:`repro.flow.server`) with no per-access record and no shared lock
+on the read path.
 
 Degradation: a cache that cannot write — ``ENOSPC``, a read-only
 filesystem, a permission flip under a running server — must never turn
@@ -38,9 +40,9 @@ into request failures.  Any ``OSError`` on the artifact write path flips
 the instance into a sticky *pass-through* mode: subsequent puts
 short-circuit (counted under ``repro_cache_puts_total{outcome="degraded"}``),
 reads keep working against whatever is already on disk, and the flow
-recomputes what it cannot persist.  Ledger appends and prunes absorb
-``OSError`` the same way without flipping the sticky flag (the ledger
-is advisory).  Every absorbed error increments
+recomputes what it cannot persist.  Recency stamps and prunes absorb
+``OSError`` the same way without flipping the sticky flag (a stamp only
+orders eviction).  Every absorbed error increments
 ``repro_cache_degraded_total{op=...}`` and logs one structured line per
 op; :meth:`ArtifactCache.reset_degraded` re-arms writes after the
 operator fixes the disk.  The ``cache.write.enospc`` and
@@ -54,10 +56,8 @@ for aggregation) — hit/miss and put outcomes as counters
 prune latencies as histograms (``repro_cache_op_seconds``), and bytes on
 disk as a gauge (``repro_cache_disk_bytes``, refreshed by
 :meth:`ArtifactCache.stats` — i.e. on every ``/stats`` or ``/metrics``
-scrape).  :meth:`ArtifactCache.counters` is a *read view* of the same
-registry series under the historical key names (``hits`` / ``misses`` /
-``puts_written`` / ``puts_deduped``), kept as deprecated aliases so
-``/stats`` and ``/metrics`` can never disagree.
+scrape).  The registry is the only home of these counters; the flow
+server renders it on ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.resilience import chaos as _chaos
 from repro.telemetry import MetricsRegistry, log_event
@@ -88,9 +88,6 @@ CACHE_ENV_VAR = "REPRO_FLOW_CACHE_DIR"
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_ROOT = os.path.join("results", "cache")
-
-#: File name of the access ledger, directly under the cache root.
-LEDGER_NAME = "ledger.jsonl"
 
 
 def canonical_json(obj: Any) -> str:
@@ -189,27 +186,15 @@ class ArtifactCache:
     processes: writes are per-key locked and atomic, reads never observe
     a torn file.
 
-    ``ledger`` switches the on-disk access ledger (needed for LRU
-    pruning); it defaults on and costs one appended line per hit/put.
     ``registry`` injects the telemetry registry the cache records into
     (the flow server aggregates its cache's registry into ``/metrics``);
     by default each cache gets a private one, so independent caches in
     one process never mix counters.
     """
 
-    #: Legacy ``counters()`` key → (family, label key, label value).
-    _COUNTER_SERIES = {
-        "hits": ("repro_cache_requests_total", "result", "hit"),
-        "misses": ("repro_cache_requests_total", "result", "miss"),
-        "puts_written": ("repro_cache_puts_total", "outcome", "written"),
-        "puts_deduped": ("repro_cache_puts_total", "outcome", "deduped"),
-    }
-
     def __init__(self, root: Union[str, Path, None] = None, *,
-                 ledger: bool = True,
                  registry: Optional[MetricsRegistry] = None):
         self.root = Path(root) if root is not None else default_cache_root()
-        self.ledger_enabled = ledger
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter(
             "repro_cache_requests_total",
@@ -268,95 +253,27 @@ class ArtifactCache:
         # Dot-prefixed so stats/prune globbing on *.json never sees it.
         return self.root / stage / f".{key}.lock"
 
-    def _ledger_path(self) -> Path:
-        return self.root / LEDGER_NAME
-
-    def _count(self, name: str, by: int = 1) -> None:
-        family, label, value = self._COUNTER_SERIES[name]
-        if family == "repro_cache_requests_total":
-            self._requests.labels(**{label: value}).inc(by)
-        else:
-            self._puts.labels(**{label: value}).inc(by)
-
-    def counters(self) -> Dict[str, int]:
-        """This cache's hit/miss/put counters under their historical keys.
-
-        Deprecated aliases: the values are read straight from the
-        telemetry registry series (``repro_cache_requests_total`` /
-        ``repro_cache_puts_total``), so this view and ``GET /metrics``
-        agree by construction.
-        """
-        out = {}
-        for name, (family, label, value) in self._COUNTER_SERIES.items():
-            series = (self._requests
-                      if family == "repro_cache_requests_total"
-                      else self._puts)
-            out[name] = int(series.labels(**{label: value}).value)
-        return out
-
     def _observe_op(self, op: str, started: float) -> None:
         self._op_seconds.labels(op=op).observe(time.perf_counter() - started)
 
-    # -- ledger --------------------------------------------------------------
+    def _touch(self, path: Path) -> None:
+        """Stamp ``path``'s mtime with the wall clock: the recency
+        :meth:`prune` evicts by, one clock for puts and hits.
 
-    def _ledger_append(self, event: str, stage: str, key: str) -> None:
-        if not self.ledger_enabled or self._degraded:
-            return
-        line = canonical_json({
-            "event": event, "stage": stage, "key": key, "ts": time.time(),
-        })
-        path = self._ledger_path()
-        try:
-            with _FileLock(path.with_suffix(".lock")):
-                with open(path, "a") as handle:
-                    handle.write(line + "\n")
-        except OSError as exc:
-            # The ledger is advisory (it only sharpens LRU pruning);
-            # never let it fail a read or write of real artifacts.
-            self._note_write_error("ledger", exc)
-
-    def _ledger_access_times(self) -> Dict[Tuple[str, str], float]:
-        """Last recorded access per (stage, key); empty if no ledger."""
-        times: Dict[Tuple[str, str], float] = {}
-        try:
-            text = self._ledger_path().read_text()
-        except OSError:
-            return times
-        for line in text.splitlines():
-            try:
-                entry = json.loads(line)
-                times[(entry["stage"], entry["key"])] = float(entry["ts"])
-            except (ValueError, TypeError, KeyError):
-                continue  # torn tail line from a killed appender
-        return times
-
-    def _ledger_compact(self, dropped) -> None:
-        """Compact the ledger to one line per surviving artifact.
-
-        ``dropped`` is a predicate over ``(stage, key)`` pairs naming the
-        entries to discard.  The ledger is re-read *inside* the ledger
-        lock — the same lock :meth:`_ledger_append` takes — so hit/put
-        lines appended by concurrent threads between the caller's
-        snapshot and this rewrite are preserved, not silently lost.
+        Skipped in pass-through mode.  A file pruned since it was read
+        needs no stamp; any other ``OSError`` is counted and logged but
+        never sticky — a stamp only orders eviction, so it must never
+        fail the hit or put it follows.
         """
-        if not self.ledger_enabled:
+        if self._degraded:
             return
-        path = self._ledger_path()
+        now = time.time_ns()
         try:
-            with _FileLock(path.with_suffix(".lock")):
-                times = self._ledger_access_times()
-                lines = [
-                    canonical_json({"event": "hit", "stage": stage,
-                                    "key": key, "ts": ts})
-                    for (stage, key), ts in sorted(times.items(),
-                                                   key=lambda item: item[1])
-                    if not dropped((stage, key))
-                ]
-                tmp = path.with_suffix(".tmp")
-                tmp.write_text("".join(line + "\n" for line in lines))
-                os.replace(tmp, path)
-        except OSError:
+            os.utime(path, ns=(now, now))
+        except FileNotFoundError:
             pass
+        except OSError as exc:
+            self._note_write_error("touch", exc)
 
     # -- artifact I/O --------------------------------------------------------
 
@@ -377,7 +294,7 @@ class ArtifactCache:
         try:
             text = path.read_text()
         except (FileNotFoundError, OSError):
-            self._count("misses")
+            self._requests.labels(result="miss").inc()
             return None
         if _chaos.fire("cache.read.corrupt", stage=stage):
             text = text[: len(text) // 2]  # simulate a torn/garbled file
@@ -402,10 +319,10 @@ class ArtifactCache:
                 # Even taking the lock can fail (read-only filesystem);
                 # a corrupt entry we cannot delete is still just a miss.
                 self._note_write_error("recover", exc)
-            self._count("misses")
+            self._requests.labels(result="miss").inc()
             return None
-        self._count("hits")
-        self._ledger_append("hit", stage, key)
+        self._requests.labels(result="hit").inc()
+        self._touch(path)
         return document["payload"]
 
     @staticmethod
@@ -452,7 +369,7 @@ class ArtifactCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             with _FileLock(self._lock_path(stage, key)):
                 if not replace and self._read_valid(path, key) is not None:
-                    self._count("puts_deduped")
+                    self._puts.labels(outcome="deduped").inc()
                     return path
                 document = {
                     "format": CACHE_FORMAT_VERSION,
@@ -480,8 +397,8 @@ class ArtifactCache:
             self._note_write_error("put", exc, sticky=True)
             self._puts.labels(outcome="degraded").inc()
             return path
-        self._count("puts_written")
-        self._ledger_append("put", stage, key)
+        self._puts.labels(outcome="written").inc()
+        self._touch(path)
         return path
 
     def delete(self, stage: str, key: str) -> bool:
@@ -540,10 +457,10 @@ class ArtifactCache:
         Without ``max_bytes`` this clears everything (of one stage, or
         the whole cache) — the historical behaviour.  With ``max_bytes``
         it enforces an LRU size bound instead: least-recently-used
-        artifacts (per the access ledger, falling back to file mtime for
-        artifacts that predate it) are evicted until the cache's total
-        size is within the budget.  Pruning to a budget is idempotent —
-        a second call with the same budget removes nothing.
+        artifacts (oldest mtime stamp first, ties broken by path) are
+        evicted until the cache's total size is within the budget.
+        Pruning to a budget is idempotent — a second call with the same
+        budget removes nothing.
         """
         started = time.perf_counter()
         try:
@@ -567,32 +484,21 @@ class ArtifactCache:
                     removed += 1
                 except OSError:
                     pass
-            if stage is None:
-                try:
-                    self._ledger_path().unlink()
-                except OSError:
-                    pass
-            else:
-                self._ledger_compact(lambda sk: sk[0] == stage)
             return removed
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        times = self._ledger_access_times()
-        entries = []  # (last_access, path, size, (stage, key))
+        entries = []  # (last access, path, size)
         total = 0
         for path in self._artifact_files(stage):
-            stage_key_pair = (path.parent.name, path.stem)
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            last = times.get(stage_key_pair, stat.st_mtime)
-            entries.append((last, path, stat.st_size, stage_key_pair))
+            entries.append((stat.st_mtime_ns, path, stat.st_size))
             total += stat.st_size
         removed = 0
-        evicted = set()
-        for last, path, size, stage_key_pair in sorted(
-                entries, key=lambda e: (e[0], str(e[1]))):
+        for _, path, size in sorted(entries,
+                                    key=lambda e: (e[0], str(e[1]))):
             if total <= max_bytes:
                 break
             try:
@@ -601,7 +507,4 @@ class ArtifactCache:
                 continue
             total -= size
             removed += 1
-            evicted.add(stage_key_pair)
-        if removed:
-            self._ledger_compact(evicted.__contains__)
         return removed

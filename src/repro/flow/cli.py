@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -454,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_body=args.max_body,
         allow_bench=args.allow_bench,
         quiet=not args.verbose,
-        follower_timeout=args.follower_timeout,
         request_timeout=args.request_timeout,
         max_concurrent_runs=args.max_concurrent,
     )
@@ -508,6 +508,29 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         text = "\n".join(lines)
     _emit(json.dumps(document, indent=1) if args.json else text, args)
     return 0
+
+
+def _bounded(parse, ok, what: str):
+    """An argparse ``type``: ``parse`` the text and require ``ok(value)``,
+    so a bad value is a usage error naming its flag (exit 2)."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return convert
+
+
+_positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0,
+                             "a non-negative integer")
+_positive_seconds = _bounded(float, lambda v: math.isfinite(v) and v > 0,
+                             "a positive finite number of seconds")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -566,7 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
                                "outputs")
 
     serve = sub.add_parser(
-        "serve", help="run the flow HTTP service (POST /run, GET /stats)")
+        "serve", help="run the flow HTTP service (POST /run, GET /metrics)")
     serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8321, metavar="N",
@@ -576,25 +599,20 @@ def make_parser() -> argparse.ArgumentParser:
                             f"{default_cache_root()})")
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without a disk artifact cache")
-    serve.add_argument("--max-body", type=int, metavar="BYTES",
+    serve.add_argument("--max-body", type=_non_negative_int, metavar="BYTES",
                        default=1 << 20,
                        help="reject request bodies above BYTES with 413 "
                             "(default 1 MiB)")
     serve.add_argument("--allow-bench", action="store_true",
                        help="accept configs with circuit.kind 'bench' "
                             "(reads local netlist paths)")
-    serve.add_argument("--request-timeout", type=float, default=None,
-                       metavar="SECONDS",
+    serve.add_argument("--request-timeout", type=_positive_seconds,
+                       default=None, metavar="SECONDS",
                        help="deadline for any /run request; expiry answers "
                             "504 with partial progress while the "
                             "computation finishes for a retry "
                             "(default: unbounded)")
-    serve.add_argument("--follower-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="extra bound on coalesced followers waiting "
-                            "for an in-flight identical run "
-                            "(default: unbounded)")
-    serve.add_argument("--max-concurrent", type=int, default=None,
+    serve.add_argument("--max-concurrent", type=_positive_int, default=None,
                        metavar="N",
                        help="admit at most N concurrent /run+/diagnose "
                             "requests; excess sheds 503 with Retry-After "

@@ -18,14 +18,16 @@ config differing only in backend selection coalesces too.
 
 The table is process-local (threads of one server).  Cross-process
 safety is the artifact cache's job (per-key file locks); this layer only
-prevents redundant *computation* inside one server.
+prevents redundant *computation* inside one server.  Its leader,
+follower and in-flight counts live only on the telemetry registry the
+server renders on ``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry import MetricsRegistry
 
@@ -74,14 +76,6 @@ class Computation:
             else:
                 self._subscribers.append(q)
         return q
-
-    def events(self, q: "queue.SimpleQueue[Any]"):
-        """Iterate a subscription queue until the stream closes."""
-        while True:
-            event = q.get()
-            if event is _DONE:
-                return
-            yield event
 
     def next_event(self, q: "queue.SimpleQueue[Any]",
                    timeout: Optional[float] = None) -> Optional[Any]:
@@ -135,8 +129,8 @@ class InflightTable:
     computation and removes it from the table so later requests (no
     longer concurrent) start fresh, answering from the artifact cache.
 
-    Dedupe accounting lives on a telemetry registry (injected by the
-    flow server so ``/metrics`` and ``/stats`` read one source):
+    Dedupe accounting lives only on a telemetry registry (injected by
+    the flow server, which renders it on ``GET /metrics``):
     ``repro_dedupe_coalesced_total`` counts follower attachments,
     ``repro_dedupe_leaders_total`` counts admitted leaders, and
     ``repro_dedupe_inflight_keys`` gauges the live table size.
@@ -181,37 +175,3 @@ class InflightTable:
             if self._inflight.get(entry.key) is entry:
                 del self._inflight[entry.key]
             self._inflight_gauge.set(len(self._inflight))
-
-    def run(self, key: str, compute: Callable[[Computation], Any]) -> \
-            Tuple[Any, bool]:
-        """Single-flight ``compute`` under ``key``.
-
-        Returns ``(result, led)``.  The leader executes
-        ``compute(entry)`` (publishing progress through ``entry``);
-        followers block for the shared outcome, and a leader exception
-        propagates to every coalesced caller.
-        """
-        entry, leads = self.lease(key)
-        if not leads:
-            entry.wait()
-            return entry.outcome(), False
-        try:
-            result = compute(entry)
-        except BaseException as exc:
-            self.complete(entry, exception=exc)
-            raise
-        self.complete(entry, result)
-        return result, True
-
-    def stats(self) -> Dict[str, int]:
-        """Current in-flight count and the lifetime dedupe total.
-
-        The keys are deprecated aliases of the registry series
-        (``repro_dedupe_inflight_keys`` / ``repro_dedupe_coalesced_total``
-        on ``GET /metrics``), kept for ``/stats`` compatibility.
-        """
-        with self._lock:
-            return {
-                "inflight": len(self._inflight),
-                "deduped_total": int(self._coalesced.value),
-            }

@@ -539,9 +539,3 @@ _STAGE_RANK = {
     "circuit": 0, "faults": 1, "u": 2, "adi": 3,
     "order": 4, "testgen": 5, "curve": 6,
 }
-
-
-def run_flow(config: FlowConfig,
-             cache: Union[ArtifactCache, str, None] = None) -> FlowResult:
-    """One-shot convenience: build a :class:`Flow` and run it."""
-    return Flow(config, cache=cache).run()

@@ -33,12 +33,11 @@ Endpoints (all JSON):
   tests) is memoized per run key, so steady-state traffic pays only the
   vectorized batch scoring; scored devices show up in ``GET /metrics``
   as ``repro_diagnosis_devices_total``.
-* ``GET /stats`` — cache hit/miss/put counters, dedupe and request
-  totals, memo occupancy, drain state (JSON; the counter keys are
-  deprecated aliases of the registry series ``GET /metrics`` exposes —
-  both read the same :class:`repro.telemetry.MetricsRegistry` series,
-  so the two surfaces can never disagree).
-* ``GET /metrics`` — the same numbers in Prometheus text exposition
+* ``GET /stats`` — the state ``/metrics`` does not carry (JSON): memo
+  occupancy, active runs, drain state, the configured limits, and the
+  cache's root, file count, byte size and degraded flag.  It holds no
+  counters; those live only on ``/metrics``.
+* ``GET /metrics`` — every counter, in Prometheus text exposition
   format: per-request latency histograms by route and result source
   (``repro_http_request_seconds``), served/error counters, an in-flight
   gauge, dedupe counters, cache hit/miss/put/latency series, flow stage
@@ -57,9 +56,7 @@ quiet).
 Requests whose body exceeds ``max_body`` get 413; malformed JSON, a bad
 ``Content-Length`` or an invalid config gets 400 naming the problem; a
 draining server rejects new runs with 503 (``Retry-After``) while
-in-flight runs finish; with ``follower_timeout`` set, a coalesced
-request that outwaits it gets 504 (``Retry-After``) instead of blocking
-on the leader.  By default configs that read local files
+in-flight runs finish.  By default configs that read local files
 (``circuit.kind == "bench"``) are refused — the service executes
 network input — unless constructed with ``allow_bench=True``
 (``repro serve --allow-bench``).
@@ -118,11 +115,9 @@ class FlowServer(ThreadingHTTPServer):
 
     ``cache`` is an :class:`~repro.flow.cache.ArtifactCache`, a root
     path, or ``None`` for memo-and-dedupe-only service.
-    ``follower_timeout`` bounds how long a coalesced (non-streaming)
-    request waits for the leader's result before answering 504
-    (``None`` — the default — waits as long as the leader computes).
     ``request_timeout`` bounds *every* ``/run`` request, leader or
-    follower, streamed or not: an expired one answers 504 with
+    follower, streamed or not (``None`` — the default — waits as long
+    as the leader computes): an expired one answers 504 with
     ``Retry-After`` and partial progress while the computation finishes
     in the background (its result lands in the memo for the retry).
     ``max_concurrent_runs`` caps concurrently admitted ``/run`` and
@@ -141,11 +136,15 @@ class FlowServer(ThreadingHTTPServer):
                  allow_bench: bool = False,
                  memo_size: int = 128,
                  quiet: bool = True,
-                 follower_timeout: Optional[float] = None,
                  request_timeout: Optional[float] = None,
                  max_concurrent_runs: Optional[int] = None,
                  diagnosis_memo_size: int = 8,
                  flow_factory=None):
+        # Checked before binding, so a rejected server holds no port.
+        if max_concurrent_runs is not None and max_concurrent_runs < 1:
+            raise ValueError(
+                f"max_concurrent_runs must be >= 1 or None, "
+                f"got {max_concurrent_runs!r}")
         super().__init__(address, FlowRequestHandler)
         if cache is None or isinstance(cache, ArtifactCache):
             self.cache = cache
@@ -153,12 +152,7 @@ class FlowServer(ThreadingHTTPServer):
             self.cache = ArtifactCache(cache)
         self.max_body = max_body
         self.allow_bench = allow_bench
-        self.follower_timeout = follower_timeout
         self.request_timeout = request_timeout
-        if max_concurrent_runs is not None and max_concurrent_runs < 1:
-            raise ValueError(
-                f"max_concurrent_runs must be >= 1 or None, "
-                f"got {max_concurrent_runs!r}")
         self.max_concurrent_runs = max_concurrent_runs
         self.quiet = quiet
         self.flow_factory = flow_factory or self._default_flow_factory
@@ -205,55 +199,18 @@ class FlowServer(ThreadingHTTPServer):
 
     # -- counters / memo -----------------------------------------------------
 
-    def count(self, name: str) -> None:
-        """Bump one legacy-named counter (now a registry series).
-
-        ``requests_total`` → ``repro_http_requests_total{route="/run"}``,
-        ``served_<source>`` → ``repro_http_run_served_total{source=...}``;
-        the old dict is gone, the names survive as ``/stats`` aliases.
-        """
-        if name == "requests_total":
-            self._requests_counter.labels(route="/run").inc()
-        elif name.startswith("served_"):
-            self._served_counter.labels(source=name[len("served_"):]).inc()
-        else:
-            raise ValueError(f"unknown request counter {name!r}")
-
     def count_error(self, status: int) -> None:
         """Record one error response (labelled by HTTP status)."""
         self._errors_counter.labels(status=str(status)).inc()
 
     def count_route(self, route: str) -> None:
-        """Record one non-/run request (GET endpoints, 404s)."""
+        """Record one request by route."""
         self._requests_counter.labels(route=route).inc()
 
     def observe_request(self, route: str, source: str,
                         seconds: float) -> None:
         """Record one finished request in the latency histogram."""
         self._latency.labels(route=route, source=source).observe(seconds)
-
-    @property
-    def request_counters(self) -> Dict[str, int]:
-        """The legacy ``/stats`` request counters, read from the registry.
-
-        Deprecated aliases — one source of truth with ``GET /metrics``.
-        """
-        served = {
-            source: int(self._served_counter.labels(source=source).value)
-            for source in ("computed", "cache", "inflight")
-        }
-        errors = sum(
-            int(series.value)
-            for series in self._errors_counter.series()
-        )
-        return {
-            "requests_total": int(
-                self._requests_counter.labels(route="/run").value),
-            "served_computed": served["computed"],
-            "served_cache": served["cache"],
-            "served_inflight": served["inflight"],
-            "errors": errors,
-        }
 
     def memo_get(self, key: str) -> Optional[Dict[str, Any]]:
         with self._state_lock:
@@ -362,26 +319,18 @@ class FlowServer(ThreadingHTTPServer):
         return drained
 
     def stats_document(self) -> Dict[str, Any]:
-        """The ``/stats`` payload.
-
-        The ``requests``/``dedupe``/``cache`` counter keys are
-        deprecated aliases of the registry series served by
-        ``GET /metrics`` — values are read from the same series.
-        """
+        """The ``/stats`` payload: state ``GET /metrics`` does not carry."""
         with self._state_lock:
             memo = {"entries": len(self._memo), "size": self._memo_size}
             draining = self._draining
             active = self._active_runs
         document: Dict[str, Any] = {
             "schema": SERVER_SCHEMA,
-            "requests": self.request_counters,
-            "dedupe": self.inflight.stats(),
             "memo": memo,
             "active_runs": active,
             "draining": draining,
             "limits": {
                 "request_timeout": self.request_timeout,
-                "follower_timeout": self.follower_timeout,
                 "max_concurrent_runs": self.max_concurrent_runs,
             },
             "metrics_endpoint": "/metrics",
@@ -389,7 +338,6 @@ class FlowServer(ThreadingHTTPServer):
         if self.cache is not None:
             cache_stats = self.cache.stats()
             document["cache"] = {
-                **self.cache.counters(),
                 "files": cache_stats["total_files"],
                 "bytes": cache_stats["total_bytes"],
                 "root": cache_stats["root"],
@@ -600,7 +548,7 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
             return
         stream = parse_qs(parsed.query).get("stream", ["0"])[0] not in \
             ("0", "", "false")
-        self.server.count("requests_total")
+        self.server.count_route("/run")
         self.server._inflight_gauge.inc()
         try:
             try:
@@ -734,7 +682,7 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
             # populated the memo (e.g. a different backend spec).
             document = dict(memo, source="cache",
                             config_fingerprint=config.fingerprint())
-            self.server.count("served_cache")
+            self.server._served_counter.labels(source="cache").inc()
             self._source = "cache"
             if stream:
                 self._stream_events(
@@ -766,11 +714,8 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                 self.server.release_run()
                 self.server.inflight.complete(entry, exception=exc)
                 raise
-            self._await_entry(config, entry, "leader", stream,
-                              subscription, deadline)
-        else:
-            self._await_entry(config, entry, "follower", stream,
-                              subscription, deadline)
+        self._await_entry(config, entry, "leader" if leads else "follower",
+                          stream, subscription, deadline)
 
     def _leader_compute(self, config: FlowConfig,
                         entry: Computation) -> None:
@@ -815,35 +760,18 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
     def _await_entry(self, config: FlowConfig, entry: Computation,
                      role: str, stream: bool, subscription,
                      deadline: Optional[Deadline]) -> None:
-        """Wait for the entry under the request budget and respond.
-
-        Leaders and followers differ only in the response labelling
-        (followers re-stamp ``source="inflight"`` and their own config
-        fingerprint) and in the extra ``follower_timeout`` bound on
-        non-streaming followers.
-        """
+        """Wait for the entry under the request budget and respond."""
         if stream:
             self._relay_stream(config, entry, role, subscription, deadline)
             return
-        timeout = remaining_timeout(
-            deadline,
-            self.server.follower_timeout if role == "follower" else None)
-        if not entry.wait(timeout):
-            self._timeout_response(entry, deadline, streamed=False)
+        if not entry.wait(remaining_timeout(deadline)):
+            self._timeout_response(entry, streamed=False)
             return
         try:
-            document = entry.outcome()
+            document = self._served_document(config, entry, role)
         except BaseException as exc:
             self._send_error_json(500, f"flow execution failed: {exc}")
             return
-        if role == "leader":
-            source = document["source"]
-        else:
-            document = dict(document, source="inflight",
-                            config_fingerprint=config.fingerprint())
-            source = "inflight"
-        self.server.count(f"served_{source}")
-        self._source = source
         self._send_json(200, document)
 
     def _relay_stream(self, config: FlowConfig, entry: Computation,
@@ -862,13 +790,13 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                 event = entry.next_event(
                     subscription, remaining_timeout(deadline))
             except queue.Empty:
-                self._timeout_response(entry, deadline, streamed=True)
+                self._timeout_response(entry, streamed=True)
                 return
             if event is None:
                 break
             self._write_event(*event)
         try:
-            document = entry.outcome()
+            document = self._served_document(config, entry, role)
         except BaseException as exc:
             self.server.count_error(500)
             self._source = "error"
@@ -877,29 +805,30 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                 "error": f"flow execution failed: {exc}", "status": 500,
             })
             return
-        if role == "leader":
-            source = document["source"]
-        else:
-            document = dict(document, source="inflight",
-                            config_fingerprint=config.fingerprint())
-            source = "inflight"
-        self.server.count(f"served_{source}")
-        self._source = source
         self._write_event("result", document)
 
-    def _timeout_response(self, entry: Computation,
-                          deadline: Optional[Deadline],
-                          streamed: bool) -> None:
+    def _served_document(self, config: FlowConfig, entry: Computation,
+                         role: str) -> Dict[str, Any]:
+        """The finished entry's document as this request's answer, with
+        its source counted; re-raises the leader's exception.
+
+        Leaders and followers differ only here: a follower re-stamps
+        ``source="inflight"`` and its own config fingerprint.
+        """
+        document = entry.outcome()
+        if role == "follower":
+            document = dict(document, source="inflight",
+                            config_fingerprint=config.fingerprint())
+        self._source = document["source"]
+        self.server._served_counter.labels(source=self._source).inc()
+        return document
+
+    def _timeout_response(self, entry: Computation, streamed: bool) -> None:
         """Answer 504 with partial progress; the computation lives on."""
-        if deadline is not None and deadline.expired:
-            reason = "deadline"
-            message = (f"request deadline of "
-                       f"{self.server.request_timeout:g}s exceeded; the "
-                       "computation continues and will serve a retry")
-        else:
-            reason = "follower_timeout"
-            message = "timed out waiting for the in-flight computation"
-        _resilience.record("timeout", "flow.server", reason=reason,
+        message = (f"request deadline of "
+                   f"{self.server.request_timeout:g}s exceeded; the "
+                   "computation continues and will serve a retry")
+        _resilience.record("timeout", "flow.server", reason="deadline",
                            key=entry.key)
         stages = [payload for kind, payload in entry.progress()
                   if kind == "stage"]
@@ -945,12 +874,6 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         for kind, payload in events:
             self._write_event(kind, payload)
         self._write_event("result", document)
-
-
-def serve_forever(server: FlowServer) -> None:
-    """Run the accept loop until :meth:`FlowServer.shutdown` (thin alias
-    kept for symmetry with :func:`start_in_thread`)."""
-    server.serve_forever()
 
 
 def start_in_thread(server: FlowServer) -> threading.Thread:

@@ -1,4 +1,4 @@
-"""Monotonic deadlines: one small type shared by server and supervisor.
+"""Monotonic deadlines: one request budget split across sequential waits.
 
 A :class:`Deadline` is an absolute point on the monotonic clock.  The
 pattern everywhere a budget must be split across sequential waits —
@@ -7,7 +7,7 @@ request budget" — is::
 
     deadline = Deadline.after(server.request_timeout)   # None -> None
     ...
-    entry.wait(remaining_timeout(deadline, follower_timeout))
+    entry.wait(remaining_timeout(deadline))
 """
 
 from __future__ import annotations
@@ -43,17 +43,13 @@ class Deadline:
         return f"Deadline(in {self.remaining():.3f}s)"
 
 
-def remaining_timeout(deadline: Optional[Deadline],
-                      *limits: Optional[float]) -> Optional[float]:
-    """The tightest of a deadline's remaining budget and fixed limits.
+def remaining_timeout(deadline: Optional[Deadline]) -> Optional[float]:
+    """A deadline's remaining budget as a wait timeout.
 
-    Returns ``None`` only when every input is ``None`` (wait forever).
-    An expired deadline clamps to ``0.0`` so waits return immediately
-    rather than raising.
+    Returns ``None`` for no deadline (wait forever).  An expired
+    deadline clamps to ``0.0`` so waits return immediately rather than
+    raising.
     """
-    candidates = [limit for limit in limits if limit is not None]
-    if deadline is not None:
-        candidates.append(deadline.remaining())
-    if not candidates:
+    if deadline is None:
         return None
-    return max(0.0, min(candidates))
+    return max(0.0, deadline.remaining())

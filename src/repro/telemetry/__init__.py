@@ -8,7 +8,8 @@ artifact cache, the flow server — records into one dependency-free,
 thread-safe registry, exposed three ways:
 
 * ``GET /metrics`` on the flow server — Prometheus text exposition
-  (hand-rolled, stdlib only), next to the JSON ``GET /stats``;
+  (hand-rolled, stdlib only), the one surface every counter is read
+  from (the JSON ``GET /stats`` carries server state, no counters);
 * ``repro run --trace`` — a per-stage/per-span tree with durations,
   persisted as ``results/trace_<fingerprint>.json``;
 * ``REPRO_LOG_FORMAT=json`` — structured one-line-per-event logs,

@@ -1,14 +1,17 @@
-"""ArtifactCache under concurrency: the put race, locking, the ledger.
+"""ArtifactCache under concurrency: the put race, locking, recency.
 
 Regression suite for the race observable before per-key locking: two
 writers of the same key could both tempfile-rename.  ``put`` is now
 put-if-absent under an on-disk per-key lock, so hammering one key from a
 thread pool writes the payload exactly once and readers never observe a
-torn or foreign document.
+torn or foreign document.  Recency for LRU pruning is each artifact's
+mtime, stamped by every hit and written put.
 """
 
 import json
+import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,6 +20,18 @@ from repro.flow import ArtifactCache
 
 KEY = "f" * 64
 PAYLOAD = {"rows": list(range(64)), "label": "x" * 256}
+
+
+def requests(cache, result):
+    """``repro_cache_requests_total{result=...}`` of one cache."""
+    return cache.registry.counter(
+        "repro_cache_requests_total").labels(result=result).value
+
+
+def puts(cache, outcome):
+    """``repro_cache_puts_total{outcome=...}`` of one cache."""
+    return cache.registry.counter(
+        "repro_cache_puts_total").labels(outcome=outcome).value
 
 
 class TestPutRace:
@@ -35,9 +50,8 @@ class TestPutRace:
             paths += list(pool.map(writer, range(16)))
 
         assert len(set(paths)) == 1
-        counters = cache.counters()
-        assert counters["puts_written"] == 1, counters
-        assert counters["puts_deduped"] == 31, counters
+        assert puts(cache, "written") == 1
+        assert puts(cache, "deduped") == 31
         assert cache.get("u", KEY) == PAYLOAD
 
     def test_no_corrupt_reads_while_hammering(self, tmp_path):
@@ -79,7 +93,7 @@ class TestPutRace:
             list(pool.map(
                 lambda k: cache.put("adi", k, {"key": k}), keys
             ))
-        assert cache.counters()["puts_written"] == 24
+        assert puts(cache, "written") == 24
         for key in keys:
             assert cache.get("adi", key) == {"key": key}
 
@@ -139,47 +153,50 @@ class TestReplaceAndDelete:
         assert cache.get("u", KEY) == {"v": 2}
 
 
-class TestCountersAndLedger:
+class TestCountersAndRecency:
     def test_hit_miss_counters(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         assert cache.get("u", KEY) is None
         cache.put("u", KEY, PAYLOAD)
         assert cache.get("u", KEY) == PAYLOAD
-        counters = cache.counters()
-        assert counters["misses"] == 1
-        assert counters["hits"] == 1
-        assert counters["puts_written"] == 1
+        assert requests(cache, "miss") == 1
+        assert requests(cache, "hit") == 1
+        assert puts(cache, "written") == 1
 
-    def test_ledger_records_accesses(self, tmp_path):
+    def test_hits_and_puts_stamp_mtime(self, tmp_path, monkeypatch):
+        """A written put and a hit each stamp the artifact's mtime with
+        ``time.time_ns()``: one clock orders puts and hits."""
+        cache = ArtifactCache(tmp_path)
+        stamp = (time.time_ns() // 10**9 + 1000) * 10**9  # whole seconds
+        monkeypatch.setattr(time, "time_ns", lambda: stamp)
+        path = cache.put("u", KEY, PAYLOAD)
+        assert path.stat().st_mtime_ns == stamp
+        monkeypatch.setattr(time, "time_ns", lambda: stamp + 10**9)
+        assert cache.get("u", KEY) == PAYLOAD
+        assert path.stat().st_mtime_ns == stamp + 10**9
+
+    def test_hits_leave_the_cache_directory_unchanged(self, tmp_path):
+        """A hit records nothing on disk beyond its artifact's mtime:
+        no file appears and no file grows, however many hits."""
         cache = ArtifactCache(tmp_path)
         cache.put("u", KEY, PAYLOAD)
-        cache.get("u", KEY)
-        lines = [json.loads(line) for line in
-                 (tmp_path / "ledger.jsonl").read_text().splitlines()]
-        assert [entry["event"] for entry in lines] == ["put", "hit"]
-        assert all(entry["key"] == KEY for entry in lines)
 
-    def test_ledger_disabled(self, tmp_path):
-        cache = ArtifactCache(tmp_path, ledger=False)
-        cache.put("u", KEY, PAYLOAD)
-        cache.get("u", KEY)
-        assert not (tmp_path / "ledger.jsonl").exists()
+        def listing():
+            return {str(path.relative_to(tmp_path)): path.stat().st_size
+                    for path in tmp_path.rglob("*")}
 
-    def test_lock_and_ledger_files_invisible_to_stats(self, tmp_path):
+        before = listing()
+        for _ in range(100):
+            assert cache.get("u", KEY) == PAYLOAD
+        assert listing() == before
+
+    def test_lock_files_invisible_to_stats(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("u", KEY, PAYLOAD)
         cache.get("u", KEY)
         stats = cache.stats()
         assert stats["total_files"] == 1
         assert set(stats["stages"]) == {"u"}
-
-    def test_torn_ledger_line_ignored(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.put("u", KEY, PAYLOAD)
-        ledger = tmp_path / "ledger.jsonl"
-        ledger.write_text(ledger.read_text() + '{"event": "hi')  # killed
-        times = cache._ledger_access_times()
-        assert ("u", KEY) in times
 
     def test_stats_tolerates_concurrent_unlink(self, tmp_path):
         """A file unlinked between glob and stat (a racing prune) is
@@ -191,21 +208,6 @@ class TestCountersAndLedger:
         cache._artifact_files = lambda stage=None: iter(real + [ghost])
         stats = cache.stats()
         assert stats["total_files"] == len(real)
-
-    def test_ledger_compaction_preserves_concurrent_appends(self, tmp_path):
-        """Lines appended after a pruner's snapshot survive compaction:
-        _ledger_compact re-reads the ledger under the ledger lock."""
-        cache = ArtifactCache(tmp_path)
-        cache.put("u", "a" * 64, {"v": 1})
-        cache.put("u", "b" * 64, {"v": 2})
-        # Emulate a server thread recording a hit for a new artifact in
-        # the window between prune's LRU snapshot and its rewrite.
-        cache._ledger_append("hit", "u", "c" * 64)
-        cache._ledger_compact(lambda sk: sk == ("u", "a" * 64))
-        times = cache._ledger_access_times()
-        assert ("u", "a" * 64) not in times
-        assert ("u", "b" * 64) in times
-        assert ("u", "c" * 64) in times
 
 
 class TestLruPrune:
@@ -230,21 +232,35 @@ class TestLruPrune:
         assert cache.get("u", keys[1]) == {"pad": "x" * 200, "k": keys[1]}
         assert cache.get("u", keys[2]) is None  # LRU victim
 
+    def test_eviction_follows_the_access_sequence(self, tmp_path):
+        """Puts in reverse name order, then three re-hits: a budget of
+        three artifacts keeps exactly the three latest accesses.  The
+        reverse order keeps a path tie-break from passing by accident."""
+        cache = ArtifactCache(tmp_path)
+        keys = [format(i, "064x") for i in range(8)]
+        for key in reversed(keys):
+            cache.put("u", key, {"pad": "x" * 200})
+        hits = [keys[5], keys[2], keys[6]]
+        for key in hits:
+            assert cache.get("u", key) is not None
+        size = cache._path("u", keys[0]).stat().st_size
+        assert cache.prune(max_bytes=3 * size) == 5
+        survivors = {path.stem for path in (tmp_path / "u").glob("*.json")}
+        assert survivors == set(hits)
+
     def test_prune_without_budget_clears_everything(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         self._fill(cache, 4)
         assert cache.prune() == 4
         assert cache.stats()["total_files"] == 0
-        assert not (tmp_path / "ledger.jsonl").exists()
 
-    def test_prune_stage_scoped_compacts_ledger(self, tmp_path):
+    def test_prune_stage_scoped_keeps_other_stages(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("u", "a" * 64, {"v": 1})
         cache.put("adi", "b" * 64, {"v": 2})
         assert cache.prune(stage="u") == 1
-        times = cache._ledger_access_times()
-        assert ("u", "a" * 64) not in times
-        assert ("adi", "b" * 64) in times
+        assert cache.get("u", "a" * 64) is None
+        assert cache.get("adi", "b" * 64) == {"v": 2}
 
     def test_prune_budget_zero_removes_all(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -256,11 +272,10 @@ class TestLruPrune:
         with pytest.raises(ValueError):
             ArtifactCache(tmp_path).prune(max_bytes=-1)
 
-    def test_mtime_fallback_without_ledger(self, tmp_path):
-        import os
-        import time
-
-        cache = ArtifactCache(tmp_path, ledger=False)
+    def test_prune_evicts_by_file_mtime(self, tmp_path):
+        """Recency is the file's mtime, however it was set — artifacts
+        written by an older cache prune by their write times."""
+        cache = ArtifactCache(tmp_path)
         keys = self._fill(cache, 3)
         now = time.time()
         for i, key in enumerate(keys):

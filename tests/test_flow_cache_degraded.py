@@ -2,7 +2,7 @@
 
 A cache that cannot write (ENOSPC, read-only filesystem, revoked
 permissions) must never turn into a request failure: the put path flips
-into sticky pass-through, ledger appends and prunes absorb their
+into sticky pass-through, recency stamps and prunes absorb their
 OSErrors without flipping the flag, and every absorbed error is counted
 under ``repro_cache_degraded_total{op=...}``.  These tests drive the
 failure paths both directly (monkeypatched filesystem) and through the
@@ -103,23 +103,35 @@ class TestStickyPutDegradation:
 
 
 class TestAdvisoryPaths:
-    def test_ledger_oserror_is_absorbed_not_sticky(self, cache,
-                                                   monkeypatch):
+    def test_failed_stamp_is_absorbed_not_sticky(self, cache,
+                                                 monkeypatch):
         cache.put("adi", "warm", {"rows": [1]})
 
-        real_open = open
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EROFS, "read-only file system")
 
-        def failing_open(file, mode="r", *args, **kwargs):
-            if "a" in mode and str(file).endswith("ledger.jsonl"):
-                raise OSError(errno.ENOSPC, "no space left on device")
-            return real_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", failing_open)
-        # A hit appends to the ledger; the failure must not surface and
-        # must not flip pass-through (the ledger is advisory).
+        monkeypatch.setattr("os.utime", refuse)
+        # A hit stamps its artifact's mtime; the failure must not
+        # surface and must not flip pass-through (a stamp only orders
+        # eviction).
         assert cache.get("adi", "warm") == {"rows": [1]}
+        assert _degraded_count(cache, "touch") == 1
         assert not cache.degraded
-        assert _degraded_count(cache, "ledger") == 1
+        assert cache.stats()["degraded"] is False
+
+    def test_stamp_of_a_pruned_file_is_not_an_error(self, cache,
+                                                    monkeypatch):
+        """A prune that unlinks the file between the read and the stamp
+        leaves a plain hit: nothing counted, nothing logged."""
+        cache.put("adi", "warm", {"rows": [1]})
+
+        def pruned_meanwhile(*args, **kwargs):
+            raise FileNotFoundError(errno.ENOENT, "no such file")
+
+        monkeypatch.setattr("os.utime", pruned_meanwhile)
+        assert cache.get("adi", "warm") == {"rows": [1]}
+        assert _degraded_count(cache, "touch") == 0
+        assert not cache.degraded
 
     def test_prune_oserror_removes_nothing_and_is_counted(
             self, cache, monkeypatch):

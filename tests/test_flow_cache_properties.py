@@ -79,16 +79,17 @@ class TestPrunePolicy:
             st.integers(min_value=0, max_value=len(sizes) - 1), max_size=12
         ))
         cache = _populate(tmp_path, sizes, hits)
-        times = cache._ledger_access_times()
-        before = {p.stem for p in (tmp_path / "u").glob("*.json")}
+        times = {p.stem: p.stat().st_mtime_ns
+                 for p in (tmp_path / "u").glob("*.json")}
+        before = set(times)
         total = cache.stats()["total_bytes"]
         budget = data.draw(st.integers(min_value=0, max_value=total))
         cache.prune(max_bytes=budget)
         after = {p.stem for p in (tmp_path / "u").glob("*.json")}
         evicted = before - after
         if evicted and after:
-            newest_evicted = max(times[("u", key)] for key in evicted)
-            oldest_survivor = min(times[("u", key)] for key in after)
+            newest_evicted = max(times[key] for key in evicted)
+            oldest_survivor = min(times[key] for key in after)
             assert newest_evicted <= oldest_survivor
 
     @given(

@@ -205,6 +205,36 @@ class TestErrorPaths:
         assert "max_vector" in err
 
 
+class TestServeLimits:
+    """``repro serve`` rejects a bad limit at parse time: exit 2 with a
+    usage error naming the flag, before any server is built."""
+
+    @pytest.fixture(autouse=True)
+    def _no_server(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad limit reached FlowServer")
+
+        monkeypatch.setattr("repro.flow.server.FlowServer", refuse)
+
+    def _usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        return err
+
+    def test_max_concurrent_must_be_positive(self, capsys):
+        self._usage_error(capsys, "--max-concurrent", "0")
+
+    def test_request_timeout_must_be_positive(self, capsys):
+        for value in ("0", "-1", "inf"):
+            self._usage_error(capsys, "--request-timeout", value)
+
+    def test_max_body_must_be_non_negative(self, capsys):
+        self._usage_error(capsys, "--max-body", "-1")
+
+
 class TestDiagnoseCommand:
     def test_text_output(self, capsys, tmp_path):
         code, out, _ = _run(

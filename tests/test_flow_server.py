@@ -8,7 +8,8 @@ Concurrency suite for :mod:`repro.flow.server`:
 * distinct configs proceed in parallel (their executions overlap in
   time, proven with a barrier inside the counting hook);
 * the end-to-end HTTP lifecycle: cold → warm → malformed (400) →
-  oversized (413) → drain (503), plus streaming and ``/stats``.
+  oversized (413) → drain (503), plus streaming, ``/stats`` and
+  ``/metrics``.
 
 Slow full-lifecycle scenarios carry the ``server`` marker
 (``-m 'not server'`` deselects them).
@@ -145,8 +146,9 @@ class TestConcurrentDedupe:
             # Leader: wait until every other request has coalesced, so
             # none of them can miss the in-flight entry and recompute.
             deadline = time.monotonic() + 10
-            while (holder["server"].inflight.stats()["deduped_total"]
-                   < self.N - 1):
+            coalesced = holder["server"].registry.counter(
+                "repro_dedupe_coalesced_total").labels()
+            while coalesced.value < self.N - 1:
                 if time.monotonic() > deadline:
                     raise AssertionError("duplicates never coalesced")
                 time.sleep(0.005)
@@ -176,9 +178,12 @@ class TestConcurrentDedupe:
             assert doc["result"]["tests"]["count"] > 0
         assert len({json.dumps(doc["result"], sort_keys=True)
                     for doc in documents}) == 1
-        stats = get_json(server, "/stats")[1]
-        assert stats["dedupe"]["deduped_total"] == self.N - 1
-        assert stats["requests"]["served_inflight"] == self.N - 1
+        text = get_text(server, "/metrics")[2]
+        assert sample_value(text, "repro_dedupe_coalesced_total") == \
+            self.N - 1
+        assert sample_value(
+            text, 'repro_http_run_served_total{source="inflight"}') == \
+            self.N - 1
 
     def test_distinct_configs_proceed_in_parallel(self, tmp_path,
                                                   server_factory):
@@ -334,33 +339,12 @@ class TestLeaderCompletion:
         assert status == 500
         assert "document build failed" in doc["error"]
         # The dead computation was retired, not leaked...
-        assert server.inflight.stats()["inflight"] == 0
+        assert server.registry.gauge(
+            "repro_dedupe_inflight_keys").labels().value == 0
         # ...so the next identical request leads fresh and succeeds.
         status, doc = post_run(server, config)
         assert status == 200
         assert doc["result"]["schema"] == "repro.flow/v1"
-
-    def test_follower_timeout_504(self, tmp_path, server_factory):
-        """A bounded follower answers 504 instead of waiting forever."""
-        release = threading.Event()
-        entered = threading.Event()
-
-        def gate():
-            entered.set()
-            assert release.wait(timeout=30)
-
-        counting = CountingFlows(tmp_path / "cache", gate=gate)
-        server = server_factory(flow_factory=counting,
-                                follower_timeout=0.1)
-        config = tiny_config()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            leader = pool.submit(post_run, server, config)
-            assert entered.wait(timeout=30)
-            status, doc = error_of(lambda: post_run(server, config))
-            assert status == 504
-            release.set()
-            status, doc = leader.result(timeout=60)
-            assert status == 200 and doc["source"] == "computed"
 
     def test_publish_after_finish_is_dropped(self):
         """DONE is always the last item a subscriber sees; a late
@@ -370,8 +354,10 @@ class TestLeaderCompletion:
         computation.publish(("stage", {"n": 1}))
         computation.finish({"ok": True})
         computation.publish(("stage", {"n": 2}))  # late: dropped
-        assert list(computation.events(subscription)) == \
-            [("stage", {"n": 1})]
+        assert computation.next_event(subscription, timeout=5) == \
+            ("stage", {"n": 1})
+        assert computation.next_event(subscription, timeout=5) is None
+        assert subscription.empty()
         assert computation.outcome() == {"ok": True}
 
 
@@ -446,10 +432,11 @@ class TestEndToEndLifecycle:
             lambda: urllib.request.urlopen(request, timeout=60))
         assert status == 413
 
-        # /stats reflects the traffic.
-        stats = get_json(restarted, "/stats")[1]
-        assert stats["requests"]["served_cache"] >= 1
-        assert stats["cache"]["files"] > 0
+        # /metrics counts the traffic; /stats shows the cache on disk.
+        text = get_text(restarted, "/metrics")[2]
+        assert sample_value(
+            text, 'repro_http_run_served_total{source="cache"}') >= 1
+        assert get_json(restarted, "/stats")[1]["cache"]["files"] > 0
 
     def test_shutdown_drain(self, tmp_path, server_factory):
         """Draining: in-flight runs finish; new runs get 503."""
@@ -553,23 +540,37 @@ class TestMetricsEndpoint:
         # registry the endpoint renders.
         assert "repro_flow_stage_seconds_bucket" in text
 
-    def test_metrics_and_stats_read_the_same_series(self, server_factory):
-        server = server_factory()
+    def test_stats_carries_no_counters(self, server_factory):
+        """``/stats`` holds state only; every number its removed counter
+        keys used to alias is a ``/metrics`` series."""
+        server = server_factory(memo_size=0)  # the rerun reads the cache
         config = tiny_config()
         post_run(server, config)
         post_run(server, config)
+        error_of(lambda: get_json(server, "/nope"))
+        settle(server)
         stats = get_json(server, "/stats")[1]
         assert stats["metrics_endpoint"] == "/metrics"
+        assert set(stats) == {"schema", "memo", "active_runs", "draining",
+                              "limits", "metrics_endpoint", "cache"}
+        assert set(stats["cache"]) == {"root", "files", "bytes",
+                                       "degraded"}
         text = get_text(server, "/metrics")[2]
+        for prefix, value in [
+                ('repro_http_requests_total{route="/run"}', 2),
+                ('repro_http_run_served_total{source="computed"}', 1),
+                ('repro_http_run_served_total{source="cache"}', 1),
+                ('repro_http_errors_total{status="404"}', 1),
+                ("repro_dedupe_coalesced_total", 0),
+                ("repro_dedupe_inflight_keys", 0)]:
+            assert sample_value(text, prefix) == value, prefix
+        misses = sample_value(
+            text, 'repro_cache_requests_total{result="miss"}')
+        assert misses > 0
         assert sample_value(
-            text, 'repro_http_requests_total{route="/run"}') == \
-            stats["requests"]["requests_total"]
+            text, 'repro_cache_requests_total{result="hit"}') == misses
         assert sample_value(
-            text, 'repro_http_run_served_total{source="cache"}') == \
-            stats["requests"]["served_cache"]
-        assert sample_value(
-            text, 'repro_cache_requests_total{result="hit"}') == \
-            stats["cache"]["hits"]
+            text, 'repro_cache_puts_total{outcome="written"}') == misses
 
     def test_metrics_scrapes_are_stable_on_an_idle_server(
             self, server_factory):
@@ -592,8 +593,6 @@ class TestMetricsEndpoint:
             text, 'repro_http_errors_total{status="404"}') == 1
         assert sample_value(
             text, 'repro_http_requests_total{route="other"}') == 1
-        stats = get_json(server, "/stats")[1]
-        assert stats["requests"]["errors"] == 1
 
 
 class TestAccessLog:

@@ -10,6 +10,7 @@ and serves the client's retry.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -137,25 +138,40 @@ class TestRequestDeadline:
         assert "partial" in payload
         assert "request deadline" in payload["error"]
 
-    def test_follower_timeout_504_has_retry_after_and_partial(
-            self, tmp_path, server_factory):
+    def test_coalesced_follower_times_out_cleanly(self, tmp_path,
+                                                  server_factory):
+        """The one request deadline bounds followers too: a follower of
+        a stuck leader answers 504 with Retry-After and partial
+        progress, and its retry is served once the leader finishes."""
         gate = _Gate()
         counting = CountingFlows(tmp_path / "cache", gate=gate)
         server = server_factory(flow_factory=counting,
-                                follower_timeout=0.1)
+                                request_timeout=0.3)
         config = tiny_config()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            leader = pool.submit(post_run, server, config)
-            assert gate.entered.wait(timeout=30)
-            status, headers, doc = http_error_of(
-                lambda: post_run(server, config))
-            assert status == 504
-            assert headers["Retry-After"] == "1"
-            assert "in-flight computation" in doc["error"]
-            assert "partial" in doc
+        coalesced = server.registry.counter(
+            "repro_dedupe_coalesced_total").labels()
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                leader = pool.submit(http_error_of,
+                                     lambda: post_run(server, config))
+                assert gate.entered.wait(timeout=30)
+                status, headers, doc = http_error_of(
+                    lambda: post_run(server, config))
+                assert coalesced.value == 1  # it waited as a follower
+                assert status == 504
+                assert headers["Retry-After"] == "1"
+                assert "request deadline of 0.3s exceeded" in doc["error"]
+                assert doc["partial"]["stages_completed"] == 0
+                assert leader.result(timeout=60)[0] == 504
+        finally:
             gate.release.set()
-            status, doc = leader.result(timeout=60)
-            assert status == 200 and doc["source"] == "computed"
+        _wait(lambda: server.memo_get(
+            counting._flow_type(config, cache=None).run_key()) is not None,
+            message="the leader's computation never landed in the memo")
+        status, doc = post_run(server, config)
+        assert status == 200
+        assert doc["source"] == "cache"
+        assert counting.runs == 1
 
     def test_deadline_sheds_are_counted(self, tmp_path, server_factory):
         gate = _Gate()
@@ -281,12 +297,10 @@ class TestChaosAndDegradation:
 
 class TestLimitsSurface:
     def test_stats_reports_limits(self, server_factory):
-        server = server_factory(request_timeout=5.0, follower_timeout=2.0,
-                                max_concurrent_runs=3)
+        server = server_factory(request_timeout=5.0, max_concurrent_runs=3)
         stats = get_json(server, "/stats")[1]
         assert stats["limits"] == {
             "request_timeout": 5.0,
-            "follower_timeout": 2.0,
             "max_concurrent_runs": 3,
         }
 
@@ -294,11 +308,18 @@ class TestLimitsSurface:
         stats = get_json(server_factory(), "/stats")[1]
         assert stats["limits"] == {
             "request_timeout": None,
-            "follower_timeout": None,
             "max_concurrent_runs": None,
         }
 
     def test_max_concurrent_runs_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="max_concurrent_runs"):
-            FlowServer(("127.0.0.1", 0), cache=tmp_path / "cache",
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ValueError, match="max_concurrent_runs") as info:
+            FlowServer(("127.0.0.1", port), cache=tmp_path / "cache",
                        max_concurrent_runs=0)
+        # Checked before binding: the rejected server never opened its
+        # socket, though ``info`` keeps the constructor's frame alive.
+        assert info.traceback
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))

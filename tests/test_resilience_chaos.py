@@ -234,19 +234,14 @@ class TestDeadline:
         assert deadline.expired
         assert deadline.remaining() < 0
 
-    def test_remaining_timeout_picks_the_tightest(self):
+    def test_remaining_timeout_is_the_budget_left(self):
         deadline = Deadline(time.monotonic() + 100.0)
         assert remaining_timeout(None) is None
-        assert remaining_timeout(None, None, None) is None
-        assert remaining_timeout(None, 5.0) == 5.0
-        assert remaining_timeout(deadline, 5.0) == 5.0
-        tight = remaining_timeout(deadline, 1000.0)
-        assert 99.0 < tight <= 100.0
+        assert 99.0 < remaining_timeout(deadline) <= 100.0
 
     def test_expired_deadline_clamps_to_zero(self):
         deadline = Deadline(time.monotonic() - 10.0)
         assert remaining_timeout(deadline) == 0.0
-        assert remaining_timeout(deadline, 5.0) == 0.0
         # A zero timeout makes waits return immediately, not raise.
         q = queue.SimpleQueue()
         with pytest.raises(queue.Empty):
