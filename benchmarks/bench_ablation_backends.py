@@ -3,7 +3,9 @@
 Two layers are ablated here:
 
 * **true-value simulation** — the raw word packing (one Python big-int op
-  per gate vs vectorized ``uint64`` rows) at several pattern widths;
+  per gate vs vectorized ``uint64`` rows through the level schedule,
+  with and without the big-int conversions at either end) at several
+  pattern widths;
 * **fault simulation** — the registered engines of
   :mod:`repro.fsim.backend` (``bigint`` event-driven PPSFP vs ``numpy``
   levelized batches) on a full no-dropping detection-word sweep, the ADI
@@ -19,6 +21,7 @@ from repro.faults import collapsed_fault_list
 from repro.fsim.backend import available_backends, create_backend
 from repro.sim import PatternSet, simulate
 from repro.sim import npsim
+from repro.utils.detmatrix import DetectionMatrix
 
 CIRCUIT = "irs641"
 WIDTHS = (64, 1024, 8192)
@@ -39,14 +42,13 @@ def test_bench_backend_bigint(benchmark, circ, width):
 @pytest.mark.parametrize("width", WIDTHS)
 def test_bench_backend_numpy(benchmark, circ, width):
     patterns = PatternSet.random(circ.num_inputs, width, seed=width)
-    matrix = npsim.words_to_matrix(patterns.words, width)
-    benchmark(npsim.simulate_matrix, circ, matrix)
+    benchmark(npsim.simulate, circ, patterns)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_bench_backend_numpy_levelized(benchmark, circ, width):
     patterns = PatternSet.random(circ.num_inputs, width, seed=width)
-    matrix = npsim.words_to_matrix(patterns.words, width)
+    matrix = DetectionMatrix.from_bigints(patterns.words, width).words
     schedule = npsim.LevelSchedule(circ)
     benchmark(npsim.simulate_matrix_levelized, circ, matrix,
               schedule=schedule)

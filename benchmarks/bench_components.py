@@ -57,7 +57,7 @@ def test_bench_adi_computation(benchmark, circ, faults):
     benchmark(compute_adi, circ, faults, selection.patterns)
 
 
-def test_bench_dynamic_order(benchmark, circ, faults):
+def test_bench_fdynm(benchmark, circ, faults):
     selection = select_u(circ, faults, seed=5, max_vectors=4096)
     adi = compute_adi(circ, faults, selection.patterns)
 

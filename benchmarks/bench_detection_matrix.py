@@ -101,33 +101,33 @@ def build_scenario(scenario: Scenario):
 # -- the legacy pipeline, verbatim --------------------------------------------
 
 def legacy_adi(faults, words: List[int], num_vectors: int):
-    """Pre-packed-path ``adi_from_detection_words`` (per-fault loops)."""
+    """The pre-packed ADI reduction over big-int words (per-fault loops)."""
     masks: List[int] = []
-    det_vectors: List[np.ndarray] = []
+    d_sets: List[np.ndarray] = []
     ndet = np.zeros(num_vectors, dtype=np.int64)
     for mask in words:
         masks.append(mask)
         if mask:
             ndet += bits_to_array(mask, num_vectors)
-            det_vectors.append(
+            d_sets.append(
                 np.asarray(bit_indices(mask), dtype=np.int64)
             )
         else:
-            det_vectors.append(np.empty(0, dtype=np.int64))
+            d_sets.append(np.empty(0, dtype=np.int64))
     adi = np.zeros(len(faults), dtype=np.int64)
-    for i, vecs in enumerate(det_vectors):
+    for i, vecs in enumerate(d_sets):
         if vecs.size:
             adi[i] = ndet[vecs].min()
-    return det_vectors, ndet, adi
+    return d_sets, ndet, adi
 
 
-def legacy_fdynm(det_vectors, ndet_in: np.ndarray, adi: np.ndarray
+def legacy_fdynm(d_sets, ndet_in: np.ndarray, adi: np.ndarray
                  ) -> List[int]:
     """Pre-packed-path dynamic order: per-candidate lazy max-heap."""
     ndet = ndet_in.astype(np.int64).copy()
 
     def current_adi(i: int) -> int:
-        vecs = det_vectors[i]
+        vecs = d_sets[i]
         return int(ndet[vecs].min()) if vecs.size else 0
 
     nonzero = [i for i in range(len(adi)) if adi[i] != 0]
@@ -146,7 +146,7 @@ def legacy_fdynm(det_vectors, ndet_in: np.ndarray, adi: np.ndarray
             continue
         placed.append(i)
         done.add(i)
-        vecs = det_vectors[i]
+        vecs = d_sets[i]
         if vecs.size:
             ndet[vecs] -= 1
     return placed + zeros
@@ -159,9 +159,9 @@ def run_legacy(circ, faults, patterns) -> Dict:
     t0 = time.perf_counter()
     words = engine.detection_words(faults)
     t1 = time.perf_counter()
-    det_vectors, ndet, adi = legacy_adi(faults, words, patterns.num_patterns)
+    d_sets, ndet, adi = legacy_adi(faults, words, patterns.num_patterns)
     t2 = time.perf_counter()
-    order = legacy_fdynm(det_vectors, ndet, adi)
+    order = legacy_fdynm(d_sets, ndet, adi)
     t3 = time.perf_counter()
     return {
         "fsim": t1 - t0, "adi": t2 - t1, "order": t3 - t2,

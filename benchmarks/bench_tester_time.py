@@ -36,7 +36,7 @@ def _study(runner):
             dictionary = build_pass_fail_dictionary(circ, faults, tests)
             firsts = [
                 next(iter_bits(mask))
-                for mask in dictionary.fail_masks if mask
+                for mask in dictionary.fail_matrix.to_bigints() if mask
             ]
             cycles[order] = expected_cycles_to_detection(plan, firsts)
         base = cycles["orig"]

@@ -70,7 +70,8 @@ def main():
     names = [circ.names[i] for i in range(circ.num_inputs)]
     plan = make_scan_plan(names, scan_info)
     firsts = [
-        next(iter_bits(mask)) for mask in dictionary.fail_masks if mask
+        next(iter_bits(mask))
+        for mask in dictionary.fail_matrix.to_bigints() if mask
     ]
     print(f"expected tests to first fail:  "
           f"{expected_tests_to_first_fail(dictionary):.2f}")

@@ -10,7 +10,7 @@ End-to-end flow (what the experiment harness does per circuit)::
     ordered_faults = [faults[i] for i in order]            # feed the ATPG
 """
 
-from repro.adi.dynamic import dynamic_order, dynamic_prefix, f0dynm, fdynm
+from repro.adi.dynamic import dynamic_prefix, f0dynm, fdynm
 from repro.adi.index import AdiMode, AdiResult, compute_adi, ndet_table
 from repro.adi.metrics import (
     CurveReport,
@@ -39,7 +39,6 @@ __all__ = [
     "ave_ratios",
     "compute_adi",
     "curve_report",
-    "dynamic_order",
     "dynamic_prefix",
     "f0decr",
     "f0dynm",

@@ -40,8 +40,12 @@ ties.
 Each test is one ``O(P/64)`` big-int AND and each level costs one mask
 build.  The full placement sequence is computed once per
 :class:`~repro.adi.index.AdiResult` and cached on it, so :func:`fdynm`,
-:func:`f0dynm` and :func:`dynamic_prefix` share one sweep.  Average
-mode (no min structure to exploit) keeps the lazy max-heap.
+:func:`f0dynm` and :func:`dynamic_prefix` share one sweep.  The sweep's
+working views of ``D(f)`` -- each row as a big-int word for the mask
+tests and as a sorted index array for the ``ndet`` updates -- are
+derived from :attr:`~repro.adi.index.AdiResult.matrix` at the start of
+that one build.  Average mode (no min structure to exploit) keeps the
+lazy max-heap over the index arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.adi.index import AdiMode, AdiResult, compute_adi
+from repro.adi.index import AdiMode, AdiResult
 
 
 def _threshold_mask(ndet: np.ndarray, bound: int) -> int:
@@ -61,15 +65,15 @@ def _threshold_mask(ndet: np.ndarray, bound: int) -> int:
     )
 
 
-def _minimum_placements(result: AdiResult,
-                        active: List[int]) -> List[Tuple[int, int]]:
+def _minimum_placements(result: AdiResult, active: List[int],
+                        d_sets: Sequence[np.ndarray]
+                        ) -> List[Tuple[int, int]]:
     """Per-level sweep for ``AdiMode.MINIMUM`` (see module doc).
 
     ``active`` must be ascending: buckets inherit its order.
     """
     ndet = result.ndet.astype(np.int64).copy()
-    det_vectors = result.det_vectors
-    masks = result.detection_masks
+    masks = result.matrix.to_bigints()
     adi = result.adi
 
     buckets = {}
@@ -93,7 +97,7 @@ def _minimum_placements(result: AdiResult,
                 down.append(i)
                 continue
             placements.append((i, value))
-            seg = det_vectors[i]
+            seg = d_sets[i]
             ndet[seg] -= 1
             for u in seg[ndet[seg] == value - 1].tolist():
                 below |= 1 << u
@@ -101,7 +105,8 @@ def _minimum_placements(result: AdiResult,
 
 
 def _average_placements(result: AdiResult, active: List[int],
-                        limit: int) -> List[Tuple[int, int]]:
+                        d_sets: Sequence[np.ndarray]
+                        ) -> List[Tuple[int, int]]:
     """Lazy max-heap dynamic order for ``AdiMode.AVERAGE``.
 
     A popped entry is an upper bound (``ndet`` only decreases), so a
@@ -109,10 +114,9 @@ def _average_placements(result: AdiResult, active: List[int],
     pops at its true value is the argmax and is placed.
     """
     ndet = result.ndet.astype(np.int64).copy()
-    det_vectors = result.det_vectors
 
     def current_adi(i: int) -> int:
-        vecs = det_vectors[i]
+        vecs = d_sets[i]
         if not vecs.size:
             return 0
         return int(ndet[vecs].mean())
@@ -120,14 +124,14 @@ def _average_placements(result: AdiResult, active: List[int],
     heap = [(-current_adi(i), i) for i in active]
     heapq.heapify(heap)
     placements: List[Tuple[int, int]] = []
-    while heap and len(placements) < limit:
+    while heap:
         neg_value, i = heapq.heappop(heap)
         fresh = current_adi(i)
         if -neg_value != fresh:
             heapq.heappush(heap, (-fresh, i))
             continue
         placements.append((i, fresh))
-        vecs = det_vectors[i]
+        vecs = d_sets[i]
         if vecs.size:
             ndet[vecs] -= 1
     return placements
@@ -146,11 +150,10 @@ def _placements(result: AdiResult) -> Tuple[Tuple[int, int], ...]:
     """
     if result._placements is None:
         active = result.detected_indices
-        if result.mode == AdiMode.MINIMUM:
-            placements = _minimum_placements(result, active)
-        else:
-            placements = _average_placements(result, active, len(active))
-        result._placements = tuple(placements)
+        d_sets = result.matrix.row_index_lists()
+        build = (_minimum_placements if result.mode == AdiMode.MINIMUM
+                 else _average_placements)
+        result._placements = tuple(build(result, active, d_sets))
     return result._placements
 
 
@@ -170,27 +173,6 @@ def f0dynm(result: AdiResult) -> List[int]:
     (smallest test sets, Table 5's best column).
     """
     return result.undetected_indices + [i for i, __ in _placements(result)]
-
-
-def dynamic_order(circ, faults: Sequence, patterns,
-                  variant: str = "dynm",
-                  mode: AdiMode = AdiMode.MINIMUM,
-                  backend=None) -> List[int]:
-    """One-shot ``Fdynm``/``F0dynm`` from raw inputs.
-
-    Runs the no-dropping ADI simulation through the selected
-    fault-simulation backend (:mod:`repro.fsim.backend`) and returns the
-    dynamic permutation, so callers that only want the order never touch
-    :class:`AdiResult`.  ``variant`` is ``"dynm"`` or ``"0dynm"``.
-    Fault-model-polymorphic like :func:`repro.adi.index.compute_adi`:
-    pass stuck-at faults with a :class:`~repro.sim.patterns.PatternSet`,
-    or transition faults with a
-    :class:`~repro.sim.patterns.PatternPairSet`.
-    """
-    if variant not in ("dynm", "0dynm"):
-        raise ValueError(f"variant must be 'dynm' or '0dynm', got {variant!r}")
-    result = compute_adi(circ, faults, patterns, mode=mode, backend=backend)
-    return fdynm(result) if variant == "dynm" else f0dynm(result)
 
 
 def dynamic_prefix(result: AdiResult, count: int) -> List[tuple]:

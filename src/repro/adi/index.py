@@ -24,11 +24,11 @@ every order built on :class:`AdiResult` works for both models unchanged.
 Implementation notes: detection sets come from a fault-simulation
 backend (:mod:`repro.fsim.backend` — ``backend=`` picks the engine) as
 one packed ``uint64`` :class:`~repro.utils.detmatrix.DetectionMatrix`,
-which stays the working representation throughout: ``ndet`` is a
-vectorized column popcount-sum, ``ADI`` a masked row reduction — no
-per-fault Python loops anywhere.  The big-int views
-(:attr:`AdiResult.detection_masks`, :func:`adi_from_detection_words`)
-are compatibility shims that convert at the boundary exactly once.
+the only form an :class:`AdiResult` holds: ``ndet`` is a vectorized
+column popcount-sum, ``ADI`` a masked row reduction — no per-fault
+Python loops anywhere.  Consumers that want another view (the dynamic
+orders' ``D(f)`` arrays, the cache codec's hex rows) derive it from
+:attr:`AdiResult.matrix` themselves.
 """
 
 from __future__ import annotations
@@ -67,11 +67,8 @@ class AdiResult:
     whichever fault model was supplied (stuck-at or transition); nothing
     downstream of the detection matrix depends on the model.
 
-    ``matrix`` is the defining data — the packed detection sets.  The
-    big-int tuple view (:attr:`detection_masks`) and the per-fault
-    ``D(f)`` index arrays (:attr:`det_vectors`) are materialized lazily
-    and cached, so consumers that stay on the packed representation
-    never pay for them.
+    ``matrix`` is the defining data — the packed detection sets; row
+    ``i`` is ``D(f)`` of fault ``i``.
     """
 
     faults: Tuple[TargetFault, ...]
@@ -80,34 +77,11 @@ class AdiResult:
     ndet: np.ndarray
     adi: np.ndarray
     mode: AdiMode
-    _masks: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _vectors: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
     _positions: Optional[Dict[TargetFault, int]] = field(
         default=None, init=False, repr=False, compare=False)
     # The dynamic orders' placement sequence, filled by repro.adi.dynamic.
     _placements: Optional[Tuple[Tuple[int, int], ...]] = field(
         default=None, init=False, repr=False, compare=False)
-
-    @property
-    def detection_masks(self) -> Tuple[int, ...]:
-        """Per-fault detection sets as big-int words (compat view).
-
-        Bit ``u`` of entry ``i`` set iff vector ``u`` detects fault
-        ``i`` — the row big-ints of :attr:`matrix`, converted once and
-        cached.
-        """
-        if self._masks is None:
-            self._masks = tuple(self.matrix.to_bigints())
-        return self._masks
-
-    @property
-    def det_vectors(self) -> Tuple[np.ndarray, ...]:
-        """``D(f)`` per fault as sorted numpy index arrays (cached)."""
-        if self._vectors is None:
-            self._vectors = tuple(self.matrix.row_index_lists())
-        return self._vectors
 
     @property
     def detected_indices(self) -> List[int]:
@@ -217,24 +191,6 @@ def adi_from_detection_matrix(
         ndet=ndet,
         adi=adi,
         mode=mode,
-    )
-
-
-def adi_from_detection_words(
-    faults: Sequence[TargetFault],
-    words: Sequence[int],
-    num_vectors: int,
-    mode: AdiMode = AdiMode.MINIMUM,
-) -> AdiResult:
-    """Build an :class:`AdiResult` from big-int detection words.
-
-    Compatibility shim over :func:`adi_from_detection_matrix`: packs the
-    words exactly once and hands off.  This remains the reconstruction
-    path of the artifact cache (which persists masks as hex strings),
-    so a deserialized result can never disagree with its masks.
-    """
-    return adi_from_detection_matrix(
-        faults, DetectionMatrix.from_bigints(words, num_vectors), mode
     )
 
 

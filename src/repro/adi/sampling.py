@@ -19,14 +19,13 @@ scans.
 The procedure is fault-model-polymorphic: the candidate pool comes from
 the fault-model registry (:mod:`repro.faults.registry`) — pass
 ``model="transition"`` (or any registered model name) for that model's
-random pool, ``pairs=True`` as stuck-at/transition shorthand, or supply
-a pool explicitly via ``patterns=``.
+random pool, or supply a pool explicitly via ``patterns=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
@@ -76,27 +75,19 @@ def select_u(
     prune_useless: bool = False,
     patterns: Optional[PatternBlock] = None,
     backend: "str | FaultSimBackend | None" = None,
-    pairs: bool = False,
     model: Union[str, FaultModel, None] = None,
 ) -> USelection:
     """Choose ``U`` by the paper's truncated random-simulation procedure.
 
     The candidate pool comes from the fault-model registry: ``model``
     names the registered fault model whose random pool to draw
-    (``"stuck_at"`` by default); ``pairs=True`` is shorthand for
-    ``model="transition"``.  ``patterns`` overrides the pool entirely
+    (``"stuck_at"`` by default).  ``patterns`` overrides the pool entirely
     (used by the worked example, which supplies the 16 exhaustive vectors
     of ``lion``) and must then match the chosen model's container type.
     ``backend`` selects the fault-simulation engine for the dropping run.
     """
     if not 0.0 < target_coverage <= 1.0:
         raise SimulationError("target_coverage must be in (0, 1]")
-    if pairs:
-        if model is not None and fault_model(model).name != "transition":
-            raise SimulationError(
-                f"pairs=True conflicts with model={fault_model(model).name!r}"
-            )
-        model = "transition"
     resolved = fault_model(model) if model is not None else None
     if (patterns is not None and resolved is not None
             and not isinstance(patterns, resolved.container_type)):

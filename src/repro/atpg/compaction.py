@@ -13,22 +13,23 @@ Two post-processing families the paper positions itself against:
   steep test sets; ``benchmarks/bench_ablation_reorder.py`` runs that
   comparison.
 
-All routines work on detection words (one big-int column per test), so
-they share the PPSFP machinery and cost one no-dropping simulation.
+All routines work on per-test detection words (one big-int column per
+test), the transpose of one packed no-dropping simulation through the
+engine registry (:func:`repro.faults.registry.query_detection_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
-from repro.errors import AtpgError
 from repro.faults.model import Fault
-from repro.fsim.parallel import detection_word
-from repro.sim.bitsim import simulate
+from repro.faults.registry import query_detection_matrix
+from repro.fsim.backend import resolve_backend
 from repro.sim.patterns import PatternSet
-from repro.utils.bitvec import full_mask, iter_bits
 
 
 def detection_matrix(circ: CompiledCircuit, faults: Sequence[Fault],
@@ -36,20 +37,12 @@ def detection_matrix(circ: CompiledCircuit, faults: Sequence[Fault],
     """Per-test detection words: bit ``i`` of entry ``t`` = test ``t``
     detects fault ``i``.
 
-    (This is the transpose of the per-fault detection word: columns are
-    faults here because compaction reasons about tests.)
+    This is the transpose of the packed per-fault detection matrix:
+    columns are faults here because compaction reasons about tests.
     """
-    good = simulate(circ, tests)
-    per_fault = [
-        detection_word(circ, good, fault, tests.num_patterns)
-        for fault in faults
-    ]
-    per_test = [0] * tests.num_patterns
-    for fault_index, word in enumerate(per_fault):
-        bit = 1 << fault_index
-        for t in iter_bits(word):
-            per_test[t] |= bit
-    return per_test
+    rows = query_detection_matrix(resolve_backend(circ), tests, faults)
+    per_test = np.packbits(rows.unpack_bits().T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in per_test]
 
 
 @dataclass

@@ -12,10 +12,7 @@ Three layers:
 """
 
 from repro.diagnosis.chain import (
-    ChainEvidence,
     ChainRanker,
-    chain_evidence,
-    chain_rerank,
     failing_outputs_mask,
 )
 from repro.diagnosis.compress import (
@@ -43,7 +40,6 @@ from repro.diagnosis.pipeline import (
 )
 
 __all__ = [
-    "ChainEvidence",
     "ChainRanker",
     "CompressedDictionary",
     "DiagnosisBatchReport",
@@ -53,8 +49,6 @@ __all__ = [
     "PassFailDictionary",
     "build_dictionary",
     "build_pass_fail_dictionary",
-    "chain_evidence",
-    "chain_rerank",
     "compress_dictionary",
     "diagnose",
     "diagnose_batch",

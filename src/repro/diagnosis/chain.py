@@ -27,8 +27,7 @@ spurious outputs, dictionary position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.graph import output_reach_masks, transitive_fanin
@@ -128,30 +127,3 @@ class ChainRanker:
             )
         return DiagnosisReport(observed_mask=report.observed_mask,
                                candidates=tuple(ranked))
-
-
-@dataclass(frozen=True)
-class ChainEvidence:
-    """Per-candidate cone facts, for reports and the HTTP response."""
-
-    explains_all: bool
-    spurious_outputs: int
-
-
-def chain_evidence(ranker: ChainRanker, node: int,
-                   failing_outputs: Iterable[int]) -> ChainEvidence:
-    """The cone facts of one candidate site against one observation."""
-    mask = failing_outputs_mask(ranker, failing_outputs)
-    return ChainEvidence(
-        explains_all=ranker.explains(node, mask),
-        spurious_outputs=ranker.spurious(node, mask),
-    )
-
-
-def chain_rerank(circ: CompiledCircuit, dictionary,
-                 report: DiagnosisReport,
-                 failing_outputs: Iterable[int],
-                 ranker: Optional[ChainRanker] = None) -> DiagnosisReport:
-    """One-shot convenience around :meth:`ChainRanker.rerank`."""
-    ranker = ranker or ChainRanker(circ)
-    return ranker.rerank(dictionary, report, failing_outputs)

@@ -7,8 +7,10 @@ dictionary — the classical cause-effect approach.
 
 Two flavours:
 
-* :class:`PassFailDictionary` — per fault, the set of failing tests
-  (one bit per test).  Compact; enough for most candidate ranking.
+* :class:`PassFailDictionary` — per fault, the set of failing tests,
+  one packed :class:`~repro.utils.detmatrix.DetectionMatrix` row per
+  fault (bit ``t`` = test ``t`` fails).  Compact; enough for most
+  candidate ranking, which runs vectorized over the matrix.
 * :class:`FaultDictionary` — per fault and failing test, the exact
   failing-output set (full response signature).  Larger but sharper.
 
@@ -62,26 +64,19 @@ def validate_observed_mask(observed_mask: int, num_tests: int) -> int:
 
 @dataclass(frozen=True)
 class PassFailDictionary:
-    """Per-fault failing-test masks over a fixed test set."""
+    """Per-fault failing tests over a fixed test set.
 
-    num_tests: int
+    Row ``i`` of ``fail_matrix`` is fault ``i``'s failing-test set: bit
+    ``t`` set iff test ``t`` fails under the fault.
+    """
+
     faults: Tuple[Fault, ...]
-    fail_masks: Tuple[int, ...]  # bit t set = test t fails under fault
+    fail_matrix: DetectionMatrix
 
     @property
-    def fail_matrix(self) -> "DetectionMatrix":
-        """The fail masks as one packed uint64 matrix (built lazily).
-
-        Candidate ranking and first-fail statistics run vectorized over
-        this matrix instead of looping over the big-int masks.
-        """
-        matrix = getattr(self, "_fail_matrix", None)
-        if matrix is None:
-            matrix = DetectionMatrix.from_bigints(
-                self.fail_masks, self.num_tests
-            )
-            object.__setattr__(self, "_fail_matrix", matrix)
-        return matrix
+    def num_tests(self) -> int:
+        """Tests the dictionary covers (the matrix width)."""
+        return self.fail_matrix.num_patterns
 
     def position(self, fault: Fault) -> int:
         """Index of ``fault`` in the dictionary (O(1) after first call)."""
@@ -93,13 +88,12 @@ class PassFailDictionary:
 
     def failing_tests(self, fault: Fault) -> List[int]:
         """Indices of tests that fail when ``fault`` is present."""
-        return list(iter_bits(self.fail_masks[self.position(fault)]))
+        return self.fail_matrix.row_indices(self.position(fault)).tolist()
 
     def detected_faults(self) -> List[Fault]:
         """Faults the test set detects at all."""
-        return [
-            f for f, m in zip(self.faults, self.fail_masks) if m
-        ]
+        return [f for f, hit in zip(self.faults, self.fail_matrix.any_rows())
+                if hit]
 
 
 @dataclass(frozen=True)
@@ -146,16 +140,10 @@ def build_pass_fail_dictionary(circ: CompiledCircuit,
             f"circuit has {circ.num_inputs}"
         )
     engine = resolve_backend(circ, backend)
-    matrix = query_detection_matrix(engine, tests, faults)
-    dictionary = PassFailDictionary(
-        num_tests=tests.num_patterns,
+    return PassFailDictionary(
         faults=tuple(faults),
-        fail_masks=tuple(matrix.to_bigints()),
+        fail_matrix=query_detection_matrix(engine, tests, faults),
     )
-    # The packed matrix is already in hand — seed the lazy property so
-    # consumers never re-pack the big-int masks.
-    object.__setattr__(dictionary, "_fail_matrix", matrix)
-    return dictionary
 
 
 def build_dictionary(circ: CompiledCircuit, faults: Sequence[Fault],

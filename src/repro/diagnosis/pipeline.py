@@ -43,7 +43,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -153,93 +154,118 @@ class FailLog:
         )
 
     @staticmethod
-    def from_jsonl(path: Union[str, Path],
-                   num_tests: Optional[int] = None) -> "FailLog":
-        """Read a JSONL fail log (the tester hand-off format).
+    def from_records(records: Iterable[Tuple[str, Any]],
+                     num_tests: int) -> "FailLog":
+        """Decode device records, the one decoder of every fail-log surface.
 
-        The first line is a header ``{"schema": "repro.fail_log/v1",
-        "num_tests": T}``; each further line one device:
-        ``{"device": id, "failing_tests": [t, ...]}``, optionally with
-        ``"failing_outputs": [k, ...]`` (primary-output positions).  A
-        headerless file is accepted when ``num_tests`` is passed
-        explicitly.
+        ``records`` yields ``(where, record)`` pairs; ``where`` names the
+        record in error messages (``devices[3]`` on the wire,
+        ``path:line`` in a JSONL file).  A record is ``{"device": id,
+        "failing_tests": [t, ...]}``, optionally with
+        ``"failing_outputs": [k, ...]`` (primary-output positions).
+        Indices must be exactly ``int`` (a JSON boolean decodes to
+        ``bool``, a float to ``float``: both are rejected), and test
+        indices must lie in ``0..num_tests - 1``; anything else raises
+        :class:`~repro.errors.DiagnosisInputError` naming the record.
         """
-        path = Path(path)
         device_ids: List[str] = []
         masks: List[int] = []
         outputs: List[Optional[int]] = []
         saw_outputs = False
-        with path.open() as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
+        for where, record in records:
+            if not isinstance(record, dict):
+                raise DiagnosisInputError(
+                    f"{where}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
+            failing = record.get("failing_tests")
+            if not isinstance(failing, list):
+                raise DiagnosisInputError(
+                    f"{where}: failing_tests must be a list of test indices"
+                )
+            mask = 0
+            for t in failing:
+                if type(t) is not int or not 0 <= t < num_tests:
                     raise DiagnosisInputError(
-                        f"{path}:{line_no}: not valid JSON: {exc}"
+                        f"{where}: failing test {t!r} out of range "
+                        f"0..{num_tests - 1}"
                     )
-                if not isinstance(record, dict):
+                mask |= 1 << t
+            device_ids.append(str(record.get(
+                "device", f"device{len(device_ids):06d}")))
+            masks.append(mask)
+            if "failing_outputs" in record:
+                raw = record["failing_outputs"]
+                if not isinstance(raw, list) \
+                        or any(type(k) is not int for k in raw):
                     raise DiagnosisInputError(
-                        f"{path}:{line_no}: expected a JSON object"
+                        f"{where}: failing_outputs must be a list of "
+                        f"output positions"
                     )
-                if "schema" in record:
-                    if record.get("schema") != FAIL_LOG_SCHEMA:
-                        raise DiagnosisInputError(
-                            f"{path}:{line_no}: unknown fail-log schema "
-                            f"{record.get('schema')!r}"
-                        )
-                    header_tests = record.get("num_tests")
-                    if not isinstance(header_tests, int) or header_tests < 0:
-                        raise DiagnosisInputError(
-                            f"{path}:{line_no}: header num_tests must be "
-                            f"a non-negative int"
-                        )
-                    if num_tests is not None and num_tests != header_tests:
-                        raise DiagnosisInputError(
-                            f"{path}:{line_no}: header covers "
-                            f"{header_tests} tests, caller expected "
-                            f"{num_tests}"
-                        )
-                    num_tests = header_tests
-                    continue
-                if num_tests is None:
-                    raise DiagnosisInputError(
-                        f"{path}:{line_no}: no schema header and no "
-                        f"explicit num_tests"
-                    )
-                failing = record.get("failing_tests")
-                if not isinstance(failing, list):
-                    raise DiagnosisInputError(
-                        f"{path}:{line_no}: failing_tests must be a list "
-                        f"of test indices"
-                    )
-                mask = 0
-                for t in failing:
-                    if not isinstance(t, int) or not 0 <= t < num_tests:
-                        raise DiagnosisInputError(
-                            f"{path}:{line_no}: failing test {t!r} out of "
-                            f"range 0..{num_tests - 1}"
-                        )
-                    mask |= 1 << t
-                device_ids.append(
-                    str(record.get("device", f"device{len(masks):06d}")))
-                masks.append(mask)
-                if "failing_outputs" in record:
-                    saw_outputs = True
-                    outputs.append(failing_outputs_mask(
-                        1 << 62, record["failing_outputs"]))
-                else:
-                    outputs.append(None)
-        if num_tests is None:
-            raise DiagnosisInputError(f"{path}: empty fail log, no header")
+                saw_outputs = True
+                outputs.append(failing_outputs_mask(1 << 62, raw))
+            else:
+                outputs.append(None)
         return FailLog(
             num_tests=num_tests,
             device_ids=tuple(device_ids),
             matrix=DetectionMatrix.from_bigints(masks, num_tests),
             failing_outputs=tuple(outputs) if saw_outputs else None,
         )
+
+    @staticmethod
+    def from_jsonl(path: Union[str, Path],
+                   num_tests: Optional[int] = None) -> "FailLog":
+        """Read a JSONL fail log (the tester hand-off format).
+
+        The first line is a header ``{"schema": "repro.fail_log/v1",
+        "num_tests": T}``; each further line is one device record in
+        the format of :meth:`from_records`, which decodes them.  A
+        headerless file is accepted when ``num_tests`` is passed
+        explicitly.
+        """
+        path = Path(path)
+        records: List[Tuple[str, Any]] = []
+        with path.open() as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{line_no}"
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise DiagnosisInputError(
+                        f"{where}: not valid JSON: {exc}"
+                    )
+                if not isinstance(record, dict) or "schema" not in record:
+                    if num_tests is None:
+                        raise DiagnosisInputError(
+                            f"{where}: no schema header and no explicit "
+                            f"num_tests"
+                        )
+                    records.append((where, record))
+                    continue
+                if record.get("schema") != FAIL_LOG_SCHEMA:
+                    raise DiagnosisInputError(
+                        f"{where}: unknown fail-log schema "
+                        f"{record.get('schema')!r}"
+                    )
+                header_tests = record.get("num_tests")
+                if type(header_tests) is not int or header_tests < 0:
+                    raise DiagnosisInputError(
+                        f"{where}: header num_tests must be a "
+                        f"non-negative int"
+                    )
+                if num_tests is not None and num_tests != header_tests:
+                    raise DiagnosisInputError(
+                        f"{where}: header covers {header_tests} tests, "
+                        f"caller expected {num_tests}"
+                    )
+                num_tests = header_tests
+        if num_tests is None:
+            raise DiagnosisInputError(f"{path}: empty fail log, no header")
+        return FailLog.from_records(records, num_tests)
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """Write the log in the JSONL hand-off format (with header)."""
@@ -283,7 +309,8 @@ def random_fail_log(dictionary: PassFailDictionary, num_devices: int,
             f"drop_probability must be in [0, 1), got {drop_probability}"
         )
     generator = resolve_rng(seed=seed, rng=rng, label="fail_log")
-    detected = [p for p, mask in enumerate(dictionary.fail_masks) if mask]
+    rows = dictionary.fail_matrix
+    detected = np.flatnonzero(rows.any_rows()).tolist()
     if not detected:
         raise DiagnosisInputError(
             "dictionary detects no faults; cannot synthesize failures"
@@ -298,7 +325,7 @@ def random_fail_log(dictionary: PassFailDictionary, num_devices: int,
     outputs: List[Optional[int]] = []
     for __ in range(num_devices):
         position = detected[generator.randrange(len(detected))]
-        mask = dictionary.fail_masks[position]
+        mask = rows.row_int(position)
         if drop_probability > 0.0:
             kept = 0
             for t in iter_bits(mask):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.adi import AdiResult, compute_adi, dynamic_prefix
+from repro.adi import AdiResult, compute_adi, dynamic_prefix, ndet_table
 from repro.circuit.library import lion_like
 from repro.faults import collapse_faults
 from repro.sim.patterns import PatternSet
@@ -43,8 +43,6 @@ def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
     # coverage hits 100%).
     adi = compute_adi(circ, faults, patterns)
 
-    ndet = {u: int(adi.ndet[u]) for u in range(adi.num_vectors)}
-
     # A few illustrative faults: lowest-ADI, a middle one, highest-ADI.
     detected = sorted(adi.detected_indices, key=lambda i: int(adi.adi[i]))
     picks: List[int] = []
@@ -56,7 +54,7 @@ def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
     adi_rows = [
         (
             faults[i].describe(circ),
-            adi.det_vectors[i].tolist(),
+            adi.matrix.row_indices(i).tolist(),
             int(adi.adi[i]),
         )
         for i in picks[:example_faults]
@@ -69,7 +67,7 @@ def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
     return Table1Result(
         circuit_name=circ.name,
         num_faults=len(faults),
-        ndet=ndet,
+        ndet=ndet_table(adi),
         adi_rows=adi_rows,
         dynm_prefix=prefix,
         adi=adi,

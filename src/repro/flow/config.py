@@ -2,7 +2,7 @@
 
 The paper's pipeline — fault universe → vector set ``U`` → ADI → order →
 ordered test generation → coverage curve — used to be wired by threading
-loose kwargs (``backend=``, ``seed=``, ``AdiMode``, ``pairs=True``,
+loose kwargs (``backend=``, ``seed=``, ``AdiMode``, ``model=``,
 ``TestGenConfig``) through half a dozen modules.  :class:`FlowConfig`
 replaces that with a single JSON-(de)serializable value: every knob of
 every stage lives in one named spec, every spec is frozen (hashable,

@@ -12,7 +12,8 @@ pieces so the two surfaces cannot drift:
   ranker for one flow (the unit the server memoizes per run key);
 * :func:`parse_fail_entries` — the wire format of device records
   (``{"device": id, "failing_tests": [...]}`` plus optional
-  ``"failing_outputs"``) to a :class:`~repro.diagnosis.pipeline.FailLog`;
+  ``"failing_outputs"``) to a :class:`~repro.diagnosis.pipeline.FailLog`,
+  through the same decoder as a JSONL fail log;
 * :func:`diagnosis_document` — batch run → response document, faults
   serialized with the registered fault model's JSON codec.
 """
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-from repro.diagnosis.chain import ChainRanker, failing_outputs_mask
+from repro.diagnosis.chain import ChainRanker
 from repro.diagnosis.compress import (
     CompressedDictionary,
     compress_dictionary,
@@ -38,7 +39,6 @@ from repro.errors import DiagnosisInputError
 from repro.faults.registry import fault_model
 from repro.flow.flow import Flow
 from repro.telemetry import span
-from repro.utils.detmatrix import DetectionMatrix
 
 #: Response schema of ``repro diagnose --json`` and ``POST /diagnose``.
 DIAGNOSIS_SCHEMA = "repro.diagnosis/v1"
@@ -92,62 +92,19 @@ def build_diagnosis_context(flow: Flow) -> DiagnosisContext:
 def parse_fail_entries(entries: Any, num_tests: int) -> FailLog:
     """Decode the wire-format device list into a :class:`FailLog`.
 
-    ``entries`` must be a list of ``{"device": id, "failing_tests":
-    [t, ...]}`` records, optionally carrying ``"failing_outputs"``
-    (primary-output positions).  Anything malformed raises
-    :class:`~repro.errors.DiagnosisInputError` naming the record.
+    ``entries`` must be a list of device records, decoded by
+    :meth:`FailLog.from_records` exactly as a JSONL fail log is.
+    Anything malformed raises :class:`~repro.errors.DiagnosisInputError`
+    naming the record (``devices[i]``).
     """
     if not isinstance(entries, list):
         raise DiagnosisInputError(
             f"devices must be a list of records, got "
             f"{type(entries).__name__}"
         )
-    device_ids: List[str] = []
-    masks: List[int] = []
-    outputs: List[Optional[int]] = []
-    saw_outputs = False
-    for index, record in enumerate(entries):
-        if not isinstance(record, dict):
-            raise DiagnosisInputError(
-                f"devices[{index}] must be an object, got "
-                f"{type(record).__name__}"
-            )
-        failing = record.get("failing_tests")
-        if not isinstance(failing, list):
-            raise DiagnosisInputError(
-                f"devices[{index}].failing_tests must be a list of "
-                f"test indices"
-            )
-        mask = 0
-        for t in failing:
-            if not isinstance(t, int) or isinstance(t, bool) \
-                    or not 0 <= t < num_tests:
-                raise DiagnosisInputError(
-                    f"devices[{index}]: failing test {t!r} out of range "
-                    f"0..{num_tests - 1}"
-                )
-            mask |= 1 << t
-        device_ids.append(str(record.get("device", f"device{index:06d}")))
-        masks.append(mask)
-        if "failing_outputs" in record:
-            raw = record["failing_outputs"]
-            if not isinstance(raw, list) or any(
-                    not isinstance(k, int) or isinstance(k, bool)
-                    for k in raw):
-                raise DiagnosisInputError(
-                    f"devices[{index}].failing_outputs must be a list "
-                    f"of output positions"
-                )
-            saw_outputs = True
-            outputs.append(failing_outputs_mask(1 << 62, raw))
-        else:
-            outputs.append(None)
-    return FailLog(
-        num_tests=num_tests,
-        device_ids=tuple(device_ids),
-        matrix=DetectionMatrix.from_bigints(masks, num_tests),
-        failing_outputs=tuple(outputs) if saw_outputs else None,
-    )
+    return FailLog.from_records(
+        ((f"devices[{index}]", record)
+         for index, record in enumerate(entries)), num_tests)
 
 
 def diagnosis_document(context: DiagnosisContext, log: FailLog, *,

@@ -11,13 +11,13 @@ strings, numbers) so the artifact cache can persist them as-is:
   with faults stored as *indices into the target list* (the fault list
   is itself an upstream artifact; storing positions keeps files small
   and makes tampering detectable);
-* ADI results — the detection masks only (hex big-ints: the JSON view
-  of the packed detection matrix, stable across representations);
-  ``ndet``/``D(f)``/indices are recomputed on load via
-  :func:`repro.adi.index.adi_from_detection_words`, which packs the
-  masks back into a :class:`~repro.utils.detmatrix.DetectionMatrix`
-  once — guaranteeing a deserialized result can never disagree with
-  its masks;
+* ADI results — the rows of the packed
+  :class:`~repro.utils.detmatrix.DetectionMatrix` only, each as one hex
+  big-int (the codec converts at this boundary, so the payload is the
+  same whatever the in-memory layout); ``ndet``/ADI/indices are
+  recomputed on load via :func:`repro.adi.index.adi_from_detection_matrix`
+  — guaranteeing a deserialized result can never disagree with its
+  rows;
 * fault orders — the permutation of target-list positions, checked on
   load to be one;
 * test-generation results (one type for every fault model), checked
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
 
-from repro.adi.index import AdiResult, adi_from_detection_words
+from repro.adi.index import AdiMode, AdiResult, adi_from_detection_matrix
 from repro.adi.metrics import CurveReport
 from repro.adi.sampling import USelection
 from repro.atpg.engine import TestGenResult
@@ -44,6 +44,7 @@ from repro.faults.registry import FaultModel, fault_model
 from repro.faults.sets import FaultStatus
 from repro.fsim.dropping import DropSimResult
 from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.utils.detmatrix import DetectionMatrix
 
 
 def _require(condition: bool, message: str) -> None:
@@ -161,31 +162,33 @@ def selection_from_json(data: Dict[str, Any],
 
 # -- ADI results --------------------------------------------------------------
 
+#: Payload key of the hex matrix rows (named in cache format 1).
+_ADI_ROWS = "detection_masks"
+
+
 def adi_to_json(result: AdiResult) -> Dict[str, Any]:
-    """Encode an :class:`AdiResult` as its defining detection masks."""
+    """Encode an :class:`AdiResult` as its defining matrix rows."""
     return {
         "num_vectors": result.num_vectors,
         "mode": result.mode.value,
-        "detection_masks": [hex(m) for m in result.detection_masks],
+        _ADI_ROWS: [hex(row) for row in result.matrix.to_bigints()],
     }
 
 
 def adi_from_json(data: Dict[str, Any], faults: Sequence) -> AdiResult:
     """Decode :func:`adi_to_json` output against the same fault list.
 
-    ``ndet``, ``D(f)`` and the indices are *recomputed* from the masks —
-    the cheap tail of :func:`repro.adi.index.compute_adi` — so a cached
-    result is bit-identical to a fresh one by construction.
+    The rows are packed back into a matrix once; ``ndet``, ADI and the
+    indices are *recomputed* from it — the cheap tail of
+    :func:`repro.adi.index.compute_adi` — so a cached result is
+    bit-identical to a fresh one by construction.
     """
-    from repro.adi.index import AdiMode
-
-    masks = data.get("detection_masks")
-    _require(isinstance(masks, list) and len(masks) == len(faults),
-             "ADI masks do not match the target fault list")
-    words = [int(m, 16) for m in masks]
-    return adi_from_detection_words(
-        faults, words, int(data["num_vectors"]), AdiMode(data["mode"])
-    )
+    rows = data.get(_ADI_ROWS)
+    _require(isinstance(rows, list) and len(rows) == len(faults),
+             "ADI rows do not match the target fault list")
+    matrix = DetectionMatrix.from_bigints(
+        (int(row, 16) for row in rows), int(data["num_vectors"]))
+    return adi_from_detection_matrix(faults, matrix, AdiMode(data["mode"]))
 
 
 # -- fault orders -------------------------------------------------------------

@@ -22,7 +22,12 @@ to its region's stem.  A query then runs in three vectorized steps:
   level.  The OR over outputs of ``faulty XOR fault-free`` is a stem's
   observability word.
 * **Rows.**  Each row is ``local & obs[stem]``, masked to the block width
-  and returned packed as a :class:`repro.utils.detmatrix.DetectionMatrix`.
+  (:func:`repro.utils.detmatrix.tail_mask`) and returned packed as a
+  :class:`repro.utils.detmatrix.DetectionMatrix`.
+
+A staged block enters the ``uint64`` layout through
+:meth:`~repro.utils.detmatrix.DetectionMatrix.from_bigints`, the same
+converter every other consumer of packed words uses.
 
 Why this is exact: no side input of a gate on the path from a fault site
 to its stem can be reached from the site, because every node on that
@@ -44,14 +49,9 @@ from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
 from repro.faults.model import Fault, check_fault
 from repro.fsim.backend import FaultSimBackend
-from repro.sim.npsim import (
-    ONES64,
-    LevelSchedule,
-    simulate_matrix_levelized,
-    words_to_matrix,
-)
+from repro.sim.npsim import ONES64, LevelSchedule, simulate_matrix_levelized
 from repro.sim.patterns import PatternSet
-from repro.utils.detmatrix import DetectionMatrix
+from repro.utils.detmatrix import DetectionMatrix, tail_mask
 
 #: Soft cap on the stem-flip tensor, in bytes; batches are sized to fit.
 DEFAULT_BATCH_BYTES = 128 << 20
@@ -178,21 +178,16 @@ class NumpyFaultSim(FaultSimBackend):
         self._good: Optional[np.ndarray] = None  # (num_nodes, W)
         self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._num_words = 0
-        self._tail_mask = ONES64
 
     def _stage(self, patterns: PatternSet) -> None:
         """Pack and simulate the fault-free circuit for a pattern block."""
-        matrix = words_to_matrix(patterns.words, patterns.num_patterns)
+        inputs = DetectionMatrix.from_bigints(patterns.words,
+                                              patterns.num_patterns)
         self._good = simulate_matrix_levelized(
-            self.circ, matrix, schedule=self.schedule
+            self.circ, inputs.words, schedule=self.schedule
         )
         self._tables = None
-        self._num_words = matrix.shape[1]
-        tail_bits = patterns.num_patterns - 64 * (self._num_words - 1)
-        self._tail_mask = (
-            ONES64 if tail_bits >= 64
-            else np.uint64((1 << max(tail_bits, 0)) - 1)
-        )
+        self._num_words = inputs.num_words
 
     def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
         """Packed detection matrix of every fault — the native query.
@@ -222,7 +217,7 @@ class NumpyFaultSim(FaultSimBackend):
         line[branch] = regions.pin_src[flat_pin[branch]]
         stuck = np.where(value == 1, ONES64, np.uint64(0))[:, None]
         rows = (good[line] ^ stuck) & sens[flat_pin] & path[node]
-        rows[:, -1] &= self._tail_mask
+        rows[:, -1] &= tail_mask(width)
 
         # Only the stems that some fault of the query flips are simulated.
         live = np.flatnonzero(rows.any(axis=1))

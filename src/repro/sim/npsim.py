@@ -9,10 +9,13 @@ backend does one Python op per gate regardless of width.  The benchmark
 
 :class:`LevelSchedule` levelizes a circuit once into contiguous per-level
 gate arrays so that one numpy gather/op/scatter evaluates a whole group of
-same-typed gates at a time.  It is the shared propagation core of both the
+same-typed gates at a time.  It is the one propagation core of both the
 levelized true-value simulation here and the batched fault simulator in
 :mod:`repro.fsim.npfsim` (the same schedule propagates ``(num_nodes, W)``
-and ``(num_nodes, B, W)`` value tensors).
+and ``(num_nodes, B, W)`` value tensors).  Big-int words cross into and
+out of the ``uint64`` layout only through the
+:class:`~repro.utils.detmatrix.DetectionMatrix` converters, which share
+its word order.
 """
 
 from __future__ import annotations
@@ -26,69 +29,9 @@ from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
 from repro.errors import SimulationError
 from repro.sim.patterns import PatternSet
+from repro.utils.detmatrix import DetectionMatrix
 
 ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def words_to_matrix(input_words: Sequence[int], num_patterns: int) -> np.ndarray:
-    """Convert big-int input words to a ``(num_inputs, num_words)`` matrix."""
-    num_words = max(1, (num_patterns + 63) // 64)
-    out = np.zeros((len(input_words), num_words), dtype=np.uint64)
-    for i, word in enumerate(input_words):
-        raw = word.to_bytes(num_words * 8, "little")
-        out[i] = np.frombuffer(raw, dtype="<u8")
-    return out
-
-
-def matrix_row_to_int(row: np.ndarray, num_patterns: int) -> int:
-    """Convert one uint64 row back to a big-int, masked to ``num_patterns``."""
-    value = int.from_bytes(row.astype("<u8").tobytes(), "little")
-    return value & ((1 << num_patterns) - 1)
-
-
-def simulate_matrix(circ: CompiledCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Simulate all nodes; returns a ``(num_nodes, num_words)`` matrix."""
-    if inputs.shape[0] != circ.num_inputs:
-        raise SimulationError(
-            f"{circ.name}: matrix has {inputs.shape[0]} input rows, "
-            f"expected {circ.num_inputs}"
-        )
-    num_words = inputs.shape[1]
-    values = np.zeros((circ.num_nodes, num_words), dtype=np.uint64)
-    values[: circ.num_inputs] = inputs
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-    node_type = circ.node_type
-    fanin = circ.fanin
-    for node in range(circ.num_inputs, circ.num_nodes):
-        gtype = node_type[node]
-        srcs = fanin[node]
-        if gtype == GateType.AND or gtype == GateType.NAND:
-            acc = values[srcs[0]].copy()
-            for s in srcs[1:]:
-                acc &= values[s]
-            values[node] = acc if gtype == GateType.AND else acc ^ ones
-        elif gtype == GateType.OR or gtype == GateType.NOR:
-            acc = values[srcs[0]].copy()
-            for s in srcs[1:]:
-                acc |= values[s]
-            values[node] = acc if gtype == GateType.OR else acc ^ ones
-        elif gtype == GateType.XOR or gtype == GateType.XNOR:
-            acc = values[srcs[0]].copy()
-            for s in srcs[1:]:
-                acc ^= values[s]
-            values[node] = acc if gtype == GateType.XOR else acc ^ ones
-        elif gtype == GateType.BUF:
-            values[node] = values[srcs[0]]
-        elif gtype == GateType.NOT:
-            values[node] = values[srcs[0]] ^ ones
-        elif gtype == GateType.CONST0:
-            values[node] = 0
-        elif gtype == GateType.CONST1:
-            values[node] = ones
-        else:
-            raise SimulationError(f"cannot evaluate node type {gtype!r}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -242,10 +185,12 @@ def _eval_odd_gate(gtype: GateType, values: np.ndarray,
 def simulate_matrix_levelized(circ: CompiledCircuit, inputs: np.ndarray,
                               schedule: LevelSchedule | None = None
                               ) -> np.ndarray:
-    """Like :func:`simulate_matrix`, but through a :class:`LevelSchedule`.
+    """Simulate all nodes through a :class:`LevelSchedule`.
 
-    Passing a prebuilt ``schedule`` amortizes levelization across calls;
-    the fault-simulation backend does exactly that.
+    ``inputs`` holds one row of words per primary input; the result has
+    one row per node.  Passing a prebuilt ``schedule`` amortizes
+    levelization across calls; the fault-simulation backend does exactly
+    that.
     """
     if inputs.shape[0] != circ.num_inputs:
         raise SimulationError(
@@ -271,9 +216,7 @@ def simulate(circ: CompiledCircuit, patterns: PatternSet) -> List[int]:
             f"{circ.name}: pattern set has {patterns.num_inputs} inputs, "
             f"circuit has {circ.num_inputs}"
         )
-    matrix = words_to_matrix(patterns.words, patterns.num_patterns)
-    values = simulate_matrix(circ, matrix)
-    return [
-        matrix_row_to_int(values[node], patterns.num_patterns)
-        for node in range(circ.num_nodes)
-    ]
+    width = patterns.num_patterns
+    inputs = DetectionMatrix.from_bigints(patterns.words, width)
+    values = simulate_matrix_levelized(circ, inputs.words)
+    return DetectionMatrix.from_rows(values, width).to_bigints()

@@ -29,7 +29,7 @@ class TestAverageMode:
         __, __f, __mn, avg = average_setup
         from repro.utils.bitvec import bit_indices
 
-        for i, mask in enumerate(avg.detection_masks):
+        for i, mask in enumerate(avg.matrix.to_bigints()):
             if mask:
                 values = [int(avg.ndet[u]) for u in bit_indices(mask)]
                 assert avg.adi[i] == int(np.mean(values))

@@ -148,12 +148,12 @@ class TestDynamicOrders:
         while remaining:
             best, best_value = None, -1
             for i in remaining:
-                value = _current_adi(adi, ndet, adi.det_vectors[i])
+                value = _current_adi(adi, ndet, adi.matrix.row_indices(i))
                 if value > best_value:
                     best, best_value = i, value
             placed.append(best)
             remaining.remove(best)
-            ndet[adi.det_vectors[best]] -= 1
+            ndet[adi.matrix.row_indices(best)] -= 1
         return placed
 
     def test_fdynm_matches_reference(self, lion_data):
@@ -192,19 +192,19 @@ class TestDynamicOrders:
         """The pre-heap O(count x F) rescan implementation (extended to
         AVERAGE mode)."""
         ndet = adi.ndet.astype(np.int64).copy()
-        det_vectors = adi.det_vectors
+        d_sets = [adi.matrix.row_indices(i) for i in range(len(adi.faults))]
         nonzero = {i for i in range(len(adi.faults)) if adi.adi[i] != 0}
         placements = []
         while nonzero and len(placements) < count:
             best, best_value = None, -1
             for i in sorted(nonzero):
-                vecs = det_vectors[i]
+                vecs = d_sets[i]
                 value = _current_adi(adi, ndet, vecs) if vecs.size else 0
                 if value > best_value:
                     best, best_value = i, value
             placements.append((best, best_value))
             nonzero.discard(best)
-            vecs = det_vectors[best]
+            vecs = d_sets[best]
             if vecs.size:
                 ndet[vecs] -= 1
         return placements

@@ -89,14 +89,14 @@ class TestComputeAdi:
         faults, result = lion_adi
         for u in range(16):
             expected = sum(
-                (mask >> u) & 1 for mask in result.detection_masks
+                (mask >> u) & 1 for mask in result.matrix.to_bigints()
             )
             assert result.ndet[u] == expected
 
     def test_adi_definition_minimum(self, lion_adi):
         """ADI(f) = min over D(f) of ndet(u) — the paper's equation."""
         faults, result = lion_adi
-        for i, mask in enumerate(result.detection_masks):
+        for i, mask in enumerate(result.matrix.to_bigints()):
             if mask:
                 expected = min(result.ndet[u] for u in bit_indices(mask))
                 assert result.adi[i] == expected
@@ -131,9 +131,10 @@ class TestComputeAdi:
         faults, result = lion_adi
         assert result.adi_of(faults[0]) == int(result.adi[0])
 
-    def test_det_vectors_match_masks(self, lion_adi):
+    def test_row_indices_match_rows(self, lion_adi):
         faults, result = lion_adi
-        for mask, vecs in zip(result.detection_masks, result.det_vectors):
+        for i, mask in enumerate(result.matrix.to_bigints()):
+            vecs = result.matrix.row_indices(i)
             assert list(vecs) == bit_indices(mask)
             assert len(vecs) == popcount(mask)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adi import AdiMode, ORDERS, compute_adi, dynamic_order, select_u
+from repro.adi import AdiMode, ORDERS, compute_adi, f0dynm, fdynm, select_u
 from repro.circuit import c17, lion_like
 from repro.faults import transition_fault_list
 from repro.fsim.dropping import drop_simulate
@@ -24,7 +24,7 @@ class TestComputeAdi:
     def test_masks_match_backend_words(self, setup):
         circ, faults, pairs = setup
         result = compute_adi(circ, faults, pairs)
-        assert list(result.detection_masks) == engine_words(
+        assert result.matrix.to_bigints() == engine_words(
             circ, faults, pairs, "bigint"
         )
         assert result.num_vectors == pairs.num_patterns
@@ -32,14 +32,14 @@ class TestComputeAdi:
     def test_ndet_counts_pairs(self, setup):
         circ, faults, pairs = setup
         result = compute_adi(circ, faults, pairs)
-        words = result.detection_masks
+        words = result.matrix.to_bigints()
         for u in range(pairs.num_patterns):
             assert result.ndet[u] == sum((w >> u) & 1 for w in words)
 
     def test_adi_is_min_over_detection_set(self, setup):
         circ, faults, pairs = setup
         result = compute_adi(circ, faults, pairs)
-        for i, vecs in enumerate(result.det_vectors):
+        for i, vecs in enumerate(result.matrix.row_index_lists()):
             if vecs.size:
                 assert result.adi[i] == result.ndet[vecs].min()
             else:
@@ -48,7 +48,7 @@ class TestComputeAdi:
     def test_average_mode(self, setup):
         circ, faults, pairs = setup
         result = compute_adi(circ, faults, pairs, mode=AdiMode.AVERAGE)
-        for i, vecs in enumerate(result.det_vectors):
+        for i, vecs in enumerate(result.matrix.row_index_lists()):
             if vecs.size:
                 assert result.adi[i] == int(np.mean(result.ndet[vecs]))
 
@@ -58,7 +58,7 @@ class TestComputeAdi:
         for backend in ("numpy", "auto"):
             other = compute_adi(circ, faults, pairs, backend=backend)
             assert (other.adi == reference.adi).all()
-            assert other.detection_masks == reference.detection_masks
+            assert other.matrix == reference.matrix
 
 
 class TestOrders:
@@ -69,18 +69,18 @@ class TestOrders:
             order = order_fn(result)
             assert sorted(order) == list(range(len(faults))), name
 
-    def test_dynamic_order_one_shot(self, setup):
+    def test_fdynm_and_f0dynm_are_permutations(self, setup):
         circ, faults, pairs = setup
-        for variant in ("dynm", "0dynm"):
-            order = dynamic_order(circ, faults, pairs, variant=variant)
+        for order_fn in (fdynm, f0dynm):
+            order = order_fn(compute_adi(circ, faults, pairs))
             assert sorted(order) == list(range(len(faults)))
 
 
 class TestSelectU:
-    def test_pairs_flag_builds_pair_pool(self):
+    def test_transition_model_builds_pair_pool(self):
         circ = c17()
         faults = transition_fault_list(circ)
-        selection = select_u(circ, faults, seed=42, pairs=True)
+        selection = select_u(circ, faults, seed=42, model="transition")
         assert isinstance(selection.patterns, PatternPairSet)
         assert selection.coverage >= 0.9
         assert selection.num_vectors <= selection.candidates_drawn
@@ -97,9 +97,9 @@ class TestSelectU:
     def test_prune_useless_keeps_detections(self):
         circ = lion_like()
         faults = transition_fault_list(circ)
-        pruned = select_u(circ, faults, seed=7, pairs=True,
+        pruned = select_u(circ, faults, seed=7, model="transition",
                           prune_useless=True)
-        plain = select_u(circ, faults, seed=7, pairs=True)
+        plain = select_u(circ, faults, seed=7, model="transition")
         assert set(pruned.detected_by_u) == set(plain.detected_by_u)
         assert pruned.num_vectors <= plain.num_vectors
 

@@ -87,7 +87,8 @@ class TestGeneration:
 class TestOrderedRuns:
     def test_order_changes_test_count_bookkeeping(self, lion_circuit):
         faults = transition_fault_list(lion_circuit)
-        selection = select_u(lion_circuit, faults, seed=42, pairs=True)
+        selection = select_u(lion_circuit, faults, seed=42,
+                             model="transition")
         adi = compute_adi(lion_circuit, faults, selection.patterns)
         counts = {}
         for order in ("orig", "dynm", "0dynm"):

@@ -134,7 +134,8 @@ class TestCycleAccounting:
         def mean_cycles(test_set):
             dictionary = build_pass_fail_dictionary(circ, faults, test_set)
             firsts = [
-                next(iter_bits(m)) for m in dictionary.fail_masks if m
+                next(iter_bits(m))
+                for m in dictionary.fail_matrix.to_bigints() if m
             ]
             return expected_cycles_to_detection(plan, firsts)
 

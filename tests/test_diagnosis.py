@@ -37,7 +37,7 @@ class TestPassFailDictionary:
         for fault in faults[::5]:
             observed = inject_and_observe(circ, fault, tests)
             idx = dictionary.faults.index(fault)
-            assert dictionary.fail_masks[idx] == observed
+            assert dictionary.fail_matrix.row_int(idx) == observed
 
     def test_failing_tests_listing(self, lion_setup):
         __, faults, __t, dictionary = lion_setup
@@ -45,7 +45,7 @@ class TestPassFailDictionary:
         failing = dictionary.failing_tests(fault)
         idx = dictionary.faults.index(fault)
         assert all(
-            (dictionary.fail_masks[idx] >> t) & 1 for t in failing
+            (dictionary.fail_matrix.row_int(idx) >> t) & 1 for t in failing
         )
 
     def test_width_checked(self, lion_setup):
@@ -63,7 +63,7 @@ class TestFullDictionary:
             idx = pass_fail.faults.index(fault)
             expected = {
                 t for t in range(tests.num_patterns)
-                if (pass_fail.fail_masks[idx] >> t) & 1
+                if (pass_fail.fail_matrix.row_int(idx) >> t) & 1
             }
             assert failing_tests == expected
             for outputs in full.signatures[i].values():
@@ -122,7 +122,7 @@ class TestExpectedTestsToFirstFail:
 
         manual = [
             next(iter_bits(m)) + 1
-            for m in dictionary.fail_masks if m
+            for m in dictionary.fail_matrix.to_bigints() if m
         ]
         assert expected_tests_to_first_fail(dictionary) == pytest.approx(
             sum(manual) / len(manual)

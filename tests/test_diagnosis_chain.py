@@ -19,8 +19,6 @@ from repro.circuit.graph import (
 from repro.diagnosis import (
     ChainRanker,
     build_pass_fail_dictionary,
-    chain_evidence,
-    chain_rerank,
     diagnose,
     diagnose_batch,
     failing_outputs_mask,
@@ -107,13 +105,17 @@ class TestChainRanker:
             circ, [circ.outputs[0], circ.outputs[1]])
         assert suspects == expected
 
-    def test_chain_evidence(self, setup):
+    def test_cone_facts_of_an_output(self, setup):
         circ, __ = setup
         ranker = ChainRanker(circ)
         node = circ.outputs[0]
-        evidence = chain_evidence(ranker, node, [0])
-        assert evidence.explains_all == ranker.explains(node, 0b1)
-        assert evidence.spurious_outputs == ranker.spurious(node, 0b1)
+        mask = failing_outputs_mask(ranker, [0])
+        assert mask == 0b1
+        # An output's cone reaches the output itself; every other output
+        # it reaches never failed.
+        assert ranker.explains(node, mask)
+        assert ranker.spurious(node, mask) == \
+            bin(ranker.reach_mask(node) & ~mask).count("1")
 
 
 class TestRerank:
@@ -158,10 +160,10 @@ class TestRerank:
         for device in range(40):
             failing = [k for k in range(len(circ.outputs))
                        if (log.failing_outputs[device] >> k) & 1]
-            single = chain_rerank(
-                circ, dictionary,
+            single = ranker.rerank(
+                dictionary,
                 diagnose(dictionary, log.observed_mask(device)),
-                failing, ranker=ranker,
+                failing,
             )
             assert batch.report(device).candidates == single.candidates
 

@@ -23,8 +23,10 @@ def make_dictionary(masks, num_tests):
     """A dictionary with synthetic masks and distinct placeholder faults."""
     faults = tuple(Fault(node=i, pin=-1, value=0)
                    for i in range(len(masks)))
-    return PassFailDictionary(num_tests=num_tests, faults=faults,
-                              fail_masks=tuple(int(m) for m in masks))
+    return PassFailDictionary(
+        faults=faults,
+        fail_matrix=DetectionMatrix.from_bigints(
+            [int(m) for m in masks], num_tests))
 
 
 @st.composite
@@ -117,7 +119,7 @@ class TestCompressDictionary:
         for class_index, members in enumerate(compressed.members):
             rep_mask = compressed.matrix.row_int(class_index)
             for position in members:
-                assert dictionary.fail_masks[position] == rep_mask
+                assert dictionary.fail_matrix.row_int(position) == rep_mask
 
     def test_expand_and_representative(self):
         dictionary = make_dictionary([5, 5, 3], 3)

@@ -100,7 +100,7 @@ class TestBatchSingleEquivalence:
         # A class with >1 member guarantees exact score ties.
         multi = next((m for m in compressed.members if len(m) > 1), None)
         assert multi is not None, "generated dictionary has no ties"
-        mask = dictionary.fail_masks[multi[0]]
+        mask = dictionary.fail_matrix.row_int(multi[0])
         single = diagnose(dictionary, mask)
         batch = diagnose_batch(dictionary, [mask])
         assert batch.report(0).candidates == single.candidates
@@ -111,7 +111,8 @@ class TestBatchSingleEquivalence:
 
     def test_accepts_matrix_and_mask_sequences(self):
         __, dictionary = stuck_at_setup(64)
-        masks = [dictionary.fail_masks[0], dictionary.fail_masks[3], 0]
+        rows = dictionary.fail_matrix
+        masks = [rows.row_int(0), rows.row_int(3), 0]
         from_masks = diagnose_batch(dictionary, masks)
         matrix = DetectionMatrix.from_bigints(masks,
                                               dictionary.num_tests)
@@ -237,6 +238,58 @@ class TestFailLog:
                     true_positions=(1,))
 
 
+#: Records a JSONL reader of its own once accepted (the first two as
+#: test 1 and output 1) or crashed on (the third), while the wire
+#: decoder rejected all three.
+DRIFTED_RECORDS = [
+    {"device": "x", "failing_tests": [True]},
+    {"device": "x", "failing_tests": [0], "failing_outputs": [1.5]},
+    {"device": "x", "failing_tests": [0], "failing_outputs": "ab"},
+]
+
+
+def write_log(tmp_path, *records):
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(
+        json.dumps(record) + "\n"
+        for record in ({"schema": "repro.fail_log/v1", "num_tests": 8},
+                       *records)))
+    return path
+
+
+class TestOneDecoder:
+    """JSONL fail logs and ``POST /diagnose`` bodies share one decoder."""
+
+    @pytest.mark.parametrize("record", DRIFTED_RECORDS)
+    def test_jsonl_rejects_with_line_context(self, tmp_path, record):
+        path = write_log(tmp_path, {"failing_tests": [1]}, record)
+        with pytest.raises(DiagnosisInputError) as caught:
+            FailLog.from_jsonl(path)
+        assert str(caught.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("record", DRIFTED_RECORDS)
+    def test_wire_rejects_with_record_context(self, record):
+        from repro.flow.diagnose import parse_fail_entries
+
+        with pytest.raises(DiagnosisInputError) as caught:
+            parse_fail_entries([{"failing_tests": [1]}, record], 8)
+        assert str(caught.value).startswith("devices[1]: ")
+
+    def test_both_surfaces_decode_alike(self, tmp_path):
+        from repro.flow.diagnose import parse_fail_entries
+
+        records = [
+            {"device": "a", "failing_tests": [0, 7], "failing_outputs": [2]},
+            {"failing_tests": []},
+            {"device": 5, "failing_tests": [3]},
+        ]
+        wire = parse_fail_entries(records, 8)
+        jsonl = FailLog.from_jsonl(write_log(tmp_path, *records))
+        assert wire == jsonl
+        assert wire.device_ids == ("a", "device000001", "5")
+        assert wire.failing_outputs == (0b100, None, None)
+
+
 class TestRandomFailLog:
     def test_deterministic_under_seed(self):
         __, dictionary = stuck_at_setup(64)
@@ -259,7 +312,7 @@ class TestRandomFailLog:
         for device in range(40):
             position = log.true_positions[device]
             assert log.observed_mask(device) == \
-                dictionary.fail_masks[position]
+                dictionary.fail_matrix.row_int(position)
 
     def test_bad_drop_probability_rejected(self):
         __, dictionary = stuck_at_setup(64)
@@ -270,7 +323,7 @@ class TestRandomFailLog:
 class TestBatchReport:
     def test_summary_and_dedup_accounting(self):
         __, dictionary = stuck_at_setup(64)
-        mask = dictionary.fail_masks[0]
+        mask = dictionary.fail_matrix.row_int(0)
         batch = diagnose_batch(dictionary, [mask, mask, mask, 0])
         summary = batch.summary()
         assert summary["num_devices"] == 4
@@ -303,5 +356,6 @@ class TestBatchReport:
 
     def test_report_objects_cached(self):
         __, dictionary = stuck_at_setup(64)
-        batch = diagnose_batch(dictionary, [dictionary.fail_masks[0]])
+        batch = diagnose_batch(dictionary,
+                               [dictionary.fail_matrix.row_int(0)])
         assert batch.report(0) is batch.report(0)

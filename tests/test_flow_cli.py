@@ -312,3 +312,22 @@ class TestDiagnoseCommand:
         )
         assert code == 2
         assert "9999" in err
+
+    @pytest.mark.parametrize("record", [
+        '{"device": "x", "failing_tests": [true]}',
+        '{"device": "x", "failing_tests": [0], "failing_outputs": [1.5]}',
+        '{"device": "x", "failing_tests": [0], "failing_outputs": "ab"}',
+    ])
+    def test_malformed_fail_record_is_a_usage_error(self, capsys, tmp_path,
+                                                    record):
+        log_path = tmp_path / "bad.jsonl"
+        log_path.write_text(
+            '{"schema": "repro.fail_log/v1", "num_tests": 8}\n'
+            + record + "\n"
+        )
+        code, _, err = _run(
+            capsys, "diagnose", *GEN, "--cache-dir", str(tmp_path),
+            "--fail-log", str(log_path),
+        )
+        assert code == 2
+        assert err.startswith(f"repro: error: {log_path}:2: ")

@@ -68,7 +68,7 @@ class TestFlowMatchesDirectPipeline:
 
         circ = build_circuit(CIRCUIT)
         faults = transition_fault_list(circ)
-        selection = select_u(circ, faults, seed=SEED, pairs=True)
+        selection = select_u(circ, faults, seed=SEED, model="transition")
         adi = compute_adi(circ, faults, selection.patterns)
         permutation = ORDERS[ORDER](adi)
         direct = generate_transition_tests(

@@ -356,7 +356,7 @@ class TestPipelineBackendSwitch:
         }
         reference = results["bigint"]
         for name in ("numpy", "auto"):
-            assert results[name].detection_masks == reference.detection_masks
+            assert results[name].matrix == reference.matrix
             assert (results[name].adi == reference.adi).all()
 
     def test_drop_simulate_backend_equivalence(self):
@@ -398,18 +398,17 @@ class TestPipelineBackendSwitch:
         for name in ("numpy", "auto"):
             built = build_pass_fail_dictionary(circ, faults, tests,
                                                backend=name)
-            assert built.fail_masks == reference.fail_masks
+            assert built.fail_matrix == reference.fail_matrix
 
-    def test_dynamic_order_backend_equivalence(self):
-        from repro.adi import dynamic_order
+    def test_fdynm_backend_equivalence(self):
+        from repro.adi import compute_adi, f0dynm, fdynm
 
         circ = generated_circuit(47, num_inputs=8, num_gates=48)
         faults = collapsed_fault_list(circ)
         patterns = PatternSet.random(circ.num_inputs, 64, seed=13)
-        for variant in ("dynm", "0dynm"):
+        for order_fn in (fdynm, f0dynm):
             orders = [
-                dynamic_order(circ, faults, patterns, variant=variant,
-                              backend=name)
+                order_fn(compute_adi(circ, faults, patterns, backend=name))
                 for name in ALL_BACKENDS
             ]
             assert orders[0] == orders[1] == orders[2]
@@ -423,4 +422,4 @@ class TestPipelineBackendSwitch:
         baseline = compute_adi(circ, faults, patterns, backend="bigint")
         monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "numpy")
         via_env = compute_adi(circ, faults, patterns)
-        assert via_env.detection_masks == baseline.detection_masks
+        assert via_env.matrix == baseline.matrix

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from repro.adi.dynamic import f0dynm, fdynm
-from repro.adi.index import (
-    AdiMode,
-    adi_from_detection_matrix,
-    adi_from_detection_words,
-    compute_adi,
-)
+from repro.adi.index import AdiMode, adi_from_detection_matrix, compute_adi
 from repro.faults import collapsed_fault_list
 from repro.faults.registry import query_detection_matrix
 from repro.faults.transition import transition_fault_list
@@ -111,8 +106,9 @@ class TestAdiEquivalence:
         block = block_for(model_name, circuit.num_inputs, width)
         packed = compute_adi(circuit, faults, block, mode=mode)
         words = engine_words(circuit, faults, block, "bigint")
-        via_words = adi_from_detection_words(faults, words, width, mode)
-        assert packed.detection_masks == tuple(words)
+        via_words = adi_from_detection_matrix(
+            faults, DetectionMatrix.from_bigints(words, width), mode)
+        assert packed.matrix.to_bigints() == words
         assert np.array_equal(packed.ndet, via_words.ndet)
         assert np.array_equal(packed.adi, via_words.adi)
         assert packed.detected_indices == via_words.detected_indices
@@ -125,7 +121,7 @@ class TestAdiEquivalence:
         """ADI against the definition, computed per fault from big-ints."""
         block = block_for("stuck_at", circuit.num_inputs, width)
         result = compute_adi(circuit, stuck_faults, block)
-        words = result.detection_masks
+        words = result.matrix.to_bigints()
         ndet = [
             sum((w >> u) & 1 for w in words) for u in range(width)
         ]

@@ -108,14 +108,9 @@ class TestNumpyBackendAgreement:
             small_circuit, patterns
         )
 
-    def test_matrix_round_trip(self):
-        words = [0b1011, 0xFFFF_FFFF_FFFF_FFFF_1]
-        matrix = npsim.words_to_matrix(words, 68)
-        for i, word in enumerate(words):
-            assert npsim.matrix_row_to_int(matrix[i], 68) == word
-
     def test_matrix_input_mismatch(self, c17_circuit):
         import numpy as np
 
         with pytest.raises(SimulationError):
-            npsim.simulate_matrix(c17_circuit, np.zeros((3, 1), dtype=np.uint64))
+            npsim.simulate_matrix_levelized(
+                c17_circuit, np.zeros((3, 1), dtype=np.uint64))
