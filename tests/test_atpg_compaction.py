@@ -41,6 +41,23 @@ class TestDetectionMatrix:
         detected = drop_simulate(circ, faults, tests).num_detected
         assert union.bit_count() == detected
 
+    @pytest.mark.parametrize("width", [1, 64, 65, 130])
+    def test_matrix_is_transposed_serial_words(self, width):
+        """Bit ``i`` of test ``t``'s word is bit ``t`` of fault ``i``'s
+        serial detection word, across word boundaries on both axes."""
+        from repro.fsim.serial import detection_word_serial
+
+        circ = generated_circuit(5, num_inputs=8, num_gates=40)
+        faults = collapsed_fault_list(circ)
+        assert len(faults) > 64
+        tests = PatternSet.random(circ.num_inputs, width, seed=width)
+        matrix = detection_matrix(circ, faults, tests)
+        assert len(matrix) == width
+        for i, fault in enumerate(faults):
+            word = detection_word_serial(circ, tests, fault)
+            assert all((matrix[t] >> i) & 1 == (word >> t) & 1
+                       for t in range(width)), fault
+
 
 class TestReverseOrderCompaction:
     def test_coverage_preserved(self, lion_setup):
