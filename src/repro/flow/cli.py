@@ -102,12 +102,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--backend", metavar="NAME",
                        help="fault-simulation backend (bigint, numpy, "
                             "parallel, auto)")
-    group.add_argument("--fsim-shards", type=int, metavar="N",
-                       help="worker count for --backend parallel "
-                            "(default: $REPRO_FSIM_SHARDS or core count)")
-    group.add_argument("--fsim-base", metavar="NAME",
-                       help="base engine each parallel worker runs "
-                            "(default: $REPRO_FSIM_SHARD_BASE or numpy)")
     group.add_argument("--cache-dir", metavar="DIR",
                        help=f"artifact cache root (default "
                             f"{default_cache_root()})")
@@ -194,15 +188,6 @@ def build_config(args: argparse.Namespace) -> FlowConfig:
     backend = config.backend
     if args.backend:
         backend = dataclasses.replace(backend, fsim=args.backend)
-        if args.backend != "parallel":
-            # Switching away from parallel drops any configured shard
-            # knobs — they are meaningless on other backends.
-            backend = dataclasses.replace(backend, shards=None,
-                                          shard_base=None)
-    if args.fsim_shards is not None:
-        backend = dataclasses.replace(backend, shards=args.fsim_shards)
-    if args.fsim_base:
-        backend = dataclasses.replace(backend, shard_base=args.fsim_base)
 
     seed = args.seed if args.seed is not None else config.seed
     return FlowConfig(
@@ -531,6 +516,9 @@ _non_negative_int = _bounded(int, lambda v: v >= 0,
                              "a non-negative integer")
 _positive_seconds = _bounded(float, lambda v: math.isfinite(v) and v > 0,
                              "a positive finite number of seconds")
+_non_negative_seconds = _bounded(float,
+                                 lambda v: math.isfinite(v) and v >= 0,
+                                 "a non-negative finite number of seconds")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -617,8 +605,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="admit at most N concurrent /run+/diagnose "
                             "requests; excess sheds 503 with Retry-After "
                             "(default: unlimited)")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
+    serve.add_argument("--drain-timeout", type=_non_negative_seconds,
+                       default=30.0, metavar="SECONDS",
                        help="graceful-shutdown drain limit (default 30)")
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per handled request")
@@ -629,7 +617,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="what to do (default: stats)")
     cache.add_argument("--stage", metavar="NAME",
                        help="restrict prune to one stage directory")
-    cache.add_argument("--max-bytes", type=int, metavar="N",
+    cache.add_argument("--max-bytes", type=_non_negative_int, metavar="N",
                        help="prune to an LRU size bound instead of "
                             "deleting everything")
     cache.add_argument("--cache-dir", metavar="DIR",

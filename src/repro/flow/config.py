@@ -30,15 +30,18 @@ configs are bit-identical and a config fully names its outputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union, get_args, get_type_hints
 
 from repro.errors import ExperimentError
 
-#: Bump when the meaning of any config field changes incompatibly; part
-#: of every cache key, so old artifacts never masquerade as new ones.
+#: Bump when the meaning of any config field changes incompatibly; a
+#: document naming another version fails validation.  No stage key
+#: hashes it: :data:`repro.flow.cache.CACHE_FORMAT_VERSION` is the
+#: version every key carries.
 CONFIG_VERSION = 1
 
 #: X-fill policies understood by :mod:`repro.atpg.random_fill`.
@@ -203,20 +206,12 @@ class BackendSpec:
     """Fault-simulation engine selection (see :mod:`repro.fsim.backend`).
 
     ``fsim`` is a registry name or ``None`` for the process default
-    (which honours ``REPRO_FSIM_BACKEND``).  When ``fsim`` is
-    ``"parallel"`` (the sharded multi-core engine of
-    :mod:`repro.fsim.sharded`), ``shards`` pins the worker count and
-    ``shard_base`` the engine each worker runs; either left ``None``
-    defers to the backend's defaults (``REPRO_FSIM_SHARDS`` /
-    ``REPRO_FSIM_SHARD_BASE``, then core count / ``numpy``).  Backends
-    are bit-identical by contract, so this spec is excluded from
-    artifact-cache keys — it affects speed, never results — and the
-    shard knobs inherit that exclusion.
+    (which honours ``REPRO_FSIM_BACKEND``); the name alone configures
+    the engine.  Backends are bit-identical by contract, so this spec is
+    excluded from artifact-cache keys — it affects speed, never results.
     """
 
     fsim: Optional[str] = None
-    shards: Optional[int] = None
-    shard_base: Optional[str] = None
 
     def validate(self) -> None:
         """Check the backend is registered; raise :class:`ExperimentError`."""
@@ -226,36 +221,6 @@ class BackendSpec:
             _check(self.fsim in available_backends(),
                    f"backend.fsim {self.fsim!r} not registered; "
                    f"available: {available_backends()}")
-        if self.shards is not None or self.shard_base is not None:
-            _check(self.fsim == "parallel",
-                   "backend.shards/backend.shard_base need "
-                   "backend.fsim 'parallel'")
-        if self.shards is not None:
-            _check(self.shards >= 1, "backend.shards must be >= 1")
-        if self.shard_base is not None:
-            from repro.fsim.backend import available_backends
-
-            _check(self.shard_base in available_backends()
-                   and self.shard_base != "parallel",
-                   f"backend.shard_base {self.shard_base!r} must be a "
-                   f"registered non-parallel backend; available: "
-                   f"{sorted(set(available_backends()) - {'parallel'})}")
-
-    def fsim_spec(self) -> Optional[str]:
-        """The backend-name string consumers resolve, shard knobs encoded.
-
-        Plain names pass through; ``parallel`` with knobs becomes a
-        ``parallel[:SHARDS[:BASE]]`` spec string understood by
-        :func:`repro.fsim.backend.create_backend`, so every ``backend=``
-        channel stays a string.
-        """
-        if self.fsim != "parallel" or (self.shards is None
-                                       and self.shard_base is None):
-            return self.fsim
-        shards = "" if self.shards is None else str(self.shards)
-        if self.shard_base is None:
-            return f"parallel:{shards}"
-        return f"parallel:{shards}:{self.shard_base}"
 
 
 @dataclass(frozen=True)
@@ -319,8 +284,7 @@ class FlowConfig:
                 kwargs[key] = _spec_from_dict(spec_type, key, data[key])
         for scalar in ("seed", "version"):
             if scalar in data:
-                _check(isinstance(data[scalar], int),
-                       f"{scalar} must be an integer")
+                _check_type(scalar, data[scalar], (int,))
                 kwargs[scalar] = data[scalar]
         return FlowConfig(**kwargs)
 
@@ -356,7 +320,7 @@ class FlowConfig:
 
     def testgen_config(self):
         """The :class:`repro.atpg.engine.TestGenConfig` of this run."""
-        return self.testgen.to_config(self.seed, self.backend.fsim_spec())
+        return self.testgen.to_config(self.seed, self.backend.fsim)
 
     def fingerprint(self) -> str:
         """A cheap stable identity of the *literal* config document.
@@ -381,11 +345,39 @@ class FlowConfig:
 
 
 def _spec_from_dict(spec_type: type, key: str, data: Any):
-    """Build one sub-spec, rejecting unknown fields by name."""
+    """Build one sub-spec, rejecting unknown fields and mistyped values
+    by name."""
     _check(isinstance(data, dict), f"config section {key!r} must be an object")
-    names = {f.name for f in fields(spec_type)}
-    unknown = sorted(set(data) - names)
+    accepted = _accepted_types(spec_type)
+    unknown = sorted(set(data) - set(accepted))
     _check(not unknown,
            f"unknown keys {unknown} in config section {key!r}; "
-           f"known: {sorted(names)}")
+           f"known: {sorted(accepted)}")
+    for name, value in data.items():
+        _check_type(f"{key}.{name}", value, accepted[name])
     return spec_type(**data)
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_types(spec_type: type) -> Dict[str, tuple]:
+    """The types each field's JSON value may have, resolved once per spec
+    class from its annotations: ``Optional[X]`` accepts ``X`` and
+    ``None``."""
+    return {name: get_args(hint) or (hint,)
+            for name, hint in get_type_hints(spec_type).items()}
+
+
+#: How each accepted type reads in an error message.
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", type(None): "null"}
+
+
+def _check_type(name: str, value: Any, accepted: tuple) -> None:
+    """Raise :class:`ExperimentError` naming ``name`` unless ``value`` has
+    an ``accepted`` type.  ``int`` means exactly ``int`` (JSON ``true`` is
+    no count), and a ``float`` field also takes an ``int``."""
+    kind = type(value)
+    if kind in accepted or (kind is int and float in accepted):
+        return
+    expected = " or ".join(_TYPE_NAMES[t] for t in accepted)
+    _check(False, f"{name} must be {expected}, got {value!r}")

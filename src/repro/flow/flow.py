@@ -419,7 +419,7 @@ class Flow:
                 target_coverage=self.config.u.target_coverage,
                 chunk_size=self.config.u.chunk_size,
                 prune_useless=self.config.u.prune_useless,
-                backend=self.config.backend.fsim_spec(),
+                backend=self.config.backend.fsim,
                 model=self._model,
             )
 
@@ -439,7 +439,7 @@ class Flow:
             return compute_adi(
                 self.circuit(), self.faults(), self.selection().patterns,
                 mode=self.config.adi.to_mode(),
-                backend=self.config.backend.fsim_spec(),
+                backend=self.config.backend.fsim,
             )
 
         return self._stage(
@@ -493,7 +493,7 @@ class Flow:
         def compute() -> CurveReport:
             return curve_report(
                 self.circuit(), self.faults(), self.tests(name).tests,
-                backend=self.config.backend.fsim_spec(),
+                backend=self.config.backend.fsim,
             )
 
         return self._stage(

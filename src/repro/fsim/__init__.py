@@ -4,10 +4,11 @@ sharding, dropping, n-detection — and the backend registry that fronts them.
 Hot-path consumers (ADI, dropping, ATPG, dictionaries) select an engine
 through :mod:`repro.fsim.backend`: ``bigint`` (event-driven big-int
 PPSFP), ``numpy`` (fanout-free regions over ``uint64`` words,
-:mod:`repro.fsim.npfsim`), ``parallel`` (sharded multi-core over worker
-processes, :mod:`repro.fsim.sharded`) or ``auto`` (threshold dispatch,
-the default).  Set ``REPRO_FSIM_BACKEND`` or pass ``backend=`` to switch
-the whole pipeline.
+:mod:`repro.fsim.npfsim`), ``auto`` (threshold dispatch between those
+two, the default) or the opt-in ``parallel`` (sharded multi-core over
+worker processes, :mod:`repro.fsim.sharded`).  Set
+``REPRO_FSIM_BACKEND`` or pass ``backend=`` to switch the whole
+pipeline; the name alone configures the engine.
 
 Every engine derives from :class:`FaultSimBackend` and supplies only its
 block staging and one stuck-at query; the base class gives every engine
@@ -30,7 +31,6 @@ from repro.fsim.backend import (
     resolve_backend,
 )
 from repro.fsim.sharded import (
-    SHARD_BASE_ENV_VAR,
     SHARDS_ENV_VAR,
     ShardedFaultSim,
     plan_shards,

@@ -19,7 +19,9 @@ specific simulator:
 * a **registry** — backends register under a short name; consumers take a
   ``backend=`` argument (name or instance) and resolve it here, so one
   argument — or the ``REPRO_FSIM_BACKEND`` environment variable — switches
-  the whole pipeline.
+  the whole pipeline.  A name is the whole configuration of an engine:
+  an engine with other settings is a factory registered under its own
+  name (or over an existing one with ``replace=True``).
 
 Registered backends:
 
@@ -37,13 +39,13 @@ Registered backends:
 ``parallel``
     The sharded multi-core engine of :mod:`repro.fsim.sharded`: the
     fault universe is split into contiguous shards, each simulated by a
-    worker process running a base engine, and the packed per-shard
-    detection-matrix rows are reassembled bit-identically.  Fastest when
-    the single-core numpy engine saturates (10k+-gate circuits); spec
-    strings like ``parallel:4:numpy`` pin the shard count / base engine.
+    worker process running the numpy engine, and the packed per-shard
+    detection-matrix rows are reassembled bit-identically.  Opt-in only:
+    ``auto`` never picks it, and ``$REPRO_FSIM_SHARDS`` sets its worker
+    count.
 ``auto``
-    :class:`AutoFaultSim` — picks per query using circuit size, fault
-    count and block width thresholds.  The default.
+    :class:`AutoFaultSim` — picks ``bigint`` or ``numpy`` per query using
+    circuit size, fault count and block width thresholds.  The default.
 """
 
 from __future__ import annotations
@@ -234,12 +236,6 @@ def create_backend(circ: CompiledCircuit,
         env = os.environ.get(BACKEND_ENV_VAR, "").strip()
         from_env = bool(env)
         name = env or DEFAULT_BACKEND
-    if name.startswith("parallel:"):
-        # Shard knobs travel through plain name channels as a spec
-        # string: parallel[:SHARDS[:BASE]] (see repro.fsim.sharded).
-        from repro.fsim.sharded import sharded_from_spec
-
-        return sharded_from_spec(circ, name)
     factory = _REGISTRY.get(name)
     if factory is None:
         source = f" (from ${BACKEND_ENV_VAR})" if from_env else ""
@@ -269,7 +265,7 @@ def resolve_backend(circ: CompiledCircuit,
 
 
 class AutoFaultSim(FaultSimBackend):
-    """Threshold-based dispatcher over the bigint, numpy and parallel engines.
+    """Threshold-based dispatcher over the bigint and numpy engines.
 
     The numpy engine wins when there is enough work to amortize array
     set-up — batch queries on big circuits over wide blocks; the bigint
@@ -285,16 +281,6 @@ class AutoFaultSim(FaultSimBackend):
     MIN_FAULTS = 24
     MIN_GATES = 48
     MIN_PATTERNS = 16
-
-    #: Batch queries at/above ALL of these go to the sharded ``parallel``
-    #: backend — when worker processes can help at all (multiple usable
-    #: cores, not already inside a worker; see
-    #: :func:`repro.fsim.sharded.parallel_available`).  The bars are high
-    #: on purpose: process fan-out only pays off where single-core numpy
-    #: saturates.
-    PARALLEL_MIN_FAULTS = 4096
-    PARALLEL_MIN_GATES = 2048
-    PARALLEL_MIN_PATTERNS = 256
 
     def __init__(self, circ: CompiledCircuit):
         super().__init__(circ)
@@ -317,13 +303,6 @@ class AutoFaultSim(FaultSimBackend):
         return engine
 
     def _pick(self, num_faults: int) -> str:
-        if (num_faults >= self.PARALLEL_MIN_FAULTS
-                and self.circ.num_gates >= self.PARALLEL_MIN_GATES
-                and self.num_patterns >= self.PARALLEL_MIN_PATTERNS):
-            from repro.fsim.sharded import parallel_available
-
-            if parallel_available():
-                return "parallel"
         if (num_faults >= self.MIN_FAULTS
                 and self.circ.num_gates >= self.MIN_GATES
                 and self.num_patterns >= self.MIN_PATTERNS):

@@ -3,13 +3,13 @@
 Fault-simulation cost is linear in the number of faults, and every fault's
 detection word is independent of every other fault's — so the fault
 universe shards perfectly: split the fault list into contiguous ranges,
-hand each range to a worker process running any *base* engine
-(``bigint``/``numpy``), and stack the per-shard
-:class:`~repro.utils.detmatrix.DetectionMatrix` rows back together.
-Because shard boundaries preserve fault order and each row depends only
-on its own fault, the reassembled matrix is **bit-identical** to the
-single-core result by construction (and exhaustively tested in
-``tests/test_fsim_sharded.py``).
+hand each range to a worker process running a *base* engine (``numpy``
+unless the constructor's ``base=`` names another), and stack the
+per-shard :class:`~repro.utils.detmatrix.DetectionMatrix` rows back
+together.  Because shard boundaries preserve fault order and each row
+depends only on its own fault, the reassembled matrix is
+**bit-identical** to the single-core result by construction (and
+exhaustively tested in ``tests/test_fsim_sharded.py``).
 
 The moving parts:
 
@@ -61,6 +61,10 @@ Small queries (fewer faults than :attr:`ShardedFaultSim.min_faults`)
 never touch the pool: they run inline on a base engine bound in-process,
 so the backend is safe to select globally (``REPRO_FSIM_BACKEND=parallel``)
 without paying process overhead on tiny problems.
+
+The engine is opt-in: ``auto`` never picks it.  The registered
+``parallel`` name builds it with every default: ``$REPRO_FSIM_SHARDS``
+workers (else the usable core count), each running ``numpy``.
 """
 
 from __future__ import annotations
@@ -95,12 +99,6 @@ SHARDS_ENV_VAR = "REPRO_FSIM_SHARDS"
 FAULTS_METRIC = "repro_fsim_faults_total"
 _FAULTS_HELP = "Faults simulated, by base engine and shard."
 
-#: Environment variable overriding the base engine workers run.
-SHARD_BASE_ENV_VAR = "REPRO_FSIM_SHARD_BASE"
-
-#: Base engine workers run unless configured otherwise.
-DEFAULT_BASE = "numpy"
-
 #: Queries on fewer faults than this run inline (no worker pool).
 DEFAULT_MIN_FAULTS = 1024
 
@@ -111,18 +109,6 @@ def available_cores() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
-
-
-def parallel_available() -> bool:
-    """Whether spawning a sharded worker pool can possibly help here.
-
-    False inside daemonic worker processes (they may not have children —
-    a sharded worker must never recursively shard) and on single-core
-    hosts (process parallelism cannot beat one core).
-    """
-    if multiprocessing.current_process().daemon:
-        return False
-    return available_cores() > 1
 
 
 def default_num_shards() -> int:
@@ -141,11 +127,6 @@ def default_num_shards() -> int:
             )
         return shards
     return available_cores()
-
-
-def default_base() -> str:
-    """The workers' base engine: ``$REPRO_FSIM_SHARD_BASE`` or ``numpy``."""
-    return os.environ.get(SHARD_BASE_ENV_VAR, "").strip() or DEFAULT_BASE
 
 
 def plan_shards(num_items: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -262,12 +243,11 @@ class ShardedFaultSim(FaultSimBackend):
 
     name = "parallel"
 
-    def __init__(self, circ: CompiledCircuit, base: Optional[str] = None,
+    def __init__(self, circ: CompiledCircuit, base: str = "numpy",
                  num_shards: Optional[int] = None,
                  min_faults: Optional[int] = None,
                  mp_context=None,
                  policy: Optional[RetryPolicy] = None):
-        base = base or default_base()
         if base == self.name:
             raise SimulationError(
                 "the parallel backend cannot use itself as base engine"
@@ -461,30 +441,3 @@ class ShardedFaultSim(FaultSimBackend):
             )
             return ("hang", seconds)
         return None
-
-
-def sharded_from_spec(circ: CompiledCircuit, spec: str) -> ShardedFaultSim:
-    """Build a :class:`ShardedFaultSim` from a ``parallel[:S[:BASE]]`` spec.
-
-    ``"parallel"`` takes every default, ``"parallel:4"`` pins four
-    shards, ``"parallel:4:bigint"`` additionally pins the base engine;
-    an empty field (``"parallel::bigint"``) keeps that knob's default.
-    This is how shard knobs travel through plain backend-name channels
-    (``REPRO_FSIM_BACKEND``, ``backend=`` strings, flow configs).
-    """
-    parts = spec.split(":")
-    if parts[0] != "parallel" or len(parts) > 3:
-        raise SimulationError(
-            f"bad parallel backend spec {spec!r}; expected "
-            "'parallel[:SHARDS[:BASE]]'"
-        )
-    num_shards: Optional[int] = None
-    if len(parts) >= 2 and parts[1]:
-        try:
-            num_shards = int(parts[1])
-        except ValueError:
-            raise SimulationError(
-                f"bad shard count {parts[1]!r} in backend spec {spec!r}"
-            ) from None
-    base = parts[2] if len(parts) == 3 and parts[2] else None
-    return ShardedFaultSim(circ, base=base, num_shards=num_shards)

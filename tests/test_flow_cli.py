@@ -204,6 +204,28 @@ class TestErrorPaths:
         assert code == 2
         assert "max_vector" in err
 
+    @pytest.mark.parametrize("document, field", [
+        ({"u": {"max_vectors": "100"}}, "u.max_vectors"),
+        ({"circuit": {"kind": "generator", "name": "g", "num_inputs": "4",
+                      "num_gates": 10, "num_outputs": 2}},
+         "circuit.num_inputs"),
+    ])
+    def test_mistyped_config_field(self, capsys, tmp_path, document, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, _, err = _run(capsys, "run", "--config", str(bad),
+                            "--no-cache")
+        assert code == 2
+        assert err.startswith("repro: error:")
+        assert f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("flag", ("--fsim-shards", "--fsim-base"))
+    def test_removed_shard_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["run", *GEN, flag, "2"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestServeLimits:
     """``repro serve`` rejects a bad limit at parse time: exit 2 with a
@@ -233,6 +255,24 @@ class TestServeLimits:
 
     def test_max_body_must_be_non_negative(self, capsys):
         self._usage_error(capsys, "--max-body", "-1")
+
+    def test_drain_timeout_must_be_finite_and_non_negative(self, capsys):
+        for value in ("-1", "inf", "nan"):
+            self._usage_error(capsys, "--drain-timeout", value)
+
+
+class TestCacheLimits:
+    """``repro cache prune`` rejects a negative size bound at parse time."""
+
+    def test_max_bytes_must_be_non_negative(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad limit reached ArtifactCache")
+
+        monkeypatch.setattr("repro.flow.cli.ArtifactCache", refuse)
+        with pytest.raises(SystemExit) as info:
+            main(["cache", "prune", "--max-bytes", "-1"])
+        assert info.value.code == 2
+        assert "argument --max-bytes:" in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:

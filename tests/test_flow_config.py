@@ -144,3 +144,42 @@ class TestJsonRoundTrip:
 
     def test_to_dict_is_json_pure(self):
         json.dumps(FlowConfig().to_dict())
+
+
+class TestFieldTypes:
+    """Each value in a config document must fit its field's declared type."""
+
+    @pytest.mark.parametrize("document, field", [
+        ({"u": {"max_vectors": "100"}}, "u.max_vectors"),
+        ({"u": {"max_vectors": True}}, "u.max_vectors"),
+        ({"u": {"target_coverage": False}}, "u.target_coverage"),
+        ({"u": {"prune_useless": 1}}, "u.prune_useless"),
+        ({"testgen": {"backtrack_limit": 1.5}}, "testgen.backtrack_limit"),
+        ({"circuit": {"kind": "generator", "name": "g", "num_inputs": "4",
+                      "num_gates": 10, "num_outputs": 2}},
+         "circuit.num_inputs"),
+        ({"circuit": {"name": None}}, "circuit.name"),
+        ({"order": {"name": 3}}, "order.name"),
+        ({"backend": {"fsim": ["numpy"]}}, "backend.fsim"),
+        ({"seed": True}, "seed"),
+        ({"version": 1.0}, "version"),
+    ])
+    def test_mistyped_value_names_its_field(self, document, field):
+        with pytest.raises(ExperimentError, match=rf"{field} must be "):
+            FlowConfig.from_dict(document)
+
+    def test_accepted_spellings(self):
+        config = FlowConfig.from_dict({
+            "u": {"target_coverage": 1},
+            "circuit": {"kind": "generator", "name": "g", "num_inputs": 4,
+                        "num_gates": 10, "num_outputs": 2, "path": None},
+            "backend": {"fsim": None},
+            "seed": 0,
+        })
+        assert config.u.target_coverage == 1
+        assert config.validate() is config
+
+    @pytest.mark.parametrize("key", ("shards", "shard_base"))
+    def test_removed_backend_knobs_are_unknown_keys(self, key):
+        with pytest.raises(ExperimentError, match=key):
+            FlowConfig.from_dict({"backend": {"fsim": "parallel", key: 2}})

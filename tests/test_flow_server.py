@@ -252,6 +252,21 @@ class TestRequestValidation:
         assert status == 400
         assert "typo_section" in doc["error"]
 
+    @pytest.mark.parametrize("document, field", [
+        ({"u": {"max_vectors": "100"}}, "u.max_vectors"),
+        ({"circuit": {"kind": "generator", "name": "g", "num_inputs": "4",
+                      "num_gates": 10, "num_outputs": 2}},
+         "circuit.num_inputs"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_mistyped_config_field_400(self, server_factory, document,
+                                       field):
+        server = server_factory()
+        status, doc = error_of(lambda: self._post_raw(
+            server, json.dumps(document).encode()))
+        assert status == 400
+        assert f"{field} must be an integer" in doc["error"]
+
     def test_bench_config_refused_by_default(self, server_factory):
         server = server_factory()
         config = FlowConfig(circuit=CircuitSpec(
@@ -720,6 +735,8 @@ class TestDiagnoseEndpoint:
          "out of range"),
         (lambda p: p.update(max_candidates=-2), "max_candidates"),
         (lambda p: p.update(chain="yes"), "chain must be a boolean"),
+        (lambda p: p["config"]["u"].update(max_vectors="100"),
+         "u.max_vectors must be an integer"),
     ])
     def test_bad_requests_get_400(self, server_factory, mutate, message):
         server = server_factory()

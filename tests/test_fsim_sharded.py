@@ -5,31 +5,41 @@ processes and reassembling the per-shard :class:`DetectionMatrix` rows
 is **bit-identical** to the single-core result — for shard counts
 {1, 2, 3, 7} (uneven splits included), block widths straddling uint64
 word boundaries {63, 64, 65, 129}, both fault models, and both base
-engines.  Around it: the shard planner, the ``parallel[:S[:BASE]]``
-spec strings, the env knobs, the ``BackendSpec``/CLI plumbing, and the
-``auto`` dispatcher's parallel thresholds.
+engines.  Around it: the shard planner, the ``parallel`` registry name
+and its one env knob, the rule that ``auto`` never picks the engine,
+and a whole :class:`~repro.flow.flow.Flow` run through the opt-in
+engine's worker pool.
 """
 
 import multiprocessing
-import os
 
 import pytest
 
-from repro.errors import ExperimentError, SimulationError
+from repro.adi import ORDERS
+from repro.errors import SimulationError
 from repro.faults import collapsed_fault_list
 from repro.faults.registry import fault_model
 from repro.faults.transition import transition_fault_list
-from repro.flow.cli import build_config, make_parser
-from repro.flow.config import BackendSpec, FlowConfig
-from repro.fsim.backend import AutoFaultSim, available_backends, create_backend
+from repro.flow import (
+    BackendSpec,
+    CircuitSpec,
+    FaultModelSpec,
+    Flow,
+    FlowConfig,
+    USpec,
+)
+from repro.fsim import backend as backend_mod
+from repro.fsim.backend import (
+    AutoFaultSim,
+    available_backends,
+    create_backend,
+    register_backend,
+)
 from repro.fsim.sharded import (
-    SHARD_BASE_ENV_VAR,
     SHARDS_ENV_VAR,
     ShardedFaultSim,
-    default_base,
     default_num_shards,
     plan_shards,
-    sharded_from_spec,
 )
 from repro.sim.patterns import PatternPairSet, PatternSet
 
@@ -181,40 +191,29 @@ class TestCrossShardEquivalence:
             engine.transition_detection_matrix([])
 
 
-class TestSpecAndEnvKnobs:
+class TestRegisteredName:
+    """``parallel`` is a plain registry name: the engine takes every
+    default, and only ``$REPRO_FSIM_SHARDS`` tunes it."""
+
     def test_registered(self):
         assert "parallel" in available_backends()
 
     def test_plain_name_uses_defaults(self, circuit):
         engine = create_backend(circuit, "parallel")
         assert engine.name == "parallel"
-        assert engine.base == default_base()
+        assert engine.base == "numpy"
         assert engine.num_shards == default_num_shards()
 
-    def test_spec_string_pins_knobs(self, circuit):
-        engine = create_backend(circuit, "parallel:3:bigint")
-        assert (engine.num_shards, engine.base) == (3, "bigint")
-        engine = sharded_from_spec(circuit, "parallel:5")
-        assert (engine.num_shards, engine.base) == (5, default_base())
-        engine = sharded_from_spec(circuit, "parallel::bigint")
-        assert engine.base == "bigint"
-        assert engine.num_shards == default_num_shards()
-
-    def test_bad_specs_fail_loudly(self, circuit):
-        with pytest.raises(SimulationError, match="shard count"):
-            sharded_from_spec(circuit, "parallel:zero")
-        with pytest.raises(SimulationError, match="spec"):
-            sharded_from_spec(circuit, "parallel:1:numpy:extra")
+    def test_bad_constructor_arguments_fail_loudly(self, circuit):
         with pytest.raises(SimulationError, match="itself"):
             ShardedFaultSim(circuit, base="parallel")
         with pytest.raises(SimulationError, match=">= 1"):
             ShardedFaultSim(circuit, num_shards=0)
 
-    def test_env_overrides(self, circuit, monkeypatch):
+    def test_env_sets_the_shard_count(self, circuit, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV_VAR, "6")
-        monkeypatch.setenv(SHARD_BASE_ENV_VAR, "bigint")
-        engine = ShardedFaultSim(circuit)
-        assert (engine.num_shards, engine.base) == (6, "bigint")
+        engine = create_backend(circuit, "parallel")
+        assert (engine.num_shards, engine.base) == (6, "numpy")
 
     def test_bad_env_shards_fail_loudly(self, circuit, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV_VAR, "many")
@@ -225,114 +224,113 @@ class TestSpecAndEnvKnobs:
             ShardedFaultSim(circuit)
 
     def test_backend_env_var_selects_parallel(self, circuit, monkeypatch):
-        monkeypatch.setenv("REPRO_FSIM_BACKEND", "parallel:2:bigint")
-        engine = create_backend(circuit)
-        assert engine.name == "parallel"
-        assert (engine.num_shards, engine.base) == (2, "bigint")
+        monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "parallel")
+        assert create_backend(circuit).name == "parallel"
 
+    @pytest.mark.parametrize("spec", ("parallel:2", "parallel:2:bigint",
+                                      "parallel::bigint"))
+    def test_spec_strings_are_unknown_backends(self, circuit, spec):
+        with pytest.raises(SimulationError,
+                           match="unknown fault-sim backend"):
+            create_backend(circuit, spec)
 
-class TestBackendSpecKnobs:
-    def test_fsim_spec_composition(self):
-        assert BackendSpec().fsim_spec() is None
-        assert BackendSpec(fsim="numpy").fsim_spec() == "numpy"
-        assert BackendSpec(fsim="parallel").fsim_spec() == "parallel"
-        assert BackendSpec(fsim="parallel", shards=4).fsim_spec() \
-            == "parallel:4"
-        assert BackendSpec(fsim="parallel", shards=4,
-                           shard_base="bigint").fsim_spec() \
-            == "parallel:4:bigint"
-        assert BackendSpec(fsim="parallel",
-                           shard_base="bigint").fsim_spec() \
-            == "parallel::bigint"
-
-    def test_validation(self):
-        BackendSpec(fsim="parallel", shards=2, shard_base="numpy").validate()
-        with pytest.raises(ExperimentError, match="parallel"):
-            BackendSpec(fsim="numpy", shards=2).validate()
-        with pytest.raises(ExperimentError, match=">= 1"):
-            BackendSpec(fsim="parallel", shards=0).validate()
-        with pytest.raises(ExperimentError, match="shard_base"):
-            BackendSpec(fsim="parallel", shard_base="parallel").validate()
-
-    def test_json_round_trip_and_cache_key_neutrality(self):
-        config = FlowConfig(backend=BackendSpec(fsim="parallel", shards=3,
-                                                shard_base="numpy"))
-        again = FlowConfig.from_json(config.to_json())
-        assert again.backend == config.backend
-        # Backends are bit-identical by contract: shard knobs must not
-        # move any artifact-cache key.
-        from repro.flow.flow import Flow
-
-        plain = Flow(FlowConfig())
-        knobbed = Flow(config)
-        assert plain.adi_key() == knobbed.adi_key()
-        assert plain.testgen_key() == knobbed.testgen_key()
-
-    def test_fsim_spec_resolves_through_create_backend(self, circuit):
-        spec = BackendSpec(fsim="parallel", shards=2, shard_base="bigint")
-        engine = create_backend(circuit, spec.fsim_spec())
-        assert (engine.num_shards, engine.base) == (2, "bigint")
-
-    def test_cli_flags(self):
-        parser = make_parser()
-        config = build_config(parser.parse_args(
-            ["run", "--backend", "parallel", "--fsim-shards", "4",
-             "--fsim-base", "numpy"]
-        ))
-        assert config.backend == BackendSpec(fsim="parallel", shards=4,
-                                             shard_base="numpy")
-        assert config.backend.fsim_spec() == "parallel:4:numpy"
-
-    def test_cli_backend_switch_drops_shard_knobs(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(FlowConfig(backend=BackendSpec(
-            fsim="parallel", shards=4)).to_json())
-        config = build_config(make_parser().parse_args(
-            ["run", "--config", str(path), "--backend", "numpy"]
-        ))
-        assert config.backend == BackendSpec(fsim="numpy")
+    def test_spec_string_in_env_is_an_unknown_backend(self, circuit,
+                                                      monkeypatch):
+        monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "parallel:2:bigint")
+        with pytest.raises(SimulationError,
+                           match=r"unknown fault-sim backend "
+                                 r"'parallel:2:bigint' \(from "):
+            create_backend(circuit)
 
 
 class TestAutoDispatch:
-    def _auto(self, circuit, monkeypatch, available):
-        monkeypatch.setattr("repro.fsim.sharded.parallel_available",
-                            lambda: available)
-        monkeypatch.setattr(AutoFaultSim, "PARALLEL_MIN_FAULTS", 4)
-        monkeypatch.setattr(AutoFaultSim, "PARALLEL_MIN_GATES", 4)
-        monkeypatch.setattr(AutoFaultSim, "PARALLEL_MIN_PATTERNS", 4)
-        return AutoFaultSim(circuit)
+    """``auto`` chooses between ``bigint`` and ``numpy`` only."""
 
-    def test_picks_parallel_above_thresholds(self, circuit, faults_by_model,
-                                             monkeypatch):
-        auto = self._auto(circuit, monkeypatch, available=True)
-        auto.load(PatternSet.random(circuit.num_inputs, 64, seed=3))
-        assert auto._pick(len(faults_by_model["stuck_at"])) == "parallel"
-        matrix = auto.detection_matrix(faults_by_model["stuck_at"])
-        serial = create_backend(circuit, "numpy")
-        serial.load(PatternSet.random(circuit.num_inputs, 64, seed=3))
-        assert matrix == serial.detection_matrix(faults_by_model["stuck_at"])
-        auto._engines["parallel"].close()
+    @pytest.fixture(scope="class")
+    def large(self):
+        circ = generated_circuit(19, num_inputs=32, num_gates=2100,
+                                 num_outputs=16)
+        return (circ, collapsed_fault_list(circ),
+                PatternSet.random(circ.num_inputs, 256, seed=5))
 
-    def test_falls_back_when_parallel_cannot_help(self, circuit,
-                                                  monkeypatch):
-        auto = self._auto(circuit, monkeypatch, available=False)
-        auto.load(PatternSet.random(circuit.num_inputs, 64, seed=3))
+    def test_never_picks_parallel(self, large):
+        circ, __, patterns = large
+        auto = AutoFaultSim(circ)
+        auto.load(patterns)
+        assert circ.num_gates >= 2048 and auto.num_patterns >= 256
+        assert auto._pick(5000) == "numpy"
         assert auto._pick(10 ** 6) == "numpy"
 
-    def test_below_thresholds_keeps_existing_choice(self, circuit,
-                                                    monkeypatch):
-        monkeypatch.setattr("repro.fsim.sharded.parallel_available",
-                            lambda: True)
-        auto = AutoFaultSim(circuit)  # real (high) parallel thresholds
+    def test_default_query_stays_in_process(self, large, monkeypatch):
+        monkeypatch.delenv(backend_mod.BACKEND_ENV_VAR, raising=False)
+        circ, faults, patterns = large
+        assert len(faults) >= 5000
+        engine = create_backend(circ)
+        engine.load(patterns)
+        matrix = engine.detection_matrix(faults)
+        assert multiprocessing.active_children() == []
+        reference = create_backend(circ, "numpy")
+        reference.load(patterns)
+        assert matrix == reference.detection_matrix(faults)
+
+    def test_below_thresholds_keeps_existing_choice(self, circuit):
+        auto = AutoFaultSim(circuit)
         auto.load(PatternSet.random(circuit.num_inputs, 64, seed=3))
         assert auto._pick(100) == "numpy"
         assert auto._pick(2) == "bigint"
 
-    def test_workers_never_reshard(self):
-        """Inside a daemonic worker, parallel_available() must say no."""
-        from repro.fsim.sharded import parallel_available
 
-        daemon = multiprocessing.current_process().daemon
-        assert daemon is False  # test process is not a worker
-        if os.cpu_count() == 1:
-            assert parallel_available() is False
+class TestOptInThroughFlow:
+    """``BackendSpec(fsim="parallel")`` sends every stage of a
+    :class:`Flow` through the worker pool and changes no result."""
+
+    @pytest.fixture
+    def pooled_parallel(self):
+        """``parallel`` re-registered as two shards that never run
+        inline; the engines built are closed and the name restored."""
+        original = backend_mod._REGISTRY["parallel"]
+        engines = []
+
+        def factory(circ):
+            engine = ShardedFaultSim(circ, num_shards=2, min_faults=1)
+            engines.append(engine)
+            return engine
+
+        register_backend("parallel", factory, replace=True)
+        try:
+            yield engines
+        finally:
+            register_backend("parallel", original, replace=True)
+            for engine in engines:
+                engine.close()
+
+    def test_backend_name_moves_no_key(self):
+        config = FlowConfig(backend=BackendSpec(fsim="parallel"))
+        assert FlowConfig.from_json(config.to_json()) == config
+        plain, named = Flow(FlowConfig()), Flow(config)
+        assert plain.adi_key() == named.adi_key()
+        assert plain.run_key() == named.run_key()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_same_results_as_numpy(self, pooled_parallel, model):
+        def flow(fsim):
+            return Flow(FlowConfig(
+                circuit=CircuitSpec(kind="generator", name="optin",
+                                    num_inputs=8, num_gates=60,
+                                    num_outputs=4, gen_seed=3),
+                fault_model=FaultModelSpec(name=model),
+                u=USpec(max_vectors=256),
+                backend=BackendSpec(fsim=fsim),
+                seed=11,
+            ))
+
+        pooled, inline = flow("parallel"), flow("numpy")
+        assert pooled.adi().matrix == inline.adi().matrix
+        for order in ORDERS:
+            assert pooled.permutation(order) == inline.permutation(order)
+            tests, expected = pooled.tests(order), inline.tests(order)
+            assert tests.tests == expected.tests
+            assert tests.status == expected.status
+            assert tests.detected_per_test == expected.detected_per_test
+            assert pooled.report(order) == inline.report(order)
+        assert any(engine._pool is not None for engine in pooled_parallel)
