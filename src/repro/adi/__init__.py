@@ -5,7 +5,8 @@ End-to-end flow (what the experiment harness does per circuit)::
     from repro.adi import select_u, compute_adi, ORDERS
 
     selection = select_u(circ, faults, seed=0)            # pick U
-    result = compute_adi(circ, faults, selection.patterns)  # ndet, D(f), ADI
+    result = compute_adi(circ, faults, selection.patterns,  # ndet, D(f), ADI
+                         matrix=selection.matrix)          # U's rows, reused
     order = ORDERS["0dynm"](result)                        # a permutation
     ordered_faults = [faults[i] for i in order]            # feed the ATPG
 """

@@ -121,6 +121,7 @@ def compute_adi(
     patterns: PatternBlock,
     mode: AdiMode = AdiMode.MINIMUM,
     backend: Union[str, FaultSimBackend, None] = None,
+    matrix: Optional[DetectionMatrix] = None,
 ) -> AdiResult:
     """Compute ADI for every fault of ``faults`` over ``patterns``.
 
@@ -134,14 +135,27 @@ def compute_adi(
     ``backend`` selects the fault-simulation engine (name, instance, or
     ``None`` for the registry default); the detection sets stay packed
     end to end.
+
+    ``matrix``, when given, is that simulation already done — the rows
+    :func:`repro.adi.sampling.select_u` kept as
+    :attr:`~repro.adi.sampling.USelection.matrix` — and is used in place
+    of a query once its shape matches ``faults`` by ``patterns``.
     """
     if patterns.num_inputs != circ.num_inputs:
         raise SimulationError(
             f"pattern set has {patterns.num_inputs} inputs, "
             f"circuit has {circ.num_inputs}"
         )
-    engine = resolve_backend(circ, backend)
-    matrix = query_detection_matrix(engine, patterns, faults)
+    if matrix is None:
+        engine = resolve_backend(circ, backend)
+        matrix = query_detection_matrix(engine, patterns, faults)
+    elif (matrix.num_faults != len(faults)
+            or matrix.num_patterns != patterns.num_patterns):
+        raise SimulationError(
+            f"detection matrix is {matrix.num_faults} faults x "
+            f"{matrix.num_patterns} patterns, expected {len(faults)} x "
+            f"{patterns.num_patterns}"
+        )
     return adi_from_detection_matrix(faults, matrix, mode)
 
 

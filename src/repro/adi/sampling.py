@@ -4,17 +4,31 @@ The paper's procedure: start from 10 000 random input vectors, simulate
 them with fault dropping, and keep only the first ``N`` vectors where
 ``N`` is the point at which approximately 90% of the circuit faults are
 detected (or all 10 000 when 90% is never reached).  The accidental
-detection indices are then computed over those ``N`` vectors only.
+detection indices are then computed over those ``N`` vectors only, by a
+second, no-dropping simulation (Section 2).
+
+This module selects the same ``U`` without the dropping run.  A fault's
+first detecting vector is the lowest set bit of its no-dropping
+detection row, so walking the candidate pool in no-dropping blocks
+yields every first detection the dropping run would, and ``N`` is the
+target-th smallest of them plus one — exactly where a one-vector-at-a-
+time dropping run crosses the target.  The walk keeps the block rows:
+cut to ``N`` columns they *are* the no-dropping detection matrix of
+``U``, which :attr:`USelection.matrix` hands to
+:func:`repro.adi.index.compute_adi`, so a cold flow simulates each
+vector of ``U`` once instead of twice.
+
+Every block is one packed query over the whole target list, a whole
+number of 64-bit words wide.  The first block is ``chunk_size`` rounded
+up to whole words.  Each later block doubles, capped at twice the
+patterns the previous block's first-detection rate says the target
+still needs, so the walk overshoots ``N`` by little; a block that would
+leave less than twice its width unsimulated takes the rest of the pool.
+The schedule decides only the cost of the walk, never its result.
 
 The optional ``prune_useless`` flag applies the paper's speed-up note:
-vectors that detect no new fault during the dropping simulation can be
-removed from ``U`` before the (more expensive) no-dropping simulation.
-
-The dropping run consumes packed
-:class:`~repro.utils.detmatrix.DetectionMatrix` chunks end to end (see
-:func:`repro.fsim.dropping.drop_simulate`), so selecting ``U`` from a
-10 000-vector pool is vectorized word arithmetic, not per-fault big-int
-scans.
+vectors that detect no fault first are removed from ``U`` (and their
+columns from the matrix) before the ADI computation.
 
 The procedure is fault-model-polymorphic: the candidate pool comes from
 the fault-model registry (:mod:`repro.faults.registry`) — pass
@@ -24,8 +38,10 @@ random pool, or supply a pool explicitly via ``patterns=``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
@@ -33,10 +49,14 @@ from repro.faults.registry import (
     FaultModel,
     PatternBlock,
     fault_model,
+    query_detection_matrix,
 )
-from repro.fsim.backend import FaultSimBackend
-from repro.fsim.dropping import DropSimResult, drop_simulate
-from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.fsim.backend import FaultSimBackend, resolve_backend
+from repro.fsim.dropping import DropSimResult
+from repro.utils.detmatrix import DetectionMatrix
+
+#: Patterns per packed detection word: the unit of a block's width.
+_WORD = 64
 
 
 @dataclass(frozen=True)
@@ -47,12 +67,19 @@ class USelection:
     for stuck-at targets, a :class:`PatternPairSet` of two-pattern tests
     for transition targets; ``detected_by_u`` is ``FU``, the subset of
     target faults detected by them, in target-list order.
+
+    ``matrix`` is the no-dropping detection matrix of the target list
+    over ``patterns`` when this selection was computed (``None`` when it
+    was decoded from a cache); it is a by-product, not part of the
+    selection's identity, and is never serialized.
     """
 
     patterns: PatternBlock
     detected_by_u: tuple
     dropped_sim: DropSimResult
     candidates_drawn: int
+    matrix: Optional[DetectionMatrix] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_vectors(self) -> int:
@@ -84,10 +111,13 @@ def select_u(
     (``"stuck_at"`` by default).  ``patterns`` overrides the pool entirely
     (used by the worked example, which supplies the 16 exhaustive vectors
     of ``lion``) and must then match the chosen model's container type.
-    ``backend`` selects the fault-simulation engine for the dropping run.
+    ``backend`` selects the fault-simulation engine for the walk;
+    ``chunk_size`` sets only the width of its first block.
     """
     if not 0.0 < target_coverage <= 1.0:
         raise SimulationError("target_coverage must be in (0, 1]")
+    if chunk_size < 1:
+        raise SimulationError("chunk size must be positive")
     resolved = fault_model(model) if model is not None else None
     if (patterns is not None and resolved is not None
             and not isinstance(patterns, resolved.container_type)):
@@ -107,30 +137,89 @@ def select_u(
             f"circuit has {circ.num_inputs}"
         )
 
-    result = drop_simulate(
-        circ, faults, patterns,
-        chunk_size=chunk_size,
-        stop_fraction=target_coverage,
-        backend=backend,
-    )
-    selected = patterns.take(result.num_simulated)
+    target = _target_count(len(faults), target_coverage)
+    first, matrix = _walk(resolve_backend(circ, backend), faults, patterns,
+                          target, chunk_size)
+    found = np.sort(first[first >= 0])
+    if not target:
+        count = 0
+    elif found.size >= target:
+        count = int(found[target - 1]) + 1
+    else:
+        count = patterns.num_patterns
+    first[first >= count] = -1
+    selected = patterns.take(count)
+    matrix = matrix.take_patterns(count)
 
-    if prune_useless and result.num_simulated:
-        useful = sorted(set(result.first_detection.values()))
-        remap = {old: new for new, old in enumerate(useful)}
-        selected = selected.select(useful)
-        result = DropSimResult(
-            total_faults=result.total_faults,
-            num_simulated=len(useful),
-            first_detection={
-                f: remap[idx] for f, idx in result.first_detection.items()
-            },
-        )
+    if prune_useless and count:
+        useful = np.unique(first[first >= 0])
+        selected = selected.select(useful.tolist())
+        matrix = matrix.select_patterns(useful)
+        hit = first >= 0
+        first[hit] = np.searchsorted(useful, first[hit])
+        count = int(useful.size)
 
-    detected = tuple(f for f in faults if f in result.first_detection)
+    rows = np.flatnonzero(first >= 0).tolist()
     return USelection(
         patterns=selected,
-        detected_by_u=detected,
-        dropped_sim=result,
+        detected_by_u=tuple(faults[i] for i in rows),
+        dropped_sim=DropSimResult(
+            total_faults=len(faults),
+            num_simulated=count,
+            first_detection={faults[i]: int(first[i]) for i in rows},
+        ),
         candidates_drawn=patterns.num_patterns,
+        matrix=matrix,
     )
+
+
+def _target_count(total: int, fraction: float) -> int:
+    """Smallest detected count ``d`` with ``d / total >= fraction`` — the
+    comparison :attr:`DropSimResult.coverage` makes (0 for no faults)."""
+    if not total:
+        return 0
+    target = int(total * fraction)
+    while target / total < fraction:
+        target += 1
+    return target
+
+
+def _whole_words(count: int) -> int:
+    """``count`` patterns rounded up to whole packed words."""
+    return -(-count // _WORD) * _WORD
+
+
+def _walk(engine: FaultSimBackend, faults: Sequence, pool: PatternBlock,
+          target: int, chunk_size: int
+          ) -> Tuple[np.ndarray, DetectionMatrix]:
+    """Simulate ``pool`` in no-dropping blocks until ``target`` faults
+    have a first detection or the pool runs out.
+
+    Returns each fault's first detecting vector (``-1`` for none) and
+    the block rows side by side over the simulated prefix.
+    """
+    size = pool.num_patterns
+    first = np.full(len(faults), -1, dtype=np.int64)
+    blocks: List[DetectionMatrix] = []
+    start = detected = 0
+    width = _whole_words(chunk_size)
+    while start < size and detected < target:
+        if size - start - width < 2 * width:
+            width = size - start
+        block = query_detection_matrix(
+            engine, pool.slice(start, start + width), faults)
+        blocks.append(block)
+        local = block.first_set_bits()
+        new = (first < 0) & (local >= 0)
+        first[new] = start + local[new]
+        hits = int(np.count_nonzero(new))
+        detected += hits
+        start += width
+        cap = 2 * width
+        if hits:
+            # At this block's rate the target needs about
+            # (target - detected) * width / hits more patterns.
+            cap = min(cap, _whole_words(
+                -(-2 * (target - detected) * width // hits)))
+        width = max(cap, _WORD)
+    return first, DetectionMatrix.concat_patterns(blocks, len(faults))

@@ -168,11 +168,13 @@ def query_detection_matrix(engine, block: PatternBlock,
     one switch makes every consumer built on blocks of patterns
     (dropping, ``U`` selection, coverage curves, ADI, dictionaries) work
     for every registered fault model.  The load and the query are
-    recorded as one ``fsim.detection_matrix`` span.
+    recorded as one ``fsim.detection_matrix`` span, labelled with the
+    block's width (``patterns``) and the queried fault count.
     """
     model = model_for_block(block)
     with span("fsim.detection_matrix", backend=engine.name,
-              faults=len(faults), model=model.name):
+              faults=len(faults), model=model.name,
+              patterns=block.num_patterns):
         model.load(engine, block)
         return model.query(engine, faults)
 

@@ -123,7 +123,14 @@ class FaultModelSpec:
 
 @dataclass(frozen=True)
 class USpec:
-    """Knobs of the ``U``-selection procedure (paper Section 4)."""
+    """Knobs of the ``U``-selection procedure (paper Section 4).
+
+    ``chunk_size`` sets only the width of the first no-dropping block
+    of :func:`repro.adi.sampling.select_u`'s walk (rounded up to whole
+    64-bit words); it never changes a result.  It stays in the ``U``
+    stage key until a change that re-records the benchmark's run keys
+    removes it.
+    """
 
     max_vectors: int = 10_000
     target_coverage: float = 0.90

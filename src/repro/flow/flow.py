@@ -434,12 +434,19 @@ class Flow:
         )
 
     def adi(self) -> AdiResult:
-        """The accidental detection indices over ``U`` (paper Section 2)."""
+        """The accidental detection indices over ``U`` (paper Section 2).
+
+        A ``U`` computed by this Flow carries the rows of its walk, so the
+        ADI needs no fault simulation of its own; a ``U`` decoded from
+        the cache carries none, and the ADI queries them.
+        """
         def compute() -> AdiResult:
+            selection = self.selection()
             return compute_adi(
-                self.circuit(), self.faults(), self.selection().patterns,
+                self.circuit(), self.faults(), selection.patterns,
                 mode=self.config.adi.to_mode(),
                 backend=self.config.backend.fsim,
+                matrix=selection.matrix,
             )
 
         return self._stage(

@@ -7,10 +7,12 @@ strings, numbers) so the artifact cache can persist them as-is:
   as hex strings (big-ints survive JSON losslessly that way);
 * fault lists — through the owning fault model's codec
   (:mod:`repro.faults.registry`), so a cached artifact names its model;
-* ``U`` selections — the selected block plus the dropping-run summary,
-  with faults stored as *indices into the target list* (the fault list
-  is itself an upstream artifact; storing positions keeps files small
-  and makes tampering detectable);
+* ``U`` selections — the selected block plus its first-detection
+  record, with faults stored as *indices into the target list* (the
+  fault list is itself an upstream artifact; storing positions keeps
+  files small and makes tampering detectable), checked on load against
+  the target list and for internal consistency; the detection matrix a
+  freshly computed selection carries is not stored;
 * ADI results — the rows of the packed
   :class:`~repro.utils.detmatrix.DetectionMatrix` only, each as one hex
   big-int (the codec converts at this boundary, so the payload is the
@@ -135,28 +137,51 @@ def selection_to_json(selection: USelection,
 
 def selection_from_json(data: Dict[str, Any],
                         faults: Sequence) -> USelection:
-    """Decode :func:`selection_to_json` output against the same fault list."""
+    """Decode :func:`selection_to_json` output against the same fault list.
+
+    The payload must agree with ``faults`` and with itself: it counts
+    ``len(faults)`` target faults, simulated exactly its own patterns
+    (no more than it drew), and holds one ``[fault index, vector]`` pair
+    of exact integers per detected fault, with each index a distinct
+    position in ``faults`` and each vector inside the simulated prefix.
+    A payload failing any of these would report a wrong ``U`` coverage.
+    """
+    patterns = pattern_block_from_json(data["patterns"])
+    simulated = data.get("num_simulated")
+    drawn = data.get("candidates_drawn")
+    total = data.get("total_faults")
     entries = data.get("first_detection")
-    _require(isinstance(entries, list), "selection lacks first_detection")
-    first = {}
-    for entry in entries:
-        _require(isinstance(entry, list) and len(entry) == 2,
-                 "malformed first_detection entry")
-        fault_idx, vec = entry
-        _require(0 <= fault_idx < len(faults),
-                 f"fault index {fault_idx} outside target list")
-        first[faults[fault_idx]] = int(vec)
-    dropped = DropSimResult(
-        total_faults=int(data["total_faults"]),
-        num_simulated=int(data["num_simulated"]),
-        first_detection=first,
-    )
+    _require(isinstance(entries, list)
+             and set(map(type, entries)) <= {list}
+             and set(map(len, entries)) <= {2},
+             "malformed first_detection")
+    indices, vectors = zip(*entries) if entries else ((), ())
+    # Exact types: True would pass as 1 to an isinstance check.
+    _require(set(map(type, (simulated, drawn, total) + indices + vectors))
+             <= {int}, "selection counts or entries are not integers")
+    _require(simulated == patterns.num_patterns <= drawn,
+             "selection's simulated, selected and drawn counts disagree")
+    _require(total == len(faults),
+             "selection does not count the target fault list")
+    _require(not entries or (min(indices) >= 0
+                             and max(indices) < len(faults)),
+             "selection references faults outside the target list")
+    _require(not entries or (min(vectors) >= 0
+                             and max(vectors) < simulated),
+             "a first detection lies outside the simulated vectors")
+    _require(len(set(indices)) == len(indices),
+             "selection lists a fault twice")
+    first = {faults[index]: vec for index, vec in entries}
     detected = tuple(f for f in faults if f in first)
     return USelection(
-        patterns=pattern_block_from_json(data["patterns"]),
+        patterns=patterns,
         detected_by_u=detected,
-        dropped_sim=dropped,
-        candidates_drawn=int(data["candidates_drawn"]),
+        dropped_sim=DropSimResult(
+            total_faults=len(faults),
+            num_simulated=simulated,
+            first_detection=first,
+        ),
+        candidates_drawn=drawn,
     )
 
 

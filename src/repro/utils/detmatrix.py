@@ -348,6 +348,70 @@ class DetectionMatrix:
         words = np.vstack([part.words for part in parts])
         return DetectionMatrix(np.ascontiguousarray(words), num_patterns)
 
+    def take_patterns(self, count: int) -> "DetectionMatrix":
+        """The first ``count`` pattern columns (``PatternSet.take``)."""
+        if not 0 <= count <= self.num_patterns:
+            raise ValueError(
+                f"cannot take {count} of {self.num_patterns} patterns"
+            )
+        if count == self.num_patterns:
+            return self
+        return DetectionMatrix.from_rows(
+            self.words[:, :num_words_for(count)], count
+        )
+
+    @staticmethod
+    def concat_patterns(parts: Sequence["DetectionMatrix"],
+                        num_faults: int) -> "DetectionMatrix":
+        """Columns of ``parts`` side by side, in order (``PatternSet.concat``).
+
+        Every part must have exactly ``num_faults`` rows.  A part that
+        starts on a word boundary is copied word for word; otherwise its
+        words are shifted into place, the high bits of each word carrying
+        into the next.
+        """
+        for index, part in enumerate(parts):
+            if part.num_faults != num_faults:
+                raise ValueError(
+                    f"part {index} has {part.num_faults} rows, "
+                    f"expected {num_faults}"
+                )
+        total = sum(part.num_patterns for part in parts)
+        words = np.zeros((num_faults, num_words_for(total)), dtype=np.uint64)
+        offset = 0
+        for part in parts:
+            if not part.num_patterns:
+                continue
+            first, shift = divmod(offset, 64)
+            stop = first + part.num_words
+            if shift:
+                words[:, first:stop] |= part.words << np.uint64(shift)
+                carry = part.words >> np.uint64(64 - shift)
+                end = min(stop + 1, words.shape[1])
+                words[:, first + 1:end] |= carry[:, :end - first - 1]
+            else:
+                words[:, first:stop] = part.words
+            offset += part.num_patterns
+        return DetectionMatrix(words, total)
+
+    def select_patterns(self, indices: Sequence[int]) -> "DetectionMatrix":
+        """Column subset/reorder: new pattern ``k`` = old ``indices[k]``
+        (``PatternSet.select``)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_patterns):
+            raise ValueError(
+                f"pattern index outside 0..{self.num_patterns - 1}"
+            )
+        width = num_words_for(idx.size)
+        words = np.zeros((self.num_faults, width), dtype=np.uint64)
+        if idx.size:
+            for start, bits in self.iter_dense_chunks():
+                packed = np.packbits(bits[:, idx], axis=1, bitorder="little")
+                raw = np.zeros((packed.shape[0], width * 8), dtype=np.uint8)
+                raw[:, :packed.shape[1]] = packed
+                words[start:start + packed.shape[0]] = raw.view("<u8")
+        return DetectionMatrix(words, int(idx.size))
+
     def _check_aligned(self, other: "DetectionMatrix") -> None:
         if (self.num_patterns != other.num_patterns
                 or self.num_faults != other.num_faults):

@@ -43,3 +43,44 @@ def engine_words(circ, faults, block, backend: str) -> list:
         return engine.transition_detection_words(faults)
     engine.load(block)
     return engine.detection_words(faults)
+
+
+
+def naive_drop(circ, faults, patterns, stop_fraction=None):
+    """One-vector-at-a-time fault dropping: the reference for
+    :func:`repro.fsim.dropping.drop_simulate` and the ``U`` walk.
+
+    Applies ``patterns`` (single vectors, or two-pattern pairs for
+    transition faults) one at a time through the serial simulator and
+    drops each fault at its first detecting vector.  With
+    ``stop_fraction``, stops after the first vector whose detections
+    reach that fraction of ``faults``.  Returns ``(first, consumed)``:
+    fault -> first detecting vector, and the vectors applied.
+    """
+    from repro.fsim.serial import detects_serial
+    from repro.sim.bitsim import simulate_vector
+    from repro.sim.patterns import PatternPairSet
+
+    def detects(p, fault):
+        if not isinstance(patterns, PatternPairSet):
+            return detects_serial(circ, patterns.vector(p), fault)
+        # The full-scan reduction: v1 sets the fault line to the
+        # transition's initial value and v2 detects the stuck-at fault.
+        launch, capture = patterns.pair(p)
+        good = simulate_vector(circ, launch)
+        line = (fault.node if fault.is_stem
+                else circ.fanin[fault.node][fault.pin])
+        return ((good[line] & 1) == (0 if fault.rise else 1)
+                and detects_serial(circ, capture, fault.as_stuck_at()))
+
+    remaining = list(faults)
+    first = {}
+    for p in range(patterns.num_patterns):
+        for fault in remaining:
+            if detects(p, fault):
+                first[fault] = p
+        remaining = [f for f in remaining if f not in first]
+        if (stop_fraction is not None
+                and len(first) / len(faults) >= stop_fraction):
+            return first, p + 1
+    return first, patterns.num_patterns

@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.adi import AdiMode, compute_adi, ndet_table, select_u
 from repro.errors import SimulationError
 from repro.faults import collapsed_fault_list
+from repro.faults.registry import fault_model
 from repro.fsim import drop_simulate
 from repro.sim import PatternSet
+from repro.telemetry import tracing
 from repro.utils.bitvec import bit_indices, popcount
+from repro.utils.detmatrix import DetectionMatrix
+
+from helpers import generated_circuit, naive_drop
+
+#: Candidate-pool sizes on both sides of the 64-bit word boundaries.
+POOL_WIDTHS = (1, 63, 64, 65, 127, 128, 129, 1000)
 
 
 class TestSelectU:
@@ -75,6 +85,115 @@ class TestSelectU:
         a = select_u(lion_circuit, faults, seed=11)
         b = select_u(lion_circuit, faults, seed=11)
         assert a.patterns.words == b.patterns.words
+
+    def test_no_faults_selects_nothing(self, lion_circuit):
+        selection = select_u(lion_circuit, [], patterns=PatternSet.exhaustive(4))
+        assert selection.num_vectors == 0
+        assert selection.coverage == 1.0
+        assert selection.matrix == DetectionMatrix.zeros(0, 0)
+
+    def test_chunk_size_validated(self, lion_circuit):
+        with pytest.raises(SimulationError):
+            select_u(lion_circuit, collapsed_fault_list(lion_circuit),
+                     chunk_size=0)
+
+
+class TestStopAtTarget:
+    """The stop the dropping run used to make: ``U`` ends at the exact
+    vector whose first detections reach the target coverage."""
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 200), chunk=st.integers(1, 70),
+           frac=st.sampled_from([0.5, 0.9, 1.0]))
+    def test_chunking_invariance_and_stop(self, seed, chunk, frac):
+        circ = generated_circuit(seed, num_inputs=6, num_gates=24,
+                                 num_outputs=3)
+        faults = collapsed_fault_list(circ)
+        patterns = PatternSet.random(6, 50, seed=seed + 1)
+        selection = select_u(circ, faults, patterns=patterns,
+                             chunk_size=chunk, target_coverage=frac)
+        expected, consumed = naive_drop(circ, faults, patterns,
+                                        stop_fraction=frac)
+        assert selection.dropped_sim.first_detection == expected
+        assert selection.num_vectors == consumed
+
+    def test_target_validated(self, c17_circuit):
+        faults = collapsed_fault_list(c17_circuit)
+        with pytest.raises(SimulationError):
+            select_u(c17_circuit, faults, patterns=PatternSet.exhaustive(5),
+                     target_coverage=1.5)
+
+    def test_stop_at_exact_vector(self, c17_circuit):
+        # With a tiny target, the first detecting vector ends U.
+        faults = collapsed_fault_list(c17_circuit)
+        selection = select_u(c17_circuit, faults,
+                             patterns=PatternSet.exhaustive(5),
+                             target_coverage=0.01)
+        assert selection.num_vectors >= 1
+        assert (min(selection.dropped_sim.first_detection.values())
+                == selection.num_vectors - 1)
+
+    def test_stop_target_is_smallest_count_reaching_fraction(self):
+        # 100 * 0.55 is just above 55 in floating point, yet 55 of 100
+        # detections already reach 55% coverage: U must end at the
+        # vector of the 55th first detection, which here comes before
+        # the vector of the 56th.
+        circ = generated_circuit(2, num_inputs=8, num_gates=60,
+                                 num_outputs=5)
+        faults = collapsed_fault_list(circ)[:100]
+        patterns = PatternSet.random(circ.num_inputs, 40, seed=2)
+        full, __ = naive_drop(circ, faults, patterns)
+        firsts = sorted(full.values())
+        assert firsts[54] < firsts[55]
+
+        selection = select_u(circ, faults, patterns=patterns, chunk_size=8,
+                             target_coverage=0.55)
+        expected, consumed = naive_drop(circ, faults, patterns,
+                                        stop_fraction=0.55)
+        assert selection.num_vectors == consumed == firsts[54] + 1
+        assert selection.dropped_sim.first_detection == expected
+        assert selection.coverage >= 0.55
+
+
+class TestWalkAgainstNaiveDrop:
+    """The no-dropping block walk selects what one-vector-at-a-time
+    dropping selects, and its rows are the ADI stage's matrix."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 100), pool=st.sampled_from(POOL_WIDTHS),
+           coverage=st.floats(0.05, 1.0), chunk=st.integers(1, 100),
+           prune=st.booleans(), engine=st.sampled_from(("bigint", "numpy")),
+           model=st.sampled_from(("stuck_at", "transition")))
+    def test_matches_one_vector_at_a_time(self, seed, pool, coverage, chunk,
+                                          prune, engine, model):
+        circ = generated_circuit(seed, num_inputs=6, num_gates=24,
+                                 num_outputs=3, hardness=0.3)
+        fmodel = fault_model(model)
+        faults = fmodel.target_faults(circ)
+        candidates = fmodel.random_pool(circ.num_inputs, pool, seed + 1)
+        selection = select_u(circ, faults, patterns=candidates,
+                             target_coverage=coverage, chunk_size=chunk,
+                             prune_useless=prune, backend=engine)
+
+        first, consumed = naive_drop(circ, faults, candidates,
+                                     stop_fraction=coverage)
+        expected = candidates.take(consumed)
+        if prune:
+            useful = sorted(set(first.values()))
+            expected = expected.select(useful)
+            first = {f: useful.index(vec) for f, vec in first.items()}
+        assert selection.num_vectors == expected.num_patterns
+        assert selection.patterns == expected
+        assert selection.dropped_sim.num_simulated == selection.num_vectors
+        assert selection.dropped_sim.first_detection == first
+        assert selection.detected_by_u == tuple(
+            f for f in faults if f in first)
+        assert selection.candidates_drawn == pool
+
+        own = compute_adi(circ, faults, selection.patterns, backend=engine)
+        assert selection.matrix == own.matrix
 
 
 class TestComputeAdi:
@@ -154,3 +273,27 @@ class TestComputeAdi:
     def test_pattern_width_checked(self, lion_circuit):
         with pytest.raises(SimulationError):
             compute_adi(lion_circuit, [], PatternSet.exhaustive(3))
+
+    def test_handed_matrix_replaces_the_query(self, lion_circuit):
+        faults = collapsed_fault_list(lion_circuit)
+        patterns = PatternSet.exhaustive(4)
+        queried = compute_adi(lion_circuit, faults, patterns)
+        with tracing() as collector:
+            handed = compute_adi(lion_circuit, faults, patterns,
+                                 matrix=queried.matrix)
+        assert [node["name"] for __, node in collector.walk()] == []
+        assert handed.matrix is queried.matrix
+        assert (handed.adi == queried.adi).all()
+        assert (handed.ndet == queried.ndet).all()
+
+    def test_handed_matrix_shape_checked(self, lion_circuit):
+        faults = collapsed_fault_list(lion_circuit)
+        patterns = PatternSet.exhaustive(4)
+        matrix = compute_adi(lion_circuit, faults, patterns).matrix
+        for bad in (matrix.select_rows(range(len(faults) - 1)),
+                    DetectionMatrix.zeros(len(faults) + 1, 16),
+                    matrix.take_patterns(15),
+                    DetectionMatrix.concat_patterns(
+                        [matrix, matrix.take_patterns(1)], len(faults))):
+            with pytest.raises(SimulationError, match="detection matrix"):
+                compute_adi(lion_circuit, faults, patterns, matrix=bad)

@@ -9,7 +9,7 @@ from repro.faults import transition_fault_list
 from repro.fsim.dropping import drop_simulate
 from repro.sim.patterns import PatternPairSet
 
-from helpers import engine_words
+from helpers import engine_words, naive_drop
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +90,11 @@ class TestSelectU:
         faults = transition_fault_list(circ)
         pool = PatternPairSet.random(circ.num_inputs, 500, seed=1)
         selection = select_u(circ, faults, patterns=pool)
-        replay = drop_simulate(circ, faults, pool, stop_fraction=0.9)
-        assert selection.num_vectors == replay.num_simulated
-        assert set(selection.detected_by_u) == set(replay.first_detection)
+        first, consumed = naive_drop(circ, faults, pool, stop_fraction=0.9)
+        assert selection.num_vectors == consumed
+        assert set(selection.detected_by_u) == set(first)
+        assert selection.dropped_sim.first_detection == first
+        assert selection.patterns == pool.take(consumed)
 
     def test_prune_useless_keeps_detections(self):
         circ = lion_like()

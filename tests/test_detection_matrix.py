@@ -178,3 +178,59 @@ class TestCombination:
         )
         with pytest.raises(TypeError):
             hash(a)
+
+
+class TestPatternColumns:
+    """``take_patterns``, ``concat_patterns`` and ``select_patterns``
+    agree with slicing the unpacked 0/1 matrix."""
+
+    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS + (128, 200))
+    def test_take_patterns(self, width):
+        matrix = DetectionMatrix.from_bigints(
+            reference_words(width, 9, width), width)
+        dense = matrix.unpack_bits()
+        for count in sorted({0, 1, width // 2, width - 1, width}):
+            taken = matrix.take_patterns(count)
+            assert taken.num_patterns == count
+            assert np.array_equal(taken.unpack_bits(), dense[:, :count])
+        with pytest.raises(ValueError):
+            matrix.take_patterns(width + 1)
+
+    @pytest.mark.parametrize("widths", [
+        (64, 64), (64, 1), (1, 64), (63, 65), (65, 63, 129), (0, 64, 0),
+        (1, 1, 1), (128, 129), (64, 128, 256, 576), (),
+    ])
+    def test_concat_patterns(self, widths):
+        parts = [
+            DetectionMatrix.from_bigints(reference_words(7 + i, 9, w), w)
+            for i, w in enumerate(widths)
+        ]
+        joined = DetectionMatrix.concat_patterns(parts, 9)
+        dense = np.concatenate(
+            [part.unpack_bits() for part in parts], axis=1
+        ) if parts else np.zeros((9, 0), dtype=np.uint8)
+        assert joined.num_patterns == sum(widths)
+        assert np.array_equal(joined.unpack_bits(), dense)
+
+    def test_concat_patterns_row_count_checked(self):
+        with pytest.raises(ValueError):
+            DetectionMatrix.concat_patterns(
+                [DetectionMatrix.zeros(2, 64), DetectionMatrix.zeros(3, 64)],
+                2)
+
+    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS + (128, 200))
+    def test_select_patterns(self, width):
+        matrix = DetectionMatrix.from_bigints(
+            reference_words(width + 1, 9, width), width)
+        dense = matrix.unpack_bits()
+        rng = np.random.default_rng(width)
+        for indices in ([], list(range(width)), list(range(width))[::-1],
+                        rng.integers(0, width, size=width + 3).tolist(),
+                        sorted(set(rng.integers(0, width, 70).tolist()))):
+            picked = matrix.select_patterns(indices)
+            assert picked.num_patterns == len(indices)
+            assert np.array_equal(picked.unpack_bits(),
+                                  dense[:, indices] if indices
+                                  else dense[:, :0])
+        with pytest.raises(ValueError):
+            matrix.select_patterns([width])

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.adi import AdiMode, compute_adi, select_u
+from repro.adi import ORDERS, AdiMode, compute_adi, select_u
 from repro.atpg import (
     TestGenConfig,
     generate_tests,
@@ -22,6 +22,7 @@ from repro.circuit import lion_like
 from repro.errors import ExperimentError
 from repro.faults import collapsed_fault_list, transition_fault_list
 from repro.flow import (
+    AdiSpec,
     ArtifactCache,
     CircuitSpec,
     FaultModelSpec,
@@ -36,6 +37,7 @@ from repro.flow import (
 from repro.flow import serialize
 from repro.adi.metrics import curve_report
 from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.telemetry import tracing
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,41 @@ class TestArtifactRoundTrips:
         assert restored.candidates_drawn == selection.candidates_drawn
         assert (restored.dropped_sim.first_detection
                 == selection.dropped_sim.first_detection)
+        # The walk's rows ride along in memory only.
+        assert selection.matrix is not None and restored.matrix is None
+        assert restored == selection
+        assert "matrix" not in data
+
+    @pytest.mark.parametrize("corruption", [
+        "vector-past-prefix", "vector-negative", "vector-string",
+        "simulated-off", "total-off", "fault-duplicated", "fault-bool",
+    ])
+    def test_selection_rejects_inconsistent_payload(self, lion, corruption):
+        faults = collapsed_fault_list(lion)
+        selection = select_u(lion, faults, seed=3, max_vectors=64)
+        data = json.loads(json.dumps(
+            serialize.selection_to_json(selection, faults)
+        ))
+        entries = data["first_detection"]
+        if corruption == "vector-past-prefix":
+            entries[0][1] = data["num_simulated"]
+        elif corruption == "vector-negative":
+            entries[0][1] = -1
+        elif corruption == "vector-string":
+            entries[0][1] = str(entries[0][1])
+        elif corruption == "simulated-off":
+            data["num_simulated"] -= 1
+            entries[:] = [e for e in entries if e[1] < data["num_simulated"]]
+        elif corruption == "total-off":
+            data["total_faults"] *= 2
+        elif corruption == "fault-duplicated":
+            entries.append([entries[-1][0], entries[0][1]])
+        else:
+            # True is index 1 to a lenient decoder.
+            entry = next(e for e in entries if e[0] == 1)
+            entry[0] = True
+        with pytest.raises(ExperimentError, match="corrupt flow artifact"):
+            serialize.selection_from_json(data, faults)
 
     def test_adi_both_modes(self, lion):
         faults = collapsed_fault_list(lion)
@@ -348,14 +385,21 @@ class TestFlowCacheBehaviour:
         assert sources["curve"] == "computed"
 
     @pytest.mark.parametrize("corruption", [
-        "adi-garbage", "order-truncated", "order-duplicated",
+        "u-total-off", "adi-garbage", "order-truncated", "order-duplicated",
         "testgen-truncated-status", "testgen-dropped-target",
     ])
     def test_corrupt_stage_file_recomputed(self, tmp_path, corruption):
         flow = Flow(self.CONFIG, cache=tmp_path)
         cold = flow.run()
         name = self.CONFIG.order.name
-        if corruption == "adi-garbage":
+        if corruption == "u-total-off":
+            # A lenient decoder would serve this U at half its coverage.
+            stage = "u"
+            path = tmp_path / "u" / f"{flow.u_key()}.json"
+            document = json.loads(path.read_text())
+            document["payload"]["total_faults"] *= 2
+            path.write_text(json.dumps(document))
+        elif corruption == "adi-garbage":
             stage = "adi"
             path = tmp_path / "adi" / f"{flow.adi_key()}.json"
             assert path.exists()
@@ -391,4 +435,37 @@ class TestFlowCacheBehaviour:
         assert (rerun.adi.adi == cold.adi.adi).all()
         assert rerun.permutation == cold.permutation
         assert rerun.tests.tests == cold.tests.tests
-        assert rerun.summary()["tests"] == cold.summary()["tests"]
+        assert _outputs(rerun.summary()) == _outputs(cold.summary())
+
+    def test_adi_over_cached_u_is_queried(self, tmp_path):
+        Flow(self.CONFIG, cache=tmp_path).run()
+        average = self.CONFIG.replace(adi=AdiSpec(mode="average"))
+        warm_flow = Flow(average, cache=tmp_path)
+        with tracing() as collector:
+            warm = warm_flow.run()
+        sources = {info.stage: info.source for info in warm.stages}
+        assert sources["u"] == "cache"
+        assert sources["adi"] == "computed"
+        # A decoded U carries no rows, so the ADI stage queries them.
+        assert warm.selection.matrix is None
+        adi_stage = next(node for node in collector.roots
+                         if node["name"] == "flow.adi")
+        assert [child["name"] for child in adi_stage["children"]] == [
+            "fsim.detection_matrix"]
+
+        fresh_flow = Flow(average)
+        fresh = fresh_flow.run()
+        assert fresh.selection.matrix is fresh.adi.matrix
+        assert warm.adi.matrix == fresh.adi.matrix
+        assert (warm.adi.adi == fresh.adi.adi).all()
+        assert (warm.adi.ndet == fresh.adi.ndet).all()
+        for order in ORDERS:
+            assert (warm_flow.permutation(order)
+                    == fresh_flow.permutation(order)), order
+        assert _outputs(warm.summary()) == _outputs(fresh.summary())
+
+
+def _outputs(summary):
+    """A run summary without its provenance (stage sources and times)."""
+    return {key: value for key, value in summary.items()
+            if key not in ("stages", "timings")}

@@ -2,16 +2,17 @@
 
 The packed ``DetectionMatrix`` fast path must be bit-identical to the
 big-int word representation everywhere they meet: raw detection
-matrices, ADI results, drop-simulate first-detection indices and
-coverage curves — for every registered fault-simulation backend, for
-both registered fault models, at block widths straddling the 64-bit
-word boundaries (P in {1, 63, 64, 65, 129}).
+matrices, ADI results, drop-simulate first-detection indices, ``U``
+stops and coverage curves — for every registered fault-simulation
+backend, for both registered fault models, at block widths straddling
+the 64-bit word boundaries (P in {1, 63, 64, 65, 129}).
 """
 
 import numpy as np
 import pytest
 
 from repro.adi.dynamic import f0dynm, fdynm
+from repro.adi.sampling import select_u
 from repro.adi.index import AdiMode, adi_from_detection_matrix, compute_adi
 from repro.faults import collapsed_fault_list
 from repro.faults.registry import query_detection_matrix
@@ -168,17 +169,25 @@ class TestDroppingEquivalence:
         ]
         assert curve == expected
 
+    @pytest.mark.parametrize("backend_name", sorted(available_backends()))
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_stop_fraction_unchanged_by_packing(self, circuit, stuck_faults,
-                                                width):
+    def test_u_stop_unchanged_by_packing(self, circuit, stuck_faults,
+                                         backend_name, width):
         block = block_for("stuck_at", circuit.num_inputs, width)
-        stopped = drop_simulate(circuit, stuck_faults, block, chunk_size=8,
-                                stop_fraction=0.5)
+        selection = select_u(circuit, stuck_faults, patterns=block,
+                             chunk_size=8, target_coverage=0.5,
+                             backend=backend_name)
+        stopped = selection.dropped_sim
         full = drop_simulate(circuit, stuck_faults, block, chunk_size=8)
-        # The truncated run must agree with the full run on every fault
-        # it keeps, and stop exactly at the crossing vector.
+        # U must agree with the full dropping run on every fault it
+        # keeps, keep every fault detected inside it, and stop exactly at
+        # the crossing vector.
         for fault, vec in stopped.first_detection.items():
             assert full.first_detection[fault] == vec
+        assert stopped.first_detection == {
+            fault: vec for fault, vec in full.first_detection.items()
+            if vec < selection.num_vectors
+        }
         if stopped.num_detected:
             crossing = max(stopped.first_detection.values())
             assert stopped.num_simulated == crossing + 1

@@ -24,7 +24,7 @@ import pytest
 from repro.adi import compute_adi
 from repro.faults import collapsed_fault_list
 from repro.faults.registry import fault_model
-from repro.flow import CircuitSpec, Flow, FlowConfig, USpec
+from repro.flow import CircuitSpec, FaultModelSpec, Flow, FlowConfig, USpec
 from repro.flow.cli import main as cli_main
 from repro.fsim.sharded import FAULTS_METRIC, ShardedFaultSim
 from repro.sim.patterns import PatternSet
@@ -130,8 +130,36 @@ def test_adi_query_records_one_fsim_span(model_name):
     assert [node["name"] for node in fsim] == ["fsim.detection_matrix"]
     assert fsim[0]["labels"] == {"backend": "auto",
                                  "faults": str(len(faults)),
-                                 "model": model_name}
+                                 "model": model_name,
+                                 "patterns": "64"}
     assert fsim[0]["children"] == []
+
+
+def _queries(node):
+    """The ``fsim.detection_matrix`` spans at or below ``node``."""
+    found = [node] if node["name"] == "fsim.detection_matrix" else []
+    for child in node["children"]:
+        found.extend(_queries(child))
+    return found
+
+
+@pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
+def test_cold_flow_simulates_u_once(model_name):
+    config = tiny_config(14).replace(
+        fault_model=FaultModelSpec(name=model_name))
+    with tracing() as collector:
+        result = Flow(config).run()
+    stages = {node["labels"]["stage"]: node for node in collector.roots
+              if node["name"].startswith("flow.")}
+    # The ADI reuses the rows of the U walk: no query of its own.
+    assert _queries(stages["adi"]) == []
+    widths = [int(node["labels"]["patterns"])
+              for node in _queries(stages["u"])]
+    assert widths
+    assert result.selection.num_vectors <= sum(widths)
+    assert sum(widths) <= config.u.max_vectors
+    assert all(int(node["labels"]["faults"]) == len(result.faults)
+               for node in _queries(stages["u"]))
 
 
 # -- sharded worker merge -----------------------------------------------------
