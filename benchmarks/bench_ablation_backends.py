@@ -1,4 +1,7 @@
-"""Ablation: big-int vs numpy uint64 simulation backends (DESIGN.md §4).
+"""Ablation: big-int vs numpy uint64 simulation backends.
+
+The two representations are described under "Data representation:
+big-int words vs. packed matrices" in ``docs/architecture.md``.
 
 Two layers are ablated here:
 
@@ -11,7 +14,7 @@ Two layers are ablated here:
   levelized batches) on a full no-dropping detection-word sweep, the ADI
   pipeline's hot shape.  ``benchmarks/bench_fsim_backends.py`` is the
   dedicated A/B harness with JSON output; this module keeps the ablation
-  alongside the other DESIGN.md studies.
+  alongside the other ``bench_ablation_*.py`` studies.
 """
 
 import pytest

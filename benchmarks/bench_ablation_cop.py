@@ -1,9 +1,10 @@
 """Ablation: COP-predicted random-pattern resistance vs measurement.
 
-Validates the suite generator's calibration story (DESIGN.md §3): the
-probabilistic testability model should predict which faults the random
-vector set ``U`` misses — the ``ADI(f) = 0`` population that drives the
-difference between ``Fdynm`` and ``F0dynm``.
+Validates the suite generator's calibration story
+(:mod:`repro.circuit.generator`): the probabilistic testability model
+should predict which faults the random vector set ``U`` misses — the
+``ADI(f) = 0`` population that drives the difference between ``Fdynm``
+and ``F0dynm``.
 """
 
 import numpy as np

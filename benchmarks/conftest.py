@@ -2,7 +2,7 @@
 
 Every benchmark regenerating a paper artefact writes its formatted output
 to ``results/`` so a benchmark session leaves the full set of reproduced
-tables/figures on disk (EXPERIMENTS.md is written from those files).
+tables/figures on disk.
 
 The expensive pipeline stages are shared through a session-scoped
 :class:`repro.experiments.ExperimentRunner`, mirroring how the paper's

@@ -9,7 +9,7 @@ random-pattern-resistant logic.  The experiment suite
 benchmark with the same primary-input count.
 
 Generation is fully deterministic given the spec (seed included), so every
-table in EXPERIMENTS.md is reproducible bit-for-bit.
+table ``python -m repro.experiments`` prints is reproducible bit-for-bit.
 
 Construction outline:
 

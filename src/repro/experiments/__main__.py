@@ -54,7 +54,7 @@ def _emit(runner: ExperimentRunner, target: str,
             )
         return render_table(
             ["circuit", "inputs", "outputs", "gates", "irredundant"],
-            rows, title="Suite circuits (synthetic stand-ins, DESIGN.md §3)",
+            rows, title="Suite circuits (synthetic stand-ins)",
         )
     if target == "table1":
         return format_table1(run_table1())

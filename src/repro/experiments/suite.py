@@ -5,8 +5,8 @@ The paper evaluates on the combinational logic of 14 ISCAS-89 circuits
 here, so each suite entry is a *calibrated synthetic stand-in* with the
 same primary-input count as the paper's circuit (Table 4, column "inp"),
 generated deterministically, then made irredundant with the same
-redundancy-removal flow a user would apply to real netlists (DESIGN.md §3
-documents the substitution and why shape conclusions survive it).
+redundancy-removal flow a user would apply to real netlists (the
+README's "Paper artefact map" records the substitution).
 
 The two largest circuits are scaled down in gate count so the whole
 harness runs in pure Python within a benchmark session; the paper itself

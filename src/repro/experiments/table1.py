@@ -3,9 +3,10 @@
 The paper's Table 1 lists ``ndet(u)`` for all 16 exhaustive input vectors
 of MCNC ``lion``; Section 2 then derives ``ADI(f)`` for a few faults and
 Section 3 walks through the first placements of ``Fdynm``.  This harness
-reproduces all three artefacts on our ``lion_like`` stand-in (DESIGN.md
-§3 records why the exact per-vector values differ from the published
-ones while the construction is identical).
+reproduces all three artefacts on our ``lion_like`` stand-in
+(:func:`repro.circuit.library.lion_like`).  The construction is the
+paper's, but the stand-in's gates are not MCNC ``lion``'s, so the exact
+per-vector values differ from the published ones.
 """
 
 from __future__ import annotations

@@ -382,7 +382,9 @@ class ArtifactCache:
                 )
                 try:
                     with os.fdopen(fd, "w") as handle:
-                        json.dump(document, handle)
+                        # json.dumps runs the C encoder; json.dump never
+                        # does.  Both write the same text.
+                        handle.write(json.dumps(document))
                     os.replace(tmp_name, path)
                 except BaseException:
                     try:

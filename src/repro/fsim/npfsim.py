@@ -15,12 +15,14 @@ to its region's stem.  A query then runs in three vectorized steps:
   marks the patterns that flip its stem.  This is critical-path tracing
   inside the region (Abramovici, Menon & Miller, DAC 1983).
 * **Stem observability.**  Only the distinct stems that some fault of
-  the query flips are simulated, each as a flip of its fault-free value:
+  the query flips are simulated, each as a flip of its fault-free value,
   sorted by level and batched through the
-  :class:`repro.sim.npsim.LevelSchedule` on a ``(num_nodes, B, W)``
-  tensor prefilled with fault-free words, starting at the batch's lowest
-  level.  The OR over outputs of ``faulty XOR fault-free`` is a stem's
-  observability word.
+  :class:`repro.sim.npsim.LevelSchedule`.  One ``(num_nodes, B, W)``
+  tensor serves the whole query.  A batch starts at its lowest stem's
+  level and fills with fault-free words only the rows at or below that
+  level that a gate above it or an output reads; evaluation writes every
+  row above that level before anything reads it.  The OR over outputs of
+  ``faulty XOR fault-free`` is a stem's observability word.
 * **Rows.**  Each row is ``local & obs[stem]``, masked to the block width
   (:func:`repro.utils.detmatrix.tail_mask`) and returned packed as a
   :class:`repro.utils.detmatrix.DetectionMatrix`.
@@ -175,6 +177,12 @@ class NumpyFaultSim(FaultSimBackend):
         self._level = np.asarray(circ.level, dtype=np.int64)
         self._level_numbers = [level.number for level in self.schedule.levels]
         self._outputs = np.asarray(circ.outputs, dtype=np.int64)
+        # The highest level that reads each node (-1: none); outputs are
+        # read after every level.
+        self._last_read = np.array(
+            [max((circ.level[gate] for gate in fanout), default=-1)
+             for fanout in circ.fanout], dtype=np.int64)
+        self._last_read[self._outputs] = circ.max_level + 1
         self._good: Optional[np.ndarray] = None  # (num_nodes, W)
         self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._num_words = 0
@@ -235,24 +243,41 @@ class NumpyFaultSim(FaultSimBackend):
 
     def _observability(self, good: np.ndarray,
                        stems: np.ndarray) -> np.ndarray:
-        """Observability word of each stem: flipping it flips an output."""
-        obs = np.empty((len(stems), self._num_words), dtype=np.uint64)
+        """Observability word of each stem: flipping it flips an output.
+
+        One stem-flip tensor serves the whole query; each batch reshapes
+        a contiguous prefix of it to ``(num_nodes, len(batch), W)``.
+        """
+        num_nodes, num_words = self.circ.num_nodes, self._num_words
+        obs = np.empty((len(stems), num_words), dtype=np.uint64)
         order = np.argsort(self._level[stems], kind="stable")
         batch = self._batch_size()
+        tensor = np.empty(num_nodes * min(batch, len(stems)) * num_words,
+                          dtype=np.uint64)
         for start in range(0, len(order), batch):
             rows = order[start:start + batch]
-            obs[rows] = self._flip_batch(good, stems[rows])
+            values = tensor[:num_nodes * len(rows) * num_words].reshape(
+                num_nodes, len(rows), num_words)
+            obs[rows] = self._flip_batch(good, stems[rows], values)
         return obs
 
-    def _flip_batch(self, good: np.ndarray, stems: np.ndarray) -> np.ndarray:
-        """Simulate stems (sorted by level) flipped side by side."""
-        circ = self.circ
-        values = np.empty((circ.num_nodes, len(stems), self._num_words),
-                          dtype=np.uint64)
-        values[:] = good[:, None, :]
+    def _flip_batch(self, good: np.ndarray, stems: np.ndarray,
+                    values: np.ndarray) -> np.ndarray:
+        """Simulate stems (sorted by level) flipped side by side.
+
+        ``values`` is a ``(num_nodes, len(stems), W)`` tensor whose rows
+        may hold anything.  Only the rows at or below the lowest stem's
+        level that a gate above it or an output reads get fault-free
+        words; evaluation writes every row above that level before any
+        gate or output reads it.
+        """
+        levels = self._level[stems]
+        lowest = int(levels[0])
+        read = np.flatnonzero((self._level <= lowest)
+                              & (self._last_read > lowest))
+        values[read] = good[read][:, None, :]
 
         # A stem's flip goes in once its own level has been evaluated.
-        levels = self._level[stems]
         firsts = np.flatnonzero(np.diff(levels, prepend=-1))
         flips = {
             int(levels[first]): (stems[first:stop], np.arange(first, stop))
@@ -265,7 +290,6 @@ class NumpyFaultSim(FaultSimBackend):
                 nodes, rows = at
                 values[nodes, rows] = ~good[nodes]
 
-        lowest = int(levels[0])
         flip(lowest)
         start = bisect_right(self._level_numbers, lowest)
         for level in self.schedule.levels[start:]:

@@ -1,19 +1,19 @@
-"""Numpy ``uint64`` bit-parallel simulation backend.
+"""Numpy ``uint64`` bit-parallel simulation and its level schedule.
 
 Same semantics as :mod:`repro.sim.bitsim` with signals stored as rows of a
-``(num_nodes, num_words)`` ``uint64`` matrix, 64 patterns per word.  This
-backend exists as an ablation (DESIGN.md §6): for very wide pattern blocks
-it amortizes per-gate dispatch over vectorized words, while the big-int
-backend does one Python op per gate regardless of width.  The benchmark
-``bench_ablation_backends.py`` measures the crossover.
+``(num_nodes, num_words)`` ``uint64`` matrix, 64 patterns per word.  For
+wide pattern blocks it amortizes per-gate dispatch over vectorized words,
+while the big-int simulator does one Python op per gate regardless of
+width; ``benchmarks/bench_ablation_backends.py`` measures the crossover.
 
-:class:`LevelSchedule` levelizes a circuit once into contiguous per-level
-gate arrays so that one numpy gather/op/scatter evaluates a whole group of
-same-typed gates at a time.  It is the one propagation core of both the
-levelized true-value simulation here and the batched fault simulator in
-:mod:`repro.fsim.npfsim` (the same schedule propagates ``(num_nodes, W)``
-and ``(num_nodes, B, W)`` value tensors).  Big-int words cross into and
-out of the ``uint64`` layout only through the
+:class:`LevelSchedule` levelizes a circuit once.  At each level, two or
+more same-typed gates form a group that one numpy gather/op/scatter
+evaluates; every other gate is evaluated alone, straight into its own row
+with ufunc ``out=``.  The schedule is the propagation core of the numpy
+fault-simulation engine (:mod:`repro.fsim.npfsim`), which propagates its
+fault-free ``(num_nodes, W)`` block and its ``(num_nodes, B, W)`` stem-flip
+tensors through it, as well as of the true-value simulation here.  Big-int
+words cross into and out of the ``uint64`` layout only through the
 :class:`~repro.utils.detmatrix.DetectionMatrix` converters, which share
 its word order.
 """
@@ -34,9 +34,26 @@ from repro.utils.detmatrix import DetectionMatrix
 ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+#: Per gate type with inputs: the ufunc that folds its input words
+#: (unused at one input) and whether the folded word is inverted.
+_FOLDS = {
+    GateType.BUF: (None, False),
+    GateType.NOT: (None, True),
+    GateType.AND: (np.bitwise_and, False),
+    GateType.NAND: (np.bitwise_and, True),
+    GateType.OR: (np.bitwise_or, False),
+    GateType.NOR: (np.bitwise_or, True),
+    GateType.XOR: (np.bitwise_xor, False),
+    GateType.XNOR: (np.bitwise_xor, True),
+}
+
+#: The word each constant gate writes.
+_CONSTANTS = {GateType.CONST0: np.uint64(0), GateType.CONST1: ONES64}
+
+
 @dataclass(frozen=True)
 class GateGroup:
-    """Same-typed, same-arity gates of one level, as contiguous arrays.
+    """Two or more same-typed, same-arity gates of one level, as arrays.
 
     ``nodes[k]`` is evaluated from ``srcs[0][k], srcs[1][k], ...`` — one
     numpy gather per pin, one op per group, one scatter back.
@@ -49,27 +66,29 @@ class GateGroup:
 
 @dataclass(frozen=True)
 class Level:
-    """One topological level: vectorized groups plus odd-arity leftovers."""
+    """One topological level: gate groups, then gates evaluated alone."""
 
     number: int
     groups: Tuple[GateGroup, ...]
-    #: Gates not worth grouping (arity 0 or > 2): (node, gtype, fanin ids).
-    odd: Tuple[Tuple[int, GateType, Tuple[int, ...]], ...]
+    #: Gates evaluated one at a time into their own rows:
+    #: ``(node, gtype, fanin ids)``.
+    lone: Tuple[Tuple[int, GateType, Tuple[int, ...]], ...]
 
 
 class LevelSchedule:
-    """A circuit levelized once into per-level contiguous gate arrays.
+    """A circuit levelized once into per-level gate groups and lone gates.
 
-    Construction groups each level's gates by ``(gtype, arity)`` for the
-    1- and 2-input gates that dominate every netlist; constants and wider
-    gates are kept as per-gate leftovers.  :meth:`eval_level` then works
-    on any value tensor whose leading axis is the node id — ``(N, W)``
-    for true-value simulation, ``(N, B, W)`` for batched fault simulation
-    — because numpy fancy indexing is shape-agnostic past axis 0.
+    Construction groups each level's 1- and 2-input gates by ``(gtype,
+    arity)``; a group of two or more becomes a :class:`GateGroup`, and
+    every other gate (a group of one, a constant, a wider gate) is
+    evaluated alone, in place.  :meth:`eval_level` works on any value
+    tensor whose leading axis is the node id — ``(N, W)`` for true-value
+    simulation, ``(N, B, W)`` for batched fault simulation — because
+    numpy indexing is shape-agnostic past axis 0.
     """
 
-    #: Gate types eval_level vectorizes at each arity; anything else —
-    #: including degenerate 1-input AND/OR/... — goes down the odd path.
+    #: Gate types grouped at each arity; any other gate — including a
+    #: degenerate 1-input AND/OR/... — is evaluated alone.
     VECTORIZED_1 = frozenset({GateType.BUF, GateType.NOT})
     VECTORIZED_2 = frozenset({
         GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
@@ -85,7 +104,7 @@ class LevelSchedule:
         levels: List[Level] = []
         for lvl in sorted(by_level):
             buckets: dict = {}
-            odd: List[Tuple[int, GateType, Tuple[int, ...]]] = []
+            lone: List[int] = []
             for node in by_level[lvl]:
                 gtype = circ.node_type[node]
                 srcs = circ.fanin[node]
@@ -97,9 +116,12 @@ class LevelSchedule:
                 if vectorized:
                     buckets.setdefault((gtype, len(srcs)), []).append(node)
                 else:
-                    odd.append((node, gtype, srcs))
+                    lone.append(node)
             groups = []
             for (gtype, arity), nodes in sorted(buckets.items()):
+                if len(nodes) == 1:
+                    lone.extend(nodes)
+                    continue
                 node_arr = np.asarray(nodes, dtype=np.int64)
                 src_arrs = tuple(
                     np.asarray([circ.fanin[n][pin] for n in nodes],
@@ -107,44 +129,24 @@ class LevelSchedule:
                     for pin in range(arity)
                 )
                 groups.append(GateGroup(gtype, node_arr, src_arrs))
-            levels.append(Level(lvl, tuple(groups), tuple(odd)))
+            levels.append(Level(lvl, tuple(groups), tuple(
+                (node, circ.node_type[node], circ.fanin[node])
+                for node in lone
+            )))
         self.levels: Tuple[Level, ...] = tuple(levels)
 
     def eval_level(self, level: Level, values: np.ndarray) -> None:
         """Evaluate one level's gates in place on a value tensor."""
         for group in level.groups:
-            gtype = group.gtype
-            a = values[group.srcs[0]]
+            fold, invert = _FOLDS[group.gtype]
+            out = values[group.srcs[0]]  # a gather: a fresh array
             if len(group.srcs) == 2:
-                b = values[group.srcs[1]]
-                if gtype == GateType.AND:
-                    out = a & b
-                elif gtype == GateType.NAND:
-                    out = (a & b) ^ ONES64
-                elif gtype == GateType.OR:
-                    out = a | b
-                elif gtype == GateType.NOR:
-                    out = (a | b) ^ ONES64
-                elif gtype == GateType.XOR:
-                    out = a ^ b
-                elif gtype == GateType.XNOR:
-                    out = (a ^ b) ^ ONES64
-                else:
-                    raise SimulationError(
-                        f"cannot evaluate 2-input node type {gtype!r}"
-                    )
-            else:
-                if gtype == GateType.BUF:
-                    out = a
-                elif gtype == GateType.NOT:
-                    out = a ^ ONES64
-                else:
-                    raise SimulationError(
-                        f"cannot evaluate 1-input node type {gtype!r}"
-                    )
+                fold(out, values[group.srcs[1]], out=out)
+            if invert:
+                np.invert(out, out=out)
             values[group.nodes] = out
-        for node, gtype, srcs in level.odd:
-            values[node] = _eval_odd_gate(gtype, values, srcs)
+        for node, gtype, srcs in level.lone:
+            _eval_in_place(values, node, gtype, srcs)
 
     def propagate(self, values: np.ndarray) -> np.ndarray:
         """Run all levels over ``values`` (inputs already filled) in place."""
@@ -153,33 +155,29 @@ class LevelSchedule:
         return values
 
 
-def _eval_odd_gate(gtype: GateType, values: np.ndarray,
-                   srcs: Sequence[int]) -> np.ndarray:
-    """Evaluate one arity-0 or arity>2 gate on a value tensor."""
-    if gtype == GateType.CONST0:
-        return np.zeros(values.shape[1:], dtype=np.uint64)
-    if gtype == GateType.CONST1:
-        return np.full(values.shape[1:], ONES64, dtype=np.uint64)
-    if gtype == GateType.BUF:
-        return values[srcs[0]].copy()
-    if gtype == GateType.NOT:
-        return values[srcs[0]] ^ ONES64
-    if gtype in (GateType.AND, GateType.NAND):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc &= values[s]
-        return acc if gtype == GateType.AND else acc ^ ONES64
-    if gtype in (GateType.OR, GateType.NOR):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc |= values[s]
-        return acc if gtype == GateType.OR else acc ^ ONES64
-    if gtype in (GateType.XOR, GateType.XNOR):
-        acc = values[srcs[0]].copy()
-        for s in srcs[1:]:
-            acc ^= values[s]
-        return acc if gtype == GateType.XOR else acc ^ ONES64
-    raise SimulationError(f"cannot evaluate node type {gtype!r}")
+def _eval_in_place(values: np.ndarray, node: int, gtype: GateType,
+                   srcs: Sequence[int]) -> None:
+    """Evaluate one gate straight into its row, with no temporaries.
+
+    Every operand is a view of one row; a gate never reads its own row,
+    so ``out=`` never aliases an input.
+    """
+    row = values[node]
+    if not srcs:
+        row.fill(_CONSTANTS[gtype])
+        return
+    fold, invert = _FOLDS[gtype]
+    if len(srcs) == 1:
+        if invert:
+            np.invert(values[srcs[0]], out=row)
+        else:
+            row[...] = values[srcs[0]]
+        return
+    fold(values[srcs[0]], values[srcs[1]], out=row)
+    for src in srcs[2:]:
+        fold(row, values[src], out=row)
+    if invert:
+        np.invert(row, out=row)
 
 
 def simulate_matrix_levelized(circ: CompiledCircuit, inputs: np.ndarray,

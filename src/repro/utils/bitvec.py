@@ -4,7 +4,8 @@ The simulators in this package represent the value of one signal across N
 patterns as a single Python integer: bit ``i`` is the signal's value under
 pattern ``i``.  Python's arbitrary-precision integers make the bitwise gate
 operations run in C regardless of N, which is the core performance trick of
-the whole library (see DESIGN.md §4).
+the whole library (see "Data representation: big-int words vs. packed
+matrices" in ``docs/architecture.md``).
 
 This module collects the small amount of bit fiddling that is shared by the
 simulators, the fault machinery and the ADI computation.

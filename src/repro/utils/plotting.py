@@ -4,7 +4,7 @@ The paper's Figure 1 plots fault coverage against the number of tests (as a
 percentage of the largest test set) with one marker character per order:
 ``o`` for ``orig``, ``d`` for ``dynm``, ``z`` for ``0dynm``.  We reproduce
 the same style on a character grid so the figure can be regenerated in any
-terminal and embedded in EXPERIMENTS.md.
+terminal (``python -m repro.experiments figure1``).
 """
 
 from __future__ import annotations

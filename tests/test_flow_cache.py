@@ -6,6 +6,7 @@ cache-file recovery, and JSON round-trips for every stage artifact.
 """
 
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from repro.flow import (
     stage_key,
 )
 from repro.flow import serialize
+from repro.flow.cache import CACHE_FORMAT_VERSION
 from repro.adi.metrics import curve_report
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.telemetry import tracing
@@ -150,6 +152,22 @@ class TestArtifactCacheIO:
         payload = {"x": [1, 2, 3], "y": "z"}
         cache.put("u", "k" * 64, payload)
         assert cache.get("u", "k" * 64) == payload
+
+    def test_file_is_the_compact_json_of_its_document(self, tmp_path):
+        # Pins the bytes on disk.  json.dump wrote the same text before
+        # the writer switched to json.dumps, so older caches still read.
+        cache = ArtifactCache(tmp_path)
+        key = "c" * 64
+        payload = {"words": [0, 2 ** 70, -3], "ratio": 0.1 + 0.2,
+                   "name": "n\u00e9t \"q\"\n", "flags": [True, False, None],
+                   "nested": {"b": [], "a": {}}}
+        path = cache.put("u", key, payload)
+        document = {"format": CACHE_FORMAT_VERSION, "stage": "u",
+                    "key": key, "payload": payload}
+        assert path.read_bytes() == json.dumps(document).encode()
+        streamed = io.StringIO()
+        json.dump(document, streamed)
+        assert streamed.getvalue() == json.dumps(document)
 
     def test_missing_returns_none(self, tmp_path):
         assert ArtifactCache(tmp_path).get("u", "nope") is None

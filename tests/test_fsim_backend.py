@@ -51,6 +51,12 @@ def region_edge_circuit():
     fanout-free chain of 3- and 4-input gates, with XOR and XNOR links,
     that ends at an output.  ``a`` reconverges at ``ch3`` through ``po``
     and ``or1``.
+
+    For the numpy engine's stem batches, which start at their lowest
+    stem's level: ``lo`` is a level-1 primary output that feeds nothing,
+    so only the output reads it; ``dangle`` feeds nothing and is no
+    output; the constant ``k2`` is read only by ``far``, seven levels up;
+    and ``dbl`` reads the stem ``m1`` on both pins.
     """
     circuit = Circuit(name="regions")
     for name in ("a", "b", "c", "d", "e", "f"):
@@ -59,8 +65,12 @@ def region_edge_circuit():
     circuit.add_gate("twice", GateType.OR, ("c", "c"))
     circuit.add_gate("k0", GateType.CONST0, ())
     circuit.add_gate("k1", GateType.CONST1, ())
+    circuit.add_gate("k2", GateType.CONST1, ())
+    circuit.add_gate("lo", GateType.NOR, ("a", "f"))
     circuit.add_gate("m0", GateType.OR, ("k0", "d"))
     circuit.add_gate("m1", GateType.AND, ("k1", "e"))
+    circuit.add_gate("dangle", GateType.XOR, ("po", "e"))
+    circuit.add_gate("dbl", GateType.NAND, ("m1", "m1"))
     circuit.add_gate("and1", GateType.AND, ("f",))
     circuit.add_gate("or1", GateType.OR, ("a",))
     circuit.add_gate("ch1", GateType.AND, ("po", "twice", "m0"))
@@ -68,8 +78,11 @@ def region_edge_circuit():
     circuit.add_gate("ch3", GateType.NOR, ("ch2", "and1", "or1", "b"))
     circuit.add_gate("ch4", GateType.XNOR, ("ch3", "e", "f"))
     circuit.add_gate("ch5", GateType.NAND, ("ch4", "c", "d", "m1"))
+    circuit.add_gate("far", GateType.AND, ("ch5", "k2", "dbl"))
     circuit.add_output("po")
     circuit.add_output("ch5")
+    circuit.add_output("lo")
+    circuit.add_output("far")
     return compile_circuit(circuit)
 
 
@@ -243,7 +256,7 @@ class TestCrossBackendEquivalence:
 
     def test_degenerate_arity_gates(self):
         # Single-input AND/OR and 3-input gates are legal netlists; the
-        # levelized engine must route them down its non-vectorized path.
+        # levelized engine evaluates them alone, in place.
         from repro.circuit.flatten import compile_circuit
         from repro.circuit.gate_types import GateType
         from repro.circuit.netlist import Circuit
@@ -313,18 +326,41 @@ class TestEdgeCases:
             engine.load(patterns)
             assert engine.detection_words([]) == []
 
-    def test_numpy_batching_matches_single_batch(self):
-        # Force multi-batch execution and compare against one big batch.
-        circ = generated_circuit(23, num_inputs=8, num_gates=60)
-        faults = collapsed_fault_list(circ)
-        patterns = PatternSet.random(circ.num_inputs, 70, seed=3)
-        one = NumpyFaultSim(circ)
-        one.load(patterns)
-        tiny_batches = NumpyFaultSim(circ, max_batch_bytes=1)
-        tiny_batches.load(patterns)
-        assert tiny_batches._batch_size() == 1
-        assert tiny_batches.detection_words(faults) == \
-            one.detection_words(faults)
+    @pytest.mark.parametrize("stems_per_batch", [1, 2, 3, None])
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130, 576])
+    @pytest.mark.parametrize("block", ["load", "load_pairs"])
+    @pytest.mark.parametrize("circuit", ["regions", "generated"])
+    def test_numpy_batching_matches_bigint(self, circuit, block, width,
+                                           stems_per_batch):
+        # Stem batches of 1, 2 or 3 stems (or the default cap, one batch
+        # here) start ever higher in the circuit and share one tensor.
+        circ = (region_edge_circuit() if circuit == "regions"
+                else generated_circuit(23, num_inputs=8, num_gates=60))
+        if stems_per_batch is None:
+            engine = NumpyFaultSim(circ)
+        else:
+            per_stem = circ.num_nodes * -(-width // 64) * 8
+            engine = NumpyFaultSim(
+                circ, max_batch_bytes=stems_per_batch * per_stem)
+        reference = create_backend(circ, "bigint")
+        faults = with_every_pin(circ, full_universe(circ), Fault)
+        if block == "load":
+            patterns = PatternSet.random(circ.num_inputs, width, seed=width)
+            engine.load(patterns)
+            reference.load(patterns)
+        else:
+            pairs = PatternPairSet.random(circ.num_inputs, width, seed=width)
+            engine.load_pairs(pairs)
+            reference.load_pairs(pairs)
+            transition_faults = with_every_pin(
+                circ, transition_universe(circ), TransitionFault)
+            assert (engine.transition_detection_matrix(transition_faults)
+                    == reference.transition_detection_matrix(
+                        transition_faults))
+        if stems_per_batch is not None:
+            assert engine._batch_size() == stems_per_batch
+        assert engine.detection_matrix(faults) == \
+            reference.detection_matrix(faults)
 
     def test_reload_switches_blocks(self, c17_circuit):
         faults = collapsed_fault_list(c17_circuit)

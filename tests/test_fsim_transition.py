@@ -40,7 +40,8 @@ def reduction_oracle(circ, pairs, fault):
 
 
 def degenerate_circuit():
-    """Hand-built netlist exercising odd arities on the numpy odd path."""
+    """Hand-built netlist whose odd arities the numpy schedule evaluates
+    in place, one gate at a time."""
     circuit = Circuit(name="degenerate")
     for name in ("a", "b", "c", "d", "e"):
         circuit.add_input(name)

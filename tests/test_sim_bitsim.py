@@ -16,6 +16,43 @@ from repro.sim import (
 )
 from repro.sim import npsim
 from repro.sim.bitsim import eval_gate_words
+from repro.utils.detmatrix import DetectionMatrix
+
+#: The types folded over their inputs, each tried at one to four inputs.
+FOLDED = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+          GateType.XOR, GateType.XNOR)
+
+
+def lone_gate_chain():
+    """A chain from input ``a`` in which every gate is alone at its level.
+
+    BUF and NOT, then each folded type at one to four inputs, with side
+    inputs from ``b``/``c``/``d``; then ``XOR(., k1)``, ``AND(., k1)``,
+    ``OR(., k0)`` and ``XNOR(., ., b)``, so the constants (level 1, beside
+    the first chain gate) feed gates far up and one signal drives two
+    pins.
+    """
+    from repro.circuit.flatten import compile_circuit
+    from repro.circuit.netlist import Circuit
+
+    circuit = Circuit(name="lone_chain")
+    for name in ("a", "b", "c", "d"):
+        circuit.add_input(name)
+    circuit.add_gate("k0", GateType.CONST0, ())
+    circuit.add_gate("k1", GateType.CONST1, ())
+    links = [(GateType.BUF, ()), (GateType.NOT, ())]
+    links += [(gtype, ("b", "c", "d")[:arity - 1])
+              for arity in range(1, 5) for gtype in FOLDED]
+    links += [(GateType.XOR, ("k1",)), (GateType.AND, ("k1",)),
+              (GateType.OR, ("k0",)), (GateType.XNOR, (None, "b"))]
+    prev = "a"
+    for index, (gtype, sides) in enumerate(links):
+        name = f"g{index}"
+        circuit.add_gate(name, gtype, (prev, *(prev if side is None else side
+                                               for side in sides)))
+        prev = name
+    circuit.add_output(prev)
+    return compile_circuit(circuit)
 
 
 class TestEvalGateWords:
@@ -107,6 +144,18 @@ class TestNumpyBackendAgreement:
         assert simulate(small_circuit, patterns) == npsim.simulate(
             small_circuit, patterns
         )
+
+    @pytest.mark.parametrize("width", [1, 64, 65])
+    def test_lone_gates_evaluated_in_place(self, width):
+        circ = lone_gate_chain()
+        schedule = npsim.LevelSchedule(circ)
+        assert not any(level.groups for level in schedule.levels)
+        patterns = PatternSet.random(circ.num_inputs, width, seed=width)
+        inputs = DetectionMatrix.from_bigints(patterns.words, width)
+        values = npsim.simulate_matrix_levelized(circ, inputs.words,
+                                                 schedule=schedule)
+        assert (DetectionMatrix.from_rows(values, width).to_bigints()
+                == simulate(circ, patterns))
 
     def test_matrix_input_mismatch(self, c17_circuit):
         import numpy as np
