@@ -13,8 +13,9 @@ caught earlier in the test-application process.  Table 7 reports
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import ExperimentError
@@ -81,14 +82,38 @@ class CurveReport:
 
 
 def curve_report(circ: CompiledCircuit, faults: Sequence,
-                 tests: PatternBlock, backend=None) -> CurveReport:
+                 tests: PatternBlock, backend=None,
+                 detected_per_test: Optional[Sequence[int]] = None
+                 ) -> CurveReport:
     """Simulate ``tests`` in order and build a :class:`CurveReport`.
 
     ``tests`` may be single vectors (stuck-at ``faults``) or two-pattern
     pairs (transition ``faults``); ``backend`` selects the
     fault-simulation engine (see :mod:`repro.fsim.backend`).
+
+    ``detected_per_test``, when given, is that simulation already done:
+    the faults each test dropped, as
+    :attr:`repro.atpg.engine.TestGenResult.detected_per_test` counts
+    them while generating ``tests`` from ``faults``.  The curve is then
+    their running sum, once there is one non-negative count per test
+    and the total does not exceed ``faults``.
     """
-    curve = coverage_curve(circ, faults, tests, backend=backend)
+    if detected_per_test is None:
+        curve = coverage_curve(circ, faults, tests, backend=backend)
+    else:
+        counts = list(detected_per_test)
+        if len(counts) != tests.num_patterns:
+            raise ExperimentError(
+                f"{len(counts)} drop counts for {tests.num_patterns} tests"
+            )
+        if counts and min(counts) < 0:
+            raise ExperimentError("drop counts must be non-negative")
+        curve = list(itertools.accumulate(counts))
+        if curve and curve[-1] > len(faults):
+            raise ExperimentError(
+                f"drop counts total {curve[-1]}, more than the "
+                f"{len(faults)} faults"
+            )
     return CurveReport(curve=tuple(curve), total_faults=len(faults))
 
 

@@ -18,11 +18,13 @@ for each distinct sub-pipeline once.
 
 Artifacts persist as JSON files under ``results/cache/<stage>/<key>.json``
 (override with ``REPRO_FLOW_CACHE_DIR`` or an explicit root).  Writes are
-atomic (temp file + rename) and serialized per key through an on-disk
-lock, so any number of threads or processes can hammer one key and the
-payload is written exactly once (:meth:`ArtifactCache.put` is
-put-if-absent by default); corrupt or truncated files — a killed run, a
-full disk — are detected on read, deleted, and transparently recomputed.
+atomic (temp file + rename) and serialized through one on-disk lock per
+stage directory (``<stage>/.lock``), so any number of threads or
+processes can hammer one key and the payload is written exactly once
+(:meth:`ArtifactCache.put` is put-if-absent by default), while a put
+creates no file but its artifact; corrupt or truncated files — a killed
+run, a full disk — are detected on read, deleted, and transparently
+recomputed.
 Keys are pure content hashes, so the cache is safe to share between
 processes and to prune at any time (``repro cache prune``).
 
@@ -66,6 +68,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -88,6 +91,14 @@ CACHE_ENV_VAR = "REPRO_FLOW_CACHE_DIR"
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_ROOT = os.path.join("results", "cache")
+
+#: The one lock file of each stage directory; not ``*.json``, so stats
+#: and prune never count it, and prune never removes it.
+LOCK_NAME = ".lock"
+
+#: Per-key lock files (``.<key>.lock``) that older versions left behind,
+#: one per key ever written; :meth:`ArtifactCache.prune` removes them.
+_LEGACY_LOCK = re.compile(r"\.[0-9a-f]{64}\.lock")
 
 
 def canonical_json(obj: Any) -> str:
@@ -183,8 +194,8 @@ class ArtifactCache:
     :mod:`repro.flow.serialize` — it only guarantees that what
     :meth:`get` returns is exactly what :meth:`put` stored under the same
     key, or ``None``.  Safe for concurrent use from threads and
-    processes: writes are per-key locked and atomic, reads never observe
-    a torn file.
+    processes: writes are locked per stage and atomic, reads never
+    observe a torn file.
 
     ``registry`` injects the telemetry registry the cache records into
     (the flow server aggregates its cache's registry into ``/metrics``);
@@ -249,9 +260,10 @@ class ArtifactCache:
     def _path(self, stage: str, key: str) -> Path:
         return self.root / stage / f"{key}.json"
 
-    def _lock_path(self, stage: str, key: str) -> Path:
-        # Dot-prefixed so stats/prune globbing on *.json never sees it.
-        return self.root / stage / f".{key}.lock"
+    def _lock_path(self, stage: str) -> Path:
+        # Writers of every key of a stage share one lock: a put creates
+        # only its artifact, and the directory gains no file per key.
+        return self.root / stage / LOCK_NAME
 
     def _observe_op(self, op: str, started: float) -> None:
         self._op_seconds.labels(op=op).observe(time.perf_counter() - started)
@@ -306,10 +318,11 @@ class ArtifactCache:
                 raise ValueError("artifact document malformed")
         except (ValueError, TypeError):
             # Corrupt cache entry: recover by deleting, caller recomputes.
-            # Taking the key lock keeps the unlink from racing a concurrent
-            # writer's rename (we would delete the fresh artifact).
+            # Taking the stage lock keeps the unlink from racing a
+            # concurrent writer's rename (we would delete the fresh
+            # artifact).
             try:
-                with _FileLock(self._lock_path(stage, key)):
+                with _FileLock(self._lock_path(stage)):
                     if self._read_valid(path, key) is None:
                         try:
                             path.unlink()
@@ -342,9 +355,9 @@ class ArtifactCache:
             replace: bool = False) -> Path:
         """Persist a payload atomically; returns the artifact path.
 
-        Writes are serialized per key: when several threads or processes
-        race a put of the same key, exactly one writes and the rest
-        observe the existing artifact and skip (keys are content
+        Writes are serialized per stage: when several threads or
+        processes race a put of the same key, exactly one writes and the
+        rest observe the existing artifact and skip (keys are content
         addresses — same key means same payload).  ``replace=True``
         forces the write, for callers replacing an artifact they know to
         be stale (e.g. one that deserialized but failed validation).
@@ -366,25 +379,25 @@ class ArtifactCache:
         try:
             if _chaos.fire("cache.write.enospc", stage=stage):
                 raise OSError(errno.ENOSPC, "chaos: injected ENOSPC")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with _FileLock(self._lock_path(stage, key)):
+            # Encoded before taking the lock, which every writer of the
+            # stage shares.  json.dumps runs the C encoder; json.dump
+            # never does.  Both write the same text.
+            text = json.dumps({
+                "format": CACHE_FORMAT_VERSION,
+                "stage": stage,
+                "key": key,
+                "payload": payload,
+            })
+            with _FileLock(self._lock_path(stage)):
                 if not replace and self._read_valid(path, key) is not None:
                     self._puts.labels(outcome="deduped").inc()
                     return path
-                document = {
-                    "format": CACHE_FORMAT_VERSION,
-                    "stage": stage,
-                    "key": key,
-                    "payload": payload,
-                }
                 fd, tmp_name = tempfile.mkstemp(
                     dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
                 )
                 try:
                     with os.fdopen(fd, "w") as handle:
-                        # json.dumps runs the C encoder; json.dump never
-                        # does.  Both write the same text.
-                        handle.write(json.dumps(document))
+                        handle.write(text)
                     os.replace(tmp_name, path)
                 except BaseException:
                     try:
@@ -406,7 +419,7 @@ class ArtifactCache:
     def delete(self, stage: str, key: str) -> bool:
         """Remove one artifact (e.g. one that failed validation);
         returns whether a file was removed."""
-        with _FileLock(self._lock_path(stage, key)):
+        with _FileLock(self._lock_path(stage)):
             try:
                 self._path(stage, key).unlink()
                 return True
@@ -415,17 +428,18 @@ class ArtifactCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    def _artifact_files(self, stage: Optional[str] = None) -> Iterable[Path]:
-        roots: List[Path]
+    def _stage_dirs(self, stage: Optional[str] = None) -> List[Path]:
         if stage is not None:
             roots = [self.root / stage]
         elif self.root.is_dir():
             roots = [p for p in self.root.iterdir() if p.is_dir()]
         else:
             roots = []
-        for directory in roots:
-            if directory.is_dir():
-                yield from sorted(directory.glob("*.json"))
+        return [directory for directory in roots if directory.is_dir()]
+
+    def _artifact_files(self, stage: Optional[str] = None) -> Iterable[Path]:
+        for directory in self._stage_dirs(stage):
+            yield from sorted(directory.glob("*.json"))
 
     def stats(self) -> Dict[str, Any]:
         """Per-stage artifact counts and total size, for ``repro cache``."""
@@ -463,6 +477,10 @@ class ArtifactCache:
         evicted until the cache's total size is within the budget.
         Pruning to a budget is idempotent — a second call with the same
         budget removes nothing.
+
+        Either way it also removes the per-key lock files older versions
+        left behind (not counted).  It never removes a stage's live
+        ``.lock``: two writers would then lock different inodes.
         """
         started = time.perf_counter()
         try:
@@ -478,6 +496,15 @@ class ArtifactCache:
 
     def _prune(self, stage: Optional[str],
                max_bytes: Optional[int]) -> int:
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
+        for directory in self._stage_dirs(stage):
+            for path in directory.glob(".*.lock"):
+                if _LEGACY_LOCK.fullmatch(path.name):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        pass
         if max_bytes is None:
             removed = 0
             for path in self._artifact_files(stage):
@@ -487,8 +514,6 @@ class ArtifactCache:
                 except OSError:
                     pass
             return removed
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
         entries = []  # (last access, path, size)
         total = 0
         for path in self._artifact_files(stage):

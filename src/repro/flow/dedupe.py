@@ -17,7 +17,7 @@ requests dedupe exactly when they would compute identical results — a
 config differing only in backend selection coalesces too.
 
 The table is process-local (threads of one server).  Cross-process
-safety is the artifact cache's job (per-key file locks); this layer only
+safety is the artifact cache's job (a file lock per stage); this layer only
 prevents redundant *computation* inside one server.  Its leader,
 follower and in-flight counts live only on the telemetry registry the
 server renders on ``GET /metrics``.

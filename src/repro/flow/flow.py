@@ -494,13 +494,20 @@ class Flow:
         )
 
     def report(self, order: Optional[str] = None) -> CurveReport:
-        """Coverage-curve report of one order's generated test set."""
+        """Coverage-curve report of one order's generated test set.
+
+        The test-generation loop already counted, test by test, the
+        faults each new test dropped; the curve is their running sum, so
+        this stage simulates nothing.
+        """
         name = self._order_name(order)
 
         def compute() -> CurveReport:
+            result = self.tests(name)
             return curve_report(
-                self.circuit(), self.faults(), self.tests(name).tests,
+                self.circuit(), self.faults(), result.tests,
                 backend=self.config.backend.fsim,
+                detected_per_test=result.detected_per_test,
             )
 
         return self._stage(

@@ -373,9 +373,19 @@ class _HTTPError(Exception):
 
 
 class FlowRequestHandler(BaseHTTPRequestHandler):
-    """One request: parse → admit → dedupe → run/serve → respond."""
+    """One request: parse → admit → dedupe → run/serve → respond.
+
+    Responses go out as a header write and a body write (or one write
+    per streamed event).  With Nagle's algorithm on, the second small
+    write waits for the ACK of the first, and a keep-alive client that
+    has nothing to send delays that ACK by about 40 ms, so every
+    response would stall.  ``disable_nagle_algorithm`` makes
+    :mod:`socketserver` set ``TCP_NODELAY`` on each accepted
+    connection, so every write leaves at once.
+    """
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: FlowServer  # narrowed for type checkers
 
     # -- plumbing ------------------------------------------------------------

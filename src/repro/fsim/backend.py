@@ -53,15 +53,15 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.faults.transition import TransitionFault, check_transition_fault
-from repro.fsim.transition import initialization_word
 from repro.sim.bitsim import simulate
 from repro.sim.patterns import PatternPairSet, PatternSet
-from repro.utils.bitvec import full_mask
-from repro.utils.detmatrix import DetectionMatrix
+from repro.utils.detmatrix import DetectionMatrix, tail_mask
 
 #: Environment variable naming the default backend for the whole process.
 BACKEND_ENV_VAR = "REPRO_FSIM_BACKEND"
@@ -90,7 +90,8 @@ class FaultSimBackend:
     def __init__(self, circ: CompiledCircuit):
         self.circ = circ
         self._block: Optional[PatternSet] = None
-        self._launch_good: Optional[List[int]] = None
+        #: The launch half's fault-free node words, packed (num_nodes, W).
+        self._launch: Optional[np.ndarray] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -107,22 +108,24 @@ class FaultSimBackend:
     def load(self, patterns: PatternSet) -> None:
         """Stage a single-vector block for stuck-at queries."""
         self._check_inputs(patterns)
-        self._launch_good = None
+        self._launch = None
         self._stage(patterns)
         self._block = patterns
 
     def load_pairs(self, pairs: PatternPairSet) -> None:
         """Stage a two-pattern block for transition queries.
 
-        The launch half is simulated fault-free here, once; the capture
-        half is staged like a single-vector block, so stuck-at queries
-        refer to it until the next load.
+        The launch half is simulated fault-free here, once, and its node
+        words are packed; the capture half is staged like a single-vector
+        block, so stuck-at queries refer to it until the next load.
         """
         self._check_inputs(pairs)
-        launch_good = simulate(self.circ, pairs.launch)
+        launch = DetectionMatrix.from_bigints(
+            simulate(self.circ, pairs.launch), pairs.num_patterns
+        ).words
         self._stage(pairs.capture)
         self._block = pairs.capture
-        self._launch_good = launch_good
+        self._launch = launch
 
     def _stage(self, patterns: PatternSet) -> None:
         """Engine hook: prepare a checked single-vector block."""
@@ -163,34 +166,50 @@ class FaultSimBackend:
     def transition_detection_words(self, faults: Sequence[TransitionFault]
                                    ) -> List[int]:
         """Bit ``p`` of word ``i`` set iff pair ``p`` detects ``faults[i]``."""
-        init = self._initialization_words(faults)
-        stuck = self.detection_words([fault.as_stuck_at() for fault in faults])
-        return [a & b for a, b in zip(init, stuck)]
+        return self.transition_detection_matrix(faults).to_bigints()
 
     def transition_detection_matrix(self, faults: Sequence[TransitionFault]
                                     ) -> DetectionMatrix:
-        """:meth:`transition_detection_words` packed, one row per fault."""
-        init = DetectionMatrix.from_bigints(
-            self._initialization_words(faults), self.num_patterns
-        )
-        return self.detection_matrix(
+        """Packed transition query, one row per fault: each fault's
+        initialization row ANDed with its stuck-at row over the capture
+        half."""
+        init = self._initialization_rows(faults)
+        stuck = self.detection_matrix(
             [fault.as_stuck_at() for fault in faults]
-        ) & init
+        )
+        return DetectionMatrix(stuck.words & init, self.num_patterns)
 
-    def _initialization_words(self, faults: Sequence[TransitionFault]
-                              ) -> List[int]:
-        launch_good = self._launch_good
-        if launch_good is None:
+    def _initialization_rows(self, faults: Sequence[TransitionFault]
+                             ) -> np.ndarray:
+        """Bit ``p`` of row ``i`` set iff launch vector ``p`` sets the line
+        of ``faults[i]`` to its initial value.
+
+        A row is the packed launch word of the fault's line (its node, or
+        a branch's driver), complemented for slow-to-rise and masked to
+        the block width.
+        """
+        launch = self._launch
+        if launch is None:
             raise SimulationError(
                 "no pattern-pair block loaded; call load_pairs() first"
             )
-        mask = full_mask(self.num_patterns)
-        words = []
-        for fault in faults:
-            check_transition_fault(self.circ, fault)
-            words.append(initialization_word(self.circ, launch_good, fault,
-                                             mask))
-        return words
+        circ = self.circ
+        fanin = circ.fanin
+        num_nodes = circ.num_nodes
+        lines = np.empty(len(faults), dtype=np.int64)
+        rise = np.empty(len(faults), dtype=bool)
+        for i, fault in enumerate(faults):
+            if (not isinstance(fault, TransitionFault)
+                    or not 0 <= fault.node < num_nodes
+                    or not -1 <= fault.pin < len(fanin[fault.node])):
+                check_transition_fault(circ, fault)  # raises the error
+            lines[i] = (fault.node if fault.pin < 0
+                        else fanin[fault.node][fault.pin])
+            rise[i] = fault.rise
+        rows = launch[lines]
+        rows[rise] = ~rows[rise]
+        rows[:, -1] &= tail_mask(self.num_patterns)
+        return rows
 
 
 BackendFactory = Callable[[CompiledCircuit], FaultSimBackend]

@@ -24,7 +24,7 @@ The moving parts:
 * one query — the engine defines only the stuck-at ``detection_matrix``.
   A transition query reduces to it in the parent
   (:class:`repro.fsim.backend.FaultSimBackend` simulates the launch half
-  once and ANDs the initialization words in), so workers only ever load
+  once and ANDs the initialization rows in), so workers only ever load
   single-vector blocks and answer stuck-at queries;
 * reassembly — :meth:`repro.utils.detmatrix.DetectionMatrix.concat_rows`
   over the per-shard row blocks, in shard order;

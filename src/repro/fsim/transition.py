@@ -17,9 +17,11 @@ machinery already produces:
   over the capture half — exactly the query each engine optimizes.
 
 :class:`repro.fsim.backend.FaultSimBackend` runs the reduction for every
-engine (``load_pairs`` simulates the launch half, the transition queries
-AND the words); this module holds the launch-half helpers it and the
-two-pattern test generator share.
+engine on packed rows (``load_pairs`` simulates the launch half and
+packs its node words; a transition query gathers each fault's line from
+them and ANDs the result with the stuck-at rows).  This module holds
+the same launch-half reads on big-int words, for the two-pattern test
+generator and as the reduction's reference.
 """
 
 from __future__ import annotations

@@ -76,6 +76,44 @@ class TestCurveReport:
         assert report.num_detected == 0
 
 
+class TestCurveFromDropCounts:
+    """``curve_report(..., detected_per_test=)``: the test-generation
+    loop's drop counts folded into the curve, with no simulation."""
+
+    @pytest.fixture(scope="class")
+    def lion_run(self):
+        from repro.circuit import lion_like
+
+        circ = lion_like()
+        faults = collapsed_fault_list(circ)
+        return circ, faults, generate_tests(circ, faults)
+
+    def test_fold_equals_simulated_curve(self, lion_run):
+        circ, faults, result = lion_run
+        folded = curve_report(circ, faults, result.tests,
+                              detected_per_test=result.detected_per_test)
+        assert folded == curve_report(circ, faults, result.tests)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda counts: counts[:-1], "drop counts for"),
+        (lambda counts: counts + [0], "drop counts for"),
+        (lambda counts: [-1] + counts[1:], "non-negative"),
+        (lambda counts: [counts[0] + 1000] + counts[1:], "more than"),
+    ], ids=["short", "long", "negative", "too-many"])
+    def test_inconsistent_counts_raise(self, lion_run, change, message):
+        circ, faults, result = lion_run
+        with pytest.raises(ExperimentError, match=message):
+            curve_report(circ, faults, result.tests,
+                         detected_per_test=change(
+                             list(result.detected_per_test)))
+
+    def test_no_tests_no_curve(self, lion_run):
+        circ, faults, result = lion_run
+        report = curve_report(circ, faults, result.tests.take(0),
+                              detected_per_test=[])
+        assert report == CurveReport(curve=(), total_faults=len(faults))
+
+
 class TestAveRatios:
     def test_baseline_is_one(self):
         reports = {

@@ -1,11 +1,12 @@
 """ArtifactCache under concurrency: the put race, locking, recency.
 
-Regression suite for the race observable before per-key locking: two
+Regression suite for the race observable before writes were locked: two
 writers of the same key could both tempfile-rename.  ``put`` is now
-put-if-absent under an on-disk per-key lock, so hammering one key from a
-thread pool writes the payload exactly once and readers never observe a
-torn or foreign document.  Recency for LRU pruning is each artifact's
-mtime, stamped by every hit and written put.
+put-if-absent under one on-disk lock per stage directory, so hammering
+one key from a thread pool writes the payload exactly once and readers
+never observe a torn or foreign document, while the directory holds one
+lock file however many keys are written.  Recency for LRU pruning is
+each artifact's mtime, stamped by every hit and written put.
 """
 
 import json
@@ -208,6 +209,38 @@ class TestCountersAndRecency:
         cache._artifact_files = lambda stage=None: iter(real + [ghost])
         stats = cache.stats()
         assert stats["total_files"] == len(real)
+
+
+class TestLockFiles:
+    def test_puts_leave_one_lock_file_per_stage(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        keys = [format(i, "064x") for i in range(50)]
+        for key in keys:
+            cache.put("u", key, PAYLOAD)
+        names = sorted(os.listdir(tmp_path / "u"))
+        assert names == [".lock"] + sorted(f"{key}.json" for key in keys)
+
+    @pytest.mark.parametrize("budget", [None, 0, 10**9])
+    def test_prune_removes_legacy_per_key_locks(self, tmp_path, budget):
+        """Older versions left one ``.<key>.lock`` per key ever written;
+        prune removes them, but never a stage's live ``.lock``."""
+        cache = ArtifactCache(tmp_path)
+        for i in range(50):
+            key = format(i, "064x")
+            cache.put("u", key, PAYLOAD)
+            (tmp_path / "u" / f".{key}.lock").touch()
+        other_stage = tmp_path / "adi" / f".{'e' * 64}.lock"
+        other_stage.parent.mkdir()
+        other_stage.touch()
+        (tmp_path / "u" / ".notakey.lock").touch()
+        cache.prune(max_bytes=budget)
+        assert sorted(os.listdir(tmp_path / "adi")) == []
+        locks = sorted(name for name in os.listdir(tmp_path / "u")
+                       if name.endswith(".lock"))
+        assert locks == [".lock", ".notakey.lock"]
+        # The lock still serializes writers after the prune.
+        cache.put("u", KEY, PAYLOAD)
+        assert cache.get("u", KEY) == PAYLOAD
 
 
 class TestLruPrune:

@@ -1,12 +1,15 @@
 """Acceptance: the flow facade reproduces the experiment-path numbers.
 
-Two equivalences, for both fault models:
+Three equivalences, for both fault models:
 
 * ``Flow`` vs the *direct* pre-facade pipeline (``select_u`` →
   ``compute_adi`` → ``ORDERS`` → ``generate_tests`` → ``curve_report``
   with hand-threaded kwargs) — the facade must be a pure re-packaging;
 * ``python -m repro run --json`` vs :class:`ExperimentRunner` — the CLI
-  and the harness must agree on every reported number.
+  and the harness must agree on every reported number;
+* ``Flow.report`` — the running sum of the test-generation loop's drop
+  counts — vs the coverage curve of the same tests simulated again with
+  fault dropping, for every order.
 """
 
 import json
@@ -22,8 +25,16 @@ from repro.atpg import (
 )
 from repro.experiments import ExperimentRunner, build_circuit
 from repro.faults import collapsed_fault_list, transition_fault_list
-from repro.flow import CircuitSpec, FaultModelSpec, Flow, FlowConfig, OrderSpec
+from repro.flow import (
+    CircuitSpec,
+    FaultModelSpec,
+    Flow,
+    FlowConfig,
+    OrderSpec,
+    USpec,
+)
 from repro.flow.cli import main
+from repro.telemetry import tracing
 
 CIRCUIT = "irs208"
 SEED = 2005
@@ -82,6 +93,45 @@ class TestFlowMatchesDirectPipeline:
         assert result.tests.num_tests == direct.num_tests
         assert result.tests.tests == direct.tests
         assert tuple(result.report.curve) == tuple(curve.curve)
+
+
+def _generated_config(model: str, gen_seed: int) -> FlowConfig:
+    return FlowConfig(
+        circuit=CircuitSpec(kind="generator", name=f"curve{gen_seed}",
+                            num_inputs=8, num_gates=60, num_outputs=4,
+                            gen_seed=gen_seed),
+        fault_model=FaultModelSpec(name=model),
+        u=USpec(max_vectors=256),
+        seed=gen_seed,
+    )
+
+
+class TestCurveIsTheDropCountFold:
+    @pytest.mark.parametrize("gen_seed", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["stuck_at", "transition"])
+    def test_report_equals_resimulated_curve(self, model, gen_seed):
+        flow = Flow(_generated_config(model, gen_seed))
+        circ, faults = flow.circuit(), flow.faults()
+        for order in ORDERS:
+            tests = flow.tests(order).tests
+            assert flow.report(order) == curve_report(circ, faults, tests), \
+                order
+
+    @pytest.mark.parametrize("model", ["stuck_at", "transition"])
+    def test_cold_curve_stage_simulates_nothing(self, model):
+        with tracing() as collector:
+            result = Flow(_generated_config(model, 1)).run()
+        assert {info.stage: info.source for info in result.stages}[
+            f"curve:{result.order_name}"] == "computed"
+
+        def below(node):
+            for child in node["children"]:
+                yield child["name"]
+                yield from below(child)
+
+        names = {root["name"]: set(below(root)) for root in collector.roots}
+        assert "fsim.detection_matrix" in names["flow.testgen"]
+        assert "fsim.detection_matrix" not in names["flow.curve"]
 
 
 class TestCliMatchesExperimentRunner:

@@ -15,6 +15,7 @@ Slow full-lifecycle scenarios carry the ``server`` marker
 (``-m 'not server'`` deselects them).
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -486,6 +487,32 @@ class TestEndToEndLifecycle:
     def test_healthz_ok(self, server_factory):
         server = server_factory()
         assert get_json(server, "/healthz")[1]["status"] == "ok"
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_stall(self, server_factory):
+        """20 requests sent back to back on one keep-alive connection.
+
+        A response is a header write and a body write.  With Nagle's
+        algorithm on, the body waits for the client's delayed ACK of the
+        headers, about 40 ms per response (0.88 s for these 20); with
+        ``TCP_NODELAY`` they take a few milliseconds in all.
+        """
+        server = server_factory()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 def get_text(server: FlowServer, path: str):
