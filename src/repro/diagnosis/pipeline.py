@@ -447,7 +447,8 @@ class DiagnosisBatchReport:
     """Ranked candidates for every device of one batched diagnosis call.
 
     The rankings live in packed arrays (``ranked_positions`` /
-    ``ranked_scores``, ``(D, k)``, padded with ``-1`` / 0); per-device
+    ``ranked_scores``, ``(D, k)``, padded with ``-1`` / 0, where ``k``
+    is ``max_candidates`` capped at the fault count); per-device
     :class:`~repro.diagnosis.locate.DiagnosisReport` objects are
     materialized lazily by :meth:`report` and are bit-identical to what
     :func:`~repro.diagnosis.locate.diagnose` returns for that device.
@@ -462,6 +463,7 @@ class DiagnosisBatchReport:
     num_classes: int
     compression_ratio: float
     num_unique_signatures: int
+    max_candidates: int
     chain_devices: int = 0
     _reports: dict = field(default_factory=dict, repr=False)
 
@@ -537,7 +539,7 @@ class DiagnosisBatchReport:
             "num_classes": self.num_classes,
             "compression_ratio": self.compression_ratio,
             "num_unique_signatures": self.num_unique_signatures,
-            "max_candidates": int(self.ranked_positions.shape[1]),
+            "max_candidates": self.max_candidates,
             "chain_devices": self.chain_devices,
         }
 
@@ -603,8 +605,10 @@ def diagnose_batch(dictionary: PassFailDictionary,
         scores = _score_unique(compressed, unique_words)
     with span("diagnosis.rank", devices=num_devices,
               k=max_candidates):
+        # A device has at most one candidate per fault, so a wider
+        # ranking would only allocate padding, 8 bytes a slot per row.
         unique_positions, unique_scores = _rank_top_k(
-            scores, max_candidates)
+            scores, min(max_candidates, len(dictionary.faults)))
         ranked_positions = unique_positions[unique_inverse]
         ranked_scores = unique_scores[unique_inverse]
 
@@ -647,5 +651,6 @@ def diagnose_batch(dictionary: PassFailDictionary,
         num_classes=compressed.num_classes,
         compression_ratio=compressed.compression_ratio,
         num_unique_signatures=int(unique_reps.size),
+        max_candidates=int(max_candidates),
         chain_devices=chain_devices,
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union, get_args, get_type_hints
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 
 #: Bump when the meaning of any config field changes incompatibly; a
 #: document naming another version fails validation.  No stage key
@@ -88,7 +88,13 @@ class CircuitSpec:
     locality: float = 0.72
 
     def validate(self) -> None:
-        """Check internal consistency; raise :class:`ExperimentError`."""
+        """Check internal consistency; raise :class:`ExperimentError`.
+
+        A suite name must be a suite entry, and generator parameters
+        must pass :meth:`~repro.circuit.generator.GeneratorSpec.validate`,
+        so a circuit the circuit stage would refuse fails here, before
+        any flow is built.
+        """
         _check(self.kind in _CIRCUIT_KINDS,
                f"circuit.kind {self.kind!r} not in {_CIRCUIT_KINDS}")
         if self.kind == "bench":
@@ -98,6 +104,31 @@ class CircuitSpec:
                 _check(getattr(self, attr) is not None,
                        f"circuit.kind 'generator' needs circuit.{attr}")
         _check(bool(self.name), "circuit.name must be non-empty")
+        try:
+            if self.kind == "suite":
+                from repro.experiments.suite import suite_entry
+
+                suite_entry(self.name)
+            elif self.kind == "generator":
+                self.generator_spec().validate()
+        except ReproError as exc:
+            raise ExperimentError(
+                f"invalid flow config: circuit: {exc}") from None
+
+    def generator_spec(self):
+        """The :class:`~repro.circuit.generator.GeneratorSpec` a
+        ``generator`` circuit is synthesized from."""
+        from repro.circuit.generator import GeneratorSpec
+
+        return GeneratorSpec(
+            name=self.name,
+            num_inputs=self.num_inputs,
+            num_gates=self.num_gates,
+            num_outputs=self.num_outputs,
+            seed=self.gen_seed,
+            hardness=self.hardness,
+            locality=self.locality,
+        )
 
 
 @dataclass(frozen=True)

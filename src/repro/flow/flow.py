@@ -173,17 +173,9 @@ def build_circuit_from_spec(spec: CircuitSpec) -> CompiledCircuit:
         from repro.circuit.flatten import compile_circuit
 
         return compile_circuit(parse_bench(Path(spec.path), name=spec.name))
-    from repro.circuit.generator import GeneratorSpec, generate_circuit
+    from repro.circuit.generator import generate_circuit
 
-    return generate_circuit(GeneratorSpec(
-        name=spec.name,
-        num_inputs=spec.num_inputs,
-        num_gates=spec.num_gates,
-        num_outputs=spec.num_outputs,
-        seed=spec.gen_seed,
-        hardness=spec.hardness,
-        locality=spec.locality,
-    ))
+    return generate_circuit(spec.generator_spec())
 
 
 def _circuit_fingerprint(spec: CircuitSpec) -> Dict[str, Any]:

@@ -8,13 +8,13 @@ repeat traffic into cheap reads through three layers:
 
 1. **Artifact cache** — every stage result is content-addressed on disk
    (:mod:`repro.flow.cache`), so a warm request re-runs nothing;
-2. **Result memo** — a small in-process LRU of finished run summaries
-   keyed by :meth:`~repro.flow.flow.Flow.run_key`, so the hottest
-   configs skip even artifact decoding;
-3. **Single-flight dedupe** — concurrent identical requests coalesce
-   onto one computation (:mod:`repro.flow.dedupe`), keyed by the same
-   sha-256 stage-key chain, so a thundering herd of N equal configs
-   runs the pipeline exactly once.
+2. **Single-flight dedupe** — concurrent identical requests coalesce
+   onto one computation (:mod:`repro.flow.dedupe`), keyed by
+   :meth:`~repro.flow.flow.Flow.run_key`, the sha-256 stage-key chain,
+   so a thundering herd of N equal configs runs the pipeline exactly
+   once;
+3. **Finished runs** — the same table keeps the last finished runs, so
+   the hottest configs skip even artifact decoding.
 
 Endpoints (all JSON):
 
@@ -61,20 +61,31 @@ in-flight runs finish.  By default configs that read local files
 network input — unless constructed with ``allow_bench=True``
 (``repro serve --allow-bench``).
 
-Resilience (PR 10): the leader's flow no longer runs in the handler
-thread — it runs on a dedicated daemon thread that completes the
-single-flight entry, and *every* handler (leader and follower alike)
-just waits on the entry with a deadline.  ``request_timeout``
-(``repro serve --request-timeout``) bounds that wait: an expired
-request answers 504 with ``Retry-After`` and a ``partial`` section
-listing the stages that did finish (streamed runs get the same payload
-as a final ``error`` event); the computation itself keeps running and
-lands in the memo for the retry.  ``max_concurrent_runs``
-(``--max-concurrent``) sheds load with 503 + ``Retry-After`` at
-admission, before the thread pool saturates.  Shed and timed-out
-requests count into ``repro_resilience_shed_total`` (by reason) on
-``GET /metrics``; the ``server.handler.slow`` chaos site injects
-leader-side latency to exercise all of it.
+One envelope runs every route, GET and POST alike.  It reads exactly
+the declared request body, so a keep-alive connection stays in step
+even when the route refuses the request; a body it cannot frame (no,
+malformed or negative ``Content-Length``, or one above ``max_body``) is
+left unread and the response says ``Connection: close``.  It answers
+every refusal with one error document, and records the route counter,
+in-flight gauge, latency histogram and access log.
+
+A ``/run`` request makes one :meth:`~repro.flow.dedupe.InflightTable.lease`
+call, which makes it the leader of a new computation, a follower of one
+in flight (``source: "inflight"``) or a reader of a finished one the
+table kept (``source: "cache"``; the table keeps the last ``memo_size``).
+The leader's flow runs on a dedicated daemon thread that completes the
+entry, and every handler just waits on the entry.  ``request_timeout``
+(``repro serve --request-timeout``) bounds that wait, a monotonic
+budget clamped at zero: an expired request answers 504 with
+``Retry-After`` and a ``partial`` section listing the stages that did
+finish (streamed runs get the same payload as a final ``error`` event);
+the computation itself keeps running and serves the retry.
+``max_concurrent_runs`` (``--max-concurrent``) sheds ``/run`` and
+``/diagnose`` load with 503 + ``Retry-After`` at admission, before the
+thread pool saturates.  Shed and timed-out requests count into
+``repro_resilience_shed_total`` (by reason) on ``GET /metrics``; the
+``server.handler.slow`` chaos site injects leader-side latency to
+exercise all of it.
 
 The server is stdlib-only: :class:`http.server.ThreadingHTTPServer`
 with daemon worker threads, one per connection.
@@ -82,25 +93,22 @@ with daemon worker threads, one per connection.
 
 from __future__ import annotations
 
-import collections
 import json
+import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse, parse_qs
 
-import queue
-
 from repro import telemetry
-from repro.errors import ReproError
+from repro.errors import DiagnosisInputError, ReproError
 from repro.flow.cache import ArtifactCache
 from repro.flow.config import FlowConfig
-from repro.flow.dedupe import Computation, InflightTable
+from repro.flow.dedupe import LEADER, LRU, Computation, InflightTable
 from repro.flow.flow import Flow
 from repro.resilience import chaos as _chaos
 from repro.resilience import context as _resilience
-from repro.resilience.deadline import Deadline, remaining_timeout
 from repro.telemetry import MetricsRegistry, log_event, render_prometheus
 
 #: Response/stream schema version.
@@ -114,12 +122,14 @@ class FlowServer(ThreadingHTTPServer):
     """The threaded flow service; see the module docstring for the API.
 
     ``cache`` is an :class:`~repro.flow.cache.ArtifactCache`, a root
-    path, or ``None`` for memo-and-dedupe-only service.
+    path, or ``None`` for a server that keeps finished runs in memory
+    only.  ``memo_size`` finished runs and ``diagnosis_memo_size``
+    diagnosis contexts are kept, least recently used evicted first.
     ``request_timeout`` bounds *every* ``/run`` request, leader or
     follower, streamed or not (``None`` — the default — waits as long
     as the leader computes): an expired one answers 504 with
     ``Retry-After`` and partial progress while the computation finishes
-    in the background (its result lands in the memo for the retry).
+    in the background (the table keeps its result for the retry).
     ``max_concurrent_runs`` caps concurrently admitted ``/run`` and
     ``/diagnose`` requests; excess load is shed with 503 +
     ``Retry-After`` at admission.
@@ -174,15 +184,11 @@ class FlowServer(ThreadingHTTPServer):
         self._inflight_gauge = self.registry.gauge(
             "repro_http_inflight_requests",
             "Requests currently being handled.").labels()
-        self.inflight = InflightTable(registry=self.registry)
-        self._memo: "collections.OrderedDict[str, Dict[str, Any]]" = \
-            collections.OrderedDict()
-        self._memo_size = memo_size
+        self.inflight = InflightTable(registry=self.registry,
+                                      memo_size=memo_size)
         #: Diagnosis contexts (dictionary + compressed + chain ranker)
-        #: per run key.  Few and large, so a small dedicated LRU.
-        self._diagnosis_memo: "collections.OrderedDict[str, Any]" = \
-            collections.OrderedDict()
-        self._diagnosis_memo_size = diagnosis_memo_size
+        #: per run key, under ``_state_lock``.
+        self._diagnosis_contexts = LRU(diagnosis_memo_size)
         self._state_lock = threading.Lock()
         self._draining = False
         #: All live run slots: handler-admitted requests PLUS background
@@ -197,52 +203,13 @@ class FlowServer(ThreadingHTTPServer):
     def _default_flow_factory(self, config: FlowConfig, observer) -> Flow:
         return Flow(config, cache=self.cache, observer=observer)
 
-    # -- counters / memo -----------------------------------------------------
-
-    def count_error(self, status: int) -> None:
-        """Record one error response (labelled by HTTP status)."""
-        self._errors_counter.labels(status=str(status)).inc()
-
-    def count_route(self, route: str) -> None:
-        """Record one request by route."""
-        self._requests_counter.labels(route=route).inc()
-
-    def observe_request(self, route: str, source: str,
-                        seconds: float) -> None:
-        """Record one finished request in the latency histogram."""
-        self._latency.labels(route=route, source=source).observe(seconds)
-
-    def memo_get(self, key: str) -> Optional[Dict[str, Any]]:
+    def diagnosis_context_get(self, key: str) -> Any:
         with self._state_lock:
-            document = self._memo.get(key)
-            if document is not None:
-                self._memo.move_to_end(key)
-            return document
-
-    def memo_put(self, key: str, document: Dict[str, Any]) -> None:
-        if self._memo_size <= 0:
-            return
-        with self._state_lock:
-            self._memo[key] = document
-            self._memo.move_to_end(key)
-            while len(self._memo) > self._memo_size:
-                self._memo.popitem(last=False)
-
-    def diagnosis_context_get(self, key: str):
-        with self._state_lock:
-            context = self._diagnosis_memo.get(key)
-            if context is not None:
-                self._diagnosis_memo.move_to_end(key)
-            return context
+            return self._diagnosis_contexts.get(key)
 
     def diagnosis_context_put(self, key: str, context: Any) -> None:
-        if self._diagnosis_memo_size <= 0:
-            return
         with self._state_lock:
-            self._diagnosis_memo[key] = context
-            self._diagnosis_memo.move_to_end(key)
-            while len(self._diagnosis_memo) > self._diagnosis_memo_size:
-                self._diagnosis_memo.popitem(last=False)
+            self._diagnosis_contexts.put(key, context)
 
     # -- drain / shutdown ----------------------------------------------------
 
@@ -321,12 +288,11 @@ class FlowServer(ThreadingHTTPServer):
     def stats_document(self) -> Dict[str, Any]:
         """The ``/stats`` payload: state ``GET /metrics`` does not carry."""
         with self._state_lock:
-            memo = {"entries": len(self._memo), "size": self._memo_size}
             draining = self._draining
             active = self._active_runs
         document: Dict[str, Any] = {
             "schema": SERVER_SCHEMA,
-            "memo": memo,
+            "memo": self.inflight.memo_state(),
             "active_runs": active,
             "draining": draining,
             "limits": {
@@ -363,17 +329,27 @@ class FlowServer(ThreadingHTTPServer):
 
 
 class _HTTPError(Exception):
-    """A client-visible error with an HTTP status."""
+    """A client-visible error: its status, headers and document fields."""
 
     def __init__(self, status: int, message: str,
-                 headers: Optional[Dict[str, str]] = None):
+                 headers: Optional[Dict[str, str]] = None, **extra: Any):
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
+        self.extra = extra
+
+
+def _seconds_left(expires: Optional[float]) -> Optional[float]:
+    """What is left of a monotonic budget (``None``: unbounded).
+
+    Clamped at 0, so a wait on an expired budget returns at once:
+    ``SimpleQueue.get`` raises ``ValueError`` on a negative timeout.
+    """
+    return None if expires is None else max(0.0, expires - time.monotonic())
 
 
 class FlowRequestHandler(BaseHTTPRequestHandler):
-    """One request: parse → admit → dedupe → run/serve → respond.
+    """One request: envelope → route → admit → lease → wait → respond.
 
     Responses go out as a header write and a body write (or one write
     per streamed event).  With Nagle's algorithm on, the second small
@@ -388,12 +364,136 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     server: FlowServer  # narrowed for type checkers
 
+    #: ``(method, path)`` → the method serving it.  Anything else is a
+    #: 404, recorded under the route ``other``.
+    _ROUTES = {
+        ("GET", "/metrics"): "_get_metrics",
+        ("GET", "/stats"): "_get_stats",
+        ("GET", "/healthz"): "_get_healthz",
+        ("POST", "/run"): "_post_run",
+        ("POST", "/diagnose"): "_post_diagnose",
+    }
+
+    # -- the envelope --------------------------------------------------------
+
+    def do_GET(self) -> None:
+        self._handle()
+
+    def do_POST(self) -> None:
+        self._handle()
+
+    def _handle(self) -> None:
+        """Run one request's route inside the envelope every route shares.
+
+        The envelope reads the body, answers an :class:`_HTTPError` with
+        its error document, absorbs a client that went away, releases
+        an admitted run slot once the answer is written (so drain waits
+        for it), and records the request: route counter, in-flight
+        gauge, latency histogram by route and source, access log.
+        ``GET /metrics`` is served but not recorded, so back-to-back
+        scrapes of an idle server are byte-identical.
+        """
+        started = time.perf_counter()
+        parsed = urlparse(self.path)
+        serve = self._ROUTES.get((self.command, parsed.path))
+        route = parsed.path if serve else "other"
+        recorded = route != "/metrics"
+        server = self.server
+        self._source = ""
+        self._status = 0
+        self._run_key: Optional[str] = None
+        self._streaming = False
+        self._holds_run = False
+        if recorded:
+            server._requests_counter.labels(route=route).inc()
+            server._inflight_gauge.inc()
+        try:
+            try:
+                self._read_body()
+                if serve is None:
+                    raise _HTTPError(404, f"unknown path {parsed.path!r}")
+                getattr(self, serve)(parsed.query)
+            except _HTTPError as exc:
+                self._send_error(exc)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+        finally:
+            if self._holds_run:
+                server.exit_run()
+            seconds = time.perf_counter() - started
+            if recorded:
+                server._inflight_gauge.dec()
+                server._latency.labels(
+                    route=route, source=self._source).observe(seconds)
+            if not server.quiet:
+                log_event("http_access", method=self.command,
+                          path=self.path, route=route, status=self._status,
+                          source=self._source or None,
+                          seconds=round(seconds, 6), key=self._run_key,
+                          client=self.address_string())
+
+    def _read_body(self) -> None:
+        """Read exactly the declared body, so the next request on this
+        connection starts where this one ends.
+
+        A body it cannot frame — no ``Content-Length`` on a POST or with
+        a ``Transfer-Encoding``, a malformed or negative one, or one
+        above ``max_body`` — stays unread: the refusal waits for a route
+        that reads the body, and the connection closes after the answer.
+        """
+        self._body: Any = b""
+        header = self.headers.get("Content-Length")
+        if header is None:
+            if self.command == "POST" or "Transfer-Encoding" in self.headers:
+                self._refuse_body(411, "Content-Length required")
+            return
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would read until EOF: an unbounded body
+            # sneaking past the 413 ceiling.
+            self._refuse_body(400, "malformed Content-Length")
+        elif length > self.server.max_body:
+            self._refuse_body(413, f"request body {length} bytes exceeds "
+                                   f"limit {self.server.max_body}")
+        else:
+            self._body = self.rfile.read(length)
+
+    def _refuse_body(self, status: int, message: str) -> None:
+        self._body = _HTTPError(status, message)
+        self.close_connection = True
+
+    def _json_body(self) -> Any:
+        if isinstance(self._body, _HTTPError):
+            raise self._body
+        try:
+            return json.loads(self._body.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise _HTTPError(400, f"request body is not valid JSON: {exc}")
+
+    def _send_error(self, exc: _HTTPError) -> None:
+        """The error document; on a stream, whose headers are long gone,
+        a final ``error`` event carrying the same payload."""
+        self.server._errors_counter.labels(status=str(exc.status)).inc()
+        self._source = "error"
+        document: Dict[str, Any] = {
+            "schema": SERVER_SCHEMA, "error": str(exc), "status": exc.status,
+        }
+        if not self._streaming:
+            self._send_json(exc.status, dict(document, **exc.extra),
+                            exc.headers)
+            return
+        if "Retry-After" in exc.headers:
+            document["retry_after"] = int(exc.headers["Retry-After"])
+        self._write_event("error", dict(document, **exc.extra))
+
     # -- plumbing ------------------------------------------------------------
 
     def log_request(self, code: Any = "-", size: Any = "-") -> None:
         # The stock per-response stderr line is superseded by the
-        # structured access log below; suppressing it here keeps tests
-        # (and piped deployments) free of unformatted noise.
+        # envelope's structured access log.
         pass
 
     def log_message(self, format: str, *args: Any) -> None:
@@ -405,81 +505,62 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                       message=format % args,
                       client=self.address_string())
 
-    def _access_log(self, method: str, route: str, status: int,
-                    source: str, seconds: float) -> None:
-        if self.server.quiet:
-            return
-        log_event("http_access", method=method, path=self.path,
-                  route=route, status=status, source=source or None,
-                  seconds=round(seconds, 6),
-                  key=getattr(self, "_run_key", None),
-                  client=self.address_string())
-
     def send_response(self, code: int, message: Optional[str] = None) -> None:
         self._status = code
         super().send_response(code, message)
 
-    def _send_json(self, status: int, document: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(document).encode("utf-8")
+    def _send_head(self, status: int, headers: Dict[str, str]) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
+
+    def _send_body(self, status: int, body: bytes, content_type: str,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send_head(status, {"Content-Type": content_type,
+                                 "Content-Length": str(len(body)),
+                                 **(headers or {})})
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, message: str,
-                         headers: Optional[Dict[str, str]] = None,
-                         extra: Optional[Dict[str, Any]] = None) -> None:
-        self.server.count_error(status)
-        self._source = "error"
-        document: Dict[str, Any] = {
-            "schema": SERVER_SCHEMA, "error": message, "status": status,
-        }
-        if extra:
-            document.update(extra)
-        self._send_json(status, document, headers)
+    def _send_json(self, status: int, document: Dict[str, Any],
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send_body(status, json.dumps(document).encode("utf-8"),
+                        "application/json", headers)
 
-    def _shed_message(self, reason: str) -> str:
-        if reason == "draining":
-            return "server is draining"
-        return (f"server at capacity "
-                f"({self.server.max_concurrent_runs} concurrent runs)")
+    def _start_stream(self) -> None:
+        # Stream length is unknown; close delimits the body (HTTP/1.1
+        # without Content-Length), so tell the client not to reuse it.
+        self.close_connection = True
+        self._send_head(200, {"Content-Type": "text/event-stream",
+                              "Cache-Control": "no-store"})
+        self._streaming = True
 
-    def _shed(self, reason: str) -> None:
-        """Refuse an unadmitted request: 503 + Retry-After, counted."""
-        _resilience.record("shed", "flow.server", reason=reason,
-                           key=getattr(self, "_run_key", None))
-        self._send_error_json(503, self._shed_message(reason),
-                              {"Retry-After": "1"})
-
-    # -- request body --------------------------------------------------------
-
-    def _read_json_body(self) -> Any:
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            raise _HTTPError(411, "Content-Length required")
+    def _write_event(self, kind: str, payload: Dict[str, Any]) -> None:
         try:
-            length = int(length_header)
-        except ValueError:
-            raise _HTTPError(400, "malformed Content-Length")
-        if length < 0:
-            # A negative length would make rfile.read() consume until
-            # EOF — an unbounded body sneaking past the 413 ceiling.
-            raise _HTTPError(400, "malformed Content-Length")
-        if length > self.server.max_body:
-            # Close rather than read an arbitrarily large body.
-            self.close_connection = True
-            raise _HTTPError(
-                413, f"request body {length} bytes exceeds limit "
-                     f"{self.server.max_body}")
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _HTTPError(400, f"request body is not valid JSON: {exc}")
+            chunk = f"event: {kind}\ndata: {json.dumps(payload)}\n\n"
+            self.wfile.write(chunk.encode("utf-8"))
+            self.wfile.flush()
+        except (BrokenPipeError, ConnectionResetError, OSError):
+            # Consumer went away mid-stream; the computation (shared
+            # with other requests) must keep going.
+            pass
+
+    # -- GET routes ----------------------------------------------------------
+
+    def _get_metrics(self, query: str) -> None:
+        self._send_body(200, self.server.metrics_text().encode("utf-8"),
+                        "text/plain; version=0.0.4; charset=utf-8")
+
+    def _get_stats(self, query: str) -> None:
+        self._send_json(200, self.server.stats_document())
+
+    def _get_healthz(self, query: str) -> None:
+        status = "draining" if self.server.draining else "ok"
+        self._send_json(200, {"schema": SERVER_SCHEMA, "status": status})
+
+    # -- admission -----------------------------------------------------------
 
     def _parse_config(self, data: Any) -> FlowConfig:
         try:
@@ -492,100 +573,31 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                      "disabled on this server (start with --allow-bench)")
         return config
 
-    def _read_config(self) -> FlowConfig:
-        return self._parse_config(self._read_json_body())
+    def _admit(self, config: FlowConfig) -> Flow:
+        """Key the request, then take a run slot the envelope releases.
 
-    # -- handlers ------------------------------------------------------------
-
-    def do_GET(self) -> None:
-        path = urlparse(self.path).path
-        started = time.perf_counter()
-        self._source = ""
-        self._status = 0
-        if path == "/metrics":
-            # Scrapes are served but deliberately not recorded — no
-            # counter, histogram or in-flight gauge movement — so two
-            # back-to-back scrapes of an idle server are byte-identical
-            # (scrape-stability is tested).
-            try:
-                body = self.server.metrics_text().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                self.close_connection = True
-            finally:
-                self._access_log("GET", path, self._status, self._source,
-                                 time.perf_counter() - started)
-            return
-        route = path if path in ("/stats", "/healthz") else "other"
-        self.server._inflight_gauge.inc()
+        Returns the probe flow that computed the run key.  A refused
+        request answers 503 + ``Retry-After``, counted as shed.
+        """
         try:
-            if path == "/stats":
-                self._send_json(200, self.server.stats_document())
-            elif path == "/healthz":
-                status = "draining" if self.server.draining else "ok"
-                self._send_json(200, {"schema": SERVER_SCHEMA,
-                                      "status": status})
-            else:
-                self._send_error_json(404, f"unknown path {path!r}")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        finally:
-            self.server._inflight_gauge.dec()
-            seconds = time.perf_counter() - started
-            self.server.count_route(route)
-            self.server.observe_request(route, self._source, seconds)
-            self._access_log("GET", route, self._status, self._source,
-                             seconds)
-
-    def do_POST(self) -> None:
-        parsed = urlparse(self.path)
-        started = time.perf_counter()
-        self._source = ""
-        self._status = 0
-        if parsed.path == "/diagnose":
-            self._do_diagnose(started)
-            return
-        if parsed.path != "/run":
-            self.server.count_route("other")
-            self._send_error_json(404, f"unknown path {parsed.path!r}")
-            self._access_log("POST", "other", self._status, self._source,
-                             time.perf_counter() - started)
-            return
-        stream = parse_qs(parsed.query).get("stream", ["0"])[0] not in \
-            ("0", "", "false")
-        self.server.count_route("/run")
-        self.server._inflight_gauge.inc()
-        try:
-            try:
-                config = self._read_config()
-            except _HTTPError as exc:
-                self._send_error_json(exc.status, str(exc), exc.headers)
-                return
-            reason = self.server.enter_run()
-            if reason is not None:
-                self._shed(reason)
-                return
-            try:
-                self._serve_run(config, stream)
-            finally:
-                self.server.exit_run()
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        finally:
-            self.server._inflight_gauge.dec()
-            seconds = time.perf_counter() - started
-            self.server.observe_request("/run", self._source, seconds)
-            self._access_log("POST", "/run", self._status, self._source,
-                             seconds)
+            flow = self.server.flow_factory(config, None)
+            self._run_key = flow.run_key()
+        except ReproError as exc:
+            raise _HTTPError(400, f"invalid flow config: {exc}")
+        reason = self.server.enter_run()
+        if reason is not None:
+            _resilience.record("shed", "flow.server", reason=reason,
+                               key=self._run_key)
+            message = ("server is draining" if reason == "draining" else
+                       f"server at capacity "
+                       f"({self.server.max_concurrent_runs} concurrent runs)")
+            raise _HTTPError(503, message, {"Retry-After": "1"})
+        self._holds_run = True
+        return flow
 
     # -- the diagnose path ---------------------------------------------------
 
-    def _do_diagnose(self, started: float) -> None:
+    def _post_diagnose(self, query: str) -> None:
         """``POST /diagnose``: batched diagnosis against one config.
 
         Body: ``{"config": <repro.flow/v1>, "devices": [{"device": id,
@@ -596,33 +608,13 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         dictionary simulation; every request's devices run through the
         batched pipeline and land in ``repro_diagnosis_devices_total``.
         """
-        self.server.count_route("/diagnose")
-        self.server._inflight_gauge.inc()
-        try:
-            try:
-                document = self._serve_diagnose()
-            except _HTTPError as exc:
-                self._send_error_json(exc.status, str(exc), exc.headers)
-                return
-            self._send_json(200, document)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        finally:
-            self.server._inflight_gauge.dec()
-            seconds = time.perf_counter() - started
-            self.server.observe_request("/diagnose", self._source, seconds)
-            self._access_log("POST", "/diagnose", self._status,
-                             self._source, seconds)
-
-    def _serve_diagnose(self) -> Dict[str, Any]:
-        from repro.errors import DiagnosisInputError
         from repro.flow.diagnose import (
             build_diagnosis_context,
             diagnosis_document,
             parse_fail_entries,
         )
 
-        data = self._read_json_body()
+        data = self._json_body()
         if not isinstance(data, dict):
             raise _HTTPError(400, "request body must be a JSON object")
         if "config" not in data:
@@ -639,83 +631,51 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(chain, bool):
             raise _HTTPError(400, "chain must be a boolean")
 
-        try:
-            flow = self.server.flow_factory(config, None)
-            key = flow.run_key()
-        except ReproError as exc:
-            raise _HTTPError(400, f"invalid flow config: {exc}")
-        self._run_key = key
-
-        reason = self.server.enter_run()
-        if reason is not None:
-            _resilience.record("shed", "flow.server", reason=reason, key=key)
-            raise _HTTPError(503, self._shed_message(reason),
-                             {"Retry-After": "1"})
-        try:
-            context = self.server.diagnosis_context_get(key)
-            source = "cache"
-            if context is None:
-                source = "computed"
-                try:
-                    context = build_diagnosis_context(flow)
-                except ReproError as exc:
-                    raise _HTTPError(400, f"flow execution failed: {exc}")
-                self.server.diagnosis_context_put(key, context)
+        flow = self._admit(config)
+        context = self.server.diagnosis_context_get(self._run_key)
+        source = "cache"
+        if context is None:
+            source = "computed"
             try:
-                log = parse_fail_entries(data["devices"],
-                                         context.num_tests)
-                document = diagnosis_document(
-                    context, log, max_candidates=max_candidates,
-                    chain=chain, source=source,
-                )
-            except DiagnosisInputError as exc:
-                raise _HTTPError(400, str(exc))
-            self._source = source
-            return document
-        finally:
-            self.server.exit_run()
+                context = build_diagnosis_context(flow)
+            except ReproError as exc:
+                raise _HTTPError(500, f"flow execution failed: {exc}")
+            self.server.diagnosis_context_put(self._run_key, context)
+        try:
+            log = parse_fail_entries(data["devices"], context.num_tests)
+            document = diagnosis_document(
+                context, log, max_candidates=max_candidates,
+                chain=chain, source=source,
+            )
+        except DiagnosisInputError as exc:
+            raise _HTTPError(400, str(exc))
+        self._source = source
+        self._send_json(200, document)
 
     # -- the run path --------------------------------------------------------
 
-    def _serve_run(self, config: FlowConfig, stream: bool) -> None:
-        try:
-            probe = self.server.flow_factory(config, None)
-            key = probe.run_key()
-        except ReproError as exc:
-            self._send_error_json(400, f"invalid flow config: {exc}")
-            return
-        self._run_key = key
-
-        memo = self.server.memo_get(key)
-        if memo is not None:
-            # source/fingerprint describe THIS request, not the one that
-            # populated the memo (e.g. a different backend spec).
-            document = dict(memo, source="cache",
-                            config_fingerprint=config.fingerprint())
-            self.server._served_counter.labels(source="cache").inc()
-            self._source = "cache"
-            if stream:
-                self._stream_events(
-                    [("stage", info) for info in document["result"]["stages"]],
-                    document)
-            else:
-                self._send_json(200, document)
-            return
-
-        entry, leads = self.server.inflight.lease(key)
-        deadline = Deadline.after(self.server.request_timeout)
-        subscription = entry.subscribe() if stream else None
-        if leads:
+    def _post_run(self, query: str) -> None:
+        """``POST /run``: one lease makes the request the leader, a
+        follower or a reader of a finished run; every role then waits
+        on the entry under the request budget and answers from it."""
+        stream = parse_qs(query).get("stream", ["0"])[0] not in \
+            ("0", "", "false")
+        config = self._parse_config(self._json_body())
+        self._admit(config)
+        entry, role = self.server.inflight.lease(self._run_key)
+        timeout = self.server.request_timeout
+        expires = None if timeout is None else time.monotonic() + timeout
+        if role == LEADER:
             # The leader's flow runs on a dedicated daemon thread that
-            # completes the single-flight entry; this handler — exactly
-            # like a follower — only *waits* on the entry, bounded by
-            # the request deadline.  A slow computation can therefore
-            # never pin a handler past its budget, and a client
-            # disconnect can never poison the shared entry.
+            # completes the entry; this handler — exactly like a
+            # follower — only *waits* on the entry under the request
+            # budget.  A slow computation can therefore never pin a
+            # handler past its budget, and a client disconnect can
+            # never poison the shared entry.
             self.server.adopt_run()
             worker = threading.Thread(
                 target=self._leader_compute, args=(config, entry),
-                name=f"flow-leader-{key[:8]}", daemon=True)
+                name=f"flow-leader-{entry.key[:8]}", daemon=True)
             try:
                 worker.start()
             except BaseException as exc:
@@ -724,8 +684,37 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                 self.server.release_run()
                 self.server.inflight.complete(entry, exception=exc)
                 raise
-        self._await_entry(config, entry, "leader" if leads else "follower",
-                          stream, subscription, deadline)
+        if stream:
+            # Replays the events already published, then follows live
+            # ones, all under the one budget.
+            subscription = entry.subscribe()
+            self._start_stream()
+            while True:
+                try:
+                    event = entry.next_event(subscription,
+                                             _seconds_left(expires))
+                except queue.Empty:
+                    raise self._deadline_error(entry) from None
+                if event is None:
+                    break
+                self._write_event(*event)
+        elif not entry.wait(_seconds_left(expires)):
+            raise self._deadline_error(entry)
+        try:
+            document = entry.outcome()
+        except BaseException as exc:
+            raise _HTTPError(500, f"flow execution failed: {exc}") from exc
+        if role != LEADER:
+            # source/fingerprint describe THIS request, not the one that
+            # led the computation (e.g. a different backend spec).
+            document = dict(document, source=role,
+                            config_fingerprint=config.fingerprint())
+        self._source = document["source"]
+        self.server._served_counter.labels(source=self._source).inc()
+        if stream:
+            self._write_event("result", document)
+        else:
+            self._send_json(200, document)
 
     def _leader_compute(self, config: FlowConfig,
                         entry: Computation) -> None:
@@ -762,128 +751,23 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
             except BaseException as exc:
                 self.server.inflight.complete(entry, exception=exc)
                 return
-            self.server.memo_put(entry.key, document)
             self.server.inflight.complete(entry, document)
         finally:
             self.server.release_run()
 
-    def _await_entry(self, config: FlowConfig, entry: Computation,
-                     role: str, stream: bool, subscription,
-                     deadline: Optional[Deadline]) -> None:
-        """Wait for the entry under the request budget and respond."""
-        if stream:
-            self._relay_stream(config, entry, role, subscription, deadline)
-            return
-        if not entry.wait(remaining_timeout(deadline)):
-            self._timeout_response(entry, streamed=False)
-            return
-        try:
-            document = self._served_document(config, entry, role)
-        except BaseException as exc:
-            self._send_error_json(500, f"flow execution failed: {exc}")
-            return
-        self._send_json(200, document)
-
-    def _relay_stream(self, config: FlowConfig, entry: Computation,
-                      role: str, subscription,
-                      deadline: Optional[Deadline]) -> None:
-        """Stream the entry's events under the request budget.
-
-        The subscription replays events already published, then follows
-        live ones; the whole relay shares one deadline, and expiry turns
-        into a final ``error`` event carrying the 504 + partial
-        progress (HTTP headers are long gone by then).
-        """
-        self._start_stream()
-        while True:
-            try:
-                event = entry.next_event(
-                    subscription, remaining_timeout(deadline))
-            except queue.Empty:
-                self._timeout_response(entry, streamed=True)
-                return
-            if event is None:
-                break
-            self._write_event(*event)
-        try:
-            document = self._served_document(config, entry, role)
-        except BaseException as exc:
-            self.server.count_error(500)
-            self._source = "error"
-            self._write_event("error", {
-                "schema": SERVER_SCHEMA,
-                "error": f"flow execution failed: {exc}", "status": 500,
-            })
-            return
-        self._write_event("result", document)
-
-    def _served_document(self, config: FlowConfig, entry: Computation,
-                         role: str) -> Dict[str, Any]:
-        """The finished entry's document as this request's answer, with
-        its source counted; re-raises the leader's exception.
-
-        Leaders and followers differ only here: a follower re-stamps
-        ``source="inflight"`` and its own config fingerprint.
-        """
-        document = entry.outcome()
-        if role == "follower":
-            document = dict(document, source="inflight",
-                            config_fingerprint=config.fingerprint())
-        self._source = document["source"]
-        self.server._served_counter.labels(source=self._source).inc()
-        return document
-
-    def _timeout_response(self, entry: Computation, streamed: bool) -> None:
-        """Answer 504 with partial progress; the computation lives on."""
-        message = (f"request deadline of "
-                   f"{self.server.request_timeout:g}s exceeded; the "
-                   "computation continues and will serve a retry")
+    def _deadline_error(self, entry: Computation) -> _HTTPError:
+        """The 504 for a spent budget, with the stages finished so far;
+        the computation lives on and serves the retry."""
         _resilience.record("timeout", "flow.server", reason="deadline",
                            key=entry.key)
-        stages = [payload for kind, payload in entry.progress()
+        stages = [payload.get("stage") for kind, payload in entry.progress()
                   if kind == "stage"]
-        partial = {
-            "stages_completed": len(stages),
-            "stages": [payload.get("stage") for payload in stages],
-        }
-        if streamed:
-            self.server.count_error(504)
-            self._source = "error"
-            self._write_event("error", {
-                "schema": SERVER_SCHEMA, "error": message, "status": 504,
-                "retry_after": 1, "partial": partial,
-            })
-        else:
-            self._send_error_json(504, message, {"Retry-After": "1"},
-                                  extra={"partial": partial})
-
-    # -- SSE-style streaming -------------------------------------------------
-
-    def _start_stream(self) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-store")
-        # Stream length is unknown; close delimits the body (HTTP/1.1
-        # without Content-Length), so tell the client not to reuse it.
-        self.send_header("Connection", "close")
-        self.close_connection = True
-        self.end_headers()
-
-    def _write_event(self, kind: str, payload: Dict[str, Any]) -> None:
-        try:
-            chunk = f"event: {kind}\ndata: {json.dumps(payload)}\n\n"
-            self.wfile.write(chunk.encode("utf-8"))
-            self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            # Consumer went away mid-stream; the computation (shared
-            # with other requests) must keep going.
-            pass
-
-    def _stream_events(self, events, document: Dict[str, Any]) -> None:
-        self._start_stream()
-        for kind, payload in events:
-            self._write_event(kind, payload)
-        self._write_event("result", document)
+        return _HTTPError(
+            504, f"request deadline of {self.server.request_timeout:g}s "
+                 "exceeded; the computation continues and will serve a "
+                 "retry",
+            {"Retry-After": "1"},
+            partial={"stages_completed": len(stages), "stages": stages})
 
 
 def start_in_thread(server: FlowServer) -> threading.Thread:

@@ -12,8 +12,6 @@ Three small pieces, used together across the fsim/cache/server stack:
     :func:`record` routes every absorbed failure to telemetry counters,
     a structured log line, and the thread-local context a ``Flow.run``
     wraps around itself so ``summary()`` can report ``degraded=True``.
-:mod:`repro.resilience.deadline`
-    Monotonic :class:`Deadline` arithmetic for request budgets.
 """
 
 from repro.resilience.chaos import (
@@ -38,7 +36,6 @@ from repro.resilience.context import (
     current,
     record,
 )
-from repro.resilience.deadline import Deadline, remaining_timeout
 from repro.resilience.supervisor import PolicyConfigError, RetryPolicy
 
 __all__ = [
@@ -60,8 +57,6 @@ __all__ = [
     "collecting",
     "current",
     "record",
-    "Deadline",
-    "remaining_timeout",
     "PolicyConfigError",
     "RetryPolicy",
 ]

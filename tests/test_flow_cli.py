@@ -185,6 +185,13 @@ class TestErrorPaths:
         assert code == 2
         assert "irs9999" in err
 
+    def test_generator_the_circuit_stage_refuses(self, capsys):
+        code, _, err = _run(capsys, "run", "--generate", "0,10,2",
+                            "--no-cache")
+        assert code == 2
+        assert err.startswith("repro: error: invalid flow config: "
+                              "circuit: need at least 2 primary inputs")
+
     def test_invalid_order(self, capsys):
         code, _, err = _run(capsys, "run", *GEN, "--order", "best")
         assert code == 2

@@ -26,8 +26,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.errors import CircuitStructureError
 from repro.flow import CircuitSpec, Flow, FlowConfig, USpec
-from repro.flow.dedupe import Computation
+from repro.flow.dedupe import (
+    FINISHED,
+    FOLLOWER,
+    LEADER,
+    Computation,
+    InflightTable,
+)
 from repro.flow.server import FlowServer, start_in_thread
 
 
@@ -268,6 +275,51 @@ class TestRequestValidation:
         assert status == 400
         assert f"{field} must be an integer" in doc["error"]
 
+    @pytest.mark.parametrize("circuit, message", [
+        ({"kind": "generator", "name": "g", "num_inputs": 0,
+          "num_gates": 10, "num_outputs": 2},
+         "need at least 2 primary inputs"),
+        ({"kind": "generator", "name": "g", "num_inputs": 4,
+          "num_gates": 10, "num_outputs": 2, "hardness": 7.0},
+         "hardness must be in [0, 0.5]"),
+        ({"kind": "suite", "name": "nope"}, "unknown suite circuit 'nope'"),
+    ])
+    def test_circuit_the_flow_would_refuse_400(self, tmp_path,
+                                               server_factory, circuit,
+                                               message):
+        """Both routes refuse such a circuit before any flow runs."""
+        counting = CountingFlows(tmp_path / "cache")
+        server = server_factory(flow_factory=counting)
+        config = {"circuit": circuit}
+        for post in (
+                lambda: self._post_raw(server, json.dumps(config).encode()),
+                lambda: post_diagnose(server, {"config": config,
+                                               "devices": []})):
+            status, doc = error_of(post)
+            assert status == 400
+            assert f"invalid flow config: circuit: {message}" in doc["error"]
+        assert counting.runs == 0
+
+    def test_flow_failing_at_run_time_is_500_on_both_routes(
+            self, tmp_path, server_factory):
+        class BrokenCircuitFlow(Flow):
+            """Flow whose circuit stage fails once the flow runs."""
+
+            def circuit(self):
+                raise CircuitStructureError("circuit stage failed")
+
+        server = server_factory(
+            flow_factory=lambda config, observer: BrokenCircuitFlow(
+                config, cache=tmp_path / "cache", observer=observer))
+        for post in (
+                lambda: post_run(server, tiny_config()),
+                lambda: post_diagnose(server, {
+                    "config": tiny_config().to_dict(), "devices": []})):
+            status, doc = error_of(post)
+            assert status == 500
+            assert doc["error"] == \
+                "flow execution failed: circuit stage failed"
+
     def test_bench_config_refused_by_default(self, server_factory):
         server = server_factory()
         config = FlowConfig(circuit=CircuitSpec(
@@ -375,6 +427,79 @@ class TestLeaderCompletion:
         assert computation.next_event(subscription, timeout=5) is None
         assert subscription.empty()
         assert computation.outcome() == {"ok": True}
+
+
+class TestInflightTable:
+    """One table of computations: a lease leads, follows, or reads a
+    finished computation the table kept."""
+
+    @staticmethod
+    def counts(table):
+        """(leaders, coalesced followers) counted so far."""
+        return (
+            table.registry.counter("repro_dedupe_leaders_total")
+            .labels().value,
+            table.registry.counter("repro_dedupe_coalesced_total")
+            .labels().value)
+
+    def test_a_finished_entry_is_read_not_led_or_followed(self):
+        table = InflightTable(memo_size=2)
+        entry, role = table.lease("a")
+        assert role == LEADER
+        assert table.lease("a") == (entry, FOLLOWER)
+        table.complete(entry, {"doc": 1})
+        assert self.counts(table) == (1, 1)
+        assert table.lease("a") == (entry, FINISHED)
+        assert table.lease("a") == (entry, FINISHED)
+        assert self.counts(table) == (1, 1)
+        assert table.registry.gauge(
+            "repro_dedupe_inflight_keys").labels().value == 0
+
+    def test_a_read_moves_the_entry_to_the_recent_end(self):
+        table = InflightTable(memo_size=2)
+        for key in ("a", "b"):
+            table.complete(table.lease(key)[0], key)
+        assert table.lease("a")[1] == FINISHED  # "b" is least recent now
+        table.complete(table.lease("c")[0], "c")
+        assert table.lease("a")[1] == FINISHED
+        assert table.lease("b")[1] == LEADER
+
+    def test_eviction_never_drops_an_inflight_entry(self):
+        table = InflightTable(memo_size=1)
+        running, __ = table.lease("running")
+        for key in ("a", "b", "c"):
+            table.complete(table.lease(key)[0], key)
+        assert table.memo_state() == {"entries": 1, "size": 1}
+        assert table.lease("running") == (running, FOLLOWER)
+        table.complete(running, "done")
+        assert table.lease("running") == (running, FINISHED)
+        assert table.lease("c")[1] == LEADER
+
+    def test_failures_and_a_zero_memo_keep_nothing(self):
+        table = InflightTable(memo_size=4)
+        failed, __ = table.lease("a")
+        table.complete(failed, exception=RuntimeError("boom"))
+        assert table.memo_state() == {"entries": 0, "size": 4}
+        fresh, role = table.lease("a")
+        assert role == LEADER and fresh is not failed
+
+        table = InflightTable(memo_size=0)
+        table.complete(table.lease("a")[0], "doc")
+        assert table.memo_state() == {"entries": 0, "size": 0}
+        assert table.lease("a")[1] == LEADER
+
+    def test_subscribing_to_a_finished_entry_replays_then_ends(self):
+        table = InflightTable(memo_size=1)
+        entry, __ = table.lease("a")
+        events = [("stage", {"stage": "circuit"}),
+                  ("stage", {"stage": "faults"})]
+        for event in events:
+            entry.publish(event)
+        table.complete(entry, "doc")
+        kept, __ = table.lease("a")
+        subscription = kept.subscribe()
+        assert [kept.next_event(subscription, timeout=0)
+                for __ in range(3)] == events + [None]
 
 
 class TestStreaming:
@@ -513,6 +638,38 @@ class TestKeepAlive:
         finally:
             connection.close()
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+
+    @pytest.mark.parametrize("path, body, headers, status, closes", [
+        ("/nope", b'{"a": 1}', {}, 404, False),
+        ("/run", b'{"a": 1}', {"Content-Length": "abc"}, 400, True),
+        ("/run", b'{"a": 1}', {"Content-Length": "-1"}, 400, True),
+        # No Content-Length: http.client sends the body chunked.
+        ("/run", iter([b'{"a": 1}']), {}, 411, True),
+        ("/run", b"{}" + b" " * 100, {}, 413, True),
+    ], ids=["unknown-path", "malformed-length", "negative-length",
+            "chunked-411", "oversized-413"])
+    def test_refused_body_leaves_the_connection_usable(
+            self, server_factory, path, body, headers, status, closes):
+        """The envelope reads exactly the declared body, or answers
+        ``Connection: close``, so the next request on the connection
+        reaches the server intact."""
+        server = server_factory(max_body=64)
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("POST", path, body=body, headers=headers)
+            response = connection.getresponse()
+            assert json.loads(response.read())["status"] == status
+            assert response.status == status
+            assert response.getheader("Connection") == \
+                ("close" if closes else None)
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
 
 def get_text(server: FlowServer, path: str):
@@ -753,6 +910,18 @@ class TestDiagnoseEndpoint:
             server, self.diagnose_payload(max_candidates=1))
         assert all(len(record["candidates"]) <= 1
                    for record in document["devices"])
+
+    def test_huge_max_candidates_ranks_every_fault_at_most(
+            self, server_factory):
+        server = server_factory()
+        __, huge = post_diagnose(
+            server, self.diagnose_payload(max_candidates=2 ** 40))
+        faults = huge["summary"]["num_faults"]
+        __, every = post_diagnose(
+            server, self.diagnose_payload(max_candidates=faults))
+        assert huge["summary"]["max_candidates"] == 2 ** 40
+        assert huge["devices"] == every["devices"]
+        assert any(record["candidates"] for record in huge["devices"])
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda p: p.pop("config"), "missing 'config'"),

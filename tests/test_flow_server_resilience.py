@@ -5,8 +5,8 @@ mid-flow.
 The design under test: a leader's flow runs on a *dedicated* thread
 that completes the single-flight entry; the handler (leader or
 follower) only waits on the entry under the request budget.  So a 504
-never abandons work — the computation continues, lands in the memo,
-and serves the client's retry.
+never abandons work — the computation continues, stays in the
+single-flight table, and serves the client's retry.
 """
 
 import json
@@ -104,11 +104,11 @@ class TestRequestDeadline:
 
         # The computation was handed off, not abandoned: releasing the
         # gate lets it finish, and the client's retry answers from the
-        # memo well inside the same deadline.
+        # table well inside the same deadline.
         gate.release.set()
-        _wait(lambda: counting.runs == 1 and server.memo_get(
-            counting._flow_type(config, cache=None).run_key()) is not None,
-            message="handed-off computation never landed in the memo")
+        _wait(lambda: counting.runs == 1
+              and server.inflight.memo_state()["entries"] == 1,
+              message="handed-off computation never landed in the table")
         status, doc = post_run(server, config)
         assert status == 200
         assert doc["source"] == "cache"
@@ -165,12 +165,51 @@ class TestRequestDeadline:
                 assert leader.result(timeout=60)[0] == 504
         finally:
             gate.release.set()
-        _wait(lambda: server.memo_get(
-            counting._flow_type(config, cache=None).run_key()) is not None,
-            message="the leader's computation never landed in the memo")
+        _wait(lambda: server.inflight.memo_state()["entries"] == 1,
+              message="the leader's computation never landed in the table")
         status, doc = post_run(server, config)
         assert status == 200
         assert doc["source"] == "cache"
+        assert counting.runs == 1
+
+    def test_spent_budget_streams_a_504_at_once(self, tmp_path,
+                                                server_factory):
+        """A streamed follower whose budget has already run out gets its
+        504 event at once: the wait is clamped at 0, where a negative
+        timeout would make ``SimpleQueue.get`` raise ``ValueError``.  A
+        finished run still streams in full under a spent budget."""
+        gate = _Gate()
+        counting = CountingFlows(tmp_path / "cache", gate=gate)
+        server = server_factory(flow_factory=counting, request_timeout=0.0)
+        config = tiny_config()
+        coalesced = server.registry.counter(
+            "repro_dedupe_coalesced_total").labels()
+
+        def stream():
+            request = urllib.request.Request(
+                base_url(server) + "/run?stream=1",
+                data=json.dumps(config.to_dict()).encode())
+            with urllib.request.urlopen(request, timeout=60) as response:
+                return parse_sse(response.read().decode())
+
+        try:
+            assert http_error_of(lambda: post_run(server, config))[0] == 504
+            assert gate.entered.wait(timeout=30)
+            events = stream()
+            assert coalesced.value == 1  # it waited as a follower
+        finally:
+            gate.release.set()
+        assert [kind for kind, _ in events] == ["error"]
+        payload = events[0][1]
+        assert payload["status"] == 504
+        assert payload["retry_after"] == 1
+        assert payload["partial"] == {"stages_completed": 0, "stages": []}
+
+        _wait(lambda: server.inflight.memo_state()["entries"] == 1,
+              message="the leader's computation never landed in the table")
+        events = stream()
+        assert [kind for kind, _ in events] == ["stage"] * 7 + ["result"]
+        assert events[-1][1]["source"] == "cache"
         assert counting.runs == 1
 
     def test_deadline_sheds_are_counted(self, tmp_path, server_factory):

@@ -1,5 +1,5 @@
-"""The resilience primitives: chaos plans, event recording, deadlines,
-and retry policies.
+"""The resilience primitives: chaos plans, event recording and retry
+policies.
 
 These are pure-logic tests — no subprocess pools, no HTTP.  The
 integration of the primitives into the sharded simulator and the flow
@@ -7,9 +7,7 @@ server is covered by ``tests/test_fsim_supervision.py`` and
 ``tests/test_flow_server_resilience.py``.
 """
 
-import queue
 import threading
-import time
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.resilience import (
     CHAOS_ENV_VAR,
     ChaosConfigError,
     ChaosPlan,
-    Deadline,
     PolicyConfigError,
     ResilienceContext,
     RetryPolicy,
@@ -31,7 +28,6 @@ from repro.resilience import (
     install_plan,
     param,
     record,
-    remaining_timeout,
 )
 from repro.resilience.chaos import SITES
 from repro.resilience import context as resilience_context
@@ -220,32 +216,6 @@ class TestRecordAndContext:
         assert baseline_summary() == {
             "degraded": False, "retries": 0, "degradations": 0}
         assert ResilienceContext().summary() == baseline_summary()
-
-
-class TestDeadline:
-    def test_after_none_is_none(self):
-        assert Deadline.after(None) is None
-
-    def test_remaining_counts_down_and_expires(self):
-        deadline = Deadline.after(0.05)
-        assert 0.0 < deadline.remaining() <= 0.05
-        assert not deadline.expired
-        time.sleep(0.06)
-        assert deadline.expired
-        assert deadline.remaining() < 0
-
-    def test_remaining_timeout_is_the_budget_left(self):
-        deadline = Deadline(time.monotonic() + 100.0)
-        assert remaining_timeout(None) is None
-        assert 99.0 < remaining_timeout(deadline) <= 100.0
-
-    def test_expired_deadline_clamps_to_zero(self):
-        deadline = Deadline(time.monotonic() - 10.0)
-        assert remaining_timeout(deadline) == 0.0
-        # A zero timeout makes waits return immediately, not raise.
-        q = queue.SimpleQueue()
-        with pytest.raises(queue.Empty):
-            q.get(timeout=remaining_timeout(deadline))
 
 
 class TestRetryPolicy:
