@@ -185,9 +185,9 @@ def adi_from_detection_matrix(
             bits = raw_bits.astype(bool)
             detected = bits.any(axis=1)
             if mode == AdiMode.MINIMUM:
-                masked = np.where(bits, ndet[None, :],
-                                  np.iinfo(np.int64).max)
-                values = masked.min(axis=1)
+                # The int64 scratch dies here, before the next chunk's.
+                values = np.where(bits, ndet[None, :],
+                                  np.iinfo(np.int64).max).min(axis=1)
             else:
                 sums = bits @ ndet
                 counts = bits.sum(axis=1)

@@ -51,13 +51,15 @@ Registered backends:
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
-from repro.faults.model import Fault
+from repro.faults.model import STEM, Fault
 from repro.faults.transition import TransitionFault, check_transition_fault
 from repro.sim.bitsim import simulate
 from repro.sim.patterns import PatternPairSet, PatternSet
@@ -172,44 +174,90 @@ class FaultSimBackend:
                                     ) -> DetectionMatrix:
         """Packed transition query, one row per fault: each fault's
         initialization row ANDed with its stuck-at row over the capture
-        half."""
-        init = self._initialization_rows(faults)
-        stuck = self.detection_matrix(
-            [fault.as_stuck_at() for fault in faults]
-        )
-        return DetectionMatrix(stuck.words & init, self.num_patterns)
+        half.
 
-    def _initialization_rows(self, faults: Sequence[TransitionFault]
-                             ) -> np.ndarray:
-        """Bit ``p`` of row ``i`` set iff launch vector ``p`` sets the line
-        of ``faults[i]`` to its initial value.
-
-        A row is the packed launch word of the fault's line (its node, or
-        a branch's driver), complemented for slow-to-rise and masked to
-        the block width.
+        The stuck-at row is the capture query of the same site stuck at
+        the fault's initial value, ``1 - rise``; it goes through
+        :meth:`_site_matrix`, so an engine that works on site arrays
+        builds no :class:`Fault` per target.
         """
         launch = self._launch
         if launch is None:
             raise SimulationError(
                 "no pattern-pair block loaded; call load_pairs() first"
             )
-        circ = self.circ
-        fanin = circ.fanin
-        num_nodes = circ.num_nodes
-        lines = np.empty(len(faults), dtype=np.int64)
-        rise = np.empty(len(faults), dtype=bool)
-        for i, fault in enumerate(faults):
-            if (not isinstance(fault, TransitionFault)
-                    or not 0 <= fault.node < num_nodes
-                    or not -1 <= fault.pin < len(fanin[fault.node])):
-                check_transition_fault(circ, fault)  # raises the error
-            lines[i] = (fault.node if fault.pin < 0
-                        else fanin[fault.node][fault.pin])
-            rise[i] = fault.rise
-        rows = launch[lines]
-        rows[rise] = ~rows[rise]
-        rows[:, -1] &= tail_mask(self.num_patterns)
-        return rows
+        if not set(map(type, faults)) <= {TransitionFault}:
+            # Checked one by one, so the first bad target reports first
+            # whether it is the wrong type or names no line.
+            for fault in faults:
+                check_transition_fault(self.circ, fault)
+        node, pin, rise = self._sites(faults, "rise", check_transition_fault)
+        # A branch fault's line is the pin's driver.
+        pin_base, pin_src = self._pins
+        line = node.copy()
+        branch = np.flatnonzero(pin != STEM)
+        line[branch] = pin_src[pin_base[node[branch]] + pin[branch]]
+        init = launch[line]
+        slow_to_rise = rise == 1
+        init[slow_to_rise] = ~init[slow_to_rise]
+        init[:, -1] &= tail_mask(self.num_patterns)
+        stuck = self._site_matrix(node, pin, 1 - rise)
+        return DetectionMatrix(stuck.words & init, self.num_patterns)
+
+    # -- fault sites as arrays ------------------------------------------------
+
+    @cached_property
+    def _pins(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The circuit's :func:`flat_pins`, built on first use."""
+        return flat_pins(self.circ)
+
+    def _sites(self, faults: Sequence, third: str,
+               check: Callable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A query's faults as ``(node, pin, <third>)`` int64 arrays.
+
+        Each attribute is read in one pass and every site is range-checked
+        at once.  The first fault that names no line of the circuit goes
+        through ``check`` (:func:`check_fault` or
+        :func:`check_transition_fault`), which raises its error.
+        """
+        count = len(faults)
+        node, pin, last = (
+            np.fromiter(map(attrgetter(name), faults), np.int64, count)
+            for name in ("node", "pin", third))
+        pin_base = self._pins[0]
+        bad = (node < 0) | (node >= self.circ.num_nodes)
+        known = node[~bad]
+        arity = np.zeros(count, dtype=np.int64)
+        arity[~bad] = pin_base[known + 1] - pin_base[known]
+        bad |= (pin != STEM) & ((pin < 0) | (pin >= arity))
+        if bad.any():
+            check(self.circ, faults[int(np.argmax(bad))])
+        return node, pin, last
+
+    def _site_matrix(self, node: np.ndarray, pin: np.ndarray,
+                     value: np.ndarray) -> DetectionMatrix:
+        """Stuck-at query over checked ``(node, pin, value)`` site arrays.
+
+        This builds one :class:`Fault` per site for
+        :meth:`detection_matrix`; an engine whose query works on the
+        arrays overrides it.
+        """
+        return self.detection_matrix([
+            Fault(*site) for site in zip(node.tolist(), pin.tolist(),
+                                         value.tolist())])
+
+
+def flat_pins(circ: CompiledCircuit) -> Tuple[np.ndarray, np.ndarray]:
+    """Gate pins numbered flat, as ``(pin_base, pin_src)`` int64 arrays.
+
+    Pin ``k`` of node ``n`` is ``pin_base[n] + k``, driven by node
+    ``pin_src[pin_base[n] + k]``; ``pin_base[-1]`` is the pin count.
+    """
+    arity = np.fromiter(map(len, circ.fanin), np.int64, circ.num_nodes)
+    pin_base = np.concatenate(([0], np.cumsum(arity)))
+    pin_src = np.fromiter((src for srcs in circ.fanin for src in srcs),
+                          np.int64, int(pin_base[-1]))
+    return pin_base, pin_src
 
 
 BackendFactory = Callable[[CompiledCircuit], FaultSimBackend]
@@ -335,6 +383,11 @@ class AutoFaultSim(FaultSimBackend):
     def detection_matrix(self, faults: Sequence[Fault]) -> DetectionMatrix:
         """Packed query on the engine :meth:`_pick` chooses."""
         return self._engine(len(faults)).detection_matrix(faults)
+
+    def _site_matrix(self, node: np.ndarray, pin: np.ndarray,
+                     value: np.ndarray) -> DetectionMatrix:
+        """Site-array query on the engine :meth:`_pick` chooses."""
+        return self._engine(len(node))._site_matrix(node, pin, value)
 
 
 def _bigint_factory(circ: CompiledCircuit) -> FaultSimBackend:

@@ -17,12 +17,18 @@ to its region's stem.  A query then runs in three vectorized steps:
 * **Stem observability.**  Only the distinct stems that some fault of
   the query flips are simulated, each as a flip of its fault-free value,
   sorted by level and batched through the
-  :class:`repro.sim.npsim.LevelSchedule`.  One ``(num_nodes, B, W)``
-  tensor serves the whole query.  A batch starts at its lowest stem's
-  level and fills with fault-free words only the rows at or below that
-  level that a gate above it or an output reads; evaluation writes every
-  row above that level before anything reads it.  The OR over outputs of
-  ``faulty XOR fault-free`` is a stem's observability word.
+  :class:`repro.sim.npsim.LevelSchedule`, remapped once per engine from
+  node ids to tensor rows.  A node needs a row only while it is live,
+  from its own level through the highest level that reads it (outputs:
+  to the end), so nodes whose live ranges never meet share a row
+  (:func:`live_rows`), and one ``(num_rows, B, W)`` tensor serves the
+  whole query: 615 rows for the 5,064 nodes of a deep 5,000-gate
+  circuit.  A batch starts at its lowest stem's level and fills with
+  fault-free words only the rows of the nodes at or below that level
+  that a gate above it or an output reads; evaluation writes every
+  other node's row at its own level, before anything reads it.  The OR
+  over outputs of ``faulty XOR fault-free`` is a stem's observability
+  word.
 * **Rows.**  Each row is ``local & obs[stem]``, masked to the block width
   (:func:`repro.utils.detmatrix.tail_mask`) and returned packed as a
   :class:`repro.utils.detmatrix.DetectionMatrix`.
@@ -37,7 +43,10 @@ path has one fanout pin.  So a path gate flips iff its one faulty input
 flips and the gate is sensitized to that pin, each pattern is an
 independent bit, and from the stem on the faulty machine *is* the
 stem-flipped machine.  The rows are bit-identical to simulating one
-faulty machine per fault, at the cost of one machine per stem.
+faulty machine per fault, at the cost of one machine per stem.  Shared
+tensor rows change no value: a gate is live at its own level together
+with every fanin it reads, so it never shares a row with one, and a row
+passes to a new node only after the last level that reads the old one.
 """
 
 from __future__ import annotations
@@ -50,13 +59,17 @@ import numpy as np
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
 from repro.faults.model import Fault, check_fault
-from repro.fsim.backend import FaultSimBackend
+from repro.fsim.backend import FaultSimBackend, flat_pins
 from repro.sim.npsim import ONES64, LevelSchedule, simulate_matrix_levelized
 from repro.sim.patterns import PatternSet
 from repro.utils.detmatrix import DetectionMatrix, tail_mask
 
 #: Soft cap on the stem-flip tensor, in bytes; batches are sized to fit.
-DEFAULT_BATCH_BYTES = 128 << 20
+#: A stem costs ``num_rows * W * 8`` bytes, and ``num_rows`` counts only
+#: the nodes live at one level (615 of 5,064 nodes on a deep
+#: 5,000-gate circuit), so 16 MiB holds as many stems as 128 MiB of
+#: one-row-per-node tensor did.
+DEFAULT_BATCH_BYTES = 16 << 20
 
 #: Hard cap on stems per batch (keeps per-level scatter lists short).
 MAX_BATCH_STEMS = 1024
@@ -86,13 +99,9 @@ class FanoutFreeRegions:
 
     def __init__(self, circ: CompiledCircuit):
         num_nodes = circ.num_nodes
-        arity = np.fromiter((len(srcs) for srcs in circ.fanin), np.int64,
-                            num_nodes)
-        self.pin_base = np.concatenate(([0], np.cumsum(arity)))
+        self.pin_base, self.pin_src = flat_pins(circ)
         self.num_pins = int(self.pin_base[-1])
-        self.pin_src = np.fromiter(
-            (src for srcs in circ.fanin for src in srcs), np.int64,
-            self.num_pins)
+        arity = np.diff(self.pin_base)
 
         stem_of = np.arange(num_nodes)
         depth = np.zeros(num_nodes, np.int64)
@@ -158,12 +167,15 @@ class FanoutFreeRegions:
 class NumpyFaultSim(FaultSimBackend):
     """Fault-simulation backend over ``uint64`` pattern words.
 
-    Construction levelizes the circuit and partitions it into fanout-free
-    regions; staging a block packs and simulates it fault-free;
-    :meth:`detection_matrix` combines per-fault local words with the
-    simulated observability of the query's stems.  Word and transition
-    queries come from :class:`repro.fsim.backend.FaultSimBackend`, so
-    the capture half of a pair block rides the same vectorized path.
+    Construction levelizes the circuit, partitions it into fanout-free
+    regions and gives each node a stem-flip tensor row
+    (:func:`live_rows`): ``rows[n]`` is node ``n``'s row, and
+    ``num_rows`` is the most nodes live at one level.  Staging a block
+    packs and simulates it fault-free; :meth:`detection_matrix` combines
+    per-fault local words with the simulated observability of the
+    query's stems.  Word and transition queries come from
+    :class:`repro.fsim.backend.FaultSimBackend`, so the capture half of a
+    pair block rides the same vectorized path.
     """
 
     name = "numpy"
@@ -173,16 +185,21 @@ class NumpyFaultSim(FaultSimBackend):
         super().__init__(circ)
         self.schedule = LevelSchedule(circ)
         self.regions = FanoutFreeRegions(circ)
+        # The base class's site checks share the regions' pin numbering.
+        self._pins = (self.regions.pin_base, self.regions.pin_src)
         self.max_batch_bytes = max_batch_bytes
         self._level = np.asarray(circ.level, dtype=np.int64)
         self._level_numbers = [level.number for level in self.schedule.levels]
         self._outputs = np.asarray(circ.outputs, dtype=np.int64)
         # The highest level that reads each node (-1: none); outputs are
         # read after every level.
-        self._last_read = np.array(
-            [max((circ.level[gate] for gate in fanout), default=-1)
-             for fanout in circ.fanout], dtype=np.int64)
+        pin_base, pin_src = self._pins
+        reader = np.repeat(np.arange(circ.num_nodes), np.diff(pin_base))
+        self._last_read = np.full(circ.num_nodes, -1, dtype=np.int64)
+        np.maximum.at(self._last_read, pin_src, self._level[reader])
         self._last_read[self._outputs] = circ.max_level + 1
+        self.rows, self.num_rows = live_rows(self._level, self._last_read)
+        self._row_schedule = self.schedule.remap(self.rows)
         self._good: Optional[np.ndarray] = None  # (num_nodes, W)
         self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._num_words = 0
@@ -203,21 +220,22 @@ class NumpyFaultSim(FaultSimBackend):
         Returns the engine's ``(num_faults, num_words)`` uint64 rows
         directly; no big-int round-trip anywhere.
         """
+        self._require_block()
+        return self._site_matrix(*self._sites(faults, "value", check_fault))
+
+    def _site_matrix(self, node: np.ndarray, pin: np.ndarray,
+                     value: np.ndarray) -> DetectionMatrix:
+        """The query over checked ``(node, pin, value)`` site arrays."""
         width = self._require_block().num_patterns
         good = self._good
-        for fault in faults:
-            check_fault(self.circ, fault)
-        if not faults or width == 0:
-            return DetectionMatrix.zeros(len(faults), width)
+        if not len(node) or width == 0:
+            return DetectionMatrix.zeros(len(node), width)
         regions = self.regions
         if self._tables is None:
             sens = regions.sensitization(good)
             self._tables = (sens, regions.path_words(sens))
         sens, path = self._tables
 
-        node, pin, value = np.array(
-            [(f.node, f.pin, f.value) for f in faults], dtype=np.int64
-        ).T
         branch = pin >= 0
         flat_pin = np.where(branch, regions.pin_base[node] + pin,
                             regions.num_pins)
@@ -237,7 +255,7 @@ class NumpyFaultSim(FaultSimBackend):
     # -- internals ------------------------------------------------------------
 
     def _batch_size(self) -> int:
-        per_stem = self.circ.num_nodes * max(self._num_words, 1) * 8
+        per_stem = self.num_rows * max(self._num_words, 1) * 8
         fit = max(1, self.max_batch_bytes // max(per_stem, 1))
         return int(min(fit, MAX_BATCH_STEMS))
 
@@ -245,37 +263,41 @@ class NumpyFaultSim(FaultSimBackend):
                        stems: np.ndarray) -> np.ndarray:
         """Observability word of each stem: flipping it flips an output.
 
-        One stem-flip tensor serves the whole query; each batch reshapes
-        a contiguous prefix of it to ``(num_nodes, len(batch), W)``.
+        One stem-flip buffer of at most ``max_batch_bytes`` (or one
+        stem's rows, if that is more) serves the whole query; each batch
+        reshapes a contiguous prefix of it to ``(num_rows, len(batch),
+        W)``.
         """
-        num_nodes, num_words = self.circ.num_nodes, self._num_words
+        num_rows, num_words = self.num_rows, self._num_words
         obs = np.empty((len(stems), num_words), dtype=np.uint64)
         order = np.argsort(self._level[stems], kind="stable")
         batch = self._batch_size()
-        tensor = np.empty(num_nodes * min(batch, len(stems)) * num_words,
+        tensor = np.empty(num_rows * min(batch, len(stems)) * num_words,
                           dtype=np.uint64)
         for start in range(0, len(order), batch):
-            rows = order[start:start + batch]
-            values = tensor[:num_nodes * len(rows) * num_words].reshape(
-                num_nodes, len(rows), num_words)
-            obs[rows] = self._flip_batch(good, stems[rows], values)
+            lanes = order[start:start + batch]
+            values = tensor[:num_rows * len(lanes) * num_words].reshape(
+                num_rows, len(lanes), num_words)
+            obs[lanes] = self._flip_batch(good, stems[lanes], values)
         return obs
 
     def _flip_batch(self, good: np.ndarray, stems: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
         """Simulate stems (sorted by level) flipped side by side.
 
-        ``values`` is a ``(num_nodes, len(stems), W)`` tensor whose rows
-        may hold anything.  Only the rows at or below the lowest stem's
-        level that a gate above it or an output reads get fault-free
-        words; evaluation writes every row above that level before any
-        gate or output reads it.
+        ``values`` is a ``(num_rows, len(stems), W)`` tensor whose rows
+        may hold anything; node ``n`` lives in row ``rows[n]``.  Only the
+        nodes at or below the lowest stem's level that a gate above it or
+        an output reads get fault-free words; evaluation writes every
+        node above that level into its row before any gate or output
+        reads it, and no node's row is written while the node is live.
         """
+        rows = self.rows
         levels = self._level[stems]
         lowest = int(levels[0])
         read = np.flatnonzero((self._level <= lowest)
                               & (self._last_read > lowest))
-        values[read] = good[read][:, None, :]
+        values[rows[read]] = good[read][:, None, :]
 
         # A stem's flip goes in once its own level has been evaluated.
         firsts = np.flatnonzero(np.diff(levels, prepend=-1))
@@ -287,15 +309,48 @@ class NumpyFaultSim(FaultSimBackend):
         def flip(level_number: int) -> None:
             at = flips.get(level_number)
             if at is not None:
-                nodes, rows = at
-                values[nodes, rows] = ~good[nodes]
+                nodes, lanes = at
+                values[rows[nodes], lanes] = ~good[nodes]
 
         flip(lowest)
         start = bisect_right(self._level_numbers, lowest)
-        for level in self.schedule.levels[start:]:
-            self.schedule.eval_level(level, values)
+        schedule = self._row_schedule
+        for level in schedule.levels[start:]:
+            schedule.eval_level(level, values)
             flip(level.number)
 
         out_ids = self._outputs
-        diff = values[out_ids] ^ good[out_ids][:, None, :]
+        diff = values[rows[out_ids]] ^ good[out_ids][:, None, :]
         return np.bitwise_or.reduce(diff, axis=0)
+
+
+def live_rows(level: np.ndarray, last_read: np.ndarray
+              ) -> Tuple[np.ndarray, int]:
+    """Give every node a tensor row, shared among nodes never live at once.
+
+    Node ``n`` is live from ``level[n]`` through ``last_read[n]``, the
+    highest level that reads it, or at its own level only when nothing
+    reads it.  A greedy interval colouring in level order hands each node
+    a row freed by a node whose live levels all lie below its own, so two
+    nodes share a row only when their live ranges are disjoint, and the
+    row count is the most nodes live at one level.  Returns ``(rows,
+    num_rows)``: node ``n``'s row is ``rows[n]``.
+    """
+    last = np.maximum(last_read, level).tolist()
+    starts: list = [[] for _ in range(max(last, default=0) + 1)]
+    ends: list = [[] for _ in starts]
+    for node, (first, stop) in enumerate(zip(level.tolist(), last)):
+        starts[first].append(node)
+        ends[stop].append(node)
+    rows = [0] * len(last)
+    free: list = []
+    num_rows = 0
+    for born, dying in zip(starts, ends):
+        for node in born:
+            if free:
+                rows[node] = free.pop()
+            else:
+                rows[node] = num_rows
+                num_rows += 1
+        free.extend(rows[node] for node in dying)
+    return np.array(rows, dtype=np.int64), num_rows

@@ -9,10 +9,13 @@ width; ``benchmarks/bench_ablation_backends.py`` measures the crossover.
 :class:`LevelSchedule` levelizes a circuit once.  At each level, two or
 more same-typed gates form a group that one numpy gather/op/scatter
 evaluates; every other gate is evaluated alone, straight into its own row
-with ufunc ``out=``.  The schedule is the propagation core of the numpy
-fault-simulation engine (:mod:`repro.fsim.npfsim`), which propagates its
-fault-free ``(num_nodes, W)`` block and its ``(num_nodes, B, W)`` stem-flip
-tensors through it, as well as of the true-value simulation here.  Big-int
+with ufunc ``out=``.  The schedule is the propagation core of the
+true-value simulation here and of the numpy fault-simulation engine
+(:mod:`repro.fsim.npfsim`), which propagates its fault-free
+``(num_nodes, W)`` block through it as built.  The engine's stem-flip
+tensor has fewer rows than nodes, because nodes whose live levels never
+meet share a row; :meth:`LevelSchedule.remap` gives that ``(rows, B, W)``
+tensor the same schedule over row ids, built once per engine.  Big-int
 words cross into and out of the ``uint64`` layout only through the
 :class:`~repro.utils.detmatrix.DetectionMatrix` converters, which share
 its word order.
@@ -20,6 +23,7 @@ its word order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -82,9 +86,10 @@ class LevelSchedule:
     arity)``; a group of two or more becomes a :class:`GateGroup`, and
     every other gate (a group of one, a constant, a wider gate) is
     evaluated alone, in place.  :meth:`eval_level` works on any value
-    tensor whose leading axis is the node id — ``(N, W)`` for true-value
-    simulation, ``(N, B, W)`` for batched fault simulation — because
-    numpy indexing is shape-agnostic past axis 0.
+    tensor whose leading axis the levels index — node ids for the
+    ``(N, W)`` true-value matrix, tensor rows for the ``(rows, B, W)``
+    stem-flip tensor of a :meth:`remap` copy — because numpy indexing is
+    shape-agnostic past axis 0.
     """
 
     #: Gate types grouped at each arity; any other gate — including a
@@ -134,6 +139,29 @@ class LevelSchedule:
                 for node in lone
             )))
         self.levels: Tuple[Level, ...] = tuple(levels)
+
+    def remap(self, rows: np.ndarray) -> "LevelSchedule":
+        """The same schedule over a tensor that keeps node ``n`` in row
+        ``rows[n]``.
+
+        Every gate, group and level stays as it is; only the ids that
+        index the value tensor change.  The map must keep a node's row
+        to itself from the node's level through the last level that
+        reads it, so that no level writes a row it reads
+        (:func:`repro.fsim.npfsim.live_rows` builds such a map).
+        """
+        row_of = rows.tolist().__getitem__
+        remapped = copy.copy(self)
+        remapped.levels = tuple(
+            Level(level.number,
+                  tuple(GateGroup(group.gtype, rows[group.nodes],
+                                  tuple(rows[src] for src in group.srcs))
+                        for group in level.groups),
+                  tuple((row_of(node), gtype, tuple(map(row_of, srcs)))
+                        for node, gtype, srcs in level.lone))
+            for level in self.levels
+        )
+        return remapped
 
     def eval_level(self, level: Level, values: np.ndarray) -> None:
         """Evaluate one level's gates in place on a value tensor."""

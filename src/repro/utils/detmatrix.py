@@ -28,7 +28,7 @@ stays ``uint64``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +41,9 @@ _BYTE_POPCOUNTS = np.array(
 
 #: Cap, in elements, on dense (faults x patterns) scratch allocations.
 #: Consumers derive int64 scratch of the same shape from the chunks, so
-#: the worst-case transient per chunk is ~8x this in bytes (~64 MB).
-DENSE_CHUNK_ELEMS = 1 << 23
+#: the worst-case transient per chunk is ~8x this in bytes (~8 MB) plus
+#: the unpacked bits themselves (~10 MB in all).
+DENSE_CHUNK_ELEMS = 1 << 20
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
@@ -199,16 +200,19 @@ class DetectionMatrix:
         """Detection count per fault (``|D(f)|``), int64."""
         return popcount64(self.words).sum(axis=1)
 
-    def iter_dense_chunks(self, max_elems: int = DENSE_CHUNK_ELEMS):
+    def iter_dense_chunks(self, max_elems: Optional[int] = None):
         """Yield ``(row_start, bits)`` dense 0/1 row chunks.
 
         ``bits`` is the unpacked ``(rows, num_patterns)`` uint8 view of
         rows ``row_start .. row_start + rows - 1``, with at most
-        ``max_elems`` elements per chunk — the one chunking idiom every
-        dense-scratch consumer (column counts, ADI reductions, capped
-        n-detection) shares, so the transient allocation stays bounded
-        regardless of matrix size.
+        ``max_elems`` (default :data:`DENSE_CHUNK_ELEMS`) elements per
+        chunk, or one row if a row is wider — the one chunking idiom
+        every dense-scratch consumer (column counts, ADI reductions,
+        capped n-detection) shares, so the transient allocation stays
+        bounded regardless of matrix size.
         """
+        if max_elems is None:
+            max_elems = DENSE_CHUNK_ELEMS
         chunk = max(1, max_elems // max(self.num_patterns, 1))
         for start in range(0, self.num_faults, chunk):
             sub = DetectionMatrix(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.adi.index import AdiMode, adi_from_detection_matrix
+from repro.utils import detmatrix
 from repro.utils.bitvec import bit_indices, popcount
 from repro.utils.detmatrix import (
     DetectionMatrix,
@@ -234,3 +236,75 @@ class TestPatternColumns:
                                   else dense[:, :0])
         with pytest.raises(ValueError):
             matrix.select_patterns([width])
+
+
+class TestDenseChunks:
+    """Each dense-chunk consumer answers the same on a matrix that spans
+    several default chunks as on one chunk."""
+
+    NUM_PATTERNS = 700
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        rng = np.random.default_rng(26)
+        rows = 2 * (detmatrix.DENSE_CHUNK_ELEMS // self.NUM_PATTERNS) + 300
+        density = rng.random((rows, 1)) * 0.2
+        density[::7] = 0.0  # some faults nothing detects
+        bits = rng.random((rows, self.NUM_PATTERNS)) < density
+        raw = np.zeros((rows, num_words_for(self.NUM_PATTERNS) * 8),
+                       dtype=np.uint8)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        raw[:, :packed.shape[1]] = packed
+        return DetectionMatrix(raw.view("<u8").astype(np.uint64),
+                               self.NUM_PATTERNS)
+
+    @staticmethod
+    def one_chunk(matrix, monkeypatch):
+        monkeypatch.setattr(detmatrix, "DENSE_CHUNK_ELEMS",
+                            matrix.num_faults * matrix.num_patterns)
+        assert len(list(matrix.iter_dense_chunks())) == 1
+
+    def test_spans_several_default_chunks(self, matrix):
+        starts = [start for start, __ in matrix.iter_dense_chunks()]
+        assert len(starts) == 3
+        assert all(bits.size <= detmatrix.DENSE_CHUNK_ELEMS
+                   for __, bits in matrix.iter_dense_chunks())
+
+    def test_column_counts_row_lists_and_columns(self, matrix, monkeypatch):
+        rng = np.random.default_rng(7)
+        picks = rng.integers(0, self.NUM_PATTERNS, 300).tolist()
+        chunked = (matrix.column_counts(), matrix.row_index_lists(),
+                   matrix.select_patterns(picks))
+        self.one_chunk(matrix, monkeypatch)
+        counts, lists, columns = chunked
+        assert np.array_equal(counts, matrix.column_counts())
+        assert len(lists) == matrix.num_faults
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(lists, matrix.row_index_lists()))
+        assert columns == matrix.select_patterns(picks)
+
+    @pytest.mark.parametrize("mode", list(AdiMode))
+    def test_adi_matches_one_chunk_and_plain_python(self, matrix, mode,
+                                                    monkeypatch):
+        faults = list(range(matrix.num_faults))
+        chunked = adi_from_detection_matrix(faults, matrix, mode)
+        sets = [bit_indices(word) for word in matrix.to_bigints()]
+        ndet = [0] * matrix.num_patterns
+        for patterns in sets:
+            for pattern in patterns:
+                ndet[pattern] += 1
+        expected = []
+        for patterns in sets:
+            values = [ndet[p] for p in patterns]
+            if not values:
+                expected.append(0)
+            elif mode is AdiMode.MINIMUM:
+                expected.append(min(values))
+            else:
+                expected.append(int(sum(values) / len(values)))
+        assert chunked.ndet.tolist() == ndet
+        assert chunked.adi.tolist() == expected
+        self.one_chunk(matrix, monkeypatch)
+        single = adi_from_detection_matrix(faults, matrix, mode)
+        assert np.array_equal(single.adi, chunked.adi)
+        assert np.array_equal(single.ndet, chunked.ndet)

@@ -15,7 +15,7 @@ from helpers import engine_words, generated_circuit
 from repro.circuit.flatten import compile_circuit
 from repro.circuit.gate_types import GateType
 from repro.circuit.netlist import Circuit
-from repro.errors import SimulationError
+from repro.errors import FaultModelError, SimulationError
 from repro.faults import (
     TransitionFault,
     collapsed_fault_list,
@@ -84,6 +84,20 @@ def region_edge_circuit():
     circuit.add_output("lo")
     circuit.add_output("far")
     return compile_circuit(circuit)
+
+
+def deep_circuit():
+    """A generated circuit 123 levels deep whose stem-flip tensor needs 39
+    rows for its 206 nodes."""
+    return generated_circuit(5, num_inputs=6, num_gates=200, num_outputs=3)
+
+
+#: The circuits the numpy engine's batching and row-map tests run on.
+ENGINE_CIRCUITS = {
+    "regions": region_edge_circuit,
+    "generated": lambda: generated_circuit(23, num_inputs=8, num_gates=60),
+    "deep": deep_circuit,
+}
 
 
 def with_every_pin(circ, universe, make):
@@ -329,17 +343,17 @@ class TestEdgeCases:
     @pytest.mark.parametrize("stems_per_batch", [1, 2, 3, None])
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 130, 576])
     @pytest.mark.parametrize("block", ["load", "load_pairs"])
-    @pytest.mark.parametrize("circuit", ["regions", "generated"])
+    @pytest.mark.parametrize("circuit", sorted(ENGINE_CIRCUITS))
     def test_numpy_batching_matches_bigint(self, circuit, block, width,
                                            stems_per_batch):
         # Stem batches of 1, 2 or 3 stems (or the default cap, one batch
-        # here) start ever higher in the circuit and share one tensor.
-        circ = (region_edge_circuit() if circuit == "regions"
-                else generated_circuit(23, num_inputs=8, num_gates=60))
+        # here) start ever higher in the circuit and share one tensor,
+        # whose rows each serve every node they hold.
+        circ = ENGINE_CIRCUITS[circuit]()
         if stems_per_batch is None:
             engine = NumpyFaultSim(circ)
         else:
-            per_stem = circ.num_nodes * -(-width // 64) * 8
+            per_stem = NumpyFaultSim(circ).num_rows * -(-width // 64) * 8
             engine = NumpyFaultSim(
                 circ, max_batch_bytes=stems_per_batch * per_stem)
         reference = create_backend(circ, "bigint")
@@ -362,6 +376,63 @@ class TestEdgeCases:
         assert engine.detection_matrix(faults) == \
             reference.detection_matrix(faults)
 
+    @pytest.mark.parametrize("circuit", sorted(ENGINE_CIRCUITS))
+    def test_row_map_shares_rows_only_between_disjoint_live_ranges(
+            self, circuit):
+        circ = ENGINE_CIRCUITS[circuit]()
+        engine = NumpyFaultSim(circ)
+        rows = engine.rows.tolist()
+        # A node is live from its level through its last reader's level;
+        # outputs are read after the last level, unread nodes only at
+        # their own.
+        after_last = circ.max_level + 1
+        live = []
+        for node in range(circ.num_nodes):
+            readers = [circ.level[gate] for gate in circ.fanout[node]]
+            last = (after_last if circ.is_output[node]
+                    else max(readers, default=circ.level[node]))
+            live.append((circ.level[node], last))
+        assert circ.num_nodes > engine.num_rows
+        for a in range(circ.num_nodes):
+            for b in range(a + 1, circ.num_nodes):
+                if rows[a] == rows[b]:
+                    (a_first, a_last), (b_first, b_last) = live[a], live[b]
+                    assert a_last < b_first or b_last < a_first, (a, b)
+        for gate in circ.gate_nodes():
+            assert all(rows[gate] != rows[src] for src in circ.fanin[gate])
+        most = max(sum(first <= level <= last for first, last in live)
+                   for level in range(after_last + 1))
+        assert engine.num_rows == most
+        assert sorted(set(rows)) == list(range(engine.num_rows))
+        assert len({rows[out] for out in circ.outputs}) == len(
+            set(circ.outputs))
+
+    @pytest.mark.parametrize("max_batch_bytes", [1, 700, 5000, 1 << 20])
+    def test_stem_tensor_stays_within_max_batch_bytes(self, max_batch_bytes):
+        circ = deep_circuit()
+        engine = NumpyFaultSim(circ, max_batch_bytes=max_batch_bytes)
+        buffers = []
+        flip_batch = engine._flip_batch
+
+        def spy(good, stems, values):
+            buffer = values
+            while buffer.base is not None:
+                buffer = buffer.base
+            buffers.append(buffer.nbytes)
+            return flip_batch(good, stems, values)
+
+        engine._flip_batch = spy
+        patterns = PatternSet.random(circ.num_inputs, 130, seed=3)
+        engine.load(patterns)
+        faults = full_universe(circ)
+        reference = create_backend(circ, "bigint")
+        reference.load(patterns)
+        assert engine.detection_matrix(faults) == \
+            reference.detection_matrix(faults)
+        one_stem = engine.num_rows * 3 * 8
+        assert buffers
+        assert max(buffers) <= max(max_batch_bytes, one_stem)
+
     def test_reload_switches_blocks(self, c17_circuit):
         faults = collapsed_fault_list(c17_circuit)
         first = PatternSet.random(c17_circuit.num_inputs, 16, seed=4)
@@ -375,6 +446,65 @@ class TestEdgeCases:
             assert engine.detection_words(faults) == engine_words(
                 c17_circuit, faults, second, "bigint"
             )
+
+
+class TestFaultChecks:
+    """A query naming a line the circuit lacks fails on its first such
+    fault with :func:`check_fault`'s (or :func:`check_transition_fault`'s)
+    message, whichever engine answers it."""
+
+    ENGINES = ("bigint", "numpy", "auto")
+
+    @staticmethod
+    def loaded(circ, name, pairs=False):
+        engine = create_backend(circ, name)
+        if pairs:
+            engine.load_pairs(PatternPairSet.random(circ.num_inputs, 70,
+                                                    seed=2))
+        else:
+            engine.load(PatternSet.random(circ.num_inputs, 70, seed=2))
+        return engine
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_out_of_range_node(self, name):
+        circ = generated_circuit(23, num_inputs=8, num_gates=60)
+        faults = collapsed_fault_list(circ)
+        faults[40:40] = [Fault(circ.num_nodes + 5, -1, 0),
+                         Fault(circ.num_nodes, -1, 1)]
+        with pytest.raises(FaultModelError) as caught:
+            self.loaded(circ, name).detection_matrix(faults)
+        assert str(caught.value) == \
+            f"fault node {circ.num_nodes + 5} out of range"
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_out_of_range_pin(self, name):
+        circ = generated_circuit(23, num_inputs=8, num_gates=60)
+        gate = next(iter(circ.gate_nodes()))
+        arity = len(circ.fanin[gate])
+        faults = collapsed_fault_list(circ)
+        faults[30:30] = [Fault(gate, arity, 1), Fault(-1, -1, 0)]
+        with pytest.raises(FaultModelError) as caught:
+            self.loaded(circ, name).detection_matrix(faults)
+        assert str(caught.value) == (
+            f"fault pin {arity} out of range for node "
+            f"{circ.describe_node(gate)} with {arity} inputs")
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_bad_transition_targets(self, name):
+        circ = generated_circuit(23, num_inputs=8, num_gates=60)
+        faults = transition_universe(circ)
+        engine = self.loaded(circ, name, pairs=True)
+        wrong_type = faults[:10] + [Fault(0, -1, 0)] + faults[10:]
+        with pytest.raises(FaultModelError) as caught:
+            engine.transition_detection_matrix(wrong_type)
+        assert str(caught.value) == "expected a TransitionFault, got Fault"
+        far = TransitionFault(circ.num_nodes, -1, 1)
+        for targets in (faults[:10] + [far] + faults[10:],
+                        faults[:10] + [far, Fault(0, -1, 0)]):
+            with pytest.raises(FaultModelError) as caught:
+                engine.transition_detection_matrix(targets)
+            assert str(caught.value) == \
+                f"fault node {circ.num_nodes} out of range"
 
 
 class TestPipelineBackendSwitch:
