@@ -12,8 +12,9 @@ generated circuit:
 * **packed** — the current APIs: ``detection_matrix`` straight out of
   the engine, :func:`repro.adi.index.adi_from_detection_matrix`
   (vectorized column popcounts + masked reductions) and the
-  per-level sweep dynamic order of :mod:`repro.adi.dynamic`, on a
-  fresh result per run (the result caches its placement sequence).
+  per-level bitset sweep of :mod:`repro.adi.dynamic` (fault and pattern
+  sets as big-ints, ``ndet`` as bit planes), on a fresh result per run
+  (the result caches its placement sequence).
 
 Both sides are verified to produce bit-identical ADI values and
 identical dynamic orders; the acceptance gate requires the packed

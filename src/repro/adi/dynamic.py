@@ -11,108 +11,119 @@ orders).
 Complexity.  One placement decrements every ``ndet(u)`` it touches by
 exactly 1, so a fault's current ADI only ever *decreases*, and only by
 small steps: the top of the order is a dense plateau of tied values.
-The minimum-mode order therefore runs as a **per-level sweep over the
-packed detection sets**.  Faults sit in buckets keyed by an upper bound
-on their ADI (initially the static ADI), each bucket a position-sorted
-list.  At plateau ``V`` the sweep builds the *threshold mask*
-``{u : ndet(u) < V}`` as a Python integer once, then walks bucket ``V``
-in position order.  ``D(f)`` meets the mask iff the fault's true ADI
-has fallen below ``V``: it goes on a down list.  Otherwise its ADI is
-exactly ``V`` and it is placed; the patterns its placement takes from
-``V`` to ``V - 1`` are OR'd into the mask, so every later fault in the
-walk is tested against the counts as they are at that moment.  The
-down list is sorted because it fills in walk order; merged with bucket
-``V - 1`` (two sorted runs) it becomes the next level's walk.
+The minimum-mode order therefore runs as a **per-level sweep over
+bitsets**: Python ints whose bit ``i`` is fault position ``i`` (fault
+sets) or whose bit ``u`` is pattern ``u`` (pattern sets).  Faults sit
+in buckets keyed by their static ADI.  At plateau ``V`` the *front* is
+bucket ``V`` plus the faults that came down from ``V + 1``, and the
+*stale* set starts empty.  The next fault placed is the lowest set bit
+of ``front & ~stale``: position order is bit order.  Placing ``p``
+subtracts 1 from ``ndet`` over ``D(p)`` by borrow propagation through
+``ndet``'s bit planes (``max(ndet).bit_length()`` pattern sets), and
+reads off the planes the patterns that fell to ``V - 1``.  For each
+such pattern ``u`` the faults whose ``D(f)`` holds it -- the column
+``cols[u]`` -- are OR'd into the stale set.  The level ends when no
+live front fault is left; what remains of the front is stale and comes
+down to ``V - 1``.
 
 Why the sweep is exact.  While the plateau sits at ``V`` only faults
 whose every ``ndet(u)`` over ``D(f)`` is at least ``V`` are placed, so
 no count below ``V`` changes and none falls below ``V - 1``.  By
-induction every bucket key is the fault's exact ADI when its level
+induction every front fault's ADI is exactly ``V`` when its level
 starts: a fault found stale at ``V`` has ADI exactly ``V - 1`` and
 keeps it until the plateau gets there, so it cannot skip a value (and
-computing its ADI on descent would gain nothing).  At plateau ``V``
-the remaining faults with ADI ``V`` are therefore exactly the live
-ones of bucket ``V``; the walk meets them in position order, and a
-fault once found stale stays stale because the mask only grows.  So
-each placement is the paper's argmax with the lowest position on
-ties.
+computing its ADI on descent would gain nothing).  During level ``V``
+a pattern falls below ``V`` only as one a placement took from ``V`` to
+``V - 1``, so the stale set is exactly the front faults whose ADI has
+fallen below ``V``, and it only grows.  The remaining faults with ADI
+``V`` are therefore exactly the live front; taking the lowest position
+each time makes each placement the paper's argmax with the lowest
+position on ties.
 
-Each test is one ``O(P/64)`` big-int AND and each level costs one mask
-build.  The full placement sequence is computed once per
-:class:`~repro.adi.index.AdiResult` and cached on it, so :func:`fdynm`,
-:func:`f0dynm` and :func:`dynamic_prefix` share one sweep.  The sweep's
-working views of ``D(f)`` -- each row as a big-int word for the mask
-tests and as a sorted index array for the ``ndet`` updates -- are
-derived from :attr:`~repro.adi.index.AdiResult.matrix` at the start of
-that one build.  Average mode (no min structure to exploit) keeps the
-lazy max-heap over the index arrays.
+Each placement costs a few big-int operations over the fault and
+pattern sets and each fallen pattern one OR, so a stale fault costs
+nothing until it is placed.  The full placement sequence is computed
+once per :class:`~repro.adi.index.AdiResult` and cached on it, so
+:func:`fdynm`, :func:`f0dynm` and :func:`dynamic_prefix` share one
+sweep.  The sweep's working views -- each row ``D(f)`` and each column
+as a big-int -- are derived from
+:attr:`~repro.adi.index.AdiResult.matrix` at the start of that one
+build.  Average mode (no min structure to exploit) keeps the lazy
+max-heap over per-fault index arrays.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.adi.index import AdiMode, AdiResult
 
 
-def _threshold_mask(ndet: np.ndarray, bound: int) -> int:
-    """``{u : ndet(u) <= bound}`` as a big-int pattern mask."""
-    return int.from_bytes(
-        np.packbits(ndet <= bound, bitorder="little").tobytes(), "little"
-    )
+def _bitset(mask: np.ndarray) -> int:
+    """A boolean array as one int: bit ``i`` set iff ``mask[i]``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                          "little")
 
 
-def _minimum_placements(result: AdiResult, active: List[int],
-                        d_sets: Sequence[np.ndarray]
-                        ) -> List[Tuple[int, int]]:
-    """Per-level sweep for ``AdiMode.MINIMUM`` (see module doc).
-
-    ``active`` must be ascending: buckets inherit its order.
-    """
-    ndet = result.ndet.astype(np.int64).copy()
-    masks = result.matrix.to_bigints()
+def _minimum_placements(result: AdiResult) -> List[Tuple[int, int]]:
+    """Per-level bitset sweep for ``AdiMode.MINIMUM`` (see module doc)."""
+    rows = result.matrix.to_bigints()
+    cols = result.matrix.column_bigints()
+    ndet = result.ndet
+    planes = [_bitset(((ndet >> k) & 1).astype(bool))
+              for k in range(int(ndet.max(initial=0)).bit_length())]
     adi = result.adi
+    buckets = {value: _bitset(adi == value)
+               for value in set(adi[adi > 0].tolist())}
 
-    buckets = {}
-    for i in active:
-        buckets.setdefault(int(adi[i]), []).append(i)
     placements: List[Tuple[int, int]] = []
-    down: List[int] = []
+    down = 0
     for value in range(max(buckets, default=0), 0, -1):
-        level = buckets.pop(value, [])
-        if down:
-            # Two sorted runs: timsort merges them in one linear pass.
-            level = sorted(level + down) if level else down
-            down = []
-        if not level:
-            continue
-        below = _threshold_mask(ndet, value - 1)
-        for i in level:
-            if masks[i] & below:
-                # Some detecting pattern fell under the plateau: the
-                # ADI is now ``value - 1`` (module doc).
-                down.append(i)
-                continue
+        front = buckets.pop(value, 0) | down
+        live = front
+        stale = 0
+        below = [(value - 1) >> k & 1 for k in range(len(planes))]
+        while live:
+            low = live & -live
+            i = low.bit_length() - 1
             placements.append((i, value))
-            seg = d_sets[i]
-            ndet[seg] -= 1
-            for u in seg[ndet[seg] == value - 1].tolist():
-                below |= 1 << u
+            front ^= low
+            row = rows[i]
+            # ndet -= 1 over D(i): the borrow runs up the planes.  Here
+            # and below, x & (p ^ x) is x & ~p without the negative int
+            # that ~p makes, which costs several times more to AND.
+            borrow = row
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ borrow
+                borrow &= plane ^ borrow
+                if not borrow:
+                    break
+            # The patterns of D(i) whose count is now value - 1: never
+            # none, since D(i)'s lowest count was value.
+            fallen = row
+            for plane, bit in zip(planes, below):
+                fallen &= plane if bit else plane ^ fallen
+            while fallen:
+                low = fallen & -fallen
+                stale |= cols[low.bit_length() - 1]
+                fallen ^= low
+            live = front ^ (front & stale)
+        # No live fault is left: the rest of the front has ADI value - 1.
+        down = front
     return placements
 
 
-def _average_placements(result: AdiResult, active: List[int],
-                        d_sets: Sequence[np.ndarray]
-                        ) -> List[Tuple[int, int]]:
+def _average_placements(result: AdiResult) -> List[Tuple[int, int]]:
     """Lazy max-heap dynamic order for ``AdiMode.AVERAGE``.
 
     A popped entry is an upper bound (``ndet`` only decreases), so a
     stale entry is re-pushed with its true current value; an entry that
     pops at its true value is the argmax and is placed.
     """
+    d_sets = result.matrix.row_index_lists()
     ndet = result.ndet.astype(np.int64).copy()
 
     def current_adi(i: int) -> int:
@@ -121,7 +132,7 @@ def _average_placements(result: AdiResult, active: List[int],
             return 0
         return int(ndet[vecs].mean())
 
-    heap = [(-current_adi(i), i) for i in active]
+    heap = [(-current_adi(i), i) for i in result.detected_indices]
     heapq.heapify(heap)
     placements: List[Tuple[int, int]] = []
     while heap:
@@ -149,11 +160,9 @@ def _placements(result: AdiResult) -> Tuple[Tuple[int, int], ...]:
     tuple, so no caller can change what the next one reads.
     """
     if result._placements is None:
-        active = result.detected_indices
-        d_sets = result.matrix.row_index_lists()
         build = (_minimum_placements if result.mode == AdiMode.MINIMUM
                  else _average_placements)
-        result._placements = tuple(build(result, active, d_sets))
+        result._placements = tuple(build(result))
     return result._placements
 
 

@@ -27,8 +27,8 @@ one packed ``uint64`` :class:`~repro.utils.detmatrix.DetectionMatrix`,
 the only form an :class:`AdiResult` holds: ``ndet`` is a vectorized
 column popcount-sum, ``ADI`` a masked row reduction — no per-fault
 Python loops anywhere.  Consumers that want another view (the dynamic
-orders' ``D(f)`` arrays, the cache codec's hex rows) derive it from
-:attr:`AdiResult.matrix` themselves.
+orders' row and column big-ints, the cache codec's hex rows) derive it
+from :attr:`AdiResult.matrix` themselves.
 """
 
 from __future__ import annotations

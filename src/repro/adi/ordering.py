@@ -16,7 +16,9 @@ Orders:
 
 Ties are broken by original position, making every order deterministic
 and stable (the paper's strict inequality ``ADI(fi) > ADI(fj)`` cannot
-hold in practice — equal indices are common).
+hold in practice — equal indices are common): each static order is one
+stable ``np.argsort`` of the ADI array, with zero-ADI faults keyed to
+the front or the back.
 
 Every order consumes only the per-position arrays of
 :class:`repro.adi.index.AdiResult`, never the faults themselves, so the
@@ -27,6 +29,8 @@ experiment harness reuses them verbatim for the two-pattern workload.
 from __future__ import annotations
 
 from typing import List
+
+import numpy as np
 
 from repro.adi.index import AdiResult
 
@@ -42,8 +46,7 @@ def fdecr(result: AdiResult) -> List[int]:
     Preferred for steep fault-coverage curves: it follows the accidental
     detection indices as closely as possible.
     """
-    indices = range(len(result.faults))
-    return sorted(indices, key=lambda i: (-int(result.adi[i]), i))
+    return np.argsort(-result.adi, kind="stable").tolist()
 
 
 def f0decr(result: AdiResult) -> List[int]:
@@ -53,12 +56,9 @@ def f0decr(result: AdiResult) -> List[int]:
     unlikely to be detected accidentally — are targeted before their
     tests could be wasted.
     """
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    rest = sorted(
-        (i for i in range(len(result.faults)) if result.adi[i] != 0),
-        key=lambda i: (-int(result.adi[i]), i),
-    )
-    return zeros + rest
+    adi = result.adi
+    keys = np.where(adi == 0, np.iinfo(np.int64).min, -adi)
+    return np.argsort(keys, kind="stable").tolist()
 
 
 def fincr0(result: AdiResult) -> List[int]:
@@ -67,12 +67,9 @@ def fincr0(result: AdiResult) -> List[int]:
     The paper's adversarial control: expected to give the *largest* test
     sets, confirming that the index carries signal.
     """
-    detected = sorted(
-        (i for i in range(len(result.faults)) if result.adi[i] != 0),
-        key=lambda i: (int(result.adi[i]), i),
-    )
-    zeros = [i for i in range(len(result.faults)) if result.adi[i] == 0]
-    return detected + zeros
+    adi = result.adi
+    keys = np.where(adi == 0, np.iinfo(np.int64).max, adi)
+    return np.argsort(keys, kind="stable").tolist()
 
 
 #: Registry used by the experiment harness; dynamic orders are added by

@@ -64,10 +64,15 @@ def ndet_per_vector(circ: CompiledCircuit, faults: Sequence[Fault],
     if not len(faults) or not width:
         return ndet
     # A fault contributes to vector u iff bit u is set AND at most n-1
-    # earlier bits are set: mask the dense bit rows by their cumsum.
+    # earlier bits are set: mask the dense bit rows by their cumsum.  A
+    # running count never exceeds the width, so it fits the narrowest
+    # dtype that holds the width, and each chunk's scratch dies in the
+    # expression that reduces it.
+    count = np.int16 if width < 1 << 15 else np.int32
+    n = min(n, width)
     for __, bits in matrix.iter_dense_chunks():
-        taken = bits.cumsum(axis=1, dtype=np.int64)
-        ndet += ((bits != 0) & (taken <= n)).sum(axis=0, dtype=np.int64)
+        ndet += ((bits.cumsum(axis=1, dtype=count) <= n) & bits).sum(
+            axis=0, dtype=np.int64)
     return ndet
 
 

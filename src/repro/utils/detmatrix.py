@@ -20,9 +20,10 @@ Layout invariants (validated on construction):
   zero, so popcounts and reductions never need masking.
 
 Big-int interop (:meth:`from_bigints` / :meth:`to_bigints` /
-:meth:`row_int`) is the compatibility boundary: legacy engines pack
-once on entry, legacy APIs unpack once on exit, and everything between
-stays ``uint64``.
+:meth:`row_int`, and :meth:`column_bigints` for the transpose) is the
+compatibility boundary: legacy engines pack once on entry, legacy APIs
+and the dynamic orders' bitset sweep unpack once on exit, and
+everything between stays ``uint64``.
 """
 
 from __future__ import annotations
@@ -189,6 +190,31 @@ class DetectionMatrix:
             int.from_bytes(raw[r * stride:(r + 1) * stride], "little")
             for r in range(self.num_faults)
         ]
+
+    def column_bigints(self) -> List[int]:
+        """Every pattern column as a big-int over rows, in pattern order.
+
+        Bit ``f`` of entry ``p`` is set iff row ``f`` has bit ``p`` set:
+        the transpose of :meth:`to_bigints`.  Byte ``b`` of every row
+        (patterns ``8b .. 8b + 7``) is transposed into one line of a
+        ``(bytes, num_faults)`` block of at most
+        :data:`DENSE_CHUNK_ELEMS` elements, and bit ``k`` of a line,
+        packed along the faults, is the column of pattern ``8b + k``.
+        """
+        raw = np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8)
+        step = max(1, DENSE_CHUNK_ELEMS // max(self.num_faults, 1))
+        cols: List[int] = [0] * raw.shape[1] * 8
+        for start in range(0, raw.shape[1], step):
+            block = np.ascontiguousarray(raw[:, start:start + step].T)
+            stop = 8 * (start + block.shape[0])
+            for bit in range(8):
+                packed = np.packbits(block & (1 << bit), axis=1,
+                                     bitorder="little")
+                cols[8 * start + bit:stop:8] = [
+                    int.from_bytes(line.tobytes(), "little")
+                    for line in packed
+                ]
+        return cols[:self.num_patterns]
 
     # -- vectorized queries ---------------------------------------------------
 

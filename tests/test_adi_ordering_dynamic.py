@@ -16,7 +16,7 @@ from repro.adi import (
     forig,
     select_u,
 )
-from repro.adi.index import adi_from_detection_matrix
+from repro.adi.index import AdiResult, adi_from_detection_matrix
 from repro.faults import collapsed_fault_list
 from repro.sim import PatternSet
 from repro.utils.detmatrix import DetectionMatrix
@@ -93,6 +93,33 @@ class TestStaticOrders:
             if adi.adi[a] == adi.adi[b]:
                 assert a < b
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_sorted_definitions_on_random_adi(self, seed):
+        """The sorts equal the orders' definitions as ``sorted`` keys, on
+        ADI arrays with many ties and zeros, and hold Python ints."""
+        rng = np.random.default_rng(seed)
+        num_faults = int(rng.integers(1, 400))
+        adi = rng.integers(0, int(rng.integers(1, 12)), num_faults)
+        adi[rng.random(num_faults) < 0.3] = 0
+        result = AdiResult(faults=tuple(range(num_faults)), num_vectors=0,
+                           matrix=DetectionMatrix.zeros(num_faults, 0),
+                           ndet=np.zeros(0, dtype=np.int64),
+                           adi=adi.astype(np.int64), mode=AdiMode.MINIMUM)
+        indices = range(num_faults)
+        zeros = [i for i in indices if adi[i] == 0]
+        detected = [i for i in indices if adi[i] != 0]
+        expected = {
+            fdecr: sorted(indices, key=lambda i: (-int(adi[i]), i)),
+            f0decr: zeros + sorted(detected,
+                                   key=lambda i: (-int(adi[i]), i)),
+            fincr0: sorted(detected, key=lambda i: (int(adi[i]), i))
+            + zeros,
+        }
+        for order_fn, want in expected.items():
+            order = order_fn(result)
+            assert order == want, order_fn.__name__
+            assert all(type(i) is int for i in order), order_fn.__name__
+
 
 def _current_adi(adi, ndet, vecs):
     """A fault's ADI against the current counts, in the result's mode."""
@@ -139,21 +166,64 @@ RANDOM_CASES = [
 ]
 
 
+def _large_result(num_faults, num_patterns, mode, seed, tops):
+    """An ADI result over ``num_faults`` random rows, most of which hold
+    each of a few hot patterns, so their counts start near
+    ``num_faults`` and fall to 0 as the faults are placed.
+
+    A share ``tops`` of the rows hold hot patterns only and tie at the
+    top.  The others add one to three cold patterns, so their ADI is
+    low while the hot counts are still high; a few rows are empty or
+    repeat an earlier row.
+    """
+    rng = np.random.default_rng(seed)
+    hot = rng.choice(num_patterns, size=min(num_patterns, 3),
+                     replace=False).tolist()
+    cold = [u for u in range(num_patterns) if u not in hot]
+    rows = []
+    for __ in range(num_faults):
+        kind = rng.random()
+        if kind < 0.03:
+            rows.append(0)
+            continue
+        if kind < 0.06 and rows:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        row = sum(1 << u for u in hot if rng.random() < 0.97)
+        if cold and rng.random() >= tops:
+            picks = rng.choice(cold, size=int(rng.integers(1, 4)))
+            row |= sum(1 << int(u) for u in picks.tolist())
+        rows.append(row)
+    matrix = DetectionMatrix.from_bigints(rows, num_patterns)
+    return adi_from_detection_matrix(list(range(num_faults)), matrix, mode)
+
+
+LARGE_CASES = [
+    pytest.param(faults, width, mode, tops,
+                 id=f"F{faults}-P{width}-{mode.value}-tops{tops}")
+    for faults in (100, 300)
+    for width in (1, 65, 129)
+    for mode in (AdiMode.MINIMUM, AdiMode.AVERAGE)
+    for tops in (0.0, 0.3)
+]
+
+
 class TestDynamicOrders:
     def _reference_dynamic(self, adi):
         """Brute-force reimplementation of the paper's dynamic procedure."""
         ndet = adi.ndet.astype(np.int64).copy()
+        d_sets = [adi.matrix.row_indices(i) for i in range(len(adi.faults))]
         remaining = [i for i in range(len(adi.faults)) if adi.adi[i] > 0]
         placed = []
         while remaining:
             best, best_value = None, -1
             for i in remaining:
-                value = _current_adi(adi, ndet, adi.matrix.row_indices(i))
+                value = _current_adi(adi, ndet, d_sets[i])
                 if value > best_value:
                     best, best_value = i, value
             placed.append(best)
             remaining.remove(best)
-            ndet[adi.matrix.row_indices(best)] -= 1
+            ndet[d_sets[best]] -= 1
         return placed
 
     def test_fdynm_matches_reference(self, lion_data):
@@ -247,9 +317,16 @@ class TestDynamicOrders:
         assert fdynm(adi) != fdecr(adi)
 
     @pytest.mark.parametrize("width, mode, seed", RANDOM_CASES)
-    def test_random_matrices_match_references(self, width, mode, seed):
+    def test_random_matrices_match_references(self, width, mode, seed,
+                                              monkeypatch):
         """Every entry point against the brute-force references on random
-        packed rows, with the cached sequence filled by either caller."""
+        packed rows, with the cached sequence filled by either caller.
+        The minimum-mode sweep reads the matrix as big-ints only, never
+        as per-fault index lists."""
+        if mode == AdiMode.MINIMUM:
+            def refuse(matrix):
+                raise AssertionError("row_index_lists called")
+            monkeypatch.setattr(DetectionMatrix, "row_index_lists", refuse)
         probe = _random_result(width, mode, seed)
         zeros = probe.undetected_indices
         placed = self._reference_dynamic(probe)
@@ -283,3 +360,18 @@ class TestDynamicOrders:
             adi = _random_result(width, mode, seed)
             for check in sequence:
                 check(adi)
+
+    @pytest.mark.parametrize("num_faults, width, mode, tops", LARGE_CASES)
+    def test_large_random_matrices_match_reference(self, num_faults, width,
+                                                   mode, tops):
+        """Position sets several words wide, and counts high enough that
+        the sweep's decrements borrow through many bit planes: at 300
+        faults a hot pattern's count falls from above 256 to 0, at times
+        while the plateau is low."""
+        probe = _large_result(num_faults, width, mode, num_faults, tops)
+        assert probe.ndet.max() > (256 if num_faults == 300 else 64)
+        placed = self._reference_dynamic(probe)
+        zeros = probe.undetected_indices
+        assert fdynm(probe) == placed + zeros
+        assert f0dynm(probe) == zeros + placed
+        assert [i for i, __ in dynamic_prefix(probe, len(placed))] == placed

@@ -145,6 +145,27 @@ class TestQueries:
         matrix = DetectionMatrix.from_bigints([0b1011, 0], 4)
         assert matrix.unpack_bits().tolist() == [[1, 1, 0, 1], [0, 0, 0, 0]]
 
+    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+    @pytest.mark.parametrize("num_faults", [1, 13, 101])
+    def test_column_bigints_transpose_rows(self, width, num_faults,
+                                           monkeypatch):
+        """Entry ``p`` has bit ``f`` iff row ``f`` has bit ``p``, whether
+        the pattern bytes go through in one chunk or a few at a time."""
+        words = reference_words(width + num_faults, num_faults, width)
+        matrix = DetectionMatrix.from_bigints(words, width)
+        expected = [
+            sum(((w >> p) & 1) << f for f, w in enumerate(words))
+            for p in range(width)
+        ]
+        assert matrix.column_bigints() == expected
+        # Three pattern bytes per chunk: wider rows span several chunks.
+        monkeypatch.setattr(detmatrix, "DENSE_CHUNK_ELEMS", 3 * num_faults)
+        assert matrix.column_bigints() == expected
+
+    def test_column_bigints_of_empty_matrices(self):
+        assert DetectionMatrix.zeros(0, 70).column_bigints() == [0] * 70
+        assert DetectionMatrix.zeros(5, 0).column_bigints() == []
+
 
 class TestCombination:
     def test_operators_match_bigint_ops(self):

@@ -12,7 +12,10 @@ from repro.fsim import (
     redundancy_candidates,
 )
 from repro.sim import PatternSet
-from repro.utils.bitvec import popcount
+from repro.utils import detmatrix
+from repro.utils.bitvec import bit_indices, popcount
+
+from helpers import generated_circuit
 
 
 class TestDetectionCounts:
@@ -75,6 +78,31 @@ class TestNdetPerVector:
     def test_bad_n_rejected(self, c17_circuit):
         with pytest.raises(SimulationError):
             ndet_per_vector(c17_circuit, [], PatternSet.exhaustive(5), n=-1)
+
+    @pytest.mark.parametrize("extra", [1, 3, "P", "P+5"])
+    def test_capped_counts_across_dense_chunks(self, extra, monkeypatch):
+        """The capped count is the same over several dense chunks as over
+        one, and equals a plain-Python count of each fault's first ``n``
+        detecting vectors."""
+        circ = generated_circuit(5, num_inputs=10, num_gates=60)
+        faults = collapsed_fault_list(circ)
+        patterns = PatternSet.random(circ.num_inputs, 150, seed=3)
+        width = patterns.num_patterns
+        n = {"P": width, "P+5": width + 5}.get(extra, extra)
+        expected = [0] * width
+        for word in detection_words(circ, faults, patterns):
+            for u in bit_indices(word)[:n]:
+                expected[u] += 1
+        # Chunks of under a third of the faults: at least three of them.
+        rows = (len(faults) - 1) // 3
+        assert 3 * rows < len(faults)
+        monkeypatch.setattr(detmatrix, "DENSE_CHUNK_ELEMS", rows * width)
+        chunked = ndet_per_vector(circ, faults, patterns, n=n)
+        monkeypatch.setattr(detmatrix, "DENSE_CHUNK_ELEMS",
+                            len(faults) * width)
+        single = ndet_per_vector(circ, faults, patterns, n=n)
+        assert chunked.tolist() == expected
+        assert single.tolist() == expected
 
 
 class TestRedundancyCandidates:
