@@ -87,8 +87,9 @@ def test_ablation_prune_useless_vectors(benchmark, runner, record):
         plain = select_u(circ, faults, seed=2005)
         pruned = select_u(circ, faults, seed=2005, prune_useless=True)
         return {
-            "plain": (plain.num_vectors, len(plain.detected_by_u)),
-            "pruned": (pruned.num_vectors, len(pruned.detected_by_u)),
+            name: (sel.num_vectors,
+                   sum(vec >= 0 for vec in sel.first_detection))
+            for name, sel in (("plain", plain), ("pruned", pruned))
         }
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

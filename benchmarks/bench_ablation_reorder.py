@@ -12,9 +12,8 @@ detection index heuristic."  This benchmark measures exactly that claim:
 * ``dynm+reorder``        — Fdynm-generated set, reordered.
 """
 
-from repro.adi import ave_from_curve
+from repro.adi import ave_from_curve, coverage_curve
 from repro.atpg import reorder_by_detection
-from repro.fsim import coverage_curve
 from repro.utils.tables import render_table
 
 CIRCUITS = ("irs208", "irs298", "irs344")

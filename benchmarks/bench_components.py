@@ -5,11 +5,11 @@ import dataclasses
 
 import pytest
 
-from repro.adi import compute_adi, fdynm, select_u
+from repro.adi import compute_adi, coverage_curve, fdynm, select_u
 from repro.atpg import PodemEngine, compute_scoap
 from repro.experiments import build_circuit
 from repro.faults import collapse_faults, collapsed_fault_list, full_universe
-from repro.fsim import detection_words, drop_simulate
+from repro.fsim import detection_words
 from repro.sim import PatternSet, simulate
 
 CIRCUIT = "irs298"
@@ -43,9 +43,9 @@ def test_bench_ppsfp_no_drop_256_patterns(benchmark, circ, faults):
     benchmark(detection_words, circ, faults, patterns)
 
 
-def test_bench_dropping_sim_1024_patterns(benchmark, circ, faults):
+def test_bench_coverage_curve_1024_patterns(benchmark, circ, faults):
     patterns = PatternSet.random(circ.num_inputs, 1024, seed=3)
-    benchmark(drop_simulate, circ, faults, patterns)
+    benchmark(coverage_curve, circ, faults, patterns)
 
 
 def test_bench_u_selection(benchmark, circ, faults):

@@ -40,12 +40,14 @@ def main():
     # 1. Target faults: collapsed single stuck-at faults.
     print(f"target faults (collapsed): {len(flow.faults())}")
 
-    # 2. U: random vectors until ~90% coverage (truncated dropping sim).
+    # 2. U: the random-pool prefix whose first detections reach ~90%
+    # coverage (the whole pool if they never do), found by no-dropping
+    # simulation of the pool in blocks.
     selection = flow.selection()
     print(f"|U| = {selection.num_vectors} vectors, "
           f"coverage of U = {selection.coverage:.1%}")
 
-    # 3. ADI per fault, from no-dropping fault simulation of U.
+    # 3. ADI per fault, from the rows of U that step 2 simulated.
     lo, hi = flow.adi().adi_min_max()
     print(f"ADI range over detected faults: {lo} .. {hi}")
 

@@ -15,10 +15,9 @@ Run:  python examples/reordering_comparison.py [circuit]  (default irs344)
 
 import sys
 
-from repro.adi import ave_from_curve
+from repro.adi import ave_from_curve, coverage_curve
 from repro.atpg import reorder_by_detection
 from repro.experiments import ExperimentRunner
-from repro.fsim import coverage_curve
 from repro.utils.tables import render_table
 
 

@@ -7,10 +7,11 @@ The package layers a complete combinational test-generation stack:
   benchmark generation, full-scan extraction, redundancy removal;
 * :mod:`repro.sim`      — bit-parallel and 3-valued logic simulation;
 * :mod:`repro.faults`   — stuck-at faults, universe, equivalence collapsing;
-* :mod:`repro.fsim`     — fault simulation (serial, PPSFP, dropping, n-detect);
+* :mod:`repro.fsim`     — fault simulation (serial, PPSFP, n-detect);
 * :mod:`repro.atpg`     — SCOAP, PODEM, the ordered test-generation engine;
 * :mod:`repro.adi`      — the paper's contribution: the accidental
-  detection index and the fault orders built on it;
+  detection index and the fault orders built on it, plus the coverage
+  curves and AVE that measure them;
 * :mod:`repro.flow`     — the stable public facade: declarative
   :class:`~repro.flow.config.FlowConfig`, the staged
   :class:`~repro.flow.flow.Flow` object, the content-addressed artifact

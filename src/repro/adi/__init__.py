@@ -17,6 +17,7 @@ from repro.adi.metrics import (
     CurveReport,
     ave_from_curve,
     ave_ratios,
+    coverage_curve,
     curve_report,
 )
 from repro.adi.ordering import STATIC_ORDERS, f0decr, fdecr, fincr0, forig
@@ -39,6 +40,7 @@ __all__ = [
     "ave_from_curve",
     "ave_ratios",
     "compute_adi",
+    "coverage_curve",
     "curve_report",
     "dynamic_prefix",
     "f0decr",

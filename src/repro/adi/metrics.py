@@ -9,18 +9,27 @@ expected number of tests applied until a faulty chip is detected::
 A *lower* AVE means a steeper curve: faults (and hence defects) are
 caught earlier in the test-application process.  Table 7 reports
 ``AVE_ord / AVE_orig``.
+
+The flow gets ``n(i)`` without simulating: test generation counts the
+faults each new test drops, and :func:`curve_report` folds those counts.
+:func:`coverage_curve` is the reference curve, and the curve of a test
+set that has no drop counts (a reordered or compacted one): one
+no-dropping query over the whole set, where a fault's first detecting
+test is the lowest set bit of its row.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import ExperimentError
-from repro.faults.registry import PatternBlock
-from repro.fsim.dropping import coverage_curve
+from repro.faults.registry import PatternBlock, query_detection_matrix
+from repro.fsim.backend import FaultSimBackend, resolve_backend
 
 
 def ave_from_curve(curve: Sequence[int]) -> float:
@@ -81,40 +90,48 @@ class CurveReport:
         ]
 
 
-def curve_report(circ: CompiledCircuit, faults: Sequence,
-                 tests: PatternBlock, backend=None,
-                 detected_per_test: Optional[Sequence[int]] = None
-                 ) -> CurveReport:
-    """Simulate ``tests`` in order and build a :class:`CurveReport`.
+def coverage_curve(circ: CompiledCircuit, faults: Sequence,
+                   tests: PatternBlock,
+                   backend: Union[str, FaultSimBackend, None] = None
+                   ) -> List[int]:
+    """The paper's ``n(i)`` sequence for a test set, one entry per test.
 
     ``tests`` may be single vectors (stuck-at ``faults``) or two-pattern
     pairs (transition ``faults``); ``backend`` selects the
-    fault-simulation engine (see :mod:`repro.fsim.backend`).
+    fault-simulation engine (see :mod:`repro.fsim.backend`).  Entry
+    ``i`` counts the faults whose first detecting test is at most ``i``.
+    """
+    matrix = query_detection_matrix(resolve_backend(circ, backend), tests,
+                                    faults)
+    first = matrix.first_set_bits()
+    counts = np.bincount(first[first >= 0], minlength=tests.num_patterns)
+    return np.cumsum(counts).tolist()
 
-    ``detected_per_test``, when given, is that simulation already done:
-    the faults each test dropped, as
-    :attr:`repro.atpg.engine.TestGenResult.detected_per_test` counts
-    them while generating ``tests`` from ``faults``.  The curve is then
-    their running sum, once there is one non-negative count per test
+
+def curve_report(faults: Sequence, tests: PatternBlock,
+                 detected_per_test: Sequence[int]) -> CurveReport:
+    """Fold test generation's drop counts into a :class:`CurveReport`.
+
+    ``detected_per_test`` holds the faults each test of ``tests``
+    dropped, as :attr:`repro.atpg.engine.TestGenResult.detected_per_test`
+    counts them while generating ``tests`` from ``faults``.  The curve
+    is their running sum, once there is one non-negative count per test
     and the total does not exceed ``faults``.
     """
-    if detected_per_test is None:
-        curve = coverage_curve(circ, faults, tests, backend=backend)
-    else:
-        counts = list(detected_per_test)
-        if len(counts) != tests.num_patterns:
-            raise ExperimentError(
-                f"{len(counts)} drop counts for {tests.num_patterns} tests"
-            )
-        if counts and min(counts) < 0:
-            raise ExperimentError("drop counts must be non-negative")
-        curve = list(itertools.accumulate(counts))
-        if curve and curve[-1] > len(faults):
-            raise ExperimentError(
-                f"drop counts total {curve[-1]}, more than the "
-                f"{len(faults)} faults"
-            )
-    return CurveReport(curve=tuple(curve), total_faults=len(faults))
+    counts = list(detected_per_test)
+    if len(counts) != tests.num_patterns:
+        raise ExperimentError(
+            f"{len(counts)} drop counts for {tests.num_patterns} tests"
+        )
+    if counts and min(counts) < 0:
+        raise ExperimentError("drop counts must be non-negative")
+    curve = tuple(itertools.accumulate(counts))
+    if curve and curve[-1] > len(faults):
+        raise ExperimentError(
+            f"drop counts total {curve[-1]}, more than the "
+            f"{len(faults)} faults"
+        )
+    return CurveReport(curve=curve, total_faults=len(faults))
 
 
 def ave_ratios(reports: dict, baseline: str = "orig") -> dict:

@@ -7,14 +7,15 @@ detected (or all 10 000 when 90% is never reached).  The accidental
 detection indices are then computed over those ``N`` vectors only, by a
 second, no-dropping simulation (Section 2).
 
-This module selects the same ``U`` without the dropping run.  A fault's
+This module selects the same ``U`` without a dropping run.  A fault's
 first detecting vector is the lowest set bit of its no-dropping
 detection row, so walking the candidate pool in no-dropping blocks
 yields every first detection the dropping run would, and ``N`` is the
 target-th smallest of them plus one — exactly where a one-vector-at-a-
-time dropping run crosses the target.  The walk keeps the block rows:
-cut to ``N`` columns they *are* the no-dropping detection matrix of
-``U``, which :attr:`USelection.matrix` hands to
+time dropping run crosses the target.  Those first detections, cut to
+``N``, are :attr:`USelection.first_detection`.  The walk keeps the
+block rows: cut to ``N`` columns they *are* the no-dropping detection
+matrix of ``U``, which :attr:`USelection.matrix` hands to
 :func:`repro.adi.index.compute_adi`, so a cold flow simulates each
 vector of ``U`` once instead of twice.
 
@@ -52,7 +53,6 @@ from repro.faults.registry import (
     query_detection_matrix,
 )
 from repro.fsim.backend import FaultSimBackend, resolve_backend
-from repro.fsim.dropping import DropSimResult
 from repro.utils.detmatrix import DetectionMatrix
 
 #: Patterns per packed detection word: the unit of a block's width.
@@ -65,8 +65,9 @@ class USelection:
 
     ``patterns`` holds the first ``N`` vectors — a :class:`PatternSet`
     for stuck-at targets, a :class:`PatternPairSet` of two-pattern tests
-    for transition targets; ``detected_by_u`` is ``FU``, the subset of
-    target faults detected by them, in target-list order.
+    for transition targets.  ``first_detection[i]`` is the index into
+    ``patterns`` of the first vector that detects target fault ``i``, or
+    ``-1`` when ``U`` does not detect it; the detected ones are ``FU``.
 
     ``matrix`` is the no-dropping detection matrix of the target list
     over ``patterns`` when this selection was computed (``None`` when it
@@ -75,8 +76,7 @@ class USelection:
     """
 
     patterns: PatternBlock
-    detected_by_u: tuple
-    dropped_sim: DropSimResult
+    first_detection: Tuple[int, ...]
     candidates_drawn: int
     matrix: Optional[DetectionMatrix] = field(
         default=None, compare=False, repr=False)
@@ -88,8 +88,11 @@ class USelection:
 
     @property
     def coverage(self) -> float:
-        """Fraction of target faults detected by ``U``."""
-        return self.dropped_sim.coverage
+        """Fraction of target faults detected by ``U`` (1.0 for none)."""
+        if not self.first_detection:
+            return 1.0
+        detected = sum(vec >= 0 for vec in self.first_detection)
+        return detected / len(self.first_detection)
 
 
 def select_u(
@@ -157,17 +160,10 @@ def select_u(
         matrix = matrix.select_patterns(useful)
         hit = first >= 0
         first[hit] = np.searchsorted(useful, first[hit])
-        count = int(useful.size)
 
-    rows = np.flatnonzero(first >= 0).tolist()
     return USelection(
         patterns=selected,
-        detected_by_u=tuple(faults[i] for i in rows),
-        dropped_sim=DropSimResult(
-            total_faults=len(faults),
-            num_simulated=count,
-            first_detection={faults[i]: int(first[i]) for i in rows},
-        ),
+        first_detection=tuple(first.tolist()),
         candidates_drawn=patterns.num_patterns,
         matrix=matrix,
     )
@@ -175,7 +171,7 @@ def select_u(
 
 def _target_count(total: int, fraction: float) -> int:
     """Smallest detected count ``d`` with ``d / total >= fraction`` — the
-    comparison :attr:`DropSimResult.coverage` makes (0 for no faults)."""
+    comparison :attr:`USelection.coverage` makes (0 for no faults)."""
     if not total:
         return 0
     target = int(total * fraction)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.circuit.flatten import CompiledCircuit
 from repro.faults.model import Fault
 from repro.faults.registry import query_detection_matrix
@@ -37,12 +35,12 @@ def detection_matrix(circ: CompiledCircuit, faults: Sequence[Fault],
     """Per-test detection words: bit ``i`` of entry ``t`` = test ``t``
     detects fault ``i``.
 
-    This is the transpose of the packed per-fault detection matrix:
+    This is the transpose of the packed per-fault detection matrix
+    (:meth:`~repro.utils.detmatrix.DetectionMatrix.column_bigints`):
     columns are faults here because compaction reasons about tests.
     """
     rows = query_detection_matrix(resolve_backend(circ), tests, faults)
-    per_test = np.packbits(rows.unpack_bits().T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in per_test]
+    return rows.column_bigints()
 
 
 @dataclass

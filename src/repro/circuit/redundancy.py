@@ -31,7 +31,7 @@ from repro.circuit.netlist import Circuit, GateDef
 from repro.errors import CircuitStructureError
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
-from repro.fsim.dropping import drop_simulate
+from repro.fsim.ndetect import redundancy_candidates
 from repro.sim.patterns import PatternSet
 
 _CONST_NAMES = {0: "__const0", 1: "__const1"}
@@ -253,8 +253,7 @@ def find_undetectable(
     if prefilter_patterns > 0 and circ.num_inputs > 0:
         count = min(prefilter_patterns, 1 << min(circ.num_inputs, 20))
         patterns = PatternSet.random(circ.num_inputs, count, seed=seed)
-        result = drop_simulate(circ, faults, patterns)
-        candidates = result.undetected(faults)
+        candidates = redundancy_candidates(circ, faults, patterns)
     else:
         candidates = faults
 

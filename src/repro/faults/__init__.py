@@ -2,7 +2,7 @@
 
 The fault-model *registry* (:mod:`repro.faults.registry`) is the
 dispatch hub: every pipeline stage that is polymorphic over fault models
-(ADI, ``U`` selection, dropping, test generation, the flow facade)
+(ADI, ``U`` selection, coverage curves, test generation, the flow facade)
 resolves its model here instead of type-checking pattern containers.
 """
 

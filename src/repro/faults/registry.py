@@ -20,7 +20,7 @@ about one model —
 
 ``stuck_at`` and ``transition`` register here at import time; adding a
 future model (e.g. bridging) means registering one new
-:class:`FaultModel` — ``compute_adi``, ``select_u``, ``drop_simulate``,
+:class:`FaultModel` — ``compute_adi``, ``select_u``, ``coverage_curve``,
 the fault orders, the :class:`repro.flow.flow.Flow` facade and the CLI
 all dispatch through this registry and pick it up unchanged.
 
@@ -142,7 +142,7 @@ def model_for_block(block: PatternBlock) -> FaultModel:
     """Dispatch on a pattern container: the model whose tests it holds.
 
     This one lookup replaces the historical ``isinstance`` checks in
-    ``compute_adi`` / ``select_u`` / ``drop_simulate``; an unknown
+    ``compute_adi`` / ``select_u`` / ``coverage_curve``; an unknown
     container type raises :class:`repro.errors.FaultModelError` naming
     the registered containers.
     """
@@ -165,9 +165,9 @@ def query_detection_matrix(engine, block: PatternBlock,
     Dispatches through the registry on the block type: a
     :class:`PatternPairSet` routes to the engine's two-pattern transition
     contract, a :class:`PatternSet` to the plain stuck-at contract.  This
-    one switch makes every consumer built on blocks of patterns
-    (dropping, ``U`` selection, coverage curves, ADI, dictionaries) work
-    for every registered fault model.  The load and the query are
+    one switch makes every consumer built on blocks of patterns (test
+    generation, ``U`` selection, coverage curves, ADI, dictionaries)
+    work for every registered fault model.  The load and the query are
     recorded as one ``fsim.detection_matrix`` span, labelled with the
     block's width (``patterns``) and the queried fault count.
     """

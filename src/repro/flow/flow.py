@@ -496,11 +496,8 @@ class Flow:
 
         def compute() -> CurveReport:
             result = self.tests(name)
-            return curve_report(
-                self.circuit(), self.faults(), result.tests,
-                backend=self.config.backend.fsim,
-                detected_per_test=result.detected_per_test,
-            )
+            return curve_report(self.faults(), result.tests,
+                                result.detected_per_test)
 
         return self._stage(
             f"curve:{name}", "curve", self.report_key(name), compute,

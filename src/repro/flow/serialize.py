@@ -7,11 +7,11 @@ strings, numbers) so the artifact cache can persist them as-is:
   as hex strings (big-ints survive JSON losslessly that way);
 * fault lists — through the owning fault model's codec
   (:mod:`repro.faults.registry`), so a cached artifact names its model;
-* ``U`` selections — the selected block plus its first-detection
-  record, with faults stored as *indices into the target list* (the
-  fault list is itself an upstream artifact; storing positions keeps
-  files small and makes tampering detectable), checked on load against
-  the target list and for internal consistency; the detection matrix a
+* ``U`` selections — the selected block plus its first detections, as
+  ``[target index, vector]`` pairs of the detected faults (the fault
+  list is itself an upstream artifact; storing positions keeps files
+  small and makes tampering detectable), checked on load against the
+  target list and for internal consistency; the detection matrix a
   freshly computed selection carries is not stored;
 * ADI results — the rows of the packed
   :class:`~repro.utils.detmatrix.DetectionMatrix` only, each as one hex
@@ -44,7 +44,6 @@ from repro.atpg.engine import TestGenResult
 from repro.errors import ExperimentError
 from repro.faults.registry import FaultModel, fault_model
 from repro.faults.sets import FaultStatus
-from repro.fsim.dropping import DropSimResult
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.utils.detmatrix import DetectionMatrix
 
@@ -120,18 +119,17 @@ def faults_from_json(data: Dict[str, Any]) -> List:
 def selection_to_json(selection: USelection,
                       faults: Sequence) -> Dict[str, Any]:
     """Encode a :class:`USelection` relative to its target fault list."""
-    index = {f: i for i, f in enumerate(faults)}
-    first = selection.dropped_sim.first_detection
-    _require(all(f in index for f in first),
-             "selection references faults outside the target list")
+    first = selection.first_detection
+    _require(len(first) == len(faults),
+             "selection does not count the target fault list")
     return {
         "patterns": pattern_block_to_json(selection.patterns),
         "candidates_drawn": selection.candidates_drawn,
-        "total_faults": selection.dropped_sim.total_faults,
-        "num_simulated": selection.dropped_sim.num_simulated,
-        "first_detection": sorted(
-            [index[f], vec] for f, vec in first.items()
-        ),
+        "total_faults": len(first),
+        "num_simulated": selection.num_vectors,
+        "first_detection": [
+            [index, vec] for index, vec in enumerate(first) if vec >= 0
+        ],
     }
 
 
@@ -171,16 +169,12 @@ def selection_from_json(data: Dict[str, Any],
              "a first detection lies outside the simulated vectors")
     _require(len(set(indices)) == len(indices),
              "selection lists a fault twice")
-    first = {faults[index]: vec for index, vec in entries}
-    detected = tuple(f for f in faults if f in first)
+    first = [-1] * len(faults)
+    for index, vec in entries:
+        first[index] = vec
     return USelection(
         patterns=patterns,
-        detected_by_u=detected,
-        dropped_sim=DropSimResult(
-            total_faults=len(faults),
-            num_simulated=simulated,
-            first_detection=first,
-        ),
+        first_detection=tuple(first),
         candidates_drawn=drawn,
     )
 

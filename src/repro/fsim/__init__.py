@@ -1,9 +1,10 @@
 """Fault simulation engines: serial oracle, PPSFP, fanout-free regions,
-sharding, dropping, n-detection — and the backend registry that fronts them.
+sharding, n-detection — and the backend registry that fronts them.
 
-Hot-path consumers (ADI, dropping, ATPG, dictionaries) select an engine
-through :mod:`repro.fsim.backend`: ``bigint`` (event-driven big-int
-PPSFP), ``numpy`` (fanout-free regions over ``uint64`` words,
+Hot-path consumers (``U`` selection, ADI, coverage curves, ATPG,
+redundancy removal, dictionaries) select an engine through
+:mod:`repro.fsim.backend`: ``bigint`` (event-driven big-int PPSFP),
+``numpy`` (fanout-free regions over ``uint64`` words,
 :mod:`repro.fsim.npfsim`), ``auto`` (threshold dispatch between those
 two, the default) or the opt-in ``parallel`` (sharded multi-core over
 worker processes, :mod:`repro.fsim.sharded`).  Set
@@ -35,11 +36,6 @@ from repro.fsim.sharded import (
     ShardedFaultSim,
     plan_shards,
 )
-from repro.fsim.dropping import (
-    DropSimResult,
-    coverage_curve,
-    drop_simulate,
-)
 from repro.fsim.ndetect import detection_counts, ndet_per_vector, redundancy_candidates
 from repro.fsim.npfsim import NumpyFaultSim
 from repro.fsim.parallel import (
@@ -63,12 +59,10 @@ from repro.fsim.serial import (
 __all__ = [
     "AutoFaultSim",
     "BACKEND_ENV_VAR",
-    "DropSimResult",
     "FaultSimBackend",
     "NumpyFaultSim",
     "ParallelFaultSimulator",
     "available_backends",
-    "coverage_curve",
     "create_backend",
     "default_backend_name",
     "detected_set_serial",
@@ -78,7 +72,6 @@ __all__ = [
     "detection_words",
     "detects",
     "detects_serial",
-    "drop_simulate",
     "initialization_word",
     "launch_line_word",
     "ndet_per_vector",

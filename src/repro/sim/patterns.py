@@ -8,9 +8,9 @@ simulator consumes, so simulation needs no transposition.
 A :class:`PatternPairSet` stores N two-pattern tests as two aligned
 :class:`PatternSet` halves — the *launch* vectors ``v1`` and the
 *capture* vectors ``v2`` of transition-fault testing.  Pair ``p`` is
-``(launch.vector(p), capture.vector(p))``; all slicing/chunking
-operations act on whole pairs, so the fault-dropping simulator and the
-ADI computation consume pair blocks exactly like single-vector blocks.
+``(launch.vector(p), capture.vector(p))``; all slicing operations act
+on whole pairs, so fault simulation, ``U`` selection and the ADI
+computation consume pair blocks exactly like single-vector blocks.
 """
 
 from __future__ import annotations
@@ -173,13 +173,6 @@ class PatternSet:
         return PatternSet.from_vectors(
             [self.vector(p) for p in indices], self.num_inputs
         )
-
-    def chunks(self, size: int) -> Iterator["PatternSet"]:
-        """Yield consecutive slices of at most ``size`` patterns."""
-        if size < 1:
-            raise SimulationError("chunk size must be positive")
-        for start in range(0, self.num_patterns, size):
-            yield self.slice(start, min(start + size, self.num_patterns))
 
     def __len__(self) -> int:
         return self.num_patterns
@@ -347,13 +340,6 @@ class PatternPairSet:
             self.launch.concat(other.launch),
             self.capture.concat(other.capture),
         )
-
-    def chunks(self, size: int) -> Iterator["PatternPairSet"]:
-        """Yield consecutive slices of at most ``size`` pairs."""
-        if size < 1:
-            raise SimulationError("chunk size must be positive")
-        for start in range(0, self.num_patterns, size):
-            yield self.slice(start, min(start + size, self.num_patterns))
 
     def __len__(self) -> int:
         return self.num_patterns

@@ -183,8 +183,15 @@ class DetectionMatrix:
                               "little")
 
     def to_bigints(self) -> List[int]:
-        """Every row as a big-int detection word, in row order."""
-        raw = self.to_bytes()
+        """Every row as a big-int detection word, in row order.
+
+        Rows are sliced out of one C-contiguous little-endian buffer (the
+        words themselves on a little-endian host) through a
+        :class:`memoryview`, so no whole-matrix copy is made.
+        """
+        raw = memoryview(
+            np.ascontiguousarray(self.words, dtype="<u8").reshape(-1)
+        ).cast("B")
         stride = self.num_words * 8
         return [
             int.from_bytes(raw[r * stride:(r + 1) * stride], "little")

@@ -48,7 +48,7 @@ def engine_words(circ, faults, block, backend: str) -> list:
 
 def naive_drop(circ, faults, patterns, stop_fraction=None):
     """One-vector-at-a-time fault dropping: the reference for
-    :func:`repro.fsim.dropping.drop_simulate` and the ``U`` walk.
+    :func:`repro.adi.metrics.coverage_curve` and the ``U`` walk.
 
     Applies ``patterns`` (single vectors, or two-pattern pairs for
     transition faults) one at a time through the serial simulator and
@@ -84,3 +84,9 @@ def naive_drop(circ, faults, patterns, stop_fraction=None):
                 and len(first) / len(faults) >= stop_fraction):
             return first, p + 1
     return first, patterns.num_patterns
+
+
+def first_by_position(faults, first):
+    """``naive_drop``'s ``{fault: vector}`` as a tuple over ``faults``,
+    with ``-1`` for an undetected fault (``USelection.first_detection``)."""
+    return tuple(first.get(fault, -1) for fault in faults)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adi import ave_from_curve, ave_ratios, curve_report
+from repro.adi import ave_from_curve, ave_ratios, coverage_curve, curve_report
 from repro.adi.metrics import CurveReport
 from repro.errors import ExperimentError
 from repro.faults import collapsed_fault_list
@@ -50,7 +50,8 @@ class TestCurveReport:
         circ = lion_like()
         faults = collapsed_fault_list(circ)
         result = generate_tests(circ, faults)
-        return faults, curve_report(circ, faults, result.tests)
+        return faults, curve_report(faults, result.tests,
+                                    result.detected_per_test)
 
     def test_report_shape(self, lion_report):
         faults, report = lion_report
@@ -77,8 +78,8 @@ class TestCurveReport:
 
 
 class TestCurveFromDropCounts:
-    """``curve_report(..., detected_per_test=)``: the test-generation
-    loop's drop counts folded into the curve, with no simulation."""
+    """``curve_report``: the test-generation loop's drop counts folded
+    into the curve, with no simulation."""
 
     @pytest.fixture(scope="class")
     def lion_run(self):
@@ -90,9 +91,10 @@ class TestCurveFromDropCounts:
 
     def test_fold_equals_simulated_curve(self, lion_run):
         circ, faults, result = lion_run
-        folded = curve_report(circ, faults, result.tests,
-                              detected_per_test=result.detected_per_test)
-        assert folded == curve_report(circ, faults, result.tests)
+        folded = curve_report(faults, result.tests, result.detected_per_test)
+        assert folded.curve == tuple(
+            coverage_curve(circ, faults, result.tests))
+        assert folded.total_faults == len(faults)
 
     @pytest.mark.parametrize("change, message", [
         (lambda counts: counts[:-1], "drop counts for"),
@@ -101,16 +103,14 @@ class TestCurveFromDropCounts:
         (lambda counts: [counts[0] + 1000] + counts[1:], "more than"),
     ], ids=["short", "long", "negative", "too-many"])
     def test_inconsistent_counts_raise(self, lion_run, change, message):
-        circ, faults, result = lion_run
+        __, faults, result = lion_run
         with pytest.raises(ExperimentError, match=message):
-            curve_report(circ, faults, result.tests,
-                         detected_per_test=change(
-                             list(result.detected_per_test)))
+            curve_report(faults, result.tests,
+                         change(list(result.detected_per_test)))
 
     def test_no_tests_no_curve(self, lion_run):
-        circ, faults, result = lion_run
-        report = curve_report(circ, faults, result.tests.take(0),
-                              detected_per_test=[])
+        __, faults, result = lion_run
+        report = curve_report(faults, result.tests.take(0), [])
         assert report == CurveReport(curve=(), total_faults=len(faults))
 
 

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adi import AdiMode, compute_adi, ndet_table, select_u
+from repro.adi import (
+    AdiMode,
+    compute_adi,
+    coverage_curve,
+    ndet_table,
+    select_u,
+)
 from repro.errors import SimulationError
 from repro.faults import collapsed_fault_list
 from repro.faults.registry import fault_model
-from repro.fsim import drop_simulate
 from repro.sim import PatternSet
 from repro.telemetry import tracing
 from repro.utils.bitvec import bit_indices, popcount
 from repro.utils.detmatrix import DetectionMatrix
 
-from helpers import generated_circuit, naive_drop
+from helpers import first_by_position, generated_circuit, naive_drop
 
 #: Candidate-pool sizes on both sides of the 64-bit word boundaries.
 POOL_WIDTHS = (1, 63, 64, 65, 127, 128, 129, 1000)
@@ -28,11 +33,11 @@ class TestSelectU:
                              max_vectors=2000, target_coverage=0.9)
         assert selection.coverage >= 0.9
         # Dropping one vector must fall below target (minimality).
-        shorter = drop_simulate(
+        shorter = coverage_curve(
             lion_circuit, faults,
             selection.patterns.take(selection.num_vectors - 1),
         )
-        assert shorter.coverage < 0.9
+        assert shorter[-1] / len(faults) < 0.9
 
     def test_keeps_all_when_target_unreachable(self, redundant_circuit):
         faults = collapsed_fault_list(redundant_circuit)
@@ -42,15 +47,22 @@ class TestSelectU:
         assert selection.num_vectors == 64
         assert selection.coverage < 1.0
 
-    def test_fu_matches_dropping_sim(self, lion_circuit):
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_first_detection_matches_naive_drop(self, lion_circuit, prune):
+        """First detections are one-vector-at-a-time dropping's, cut at
+        ``N``, and index the kept vectors after pruning."""
         faults = collapsed_fault_list(lion_circuit)
-        selection = select_u(lion_circuit, faults, seed=5, max_vectors=500)
-        detected = set(selection.detected_by_u)
-        for fault in faults:
-            if fault in detected:
-                assert fault in selection.dropped_sim.first_detection
-            else:
-                assert fault not in selection.dropped_sim.first_detection
+        pool = PatternSet.random(lion_circuit.num_inputs, 500, seed=5)
+        selection = select_u(lion_circuit, faults, patterns=pool,
+                             prune_useless=prune)
+        full, __ = naive_drop(lion_circuit, faults, pool)
+        __, count = naive_drop(lion_circuit, faults, pool,
+                               stop_fraction=0.9)
+        first = {f: vec for f, vec in full.items() if vec < count}
+        kept = sorted(set(first.values())) if prune else list(range(count))
+        assert selection.patterns == pool.select(kept)
+        assert selection.first_detection == first_by_position(
+            faults, {f: kept.index(vec) for f, vec in first.items()})
 
     def test_explicit_pattern_pool(self, lion_circuit):
         faults = collapsed_fault_list(lion_circuit)
@@ -58,7 +70,8 @@ class TestSelectU:
         selection = select_u(lion_circuit, faults, patterns=pool,
                              target_coverage=1.0)
         assert selection.coverage == 1.0
-        assert len(selection.detected_by_u) == len(faults)
+        assert len(selection.first_detection) == len(faults)
+        assert min(selection.first_detection) >= 0
 
     def test_pool_width_checked(self, lion_circuit):
         with pytest.raises(SimulationError):
@@ -74,10 +87,11 @@ class TestSelectU:
                          target_coverage=0.95)
         pruned = select_u(lion_circuit, faults, seed=7, max_vectors=300,
                           target_coverage=0.95, prune_useless=True)
-        assert set(pruned.detected_by_u) == set(plain.detected_by_u)
+        assert ([vec >= 0 for vec in pruned.first_detection]
+                == [vec >= 0 for vec in plain.first_detection])
         assert pruned.num_vectors <= plain.num_vectors
         # Every kept vector detects something first.
-        detections = set(pruned.dropped_sim.first_detection.values())
+        detections = set(pruned.first_detection) - {-1}
         assert detections == set(range(pruned.num_vectors))
 
     def test_deterministic(self, lion_circuit):
@@ -115,7 +129,8 @@ class TestStopAtTarget:
                              chunk_size=chunk, target_coverage=frac)
         expected, consumed = naive_drop(circ, faults, patterns,
                                         stop_fraction=frac)
-        assert selection.dropped_sim.first_detection == expected
+        assert selection.first_detection == first_by_position(faults,
+                                                              expected)
         assert selection.num_vectors == consumed
 
     def test_target_validated(self, c17_circuit):
@@ -131,8 +146,8 @@ class TestStopAtTarget:
                              patterns=PatternSet.exhaustive(5),
                              target_coverage=0.01)
         assert selection.num_vectors >= 1
-        assert (min(selection.dropped_sim.first_detection.values())
-                == selection.num_vectors - 1)
+        detected = [vec for vec in selection.first_detection if vec >= 0]
+        assert min(detected) == selection.num_vectors - 1
 
     def test_stop_target_is_smallest_count_reaching_fraction(self):
         # 100 * 0.55 is just above 55 in floating point, yet 55 of 100
@@ -152,7 +167,8 @@ class TestStopAtTarget:
         expected, consumed = naive_drop(circ, faults, patterns,
                                         stop_fraction=0.55)
         assert selection.num_vectors == consumed == firsts[54] + 1
-        assert selection.dropped_sim.first_detection == expected
+        assert selection.first_detection == first_by_position(faults,
+                                                              expected)
         assert selection.coverage >= 0.55
 
 
@@ -186,10 +202,7 @@ class TestWalkAgainstNaiveDrop:
             first = {f: useful.index(vec) for f, vec in first.items()}
         assert selection.num_vectors == expected.num_patterns
         assert selection.patterns == expected
-        assert selection.dropped_sim.num_simulated == selection.num_vectors
-        assert selection.dropped_sim.first_detection == first
-        assert selection.detected_by_u == tuple(
-            f for f in faults if f in first)
+        assert selection.first_detection == first_by_position(faults, first)
         assert selection.candidates_drawn == pool
 
         own = compute_adi(circ, faults, selection.patterns, backend=engine)

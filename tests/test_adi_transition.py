@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.adi import AdiMode, ORDERS, compute_adi, f0dynm, fdynm, select_u
+from repro.adi import (
+    AdiMode,
+    ORDERS,
+    compute_adi,
+    coverage_curve,
+    f0dynm,
+    fdynm,
+    select_u,
+)
 from repro.circuit import c17, lion_like
 from repro.faults import transition_fault_list
-from repro.fsim.dropping import drop_simulate
 from repro.sim.patterns import PatternPairSet
 
-from helpers import engine_words, naive_drop
+from helpers import engine_words, first_by_position, naive_drop
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +99,7 @@ class TestSelectU:
         selection = select_u(circ, faults, patterns=pool)
         first, consumed = naive_drop(circ, faults, pool, stop_fraction=0.9)
         assert selection.num_vectors == consumed
-        assert set(selection.detected_by_u) == set(first)
-        assert selection.dropped_sim.first_detection == first
+        assert selection.first_detection == first_by_position(faults, first)
         assert selection.patterns == pool.take(consumed)
 
     def test_prune_useless_keeps_detections(self):
@@ -102,18 +108,18 @@ class TestSelectU:
         pruned = select_u(circ, faults, seed=7, model="transition",
                           prune_useless=True)
         plain = select_u(circ, faults, seed=7, model="transition")
-        assert set(pruned.detected_by_u) == set(plain.detected_by_u)
+        assert ([vec >= 0 for vec in pruned.first_detection]
+                == [vec >= 0 for vec in plain.first_detection])
         assert pruned.num_vectors <= plain.num_vectors
 
 
-class TestDropSimulate:
-    def test_first_detection_matches_words(self, setup):
+class TestCoverageCurve:
+    def test_counts_lowest_set_bits_of_words(self, setup):
         circ, faults, pairs = setup
-        result = drop_simulate(circ, faults, pairs, chunk_size=16)
+        curve = coverage_curve(circ, faults, pairs)
         words = engine_words(circ, faults, pairs, "bigint")
-        for fault, word in zip(faults, words):
-            if word:
-                first = (word & -word).bit_length() - 1
-                assert result.first_detection[fault] == first
-            else:
-                assert fault not in result.first_detection
+        firsts = [(word & -word).bit_length() - 1 for word in words if word]
+        assert curve == [
+            sum(1 for first in firsts if first <= p)
+            for p in range(pairs.num_patterns)
+        ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adi import ave_from_curve
+from repro.adi import ave_from_curve, coverage_curve
 from repro.atpg import TestGenConfig as GenConfig
 from repro.atpg import (
     detection_matrix,
@@ -12,7 +12,6 @@ from repro.atpg import (
     reverse_order_compaction,
 )
 from repro.faults import collapsed_fault_list
-from repro.fsim import coverage_curve, drop_simulate
 from repro.sim import PatternSet
 
 from helpers import generated_circuit
@@ -31,14 +30,14 @@ def lion_setup():
 
 
 class TestDetectionMatrix:
-    def test_matrix_matches_drop_sim(self, lion_setup):
+    def test_matrix_matches_coverage_curve(self, lion_setup):
         circ, faults, tests = lion_setup
         matrix = detection_matrix(circ, faults, tests)
         assert len(matrix) == tests.num_patterns
         union = 0
         for word in matrix:
             union |= word
-        detected = drop_simulate(circ, faults, tests).num_detected
+        detected = coverage_curve(circ, faults, tests)[-1]
         assert union.bit_count() == detected
 
     @pytest.mark.parametrize("width", [1, 64, 65, 130])
@@ -64,9 +63,9 @@ class TestReverseOrderCompaction:
         circ, faults, tests = lion_setup
         result = reverse_order_compaction(circ, faults, tests)
         assert result.detected_after == result.detected_before
-        after = drop_simulate(circ, faults, result.tests)
-        before = drop_simulate(circ, faults, tests)
-        assert after.num_detected == before.num_detected
+        after = coverage_curve(circ, faults, result.tests)
+        before = coverage_curve(circ, faults, tests)
+        assert after[-1] == before[-1]
 
     def test_actually_removes_tests(self, lion_setup):
         circ, faults, tests = lion_setup
@@ -143,6 +142,6 @@ class TestReorderByDetection:
     def test_coverage_unchanged_by_reorder(self, lion_setup):
         circ, faults, tests = lion_setup
         reordered = reorder_by_detection(circ, faults, tests)
-        a = drop_simulate(circ, faults, tests).num_detected
-        b = drop_simulate(circ, faults, reordered).num_detected
+        a = coverage_curve(circ, faults, tests)[-1]
+        b = coverage_curve(circ, faults, reordered)[-1]
         assert a == b

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adi import coverage_curve
 # Aliased imports: pytest would otherwise try to collect the Test* classes.
 from repro.atpg import TestGenConfig as GenConfig
 from repro.atpg import (
@@ -13,7 +14,6 @@ from repro.atpg import (
 )
 from repro.errors import AtpgError
 from repro.faults import FaultStatus, collapsed_fault_list
-from repro.fsim import drop_simulate
 from repro.sim import X
 from repro.utils.rng import make_rng
 
@@ -59,8 +59,8 @@ class TestGenerateTests:
     def test_tests_actually_detect_everything(self, lion_circuit):
         faults = collapsed_fault_list(lion_circuit)
         result = generate_tests(lion_circuit, faults)
-        sim = drop_simulate(lion_circuit, faults, result.tests)
-        assert sim.num_detected == len(faults)
+        curve = coverage_curve(lion_circuit, faults, result.tests)
+        assert curve[-1] == len(faults)
 
     def test_detected_per_test_sums_to_detected(self, lion_circuit):
         faults = collapsed_fault_list(lion_circuit)

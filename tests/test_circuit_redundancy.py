@@ -134,6 +134,30 @@ class TestFindUndetectable:
         assert undetectable
         assert aborted == []
 
+    @pytest.mark.parametrize("backtrack_limit", [4, None])
+    def test_matches_serial_any_detect_reference(self, backtrack_limit):
+        """The random-pattern prefilter keeps exactly the faults no
+        pattern detects serially, and PODEM splits them the same way."""
+        from repro.atpg.podem import PodemEngine, PodemStatus
+        from repro.faults.collapse import collapse_faults
+        from repro.fsim.serial import detection_word_serial
+
+        circ = generated_circuit(7, num_inputs=8, num_gates=60,
+                                 num_outputs=4, hardness=0.3)
+        patterns = PatternSet.random(circ.num_inputs, 32, seed=11)
+        engine = PodemEngine(circ)
+        expected = {PodemStatus.UNDETECTABLE: [], PodemStatus.ABORTED: []}
+        for fault in collapse_faults(circ).representatives:
+            if detection_word_serial(circ, patterns, fault):
+                continue
+            status = engine.run(fault, backtrack_limit=backtrack_limit).status
+            expected.get(status, []).append(fault)
+        undetectable, aborted = find_undetectable(
+            circ, backtrack_limit=backtrack_limit, prefilter_patterns=32)
+        assert undetectable == expected[PodemStatus.UNDETECTABLE]
+        assert aborted == expected[PodemStatus.ABORTED]
+        assert undetectable
+
 
 class TestTieFaultLine:
     def test_tie_preserves_function_for_undetectable(self, redundant_circuit):

@@ -1,12 +1,14 @@
 """Golden codec payloads and synthetic fail logs: their bytes are pinned.
 
-The ADI and order stages are cached as JSON payloads, and a cache file
-written by one version of the code must serve the next.  These cases run
-the flow on a fixed generator circuit for both fault models and both ADI
-modes and hash the canonical JSON (:func:`repro.flow.cache.
-canonical_json`) of the ADI payload and of every order's permutation
-payload.  Any change to the hex detection masks, the payload keys, the
-ADI reduction or an order moves a digest.
+The U, ADI, order and curve stages are cached as JSON payloads, and a
+cache file written by one version of the code must serve the next.
+These cases run the flow on a fixed generator circuit for both fault
+models and hash the canonical JSON (:func:`repro.flow.cache.
+canonical_json`) of the ``U`` payload (with and without
+``prune_useless``), of the ADI payload and every order's permutation
+payload (both ADI modes), and of every order's coverage-curve payload.
+Any change to the first detections, the hex detection masks, the payload
+keys, the ADI reduction, an order or a curve moves a digest.
 
 The synthetic fail log of :func:`repro.diagnosis.random_fail_log` feeds
 the diagnosis benchmark, so its seeded draw is pinned too: the device
@@ -34,12 +36,13 @@ MODELS = ("stuck_at", "transition")
 MODES = ("minimum", "average")
 
 
-def _flow(model: str, mode: str = "minimum") -> Flow:
+def _flow(model: str, mode: str = "minimum",
+          prune_useless: bool = False) -> Flow:
     return Flow(FlowConfig(
         circuit=CircuitSpec(kind="generator", name="codec", num_inputs=10,
                             num_gates=80, num_outputs=4, gen_seed=7),
         fault_model=FaultModelSpec(name=model),
-        u=USpec(max_vectors=256),
+        u=USpec(max_vectors=256, prune_useless=prune_useless),
         adi=AdiSpec(mode=mode),
         seed=2005,
     ))
@@ -63,6 +66,26 @@ GOLDEN_PAYLOADS = {
     ("transition", "average"): (
         "f659b686136f4404662cfa2dcf9a38344189c2636dd2802cf08cfad64e8e3bfd",
         "138bb434950c9ab007b2356d9481b978ecbd49a5e6bcba7f81bcd0143bf32f3c"),
+}
+
+#: (model, prune_useless) -> sha256 of the U selection payload.
+GOLDEN_SELECTIONS = {
+    ("stuck_at", False):
+        "208d6b5addcaec21d2e3fa8fc08d2e8f0b301cdcffaa8fa89733559062ed9322",
+    ("stuck_at", True):
+        "f6e8afbaf00d9766e937dc172f82c29f16e5363abbe12b7d529229a970e72774",
+    ("transition", False):
+        "989f8d8e15669e899c8fc71a1505f8f1a72d6878c62a896db7d1cb11004c1a25",
+    ("transition", True):
+        "c5144c76f1a42c537e157ce6c1c2fa68b45f9cefdf081669f9e2f54346fc19fa",
+}
+
+#: model -> sha256 of every order's curve payload.
+GOLDEN_CURVES = {
+    "stuck_at":
+        "b7f302d031ff7b8b28104c95babad8fc004aef4a7ef8a44c6068c1df38ca83a8",
+    "transition":
+        "e139676763e338e3384b2703e1b8aa5f378ac34dd22eec96536f86c00b1b7702",
 }
 
 #: model -> sha256 of the seeded synthetic fail log.
@@ -99,6 +122,25 @@ def test_adi_payload_round_trips(model, mode):
     assert serialize.adi_to_json(restored) == payload
     assert (restored.adi == flow.adi().adi).all()
     assert (restored.ndet == flow.adi().ndet).all()
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("prune_useless", (False, True))
+def test_selection_payload_matches_golden(model, prune_useless):
+    flow = _flow(model, prune_useless=prune_useless)
+    payload = serialize.selection_to_json(flow.selection(), flow.faults())
+    assert (_sha(canonical_json(payload))
+            == GOLDEN_SELECTIONS[(model, prune_useless)])
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_curve_payloads_match_golden(model):
+    flow = _flow(model)
+    curves = canonical_json({
+        name: serialize.curve_to_json(flow.report(name))
+        for name in sorted(ORDERS)
+    })
+    assert _sha(curves) == GOLDEN_CURVES[model]
 
 
 def _log_digest(model: str) -> str:

@@ -1,5 +1,8 @@
 """Unit tests for the packed DetectionMatrix value type."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,26 @@ class TestRoundTrips:
         assert matrix.num_words == num_words_for(width)
         assert matrix.to_bigints() == words
         assert [matrix.row_int(r) for r in range(17)] == words
+        # Column-major words are read through one row-major copy.
+        columns = DetectionMatrix(np.asfortranarray(matrix.words), width)
+        assert columns.to_bigints() == words
+
+    def test_bigints_make_no_whole_matrix_copy(self):
+        """The rows are read out of the words in place: the traced peak
+        stays below the returned ints plus half of the words."""
+        rng = np.random.default_rng(5)
+        words = rng.integers(0, 2 ** 64 - 1, size=(2000, 64),
+                             dtype=np.uint64, endpoint=True)
+        matrix = DetectionMatrix(words, 64 * 64)
+        tracemalloc.start()
+        try:
+            ints = matrix.to_bigints()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(ints) + sum(map(sys.getsizeof, ints))
+        assert peak < size + words.nbytes // 2
+        assert ints == [matrix.row_int(r) for r in range(2000)]
 
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
     def test_bytes_round_trip(self, width):

@@ -37,7 +37,7 @@ from repro.flow import (
 )
 from repro.flow import serialize
 from repro.flow.cache import CACHE_FORMAT_VERSION
-from repro.adi.metrics import curve_report
+from repro.adi.metrics import CurveReport, coverage_curve
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.telemetry import tracing
 
@@ -233,10 +233,8 @@ class TestArtifactRoundTrips:
         ))
         restored = serialize.selection_from_json(data, faults)
         assert restored.patterns == selection.patterns
-        assert restored.detected_by_u == selection.detected_by_u
         assert restored.candidates_drawn == selection.candidates_drawn
-        assert (restored.dropped_sim.first_detection
-                == selection.dropped_sim.first_detection)
+        assert restored.first_detection == selection.first_detection
         # The walk's rows ride along in memory only.
         assert selection.matrix is not None and restored.matrix is None
         assert restored == selection
@@ -245,6 +243,7 @@ class TestArtifactRoundTrips:
     @pytest.mark.parametrize("corruption", [
         "vector-past-prefix", "vector-negative", "vector-string",
         "simulated-off", "total-off", "fault-duplicated", "fault-bool",
+        "fault-negative", "fault-outside",
     ])
     def test_selection_rejects_inconsistent_payload(self, lion, corruption):
         faults = collapsed_fault_list(lion)
@@ -266,12 +265,23 @@ class TestArtifactRoundTrips:
             data["total_faults"] *= 2
         elif corruption == "fault-duplicated":
             entries.append([entries[-1][0], entries[0][1]])
+        elif corruption == "fault-negative":
+            # -1 would index the last target fault in a list.
+            entries[0][0] = -1
+        elif corruption == "fault-outside":
+            entries[-1][0] = len(faults)
         else:
             # True is index 1 to a lenient decoder.
             entry = next(e for e in entries if e[0] == 1)
             entry[0] = True
         with pytest.raises(ExperimentError, match="corrupt flow artifact"):
             serialize.selection_from_json(data, faults)
+
+    def test_selection_encoder_checks_target_list(self, lion):
+        faults = collapsed_fault_list(lion)
+        selection = select_u(lion, faults, seed=3, max_vectors=64)
+        with pytest.raises(ExperimentError, match="corrupt flow artifact"):
+            serialize.selection_to_json(selection, faults[:-1])
 
     def test_adi_both_modes(self, lion):
         faults = collapsed_fault_list(lion)
@@ -361,7 +371,8 @@ class TestArtifactRoundTrips:
     def test_curve_report(self, lion):
         faults = collapsed_fault_list(lion)
         tests = PatternSet.random(lion.num_inputs, 12, seed=5)
-        report = curve_report(lion, faults, tests)
+        report = CurveReport(curve=tuple(coverage_curve(lion, faults, tests)),
+                             total_faults=len(faults))
         data = json.loads(json.dumps(serialize.curve_to_json(report)))
         assert serialize.curve_from_json(data) == report
 

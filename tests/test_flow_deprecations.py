@@ -1,8 +1,8 @@
 """Moved symbols and unified seeding.
 
 ``PatternBlock`` and ``query_detection_matrix`` live in
-``repro.faults.registry`` (the old ``repro.fsim.dropping`` aliases are
-gone); importing them from their canonical home must not warn.
+``repro.faults.registry``, with no aliases left elsewhere; importing
+them from their canonical home must not warn.
 """
 
 import warnings

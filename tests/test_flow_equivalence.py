@@ -8,16 +8,16 @@ Three equivalences, for both fault models:
 * ``python -m repro run --json`` vs :class:`ExperimentRunner` — the CLI
   and the harness must agree on every reported number;
 * ``Flow.report`` — the running sum of the test-generation loop's drop
-  counts — vs the coverage curve of the same tests simulated again with
-  fault dropping, for every order.
+  counts — vs :func:`repro.adi.coverage_curve` of the same tests (one
+  more simulation of them), for every order.
 """
 
 import json
 
 import pytest
 
-from repro.adi import ORDERS, compute_adi, select_u
-from repro.adi.metrics import curve_report
+from repro.adi import ORDERS, compute_adi, coverage_curve, select_u
+from repro.adi.metrics import CurveReport, curve_report
 from repro.atpg import (
     TestGenConfig,
     generate_tests,
@@ -63,7 +63,7 @@ class TestFlowMatchesDirectPipeline:
         direct = generate_tests(
             circ, [faults[i] for i in permutation], TestGenConfig(seed=SEED)
         )
-        curve = curve_report(circ, faults, direct.tests)
+        curve = curve_report(faults, direct.tests, direct.detected_per_test)
 
         assert result.faults == faults
         assert result.selection.patterns == selection.patterns
@@ -71,7 +71,8 @@ class TestFlowMatchesDirectPipeline:
         assert result.permutation == list(permutation)
         assert result.tests.num_tests == direct.num_tests
         assert result.tests.tests == direct.tests
-        assert tuple(result.report.curve) == tuple(curve.curve)
+        assert result.report == curve
+        assert list(curve.curve) == coverage_curve(circ, faults, direct.tests)
 
     def test_transition(self):
         flow = Flow(_flow_config("transition"))
@@ -85,14 +86,15 @@ class TestFlowMatchesDirectPipeline:
         direct = generate_transition_tests(
             circ, [faults[i] for i in permutation], TestGenConfig(seed=SEED)
         )
-        curve = curve_report(circ, faults, direct.tests)
+        curve = curve_report(faults, direct.tests, direct.detected_per_test)
 
         assert result.faults == faults
         assert result.selection.patterns == selection.patterns
         assert (result.adi.adi == adi.adi).all()
         assert result.tests.num_tests == direct.num_tests
         assert result.tests.tests == direct.tests
-        assert tuple(result.report.curve) == tuple(curve.curve)
+        assert result.report == curve
+        assert list(curve.curve) == coverage_curve(circ, faults, direct.tests)
 
 
 def _generated_config(model: str, gen_seed: int) -> FlowConfig:
@@ -113,9 +115,9 @@ class TestCurveIsTheDropCountFold:
         flow = Flow(_generated_config(model, gen_seed))
         circ, faults = flow.circuit(), flow.faults()
         for order in ORDERS:
-            tests = flow.tests(order).tests
-            assert flow.report(order) == curve_report(circ, faults, tests), \
-                order
+            curve = coverage_curve(circ, faults, flow.tests(order).tests)
+            assert flow.report(order) == CurveReport(
+                curve=tuple(curve), total_faults=len(faults)), order
 
     @pytest.mark.parametrize("model", ["stuck_at", "transition"])
     def test_cold_curve_stage_simulates_nothing(self, model):

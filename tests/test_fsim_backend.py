@@ -525,18 +525,6 @@ class TestPipelineBackendSwitch:
             assert results[name].matrix == reference.matrix
             assert (results[name].adi == reference.adi).all()
 
-    def test_drop_simulate_backend_equivalence(self):
-        from repro.fsim import drop_simulate
-
-        circ = generated_circuit(37, num_inputs=8, num_gates=48)
-        faults = collapsed_fault_list(circ)
-        patterns = PatternSet.random(circ.num_inputs, 128, seed=7)
-        reference = drop_simulate(circ, faults, patterns, backend="bigint")
-        for name in ("numpy", "auto"):
-            result = drop_simulate(circ, faults, patterns, backend=name)
-            assert result.first_detection == reference.first_detection
-            assert result.num_simulated == reference.num_simulated
-
     def test_generate_tests_backend_equivalence(self):
         from repro.atpg import TestGenConfig, generate_tests
 

@@ -2,10 +2,11 @@
 
 The packed ``DetectionMatrix`` fast path must be bit-identical to the
 big-int word representation everywhere they meet: raw detection
-matrices, ADI results, drop-simulate first-detection indices, ``U``
-stops and coverage curves — for every registered fault-simulation
-backend, for both registered fault models, at block widths straddling
-the 64-bit word boundaries (P in {1, 63, 64, 65, 129}).
+matrices, ADI results and ``U``'s first detections — for every
+registered fault-simulation backend, for both registered fault models,
+at block widths straddling the 64-bit word boundaries (P in {1, 63, 64,
+65, 129}).  Coverage curves are checked against one-vector-at-a-time
+dropping in ``test_adi_coverage_curve.py``.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.fsim.backend import (
     create_backend,
     register_backend,
 )
-from repro.fsim.dropping import coverage_curve, drop_simulate
 from repro.fsim.serial import detection_word_serial
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.utils.detmatrix import DetectionMatrix
@@ -133,64 +133,30 @@ class TestAdiEquivalence:
             assert int(result.adi[i]) == expected, i
 
 
-class TestDroppingEquivalence:
+class TestFirstDetectionEquivalence:
     @pytest.mark.parametrize("backend_name", sorted(available_backends()))
     @pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
-    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_first_detection_matches_bigint_scan(self, circuit, stuck_faults,
-                                                 transition_faults,
-                                                 backend_name, model_name,
-                                                 width):
-        faults = faults_for(model_name, stuck_faults, transition_faults)
-        block = block_for(model_name, circuit.num_inputs, width)
-        result = drop_simulate(circuit, faults, block, chunk_size=32,
-                               backend=backend_name)
-        words = engine_words(circuit, faults, block, backend_name)
-        expected = {
-            fault: (word & -word).bit_length() - 1
-            for fault, word in zip(faults, words) if word
-        }
-        assert result.first_detection == expected
-
-    @pytest.mark.parametrize("model_name", ("stuck_at", "transition"))
-    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_coverage_curve_matches_bigint_scan(self, circuit, stuck_faults,
-                                                transition_faults,
-                                                model_name, width):
-        faults = faults_for(model_name, stuck_faults, transition_faults)
-        block = block_for(model_name, circuit.num_inputs, width)
-        curve = coverage_curve(circuit, faults, block, chunk_size=16)
-        words = engine_words(circuit, faults, block, "bigint")
-        firsts = [
-            (w & -w).bit_length() - 1 for w in words if w
-        ]
-        expected = [
-            sum(1 for f in firsts if f <= p) for p in range(width)
-        ]
-        assert curve == expected
-
-    @pytest.mark.parametrize("backend_name", sorted(available_backends()))
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
     def test_u_stop_unchanged_by_packing(self, circuit, stuck_faults,
-                                         backend_name, width):
-        block = block_for("stuck_at", circuit.num_inputs, width)
-        selection = select_u(circuit, stuck_faults, patterns=block,
+                                         transition_faults, backend_name,
+                                         model_name, width):
+        faults = faults_for(model_name, stuck_faults, transition_faults)
+        block = block_for(model_name, circuit.num_inputs, width)
+        selection = select_u(circuit, faults, patterns=block,
                              chunk_size=8, target_coverage=0.5,
                              backend=backend_name)
-        stopped = selection.dropped_sim
-        full = drop_simulate(circuit, stuck_faults, block, chunk_size=8)
-        # U must agree with the full dropping run on every fault it
-        # keeps, keep every fault detected inside it, and stop exactly at
-        # the crossing vector.
-        for fault, vec in stopped.first_detection.items():
-            assert full.first_detection[fault] == vec
-        assert stopped.first_detection == {
-            fault: vec for fault, vec in full.first_detection.items()
-            if vec < selection.num_vectors
-        }
-        if stopped.num_detected:
-            crossing = max(stopped.first_detection.values())
-            assert stopped.num_simulated == crossing + 1
+        words = engine_words(circuit, faults, block, "bigint")
+        full = [(word & -word).bit_length() - 1 for word in words]
+        # U keeps the lowest set bit of every row that falls inside it,
+        # and stops exactly at the crossing vector (or keeps the whole
+        # block when the target is never reached).
+        assert selection.first_detection == tuple(
+            vec if vec < selection.num_vectors else -1 for vec in full
+        )
+        if selection.coverage >= 0.5:
+            assert selection.num_vectors == max(selection.first_detection) + 1
+        else:
+            assert selection.num_vectors == width
 
 
 class MinimalEngine(FaultSimBackend):

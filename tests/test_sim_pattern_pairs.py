@@ -107,14 +107,6 @@ class TestSlicing:
         for p in range(9):
             assert joined.pair(p) == pairs.pair(p)
 
-    def test_chunks_cover_everything(self, pairs):
-        chunks = list(pairs.chunks(8))
-        assert sum(c.num_patterns for c in chunks) == pairs.num_patterns
-        assert chunks[0].pair(0) == pairs.pair(0)
-        assert chunks[-1].num_patterns == (pairs.num_patterns % 8 or 8)
-        with pytest.raises(SimulationError):
-            list(pairs.chunks(0))
-
     def test_len(self, pairs):
         assert len(pairs) == pairs.num_patterns
 

@@ -92,18 +92,6 @@ class TestSlicing:
         sel = ps.select([7, 0, 7])
         assert [sel.as_integer(i) for i in range(3)] == [7, 0, 7]
 
-    def test_chunks(self, ps):
-        chunks = list(ps.chunks(3))
-        assert [c.num_patterns for c in chunks] == [3, 3, 2]
-        rebuilt = chunks[0]
-        for c in chunks[1:]:
-            rebuilt = rebuilt.concat(c)
-        assert rebuilt.words == ps.words
-
-    def test_chunk_size_positive(self, ps):
-        with pytest.raises(SimulationError):
-            list(ps.chunks(0))
-
     def test_len(self, ps):
         assert len(ps) == 8
 
