@@ -1,9 +1,8 @@
 """Static fault orders (paper Section 3).
 
 Every function returns a permutation of ``range(len(result.faults))`` —
-positions into the original target list — so orders compose with
-:meth:`repro.faults.sets.FaultSet.reordered` and with the test-generation
-engine, which consumes reordered fault lists.
+positions into the original target list; ``[faults[i] for i in order]``
+is the reordered target list the test-generation engine consumes.
 
 Orders:
 

@@ -1,4 +1,4 @@
-"""Deterministic test generation: SCOAP, PODEM, SAT-ATPG, compaction.
+"""Deterministic test generation: SCOAP, PODEM, SAT-ATPG, test reordering.
 
 One ordered-targets / fault-dropping loop
 (:func:`repro.atpg.engine.ordered_tests`) serves every fault model and
@@ -8,11 +8,8 @@ two-pattern transition tests.
 """
 
 from repro.atpg.compaction import (
-    CompactionResult,
     detection_matrix,
-    greedy_cover_compaction,
     reorder_by_detection,
-    reverse_order_compaction,
 )
 from repro.atpg.cop import Cop, compute_cop, random_resistant_faults
 from repro.atpg.engine import TestGenConfig, TestGenResult, generate_tests
@@ -36,7 +33,6 @@ from repro.atpg.transition import generate_transition_tests
 
 __all__ = [
     "CnfFormula",
-    "CompactionResult",
     "Cop",
     "DpllSolver",
     "PodemEngine",
@@ -56,11 +52,9 @@ __all__ = [
     "fill_random",
     "generate_tests",
     "generate_transition_tests",
-    "greedy_cover_compaction",
     "podem",
     "random_resistant_faults",
     "reorder_by_detection",
-    "reverse_order_compaction",
     "sat_podem",
     "solve_cnf",
     "specified_fraction",

@@ -1,5 +1,6 @@
 """Circuit substrate: netlists, .bench I/O, compilation, generation, scan.
 
+ISCAS ``.bench`` is the one netlist file format (:mod:`repro.circuit.bench`).
 Typical flow::
 
     from repro.circuit import parse_bench, full_scan_extract, compile_circuit
@@ -32,17 +33,10 @@ from repro.circuit.library import (
 )
 from repro.circuit.netlist import Circuit, DffDef, GateDef
 from repro.circuit.scan import ScanInfo, full_scan_extract
-from repro.circuit.stats import CircuitStats, circuit_stats
 from repro.circuit.validate import ValidationReport, validate_circuit
-from repro.circuit.verilog import (
-    compiled_to_verilog,
-    parse_verilog,
-    write_verilog,
-)
 
 __all__ = [
     "Circuit",
-    "CircuitStats",
     "CompiledCircuit",
     "DEFAULT_GATE_WEIGHTS",
     "DffDef",
@@ -54,9 +48,7 @@ __all__ = [
     "and_chain",
     "builtin_names",
     "c17",
-    "circuit_stats",
     "compile_circuit",
-    "compiled_to_verilog",
     "controlling_value",
     "depth_to_output",
     "eval_gate",
@@ -67,7 +59,6 @@ __all__ = [
     "mux2",
     "output_cone",
     "parse_bench",
-    "parse_verilog",
     "reaches_output",
     "redundant_demo",
     "ripple_adder",
@@ -75,6 +66,5 @@ __all__ = [
     "transitive_fanin",
     "validate_circuit",
     "write_bench",
-    "write_verilog",
     "xor_tree",
 ]

@@ -63,11 +63,6 @@ def observable_outputs(circ: CompiledCircuit, node: int) -> List[int]:
     return [n for n in output_cone(circ, node) if circ.is_output[n]]
 
 
-def fanout_count(circ: CompiledCircuit, node: int) -> int:
-    """Number of fanout pins driven by ``node`` (duplicates counted)."""
-    return len(circ.fanout[node])
-
-
 def fanout_stems(circ: CompiledCircuit) -> List[int]:
     """Nodes with more than one fanout pin (fanout stems)."""
     return [n for n in range(circ.num_nodes) if len(circ.fanout[n]) > 1]

@@ -20,9 +20,7 @@ from repro.diagnosis.compress import (
     compress_dictionary,
 )
 from repro.diagnosis.dictionary import (
-    FaultDictionary,
     PassFailDictionary,
-    build_dictionary,
     build_pass_fail_dictionary,
     validate_observed_mask,
 )
@@ -45,9 +43,7 @@ __all__ = [
     "DiagnosisBatchReport",
     "DiagnosisReport",
     "FailLog",
-    "FaultDictionary",
     "PassFailDictionary",
-    "build_dictionary",
     "build_pass_fail_dictionary",
     "compress_dictionary",
     "diagnose",

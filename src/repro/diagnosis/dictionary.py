@@ -1,18 +1,15 @@
-"""Fault dictionaries.
+"""Pass/fail fault dictionaries.
 
 A *fault dictionary* precomputes, for every modeled fault, which tests
-fail and (for the full dictionary) which outputs flip per failing test.
-Diagnosis then reduces to matching observed tester behaviour against the
-dictionary — the classical cause-effect approach.
+fail.  Diagnosis then reduces to matching observed tester behaviour
+against the dictionary — the classical cause-effect approach.
 
-Two flavours:
-
-* :class:`PassFailDictionary` — per fault, the set of failing tests,
-  one packed :class:`~repro.utils.detmatrix.DetectionMatrix` row per
-  fault (bit ``t`` = test ``t`` fails).  Compact; enough for most
-  candidate ranking, which runs vectorized over the matrix.
-* :class:`FaultDictionary` — per fault and failing test, the exact
-  failing-output set (full response signature).  Larger but sharper.
+:class:`PassFailDictionary` holds, per fault, the set of failing tests:
+one packed :class:`~repro.utils.detmatrix.DetectionMatrix` row per
+fault (bit ``t`` = test ``t`` fails).  Candidate ranking runs
+vectorized over the matrix; which outputs failed, when a tester logs
+them, feeds the chain re-ranker (:mod:`repro.diagnosis.chain`), not
+the dictionary.
 
 Connection to the paper: a steep fault-coverage curve (the paper's
 second application) minimizes the *expected index of the first failing
@@ -24,13 +21,12 @@ that quantity from a pass/fail dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.errors import DiagnosisInputError, SimulationError
 from repro.faults.model import Fault
 from repro.fsim.backend import FaultSimBackend, resolve_backend
-from repro.sim.patterns import PatternSet
 from repro.utils.bitvec import iter_bits
 from repro.utils.detmatrix import DetectionMatrix
 
@@ -96,27 +92,6 @@ class PassFailDictionary:
                 if hit]
 
 
-@dataclass(frozen=True)
-class FaultDictionary:
-    """Full-response dictionary: failing outputs per (fault, test).
-
-    ``signatures[i]`` maps a failing test index to the frozen set of
-    failing primary-output positions for fault ``i``.
-    """
-
-    num_tests: int
-    faults: Tuple[Fault, ...]
-    signatures: Tuple[Dict[int, FrozenSet[int]], ...]
-
-    def signature(self, fault: Fault) -> Dict[int, FrozenSet[int]]:
-        """The full signature of one fault."""
-        positions = getattr(self, "_positions", None)
-        if positions is None:
-            positions = {f: i for i, f in enumerate(self.faults)}
-            object.__setattr__(self, "_positions", positions)
-        return self.signatures[positions[fault]]
-
-
 def build_pass_fail_dictionary(circ: CompiledCircuit,
                                faults: Sequence,
                                tests,
@@ -145,34 +120,3 @@ def build_pass_fail_dictionary(circ: CompiledCircuit,
         fail_matrix=query_detection_matrix(engine, tests, faults),
     )
 
-
-def build_dictionary(circ: CompiledCircuit, faults: Sequence[Fault],
-                     tests: PatternSet) -> FaultDictionary:
-    """Full-response dictionary via per-fault faulty output words."""
-    if tests.num_inputs != circ.num_inputs:
-        raise SimulationError(
-            f"test set has {tests.num_inputs} inputs, "
-            f"circuit has {circ.num_inputs}"
-        )
-    from repro.fsim.serial import output_response
-
-    signatures: List[Dict[int, FrozenSet[int]]] = []
-    good_responses = [
-        output_response(circ, tests.vector(t)) for t in range(len(tests))
-    ]
-    for fault in faults:
-        per_test: Dict[int, FrozenSet[int]] = {}
-        for t in range(tests.num_patterns):
-            faulty = output_response(circ, tests.vector(t), fault)
-            failing = frozenset(
-                k for k, (a, b) in enumerate(zip(good_responses[t], faulty))
-                if a != b
-            )
-            if failing:
-                per_test[t] = failing
-        signatures.append(per_test)
-    return FaultDictionary(
-        num_tests=tests.num_patterns,
-        faults=tuple(faults),
-        signatures=tuple(signatures),
-    )

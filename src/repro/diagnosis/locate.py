@@ -1,8 +1,8 @@
 """Cause-effect fault location from observed tester behaviour.
 
-Given the pass/fail (or full-response) behaviour of a failing chip over
-a test set, rank the modeled faults by how well their dictionary entries
-explain the observation:
+Given the pass/fail behaviour of a failing chip over a test set, rank
+the modeled faults by how well their dictionary entries explain the
+observation:
 
 * an **exact match** scores highest;
 * a candidate whose predicted failures are a superset/subset of the
@@ -17,13 +17,12 @@ The ranking metric is the standard match/mismatch count over tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.diagnosis.dictionary import (
-    FaultDictionary,
     PassFailDictionary,
     validate_observed_mask,
 )
@@ -31,7 +30,6 @@ from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.fsim.serial import output_response
 from repro.sim.patterns import PatternSet
-from repro.utils.bitvec import popcount
 from repro.utils.detmatrix import DetectionMatrix, popcount64
 
 
@@ -66,28 +64,15 @@ class DiagnosisReport:
         return [f for f, __ in self.candidates[:k]]
 
 
-def _match_score(predicted: int, observed: int, num_tests: int) -> float:
-    """Jaccard-style score with an extra penalty for predicted passes on
-    observed failures (impossible for a true single stuck-at match)."""
-    if predicted == observed:
-        return 1.0
-    intersection = popcount(predicted & observed)
-    union = popcount(predicted | observed)
-    if union == 0:
-        return 0.0
-    missed = popcount(observed & ~predicted)  # chip failed, fault predicts pass
-    score = intersection / union
-    return score * (0.5 ** missed)
-
-
 def diagnose(dictionary: PassFailDictionary, observed_mask: int,
              max_candidates: int = 10) -> DiagnosisReport:
     """Rank dictionary faults against an observed failing-test mask.
 
-    The intersection/union/missed popcounts of every candidate are
-    computed in one pass over the dictionary's packed fail matrix (the
-    per-fault big-int loop became three vectorized word operations);
-    the scores are identical to :func:`_match_score` per candidate.
+    Each candidate scores ``|P & O| / |P | O|`` for its predicted fail
+    set ``P`` and the observation ``O`` (1.0 on an exact match), halved
+    once per test the chip failed but the fault predicts to pass.  The
+    intersection/union/missed popcounts of every candidate come from one
+    pass over the dictionary's packed fail matrix.
 
     Masks with bits at or beyond ``num_tests`` (phantom tests) raise a
     :class:`~repro.errors.DiagnosisInputError` (a ``ValueError``).

@@ -48,7 +48,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from repro.diagnosis.chain import ChainRanker, failing_outputs_mask
+from repro.diagnosis.chain import ChainRanker
 from repro.diagnosis.compress import (
     CompressedDictionary,
     compress_dictionary,
@@ -155,7 +155,8 @@ class FailLog:
 
     @staticmethod
     def from_records(records: Iterable[Tuple[str, Any]],
-                     num_tests: int) -> "FailLog":
+                     num_tests: int,
+                     num_outputs: Optional[int] = None) -> "FailLog":
         """Decode device records, the one decoder of every fail-log surface.
 
         ``records`` yields ``(where, record)`` pairs; ``where`` names the
@@ -164,9 +165,13 @@ class FailLog:
         "failing_tests": [t, ...]}``, optionally with
         ``"failing_outputs": [k, ...]`` (primary-output positions).
         Indices must be exactly ``int`` (a JSON boolean decodes to
-        ``bool``, a float to ``float``: both are rejected), and test
-        indices must lie in ``0..num_tests - 1``; anything else raises
+        ``bool``, a float to ``float``: both are rejected), test indices
+        must lie in ``0..num_tests - 1`` and output positions in
+        ``0..num_outputs - 1``; anything else raises
         :class:`~repro.errors.DiagnosisInputError` naming the record.
+        ``num_outputs`` is the circuit's primary-output count, which
+        ``POST /diagnose`` and ``repro diagnose`` always pass; without
+        it, output positions are only checked to be non-negative.
         """
         device_ids: List[str] = []
         masks: List[int] = []
@@ -202,8 +207,19 @@ class FailLog:
                         f"{where}: failing_outputs must be a list of "
                         f"output positions"
                     )
+                output_mask = 0
+                for k in raw:
+                    if k < 0 or (num_outputs is not None
+                                 and k >= num_outputs):
+                        bound = ("" if num_outputs is None
+                                 else f" 0..{num_outputs - 1}")
+                        raise DiagnosisInputError(
+                            f"{where}: failing output {k} out of "
+                            f"range{bound}"
+                        )
+                    output_mask |= 1 << k
                 saw_outputs = True
-                outputs.append(failing_outputs_mask(1 << 62, raw))
+                outputs.append(output_mask)
             else:
                 outputs.append(None)
         return FailLog(
@@ -215,14 +231,15 @@ class FailLog:
 
     @staticmethod
     def from_jsonl(path: Union[str, Path],
-                   num_tests: Optional[int] = None) -> "FailLog":
+                   num_tests: Optional[int] = None,
+                   num_outputs: Optional[int] = None) -> "FailLog":
         """Read a JSONL fail log (the tester hand-off format).
 
         The first line is a header ``{"schema": "repro.fail_log/v1",
         "num_tests": T}``; each further line is one device record in
-        the format of :meth:`from_records`, which decodes them.  A
-        headerless file is accepted when ``num_tests`` is passed
-        explicitly.
+        the format of :meth:`from_records`, which decodes them (bounding
+        output positions by ``num_outputs``).  A headerless file is
+        accepted when ``num_tests`` is passed explicitly.
         """
         path = Path(path)
         records: List[Tuple[str, Any]] = []
@@ -265,7 +282,7 @@ class FailLog:
                 num_tests = header_tests
         if num_tests is None:
             raise DiagnosisInputError(f"{path}: empty fail log, no header")
-        return FailLog.from_records(records, num_tests)
+        return FailLog.from_records(records, num_tests, num_outputs)
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """Write the log in the JSONL hand-off format (with header)."""

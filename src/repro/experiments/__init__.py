@@ -28,7 +28,6 @@ from repro.experiments.suite import (
     build_circuit,
     selected_circuits,
     suite_entry,
-    suite_summary,
 )
 from repro.experiments.table1 import Table1Result, format_table1, run_table1
 from repro.experiments.table4 import Table4Row, format_table4, run_table4
@@ -79,5 +78,4 @@ __all__ = [
     "run_transition_figure",
     "selected_circuits",
     "suite_entry",
-    "suite_summary",
 ]

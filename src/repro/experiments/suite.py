@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import uuid
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.flatten import CompiledCircuit, compile_circuit, to_netlist
@@ -164,23 +165,28 @@ def build_circuit(name: str) -> CompiledCircuit:
     else:
         circ = raw
 
-    cache_file.parent.mkdir(parents=True, exist_ok=True)
-    write_bench(to_netlist(circ), cache_file)
+    _write_atomically(cache_file, write_bench(to_netlist(circ)))
     return circ
 
 
-def suite_summary() -> List[Dict[str, object]]:
-    """Name/inputs/gates/outputs rows for reports and README tables."""
-    rows = []
-    for entry in SUITE:
-        circ = build_circuit(entry.name)
-        rows.append(
-            {
-                "circuit": entry.name,
-                "inputs": circ.num_inputs,
-                "outputs": circ.num_outputs,
-                "gates": circ.num_gates,
-                "irredundant": entry.irredundant,
-            }
-        )
-    return rows
+def _write_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to a uniquely named file beside ``path``, then
+    rename it over ``path``.
+
+    A write cut short (ENOSPC, a kill, a second builder of the same
+    entry) leaves at most a stray temp file, never a partial netlist at
+    ``path`` that every later build would fail to parse.  The file gets
+    the umask's mode, as a direct write does (``mkstemp`` would make it
+    owner-only).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}-{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise

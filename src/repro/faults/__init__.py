@@ -18,7 +18,7 @@ from repro.faults.registry import (
     query_detection_matrix,
     register_fault_model,
 )
-from repro.faults.sets import FaultSet, FaultStatus
+from repro.faults.sets import FaultStatus
 from repro.faults.transition import (
     SLOW_TO_FALL,
     SLOW_TO_RISE,
@@ -34,7 +34,6 @@ __all__ = [
     "CollapsedFaults",
     "Fault",
     "FaultModel",
-    "FaultSet",
     "FaultStatus",
     "PatternBlock",
     "SLOW_TO_FALL",

@@ -1,13 +1,12 @@
-"""Fault status bookkeeping for test-generation runs."""
+"""Fault status of a test-generation run.
+
+:class:`~repro.atpg.engine.TestGenResult` keeps one :class:`FaultStatus`
+per target fault in its ``status`` map.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Sequence
-
-from repro.errors import FaultModelError
-from repro.faults.model import Fault
 
 
 class FaultStatus(Enum):
@@ -18,78 +17,3 @@ class FaultStatus(Enum):
     UNDETECTABLE = "undetectable"
     ABORTED = "aborted"
 
-
-@dataclass
-class FaultSet:
-    """An ordered fault list with per-fault status.
-
-    The iteration order is the *target order* — the heart of the paper's
-    heuristic.  ``FaultSet`` never reorders itself; orderings produce a
-    new instance via :meth:`reordered`.
-    """
-
-    faults: List[Fault]
-    status: Dict[Fault, FaultStatus] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.faults)) != len(self.faults):
-            raise FaultModelError("duplicate faults in fault set")
-        for fault in self.faults:
-            self.status.setdefault(fault, FaultStatus.UNDETECTED)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self) -> Iterator[Fault]:
-        return iter(self.faults)
-
-    def mark(self, fault: Fault, status: FaultStatus) -> None:
-        """Set the status of one fault."""
-        if fault not in self.status:
-            raise FaultModelError(f"{fault} is not in this fault set")
-        self.status[fault] = status
-
-    def of_status(self, status: FaultStatus) -> List[Fault]:
-        """Faults currently in ``status``, in target order."""
-        return [f for f in self.faults if self.status[f] == status]
-
-    @property
-    def undetected(self) -> List[Fault]:
-        """Faults still awaiting detection, in target order."""
-        return self.of_status(FaultStatus.UNDETECTED)
-
-    @property
-    def num_detected(self) -> int:
-        """Count of detected faults."""
-        return sum(
-            1 for s in self.status.values() if s == FaultStatus.DETECTED
-        )
-
-    def coverage(self) -> float:
-        """Detected fraction of the whole set (undetectables included)."""
-        return self.num_detected / len(self.faults) if self.faults else 1.0
-
-    def detectable_coverage(self) -> float:
-        """Detected fraction of faults not proven undetectable."""
-        detectable = [
-            f for f in self.faults
-            if self.status[f] != FaultStatus.UNDETECTABLE
-        ]
-        if not detectable:
-            return 1.0
-        detected = sum(
-            1 for f in detectable if self.status[f] == FaultStatus.DETECTED
-        )
-        return detected / len(detectable)
-
-    def reordered(self, order: Sequence[int]) -> "FaultSet":
-        """New fault set with target order ``[faults[i] for i in order]``.
-
-        ``order`` must be a permutation of ``range(len(self))``.
-        """
-        if sorted(order) != list(range(len(self.faults))):
-            raise FaultModelError("order is not a permutation of the fault set")
-        return FaultSet(
-            faults=[self.faults[i] for i in order],
-            status=dict(self.status),
-        )

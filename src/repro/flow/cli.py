@@ -361,7 +361,8 @@ def _render_diagnose(flow: Flow, config: FlowConfig,
 
     context = build_diagnosis_context(flow)
     if args.fail_log:
-        log = FailLog.from_jsonl(args.fail_log)
+        log = FailLog.from_jsonl(
+            args.fail_log, num_outputs=context.ranker.num_outputs)
         if log.num_tests != context.num_tests:
             raise ReproError(
                 f"fail log {args.fail_log} covers {log.num_tests} tests, "

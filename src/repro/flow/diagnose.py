@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.diagnosis.chain import ChainRanker
 from repro.diagnosis.compress import (
@@ -89,13 +89,16 @@ def build_diagnosis_context(flow: Flow) -> DiagnosisContext:
         )
 
 
-def parse_fail_entries(entries: Any, num_tests: int) -> FailLog:
+def parse_fail_entries(entries: Any, num_tests: int,
+                       num_outputs: Optional[int] = None) -> FailLog:
     """Decode the wire-format device list into a :class:`FailLog`.
 
     ``entries`` must be a list of device records, decoded by
-    :meth:`FailLog.from_records` exactly as a JSONL fail log is.
-    Anything malformed raises :class:`~repro.errors.DiagnosisInputError`
-    naming the record (``devices[i]``).
+    :meth:`FailLog.from_records` exactly as a JSONL fail log is; pass
+    the circuit's output count (``context.ranker.num_outputs``) to bound
+    their failing-output positions.  Anything malformed raises
+    :class:`~repro.errors.DiagnosisInputError` naming the record
+    (``devices[i]``).
     """
     if not isinstance(entries, list):
         raise DiagnosisInputError(
@@ -104,7 +107,7 @@ def parse_fail_entries(entries: Any, num_tests: int) -> FailLog:
         )
     return FailLog.from_records(
         ((f"devices[{index}]", record)
-         for index, record in enumerate(entries)), num_tests)
+         for index, record in enumerate(entries)), num_tests, num_outputs)
 
 
 def diagnosis_document(context: DiagnosisContext, log: FailLog, *,

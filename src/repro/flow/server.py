@@ -642,7 +642,8 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
                 raise _HTTPError(500, f"flow execution failed: {exc}")
             self.server.diagnosis_context_put(self._run_key, context)
         try:
-            log = parse_fail_entries(data["devices"], context.num_tests)
+            log = parse_fail_entries(data["devices"], context.num_tests,
+                                     context.ranker.num_outputs)
             document = diagnosis_document(
                 context, log, max_candidates=max_candidates,
                 chain=chain, source=source,

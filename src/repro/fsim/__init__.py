@@ -49,7 +49,6 @@ from repro.fsim.transition import (
     launch_line_word,
 )
 from repro.fsim.serial import (
-    detected_set_serial,
     detection_word_serial,
     detects_serial,
     output_response,
@@ -65,7 +64,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "default_backend_name",
-    "detected_set_serial",
     "detection_counts",
     "detection_word",
     "detection_word_serial",

@@ -71,10 +71,3 @@ def detection_word_serial(circ: CompiledCircuit, patterns: PatternSet,
             word |= 1 << p
     return word
 
-
-def detected_set_serial(circ: CompiledCircuit, patterns: PatternSet,
-                        faults: Sequence[Fault]) -> List[Fault]:
-    """Reference list of faults detected by at least one pattern."""
-    return [
-        f for f in faults if detection_word_serial(circ, patterns, f)
-    ]

@@ -26,7 +26,6 @@ from repro.resilience.chaos import (
     fire,
     install_plan,
     param,
-    reload_from_env,
 )
 from repro.resilience.context import (
     ResilienceContext,
@@ -50,7 +49,6 @@ __all__ = [
     "fire",
     "install_plan",
     "param",
-    "reload_from_env",
     "ResilienceContext",
     "ResilienceEvent",
     "baseline_summary",

@@ -16,8 +16,8 @@ Activation is either programmatic::
     with chaos_plan(ChaosPlan({"shard.worker.crash": 1.0})):
         engine.detection_matrix(faults)      # every shard map crashes
 
-or via the environment (read once at import; :func:`reload_from_env`
-re-reads)::
+or via the environment, read once at import (a process started with a
+different ``REPRO_CHAOS`` gets a different plan)::
 
     REPRO_CHAOS="shard.worker.crash:0.25:1234,cache.write.enospc:1.0"
 
@@ -250,11 +250,6 @@ def install_plan(plan: Optional[ChaosPlan]) -> Optional[ChaosPlan]:
     previous = _plan
     _plan = plan
     return previous
-
-
-def reload_from_env() -> Optional[ChaosPlan]:
-    """Re-read ``REPRO_CHAOS`` and install the result (or ``None``)."""
-    return install_plan(_load_env_plan())
 
 
 @contextmanager

@@ -5,7 +5,6 @@ Single vectors live in :class:`PatternSet`; two-pattern transition tests
 """
 
 from repro.sim.bitsim import (
-    BitSimulator,
     eval_gate_words,
     simulate,
     simulate_outputs,
@@ -14,17 +13,14 @@ from repro.sim.bitsim import (
 )
 from repro.sim.pattern_io import (
     read_pattern_pairs,
-    read_pattern_table,
     read_patterns,
     write_pattern_pairs,
-    write_pattern_table,
     write_patterns,
 )
 from repro.sim.patterns import PatternPairSet, PatternSet
 from repro.sim.threeval import ONE, X, ZERO, eval_gate3, simulate3
 
 __all__ = [
-    "BitSimulator",
     "ONE",
     "PatternPairSet",
     "PatternSet",
@@ -33,7 +29,6 @@ __all__ = [
     "eval_gate3",
     "eval_gate_words",
     "read_pattern_pairs",
-    "read_pattern_table",
     "read_patterns",
     "simulate",
     "simulate3",
@@ -41,6 +36,5 @@ __all__ = [
     "simulate_vector",
     "simulate_words",
     "write_pattern_pairs",
-    "write_pattern_table",
     "write_patterns",
 ]

@@ -10,7 +10,7 @@ gate (see ``benchmarks/bench_ablation_backends.py``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
@@ -135,22 +135,3 @@ def simulate_vector(circ: CompiledCircuit, vector: Sequence[int]) -> List[int]:
     patterns = PatternSet.from_vectors([list(vector)], circ.num_inputs)
     return simulate(circ, patterns)
 
-
-class BitSimulator:
-    """Stateful wrapper binding a circuit, for repeated simulation calls."""
-
-    def __init__(self, circ: CompiledCircuit):
-        self.circ = circ
-
-    def run(self, patterns: PatternSet) -> List[int]:
-        """All node words for ``patterns``."""
-        return simulate(self.circ, patterns)
-
-    def outputs(self, patterns: PatternSet) -> List[int]:
-        """Primary-output words for ``patterns``."""
-        return simulate_outputs(self.circ, patterns)
-
-    def output_vector(self, vector: Sequence[int]) -> List[int]:
-        """Scalar outputs for one input vector."""
-        values = simulate_vector(self.circ, vector)
-        return [values[out] & 1 for out in self.circ.outputs]

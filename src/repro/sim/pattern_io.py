@@ -1,6 +1,6 @@
 """Test pattern file I/O.
 
-Three plain-text formats:
+Two plain-text formats, the ones ``repro testgen --write-tests`` writes:
 
 * **bitstring** — one pattern per line, MSB = input 0, comments with
   ``#``.  The lowest-common-denominator exchange format::
@@ -8,13 +8,6 @@ Three plain-text formats:
       # 3 inputs
       101
       010
-
-* **table** — a header naming the inputs, then rows; survives column
-  reordering and makes files self-describing::
-
-      inputs: a b sel
-      1 0 1
-      0 1 0
 
 * **pair bitstring** — one two-pattern test per line, launch then
   capture vector separated by whitespace (transition-fault tests)::
@@ -27,9 +20,8 @@ Three plain-text formats:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.circuit.flatten import CompiledCircuit
 from repro.errors import SimulationError
 from repro.sim.patterns import PatternPairSet, PatternSet
 
@@ -133,55 +125,3 @@ def read_pattern_pairs(source: Union[str, Path],
         raise SimulationError("empty pattern-pair file needs num_inputs")
     return PatternPairSet.from_vector_pairs(rows, num_inputs)
 
-
-def write_pattern_table(patterns: PatternSet, circ: CompiledCircuit,
-                        destination: Optional[Path] = None) -> str:
-    """Serialize in table format with the circuit's input names."""
-    if patterns.num_inputs != circ.num_inputs:
-        raise SimulationError(
-            f"pattern set has {patterns.num_inputs} inputs, "
-            f"circuit has {circ.num_inputs}"
-        )
-    names = [circ.names[i] for i in range(circ.num_inputs)]
-    lines = ["inputs: " + " ".join(names)]
-    for vector in patterns.iter_vectors():
-        lines.append(" ".join(str(bit) for bit in vector))
-    text = "\n".join(lines) + "\n"
-    if destination is not None:
-        destination.write_text(text)
-    return text
-
-
-def read_pattern_table(source: Union[str, Path],
-                       circ: CompiledCircuit) -> PatternSet:
-    """Parse table format, permuting columns to the circuit's PI order."""
-    text = _source_text(source)
-    lines = [
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
-    ]
-    lines = [line for line in lines if line]
-    if not lines or not lines[0].startswith("inputs:"):
-        raise SimulationError("table format needs an `inputs:` header")
-    header = lines[0][len("inputs:"):].split()
-    expected = [circ.names[i] for i in range(circ.num_inputs)]
-    if sorted(header) != sorted(expected):
-        raise SimulationError(
-            f"table columns {header} do not match circuit inputs {expected}"
-        )
-    column_of = {name: k for k, name in enumerate(header)}
-    permutation = [column_of[name] for name in expected]
-
-    vectors: List[List[int]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split()
-        if len(cells) != len(header):
-            raise SimulationError(
-                f"line {line_no}: {len(cells)} columns, expected {len(header)}"
-            )
-        try:
-            row = [int(c) for c in cells]
-        except ValueError:
-            raise SimulationError(f"line {line_no}: non-integer cell")
-        vectors.append([row[k] for k in permutation])
-    return PatternSet.from_vectors(vectors, circ.num_inputs)

@@ -11,13 +11,15 @@ A :class:`PatternPairSet` stores N two-pattern tests as two aligned
 ``(launch.vector(p), capture.vector(p))``; all slicing operations act
 on whole pairs, so fault simulation, ``U`` selection and the ADI
 computation consume pair blocks exactly like single-vector blocks.
+The transition model's pool is :meth:`PatternPairSet.random`: both
+halves drawn independently, as an enhanced-scan cell allows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.utils.bitvec import full_mask
@@ -240,70 +242,6 @@ class PatternPairSet:
         launch = PatternSet.random(num_inputs, num_pairs, rng=rng)
         capture = PatternSet.random(num_inputs, num_pairs, rng=rng)
         return PatternPairSet(launch, capture)
-
-    @staticmethod
-    def launch_on_shift(launch: PatternSet, scan_in: int = 0) -> "PatternPairSet":
-        """Pairs where ``v2`` is ``v1`` shifted one scan position.
-
-        Launch-on-shift (skewed-load) testing derives the capture vector
-        from the last shift of the scan chain: input 0 takes the fresh
-        ``scan_in`` bit and input ``i`` takes ``v1``'s input ``i - 1``,
-        modelling a single scan chain in primary-input order.
-        """
-        if scan_in not in (0, 1):
-            raise SimulationError(f"scan_in must be 0 or 1, got {scan_in!r}")
-        width = launch.num_patterns
-        fill = full_mask(width) if scan_in else 0
-        words = (fill,) + launch.words[:-1] if launch.num_inputs else ()
-        return PatternPairSet(
-            launch,
-            PatternSet(launch.num_inputs, width, tuple(words)),
-        )
-
-    @staticmethod
-    def launch_on_capture(circ, launch: PatternSet,
-                          mapping: Sequence[int] | None = None
-                          ) -> "PatternPairSet":
-        """Pairs where ``v2`` is the circuit's captured response to ``v1``.
-
-        Launch-on-capture (broadside) testing applies the functional
-        next state as the second vector: in the full-scan model the
-        flip-flop portion of ``v2`` is the combinational response to
-        ``v1`` captured back into the scan cells.  ``mapping[i]`` names
-        the primary-output index whose response feeds input ``i``
-        (default: output ``i % num_outputs`` — the stand-in wiring used
-        for the purely combinational suite circuits, where the real
-        PPI/PPO correspondence of a netlist is not available).
-        """
-        from repro.sim.bitsim import simulate  # local: bitsim imports patterns
-
-        if launch.num_inputs != circ.num_inputs:
-            raise SimulationError(
-                f"launch set has {launch.num_inputs} inputs, "
-                f"circuit has {circ.num_inputs}"
-            )
-        if not circ.num_outputs:
-            raise SimulationError("launch-on-capture needs primary outputs")
-        if mapping is None:
-            mapping = [i % circ.num_outputs for i in range(circ.num_inputs)]
-        elif len(mapping) != circ.num_inputs:
-            raise SimulationError(
-                f"mapping has {len(mapping)} entries, "
-                f"expected {circ.num_inputs}"
-            )
-        good = simulate(circ, launch)
-        words = []
-        for out_index in mapping:
-            if not 0 <= out_index < circ.num_outputs:
-                raise SimulationError(
-                    f"mapping names output {out_index}, "
-                    f"circuit has {circ.num_outputs}"
-                )
-            words.append(good[circ.outputs[out_index]])
-        return PatternPairSet(
-            launch,
-            PatternSet(launch.num_inputs, launch.num_patterns, tuple(words)),
-        )
 
     # -- access --------------------------------------------------------------
 

@@ -52,9 +52,7 @@ from repro.telemetry.spans import (
     TraceCollector,
     enabled,
     get_registry,
-    reload_from_env,
     scoped_registry,
-    set_default_registry,
     set_enabled,
     span,
     tracing,
@@ -64,8 +62,8 @@ __all__ = [
     "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricFamily",
     "MetricsRegistry", "TelemetryError", "render_prometheus",
     "SPAN_METRIC", "TELEMETRY_ENV_VAR", "Span", "TraceCollector",
-    "enabled", "get_registry", "reload_from_env", "scoped_registry",
-    "set_default_registry", "set_enabled", "span", "tracing",
+    "enabled", "get_registry", "scoped_registry", "set_enabled", "span",
+    "tracing",
     "LOG_FORMAT_ENV_VAR", "format_event", "log_event", "log_format",
     "set_sink",
 ]

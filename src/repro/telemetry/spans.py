@@ -55,7 +55,6 @@ _enabled = _env_enabled()
 #: The process-wide default registry every span and instrument records
 #: into unless scoped otherwise.
 _default_registry = MetricsRegistry()
-_registry_lock = threading.Lock()
 
 _local = threading.local()
 
@@ -71,28 +70,11 @@ def set_enabled(value: bool) -> None:
     _enabled = bool(value)
 
 
-def reload_from_env() -> None:
-    """Re-read :data:`TELEMETRY_ENV_VAR` (after an env change)."""
-    set_enabled(_env_enabled())
-
-
 def get_registry() -> MetricsRegistry:
     """The current registry: the innermost :func:`scoped_registry`, or
     the process-wide default."""
     override = getattr(_local, "registry", None)
     return override if override is not None else _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the process-wide default registry; returns the old one.
-
-    Test isolation hook — production code always accumulates into one
-    default registry per process.
-    """
-    global _default_registry
-    with _registry_lock:
-        old, _default_registry = _default_registry, registry
-    return old
 
 
 @contextlib.contextmanager

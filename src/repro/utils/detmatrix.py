@@ -141,21 +141,6 @@ class DetectionMatrix:
         return DetectionMatrix(words.astype(np.uint64, copy=True),
                                num_patterns)
 
-    @staticmethod
-    def from_bytes(data: bytes, num_faults: int,
-                   num_patterns: int) -> "DetectionMatrix":
-        """Inverse of :meth:`to_bytes` (little-endian row-major words)."""
-        width = num_words_for(num_patterns)
-        expected = num_faults * width * 8
-        if len(data) != expected:
-            raise ValueError(
-                f"{num_faults} faults x {num_patterns} patterns need "
-                f"{expected} bytes, got {len(data)}"
-            )
-        words = np.frombuffer(data, dtype="<u8").reshape(num_faults, width)
-        return DetectionMatrix(words.astype(np.uint64, copy=True),
-                               num_patterns)
-
     # -- shape ----------------------------------------------------------------
 
     @property
@@ -172,10 +157,6 @@ class DetectionMatrix:
         return self.num_faults
 
     # -- converters (the big-int compatibility boundary) ----------------------
-
-    def to_bytes(self) -> bytes:
-        """Row-major little-endian word dump (see :meth:`from_bytes`)."""
-        return self.words.astype("<u8").tobytes()
 
     def row_int(self, row: int) -> int:
         """Row ``row`` as one big-int detection word."""

@@ -100,11 +100,10 @@ class TestBitsimConstGates:
         return compile_circuit(c)
 
     def test_bitsim(self, const_circ):
-        from repro.sim import BitSimulator
+        from repro.fsim.serial import output_response
 
-        sim = BitSimulator(const_circ)
-        assert sim.output_vector([1, 0]) == [1]
-        assert sim.output_vector([1, 1]) == [0]
+        assert output_response(const_circ, [1, 0]) == [1]
+        assert output_response(const_circ, [1, 1]) == [0]
 
     def test_npsim_agrees(self, const_circ):
         from repro.sim import npsim, simulate

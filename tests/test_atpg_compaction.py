@@ -1,18 +1,15 @@
-"""Tests for static compaction and [7]-style test reordering."""
+"""Tests for [7]-style test reordering and its per-test detection words."""
 
 import pytest
 
 from repro.adi import ave_from_curve, coverage_curve
 from repro.atpg import TestGenConfig as GenConfig
-from repro.atpg import (
-    detection_matrix,
-    generate_tests,
-    greedy_cover_compaction,
-    reorder_by_detection,
-    reverse_order_compaction,
-)
+from repro.atpg import detection_matrix, generate_tests, reorder_by_detection
 from repro.faults import collapsed_fault_list
+from repro.fsim import BACKEND_ENV_VAR
+from repro.fsim.serial import detection_word_serial
 from repro.sim import PatternSet
+from repro.utils.bitvec import iter_bits
 
 from helpers import generated_circuit
 
@@ -27,6 +24,20 @@ def lion_setup():
     base = generate_tests(circ, faults, GenConfig(seed=6)).tests
     padded = base.concat(PatternSet.random(4, 12, seed=7))
     return circ, faults, padded
+
+
+@pytest.fixture(scope="module")
+def serial_setup():
+    """A generated circuit, 70 random tests and their per-test words
+    built from the serial oracle."""
+    circ = generated_circuit(7, num_inputs=8, num_gates=40)
+    faults = collapsed_fault_list(circ)
+    tests = PatternSet.random(circ.num_inputs, 70, seed=3)
+    words = [0] * tests.num_patterns
+    for i, fault in enumerate(faults):
+        for t in iter_bits(detection_word_serial(circ, tests, fault)):
+            words[t] |= 1 << i
+    return circ, faults, tests, words
 
 
 class TestDetectionMatrix:
@@ -44,8 +55,6 @@ class TestDetectionMatrix:
     def test_matrix_is_transposed_serial_words(self, width):
         """Bit ``i`` of test ``t``'s word is bit ``t`` of fault ``i``'s
         serial detection word, across word boundaries on both axes."""
-        from repro.fsim.serial import detection_word_serial
-
         circ = generated_circuit(5, num_inputs=8, num_gates=40)
         faults = collapsed_fault_list(circ)
         assert len(faults) > 64
@@ -57,57 +66,26 @@ class TestDetectionMatrix:
             assert all((matrix[t] >> i) & 1 == (word >> t) & 1
                        for t in range(width)), fault
 
+    @pytest.mark.parametrize("backend", ["bigint", "numpy"])
+    def test_matrix_same_on_each_engine(self, backend, serial_setup,
+                                        monkeypatch):
+        """The words do not depend on the engine ``$REPRO_FSIM_BACKEND``
+        names."""
+        circ, faults, tests, expected = serial_setup
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        assert detection_matrix(circ, faults, tests) == expected
 
-class TestReverseOrderCompaction:
-    def test_coverage_preserved(self, lion_setup):
-        circ, faults, tests = lion_setup
-        result = reverse_order_compaction(circ, faults, tests)
-        assert result.detected_after == result.detected_before
-        after = coverage_curve(circ, faults, result.tests)
-        before = coverage_curve(circ, faults, tests)
-        assert after[-1] == before[-1]
-
-    def test_actually_removes_tests(self, lion_setup):
-        circ, faults, tests = lion_setup
-        result = reverse_order_compaction(circ, faults, tests)
-        assert result.removed > 0
-        assert result.original_size == tests.num_patterns
-        assert len(result.kept_indices) == result.tests.num_patterns
-
-    def test_kept_indices_sorted(self, lion_setup):
-        circ, faults, tests = lion_setup
-        result = reverse_order_compaction(circ, faults, tests)
-        assert result.kept_indices == sorted(result.kept_indices)
-
-    def test_idempotent(self, lion_setup):
-        circ, faults, tests = lion_setup
-        once = reverse_order_compaction(circ, faults, tests)
-        twice = reverse_order_compaction(circ, faults, once.tests)
-        assert twice.tests.num_patterns <= once.tests.num_patterns
+    def test_empty_test_set(self, lion_setup):
+        circ, faults, __ = lion_setup
+        empty = PatternSet.from_vectors([], num_inputs=circ.num_inputs)
+        assert detection_matrix(circ, faults, empty) == []
+        assert reorder_by_detection(circ, faults, empty) == empty
 
 
-class TestGreedyCoverCompaction:
-    def test_coverage_preserved(self, lion_setup):
-        circ, faults, tests = lion_setup
-        result = greedy_cover_compaction(circ, faults, tests)
-        assert result.detected_after == result.detected_before
-
-    def test_no_larger_than_reverse_order(self, lion_setup):
-        circ, faults, tests = lion_setup
-        greedy = greedy_cover_compaction(circ, faults, tests)
-        reverse = reverse_order_compaction(circ, faults, tests)
-        assert greedy.tests.num_patterns <= reverse.tests.num_patterns
-
-    def test_greedy_order_is_steep(self, lion_setup):
-        """Greedy keeps most-detecting tests first: the curve of the
-        compacted set must be at least as steep as the original set's."""
-        circ, faults, tests = lion_setup
-        result = greedy_cover_compaction(circ, faults, tests)
-        original_ave = ave_from_curve(coverage_curve(circ, faults, tests))
-        compacted_ave = ave_from_curve(
-            coverage_curve(circ, faults, result.tests)
-        )
-        assert compacted_ave <= original_ave
+def detection_counts(circ, faults, tests):
+    """Faults each test detects, in the order of ``tests``."""
+    return [word.bit_count()
+            for word in detection_matrix(circ, faults, tests)]
 
 
 class TestReorderByDetection:
@@ -145,3 +123,38 @@ class TestReorderByDetection:
         a = coverage_curve(circ, faults, tests)[-1]
         b = coverage_curve(circ, faults, reordered)[-1]
         assert a == b
+
+    def test_static_order_is_stable_sort_by_count(self, small_circuit):
+        """``greedy=False``: detection counts never rise along the new
+        order, and tests with equal counts keep their relative order."""
+        faults = collapsed_fault_list(small_circuit)
+        tests = PatternSet.random(small_circuit.num_inputs, 24, seed=11)
+        static = reorder_by_detection(small_circuit, faults, tests,
+                                      greedy=False)
+        counts = detection_counts(small_circuit, faults, static)
+        assert counts == sorted(counts, reverse=True)
+        before = detection_counts(small_circuit, faults, tests)
+        for count in set(counts):
+            assert [static.as_integer(p) for p in range(len(static))
+                    if counts[p] == count] == \
+                [tests.as_integer(p) for p in range(len(tests))
+                 if before[p] == count]
+
+    def test_greedy_takes_largest_gain_first(self, small_circuit):
+        """``greedy=True``: every test adds at least as many new faults
+        as any test after it would at that point, and a tie goes to the
+        test detecting more faults in total."""
+        faults = collapsed_fault_list(small_circuit)
+        tests = PatternSet.random(small_circuit.num_inputs, 24, seed=12)
+        greedy = reorder_by_detection(small_circuit, faults, tests,
+                                      greedy=True)
+        matrix = detection_matrix(small_circuit, faults, greedy)
+        covered = 0
+        for k, word in enumerate(matrix):
+            gain = (word & ~covered).bit_count()
+            for later in matrix[k + 1:]:
+                later_gain = (later & ~covered).bit_count()
+                assert gain >= later_gain
+                if gain == later_gain:
+                    assert word.bit_count() >= later.bit_count()
+            covered |= word

@@ -6,6 +6,8 @@ from repro.adi import coverage_curve
 # Aliased imports: pytest would otherwise try to collect the Test* classes.
 from repro.atpg import TestGenConfig as GenConfig
 from repro.atpg import (
+    PodemStatus,
+    SatAtpg,
     fill_constant,
     fill_cube,
     fill_random,
@@ -14,6 +16,7 @@ from repro.atpg import (
 )
 from repro.errors import AtpgError
 from repro.faults import FaultStatus, collapsed_fault_list
+from repro.fsim.serial import detection_word_serial
 from repro.sim import X
 from repro.utils.rng import make_rng
 
@@ -143,3 +146,47 @@ class TestGenerateTests:
         result = generate_tests(lion_circuit, faults)
         # One call per generated test plus one per undetectable/aborted.
         assert result.podem_calls == result.num_tests
+
+
+@pytest.fixture(scope="module")
+def generated_result(small_circuit):
+    """Collapsed faults of one small circuit and a run over them with a
+    backtrack limit high enough that PODEM decides every fault."""
+    faults = collapsed_fault_list(small_circuit)
+    result = generate_tests(small_circuit, faults,
+                            GenConfig(backtrack_limit=10_000))
+    return small_circuit, faults, result
+
+
+class TestStatus:
+    """``TestGenResult.status`` holds one verdict per target fault, and
+    each verdict holds under an oracle independent of the run."""
+
+    def test_one_verdict_per_target_in_target_order(self, generated_result):
+        __, faults, result = generated_result
+        assert list(result.status) == faults
+        assert result.num_aborted == 0
+        assert result.num_detected + result.num_undetectable == len(faults)
+        assert result.fault_coverage() == pytest.approx(
+            result.num_detected / len(faults))
+        assert result.fault_efficiency() == 1.0
+
+    def test_detected_verdicts_match_serial_oracle(self, generated_result):
+        circ, __, result = generated_result
+        for fault, status in result.status.items():
+            word = detection_word_serial(circ, result.tests, fault)
+            assert (status == FaultStatus.DETECTED) == (word != 0), \
+                fault.describe(circ)
+
+    def test_verdicts_agree_with_sat(self, generated_result):
+        """A fault is UNDETECTABLE exactly when the SAT miter has no
+        solution, and DETECTED exactly when it has one."""
+        circ, __, result = generated_result
+        sat = SatAtpg(circ)
+        expected = {
+            PodemStatus.SUCCESS: FaultStatus.DETECTED,
+            PodemStatus.UNDETECTABLE: FaultStatus.UNDETECTABLE,
+        }
+        for fault, status in result.status.items():
+            verdict = sat.run(fault, conflict_limit=None).status
+            assert expected[verdict] == status, fault.describe(circ)

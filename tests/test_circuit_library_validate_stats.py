@@ -1,4 +1,4 @@
-"""Tests for built-in circuits, validation and statistics."""
+"""Tests for built-in circuits and validation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.circuit import (
     GateType,
     and_chain,
     builtin_names,
-    circuit_stats,
     compile_circuit,
     get_builtin,
     lion_like,
@@ -16,7 +15,8 @@ from repro.circuit import (
     xor_tree,
 )
 from repro.errors import ExperimentError
-from repro.sim import BitSimulator, PatternSet
+from repro.fsim.serial import output_response
+from repro.sim import PatternSet
 
 
 class TestLionLike:
@@ -43,9 +43,8 @@ class TestLionLike:
 class TestParametricFamilies:
     def test_and_chain_function(self):
         circ = and_chain(3)
-        sim = BitSimulator(circ)
-        assert sim.output_vector([1, 1, 1, 1]) == [1]
-        assert sim.output_vector([1, 1, 0, 1]) == [0]
+        assert output_response(circ, [1, 1, 1, 1]) == [1]
+        assert output_response(circ, [1, 1, 0, 1]) == [0]
 
     def test_and_chain_bad_length(self):
         with pytest.raises(ExperimentError):
@@ -53,26 +52,23 @@ class TestParametricFamilies:
 
     def test_xor_tree_is_parity(self):
         circ = xor_tree(6)
-        sim = BitSimulator(circ)
         for vec in ([1, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [1] * 6):
-            assert sim.output_vector(list(vec)) == [sum(vec) % 2]
+            assert output_response(circ, list(vec)) == [sum(vec) % 2]
 
     def test_xor_tree_odd_width(self):
         circ = xor_tree(5)
-        sim = BitSimulator(circ)
-        assert sim.output_vector([1, 1, 1, 1, 1]) == [1]
+        assert output_response(circ, [1, 1, 1, 1, 1]) == [1]
 
     def test_ripple_adder_adds(self):
         width = 4
         circ = ripple_adder(width)
-        sim = BitSimulator(circ)
         for a, b, cin in [(3, 5, 0), (15, 1, 1), (9, 9, 0), (0, 0, 1)]:
             vec = (
                 [(a >> k) & 1 for k in range(width)]
                 + [(b >> k) & 1 for k in range(width)]
                 + [cin]
             )
-            out = sim.output_vector(vec)
+            out = output_response(circ, vec)
             total = sum(out[k] << k for k in range(width)) + (out[width] << width)
             assert total == a + b + cin
 
@@ -148,22 +144,3 @@ class TestValidation:
         report = validate_circuit(compile_circuit(c), strict=True)
         with pytest.raises(CircuitStructureError):
             report.raise_if_failed()
-
-
-class TestStats:
-    def test_c17_stats(self, c17_circuit):
-        stats = circuit_stats(c17_circuit)
-        assert stats.num_gates == 6
-        assert stats.gate_mix == {"NAND": 6}
-        assert stats.avg_fanin == 2.0
-        assert stats.max_level == 3
-
-    def test_stem_count(self, c17_circuit):
-        stats = circuit_stats(c17_circuit)
-        # G3, G11 and G16 each feed two gates.
-        assert stats.num_stems == 3
-
-    def test_as_row(self, c17_circuit):
-        row = circuit_stats(c17_circuit).as_row()
-        assert row[0] == "c17"
-        assert row[3] == 6

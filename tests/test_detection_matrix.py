@@ -89,17 +89,6 @@ class TestRoundTrips:
         assert peak < size + words.nbytes // 2
         assert ints == [matrix.row_int(r) for r in range(2000)]
 
-    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_bytes_round_trip(self, width):
-        words = reference_words(width + 1, 9, width)
-        matrix = DetectionMatrix.from_bigints(words, width)
-        rebuilt = DetectionMatrix.from_bytes(matrix.to_bytes(), 9, width)
-        assert rebuilt == matrix
-
-    def test_from_bytes_wrong_size(self):
-        with pytest.raises(ValueError):
-            DetectionMatrix.from_bytes(b"\x00" * 7, 1, 8)
-
     def test_empty_matrix(self):
         matrix = DetectionMatrix.zeros(0, 10)
         assert matrix.num_faults == 0

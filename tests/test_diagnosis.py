@@ -5,7 +5,6 @@ import pytest
 from repro.atpg import TestGenConfig as GenConfig
 from repro.atpg import generate_tests
 from repro.diagnosis import (
-    build_dictionary,
     build_pass_fail_dictionary,
     diagnose,
     expected_tests_to_first_fail,
@@ -52,27 +51,6 @@ class TestPassFailDictionary:
         circ, faults, __t, __d = lion_setup
         with pytest.raises(SimulationError):
             build_pass_fail_dictionary(circ, faults, PatternSet.exhaustive(3))
-
-
-class TestFullDictionary:
-    def test_signatures_consistent_with_pass_fail(self, lion_setup):
-        circ, faults, tests, pass_fail = lion_setup
-        full = build_dictionary(circ, faults[:10], tests)
-        for i, fault in enumerate(full.faults):
-            failing_tests = set(full.signatures[i])
-            idx = pass_fail.faults.index(fault)
-            expected = {
-                t for t in range(tests.num_patterns)
-                if (pass_fail.fail_matrix.row_int(idx) >> t) & 1
-            }
-            assert failing_tests == expected
-            for outputs in full.signatures[i].values():
-                assert outputs  # a failing test must flip some output
-
-    def test_signature_lookup(self, lion_setup):
-        circ, faults, tests, __ = lion_setup
-        full = build_dictionary(circ, faults[:3], tests)
-        assert full.signature(faults[1]) == full.signatures[1]
 
 
 class TestDiagnose:

@@ -289,6 +289,53 @@ class TestOneDecoder:
         assert wire.device_ids == ("a", "device000001", "5")
         assert wire.failing_outputs == (0b100, None, None)
 
+    @pytest.mark.parametrize("surface", ["wire", "jsonl"])
+    @pytest.mark.parametrize("position,accepted", [
+        (0, True),
+        (4, True),
+        (5, False),
+        (1_004, False),
+        (5_000_000, False),
+        (-1, False),
+    ])
+    def test_output_positions_bounded_by_output_count(
+            self, tmp_path, surface, position, accepted):
+        """Given the circuit's output count (5 here), both surfaces keep
+        output positions to ``0..4``, as ``ChainRanker.rerank`` does."""
+        from repro.flow.diagnose import parse_fail_entries
+
+        records = [{"failing_tests": [1]},
+                   {"device": "x", "failing_tests": [0],
+                    "failing_outputs": [position]}]
+
+        def decode():
+            if surface == "wire":
+                return parse_fail_entries(records, 8, num_outputs=5)
+            return FailLog.from_jsonl(write_log(tmp_path, *records),
+                                      num_outputs=5)
+
+        if accepted:
+            assert decode().failing_outputs == (None, 1 << position)
+            return
+        with pytest.raises(DiagnosisInputError) as caught:
+            decode()
+        where = ("devices[1]" if surface == "wire"
+                 else f"{tmp_path / 'log.jsonl'}:3")
+        message = str(caught.value)
+        assert message.startswith(f"{where}: failing output {position} ")
+        if position >= 0:
+            assert message.endswith("out of range 0..4")
+
+    def test_without_output_count_only_sign_is_checked(self):
+        from repro.flow.diagnose import parse_fail_entries
+
+        log = parse_fail_entries(
+            [{"failing_tests": [0], "failing_outputs": [70]}], 8)
+        assert log.failing_outputs == (1 << 70,)
+        with pytest.raises(DiagnosisInputError, match="failing output -1"):
+            parse_fail_entries(
+                [{"failing_tests": [0], "failing_outputs": [-1]}], 8)
+
 
 class TestRandomFailLog:
     def test_deterministic_under_seed(self):

@@ -68,6 +68,49 @@ class TestSuiteRegistry:
         b = build_circuit("irs208")
         assert a is b  # lru_cache
 
+    def test_interrupted_netlist_write_leaves_no_cache_file(
+            self, tmp_path, monkeypatch):
+        """A child builds ``irs208`` under a 1000-byte file-size limit,
+        so its netlist write fails partway, as on a full disk.  No partial
+        ``.bench`` may stay behind for every later build to trip over."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import resource, signal\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))\n"
+            "from repro.experiments import build_circuit\n"
+            "build_circuit('irs208')\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-B", "-c", script], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src,
+                     REPRO_CACHE_DIR=str(tmp_path)),
+        )
+        assert child.returncode != 0
+        assert "File too large" in child.stderr
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        build_circuit.cache_clear()
+        try:
+            rebuilt = build_circuit("irs208")
+            build_circuit.cache_clear()
+            reloaded = build_circuit("irs208")
+        finally:
+            build_circuit.cache_clear()
+        assert [path.suffix for path in tmp_path.iterdir()] == [".bench"]
+        assert reloaded.names == rebuilt.names
+        assert reloaded.fanin == rebuilt.fanin
+
 
 class TestExperimentRunner:
     @pytest.fixture(scope="class")

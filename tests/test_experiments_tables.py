@@ -132,6 +132,21 @@ class TestCli:
         assert main(["table4", "--circuits", "irs208"]) == 0
         assert "irs208" in capsys.readouterr().out
 
+    def test_main_stats_row_matches_built_circuit(self, capsys):
+        """``stats`` is the one circuit summary: its row is the built
+        suite circuit's interface."""
+        from repro.experiments import build_circuit
+        from repro.experiments.__main__ import main
+
+        assert main(["stats", "--circuits", "irs208"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["circuit", "inputs", "outputs", "gates",
+                                    "irredundant"]
+        rows = [line.split() for line in lines[3:] if line.strip()]
+        circ = build_circuit("irs208")
+        assert rows == [["irs208", str(circ.num_inputs),
+                         str(circ.num_outputs), str(circ.num_gates), "yes"]]
+
     def test_main_rejects_unknown_target(self):
         from repro.experiments.__main__ import main
 

@@ -364,6 +364,8 @@ class TestDiagnoseCommand:
         '{"device": "x", "failing_tests": [true]}',
         '{"device": "x", "failing_tests": [0], "failing_outputs": [1.5]}',
         '{"device": "x", "failing_tests": [0], "failing_outputs": "ab"}',
+        # GEN's circuit has 3 outputs: position 3 is one past them.
+        '{"device": "x", "failing_tests": [0], "failing_outputs": [3]}',
     ])
     def test_malformed_fail_record_is_a_usage_error(self, capsys, tmp_path,
                                                     record):

@@ -929,6 +929,14 @@ class TestDiagnoseEndpoint:
         (lambda p: p.update(devices="nope"), "must be a list"),
         (lambda p: p.update(devices=[{"failing_tests": [10 ** 6]}]),
          "out of range"),
+        # tiny_config's circuit has 4 outputs: positions from 4 up name
+        # outputs it does not have, with or without the chain re-rank.
+        (lambda p: p.update(devices=[{"failing_tests": [0],
+                                      "failing_outputs": [4]}]),
+         "devices[0]: failing output 4 out of range 0..3"),
+        (lambda p: p.update(chain=True, devices=[
+            {"failing_tests": [0], "failing_outputs": [5_000_000]}]),
+         "devices[0]: failing output 5000000 out of range 0..3"),
         (lambda p: p.update(max_candidates=-2), "max_candidates"),
         (lambda p: p.update(chain="yes"), "chain must be a boolean"),
         (lambda p: p["config"]["u"].update(max_vectors="100"),

@@ -8,9 +8,8 @@ carry actionable messages.
 import pytest
 
 from repro.circuit import parse_bench
-from repro.circuit.verilog import parse_verilog
 from repro.errors import BenchParseError, ReproError, SimulationError
-from repro.sim.pattern_io import read_pattern_table, read_patterns
+from repro.sim.pattern_io import read_patterns
 
 BAD_BENCH = [
     ("y = AND(a,)", "dangling comma leaves arity intact but a is undriven"),
@@ -49,27 +48,6 @@ class TestBenchCorpus:
             pytest.fail("junk line accepted")
 
 
-BAD_VERILOG = [
-    ("module m (a); input a; foo u (a); endmodule", "non-primitive"),
-    ("module m (a); input a; and g (); endmodule", "no ports"),
-    ("input a; and g (y, a);", "no module"),
-    ("module m (a); input a;", "no endmodule"),
-    ("module m (a, q); input a; output q; dff f (q); endmodule",
-     "dff needs two ports"),
-]
-
-
-class TestVerilogCorpus:
-    @pytest.mark.parametrize(
-        "text,reason", BAD_VERILOG, ids=[r for __, r in BAD_VERILOG]
-    )
-    def test_rejected(self, text, reason):
-        with pytest.raises(ReproError):
-            from repro.circuit import compile_circuit
-
-            compile_circuit(parse_verilog(text))
-
-
 BAD_PATTERNS = [
     ("01\n0A\n", "hex digit"),
     ("01\n0\n", "ragged"),
@@ -84,10 +62,6 @@ class TestPatternCorpus:
     def test_rejected(self, text, reason):
         with pytest.raises(SimulationError):
             read_patterns(text)
-
-    def test_table_header_required(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            read_pattern_table("0 1 0 1 0\n", c17_circuit)
 
 
 class TestRoundTripUnderStress:
@@ -104,16 +78,3 @@ class TestRoundTripUnderStress:
         circ = compile_circuit(parse_bench(spaced))
         assert circ.num_gates == 1
         assert len(circ.fanin[circ.node_of("y")]) == 2
-
-    def test_verilog_multiline_ports(self):
-        text = (
-            "module m (a,\n          b,\n          y);\n"
-            "  input a, b;\n  output y;\n"
-            "  nand g0 (y,\n           a, b);\n"
-            "endmodule\n"
-        )
-        from repro.circuit import compile_circuit
-
-        circ = compile_circuit(parse_verilog(text))
-        assert circ.num_inputs == 2
-        assert circ.num_gates == 1

@@ -86,43 +86,3 @@ class TestSimplifyConstantsProperty:
         for gate in simplified.gates:
             assert not (set(gate.inputs) & const_names), gate
 
-
-class TestCompactionOptimality:
-    """Greedy set cover vs the brute-force minimum on tiny test sets."""
-
-    def test_greedy_within_ln_bound_of_optimal(self):
-        import itertools
-
-        from repro.atpg import greedy_cover_compaction
-        from repro.atpg.compaction import detection_matrix
-        from repro.circuit import lion_like
-        from repro.faults import collapsed_fault_list
-
-        circ = lion_like()
-        faults = collapsed_fault_list(circ)
-        tests = PatternSet.random(4, 10, seed=5)
-        matrix = detection_matrix(circ, faults, tests)
-        full = 0
-        for word in matrix:
-            full |= word
-
-        # Brute-force minimum cover.
-        best = None
-        for size in range(1, tests.num_patterns + 1):
-            for combo in itertools.combinations(range(tests.num_patterns),
-                                                size):
-                covered = 0
-                for t in combo:
-                    covered |= matrix[t]
-                if covered == full:
-                    best = size
-                    break
-            if best is not None:
-                break
-
-        greedy = greedy_cover_compaction(circ, faults, tests)
-        assert best is not None
-        assert greedy.tests.num_patterns >= best
-        # Greedy's classical guarantee: within H(n) of optimal; on sets
-        # this small it should be at most one test over.
-        assert greedy.tests.num_patterns <= best + 1

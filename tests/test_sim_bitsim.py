@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.circuit import GateType, eval_gate
 from repro.errors import SimulationError
+from repro.fsim.serial import output_response
 from repro.sim import (
-    BitSimulator,
     PatternSet,
     simulate,
     simulate_outputs,
@@ -101,10 +101,9 @@ class TestSimulate:
                 assert (values[node] >> p) & 1 == scalar[node]
 
     def test_c17_known_vector(self, c17_circuit):
-        sim = BitSimulator(c17_circuit)
         # All-ones: G10=NAND(1,1)=0, G11=0, G16=NAND(1,0)=1, G19=1,
         # G22=NAND(0,1)=1, G23=NAND(1,1)=0.
-        assert sim.output_vector([1, 1, 1, 1, 1]) == [1, 0]
+        assert output_response(c17_circuit, [1, 1, 1, 1, 1]) == [1, 0]
 
     def test_wrong_input_count_rejected(self, c17_circuit):
         with pytest.raises(SimulationError):

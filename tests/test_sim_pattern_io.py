@@ -5,9 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import PatternSet
 from repro.sim.pattern_io import (
-    read_pattern_table,
+    read_pattern_pairs,
     read_patterns,
-    write_pattern_table,
     write_patterns,
 )
 
@@ -45,47 +44,48 @@ class TestBitstringFormat:
         assert read_patterns(path).words == original.words
 
 
-class TestTableFormat:
-    def test_round_trip(self, c17_circuit):
-        original = PatternSet.random(5, 12, seed=2)
-        text = write_pattern_table(original, c17_circuit)
-        loaded = read_pattern_table(text, c17_circuit)
-        assert loaded.words == original.words
+#: Each reader with a two-line document in its format.
+READERS = [
+    pytest.param(read_patterns, "101\n010\n", id="bitstring"),
+    pytest.param(read_pattern_pairs, "101 110\n010 011\n", id="pairs"),
+]
 
-    def test_header_names_match_circuit(self, c17_circuit):
-        text = write_pattern_table(PatternSet.exhaustive(5), c17_circuit)
-        assert text.splitlines()[0] == "inputs: G1 G2 G3 G6 G7"
 
-    def test_column_permutation_honored(self, c17_circuit):
-        # Swap two columns in the file; values must land on the right PIs.
-        text = "inputs: G2 G1 G3 G6 G7\n1 0 0 0 0\n"
-        loaded = read_pattern_table(text, c17_circuit)
-        assert loaded.vector(0) == (0, 1, 0, 0, 0)  # G1=0, G2=1
+class TestSourceResolution:
+    """Both readers resolve a text-or-path argument by the same rule."""
 
-    def test_wrong_columns_rejected(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            read_pattern_table("inputs: a b c d e\n0 0 0 0 0\n", c17_circuit)
+    @pytest.mark.parametrize("reader,text", READERS)
+    def test_path_object_is_read(self, reader, text, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_text(text)
+        assert reader(path) == reader(text)
 
-    def test_missing_header_rejected(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            read_pattern_table("0 0 0 0 0\n", c17_circuit)
+    @pytest.mark.parametrize("reader,text", READERS)
+    def test_one_line_naming_a_file_is_read(self, reader, text, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_text(text)
+        assert reader(str(path)).num_patterns == 2
 
-    def test_cell_count_checked(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            read_pattern_table("inputs: G1 G2 G3 G6 G7\n0 0 0\n", c17_circuit)
+    @pytest.mark.parametrize("reader,text", READERS)
+    def test_one_line_naming_no_file_is_inline(self, reader, text,
+                                               tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = text.splitlines()[0]
+        assert reader(first) == reader(first + "\n")
+        assert reader(first).num_patterns == 1
 
-    def test_non_integer_cell_rejected(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            read_pattern_table(
-                "inputs: G1 G2 G3 G6 G7\n0 0 x 0 0\n", c17_circuit
-            )
+    @pytest.mark.parametrize("reader,text", READERS)
+    def test_missing_file_is_reported_as_content(self, reader, text,
+                                                 tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(SimulationError, match="line 1: .*missing.txt"):
+            reader(missing)
 
-    def test_width_mismatch_on_write(self, c17_circuit):
-        with pytest.raises(SimulationError):
-            write_pattern_table(PatternSet.exhaustive(3), c17_circuit)
-
-    def test_file_round_trip(self, tmp_path, c17_circuit):
-        original = PatternSet.random(5, 8, seed=9)
-        path = tmp_path / "table.txt"
-        write_pattern_table(original, c17_circuit, path)
-        assert read_pattern_table(path, c17_circuit).words == original.words
+    @pytest.mark.parametrize("reader,text", READERS)
+    def test_line_too_long_for_a_file_name_is_inline(self, reader, text):
+        first = text.splitlines()[0]
+        width = len(first.split()[0])
+        long_line = " ".join(cell * 1000 for cell in first.split())
+        loaded = reader(long_line)
+        assert loaded.num_patterns == 1
+        assert loaded.num_inputs == width * 1000

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.circuit import c17
 from repro.errors import SimulationError
 from repro.sim import read_pattern_pairs, write_pattern_pairs
-from repro.sim.bitsim import simulate
 from repro.sim.patterns import PatternPairSet, PatternSet
 
 
@@ -41,55 +39,6 @@ class TestConstruction:
     def test_random_halves_independent(self):
         pairs = PatternPairSet.random(8, 64, seed=0)
         assert pairs.launch != pairs.capture
-
-
-class TestGenerators:
-    def test_launch_on_shift(self):
-        launch = PatternSet.from_vectors([[1, 0, 1], [0, 1, 1]])
-        pairs = PatternPairSet.launch_on_shift(launch, scan_in=1)
-        for p in range(launch.num_patterns):
-            v1, v2 = pairs.pair(p)
-            assert v2 == (1,) + v1[:-1]
-
-    def test_launch_on_shift_validates_scan_in(self):
-        with pytest.raises(SimulationError, match="scan_in"):
-            PatternPairSet.launch_on_shift(PatternSet.random(3, 4), scan_in=2)
-
-    def test_launch_on_capture_is_functional_response(self):
-        circ = c17()
-        launch = PatternSet.random(circ.num_inputs, 33, seed=5)
-        pairs = PatternPairSet.launch_on_capture(circ, launch)
-        good = simulate(circ, launch)
-        for p in range(launch.num_patterns):
-            _, v2 = pairs.pair(p)
-            for i in range(circ.num_inputs):
-                out = circ.outputs[i % circ.num_outputs]
-                assert v2[i] == (good[out] >> p) & 1
-
-    def test_launch_on_capture_custom_mapping(self):
-        circ = c17()
-        launch = PatternSet.random(circ.num_inputs, 8, seed=5)
-        mapping = [1] * circ.num_inputs
-        pairs = PatternPairSet.launch_on_capture(circ, launch, mapping)
-        good = simulate(circ, launch)
-        out = circ.outputs[1]
-        for p in range(8):
-            _, v2 = pairs.pair(p)
-            assert all(bit == (good[out] >> p) & 1 for bit in v2)
-
-    def test_launch_on_capture_validates(self):
-        circ = c17()
-        with pytest.raises(SimulationError, match="inputs"):
-            PatternPairSet.launch_on_capture(circ, PatternSet.random(3, 4))
-        with pytest.raises(SimulationError, match="mapping"):
-            PatternPairSet.launch_on_capture(
-                circ, PatternSet.random(circ.num_inputs, 4), mapping=[0]
-            )
-        with pytest.raises(SimulationError, match="output"):
-            PatternPairSet.launch_on_capture(
-                circ, PatternSet.random(circ.num_inputs, 4),
-                mapping=[99] * circ.num_inputs,
-            )
 
 
 class TestSlicing:
