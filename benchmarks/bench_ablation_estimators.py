@@ -21,9 +21,9 @@ CIRCUIT = "irs298"
 
 def test_ablation_ndetect_estimator(benchmark, runner, record):
     """How close does n-detection ndet get to the exact no-drop counts?"""
-    prepared = runner.prepare(CIRCUIT)
-    circ, faults = prepared.circuit, prepared.faults
-    patterns = prepared.selection.patterns
+    flow = runner.flow(CIRCUIT)
+    circ, faults = flow.circuit(), flow.faults()
+    patterns = flow.selection().patterns
 
     def correlations():
         exact = ndet_per_vector(circ, faults, patterns)
@@ -50,13 +50,13 @@ def test_ablation_ndetect_estimator(benchmark, runner, record):
 
 def test_ablation_average_adi(benchmark, runner, record):
     """Average-based ADI vs the paper's conservative minimum."""
-    prepared = runner.prepare(CIRCUIT)
-    circ, faults = prepared.circuit, prepared.faults
+    flow = runner.flow(CIRCUIT)
+    circ, faults = flow.circuit(), flow.faults()
 
     def run_both():
         results = {}
         for mode in (AdiMode.MINIMUM, AdiMode.AVERAGE):
-            adi = compute_adi(circ, faults, prepared.selection.patterns,
+            adi = compute_adi(circ, faults, flow.selection().patterns,
                               mode=mode)
             order = f0dynm(adi)
             outcome = generate_tests(
@@ -80,8 +80,8 @@ def test_ablation_average_adi(benchmark, runner, record):
 
 def test_ablation_prune_useless_vectors(benchmark, runner, record):
     """Paper's speed-up note: drop U vectors that detect nothing new."""
-    prepared = runner.prepare(CIRCUIT)
-    circ, faults = prepared.circuit, prepared.faults
+    flow = runner.flow(CIRCUIT)
+    circ, faults = flow.circuit(), flow.faults()
 
     def run_both():
         plain = select_u(circ, faults, seed=2005)
@@ -108,9 +108,9 @@ def test_ablation_prune_useless_vectors(benchmark, runner, record):
 
 def test_ablation_fill_policy(benchmark, runner, record):
     """Random X-fill maximizes accidental detections vs constant fills."""
-    prepared = runner.prepare(CIRCUIT)
-    circ, faults = prepared.circuit, prepared.faults
-    order = f0dynm(prepared.adi)
+    flow = runner.flow(CIRCUIT)
+    circ, faults = flow.circuit(), flow.faults()
+    order = f0dynm(flow.adi())
     ordered = [faults[i] for i in order]
 
     def run_fills():

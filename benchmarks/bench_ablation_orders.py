@@ -5,9 +5,6 @@ proved to be better."  This benchmark runs all six orders on a small
 circuit subset and records the comparison the paper alludes to.
 """
 
-from repro.adi import ORDERS
-from repro.atpg import TestGenConfig, generate_tests
-from repro.experiments import ExperimentRunner
 from repro.utils.tables import render_table
 
 CIRCUITS = ("irs208", "irs298", "irs344")
@@ -18,17 +15,11 @@ def _run_all(runner):
     rows = []
     totals = {order: 0 for order in ALL_ORDERS}
     for name in CIRCUITS:
-        prepared = runner.prepare(name)
+        flow = runner.flow(name)
         counts = {}
         for order in ALL_ORDERS:
-            permutation = ORDERS[order](prepared.adi)
-            ordered = [prepared.faults[i] for i in permutation]
-            result = generate_tests(
-                prepared.circuit, ordered,
-                TestGenConfig(backtrack_limit=200, seed=2005),
-            )
-            counts[order] = result.num_tests
-            totals[order] += result.num_tests
+            counts[order] = flow.tests(order).num_tests
+            totals[order] += counts[order]
         rows.append([name] + [counts[o] for o in ALL_ORDERS])
     return rows, totals
 

@@ -24,11 +24,11 @@ def _study(runner):
     means = {"orig": 0.0, "orig+reorder": 0.0, "dynm": 0.0,
              "dynm+reorder": 0.0}
     for name in CIRCUITS:
-        prepared = runner.prepare(name)
-        circ, faults = prepared.circuit, prepared.faults
+        flow = runner.flow(name)
+        circ, faults = flow.circuit(), flow.faults()
         variants = {}
         for order in ("orig", "dynm"):
-            tests = runner.testgen(name, order).tests
+            tests = flow.tests(order).tests
             variants[order] = tests
             variants[f"{order}+reorder"] = reorder_by_detection(
                 circ, faults, tests, greedy=True

@@ -31,9 +31,9 @@ def test_figure1_coverage_curves(benchmark, runner, record):
                 best = max(best, y)
         return best
 
-    prepared = runner.prepare(FIGURE_CIRCUIT)
-    curves = {o: runner.curve(FIGURE_CIRCUIT, o) for o in points}
+    flow = runner.flow(FIGURE_CIRCUIT)
+    curves = {o: flow.report(o) for o in points}
     assert curves["dynm"].ave < curves["orig"].ave
     assert coverage_at(points["dynm"], 0.5) > coverage_at(points["orig"], 0.5)
     assert coverage_at(points["0dynm"], 0.1) < coverage_at(points["dynm"], 0.1)
-    assert prepared.num_faults == result.total_faults
+    assert len(flow.faults()) == result.total_faults

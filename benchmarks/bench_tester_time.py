@@ -20,8 +20,8 @@ def _study(runner):
     rows = []
     means = {order: 0.0 for order in ORDERS}
     for name in CIRCUITS:
-        prepared = runner.prepare(name)
-        circ, faults = prepared.circuit, prepared.faults
+        flow = runner.flow(name)
+        circ, faults = flow.circuit(), flow.faults()
         # Model: every input is a scan cell (fully synthetic full-scan
         # view); chain length = PI count.
         plan = ScanPlan(
@@ -32,7 +32,7 @@ def _study(runner):
         )
         cycles = {}
         for order in ORDERS:
-            tests = runner.testgen(name, order).tests
+            tests = flow.tests(order).tests
             dictionary = build_pass_fail_dictionary(circ, faults, tests)
             firsts = [
                 next(iter_bits(mask))

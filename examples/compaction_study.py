@@ -9,27 +9,20 @@ Run:  python examples/compaction_study.py [circuit]    (default irs298)
 
 import sys
 
-from repro.adi import ORDERS
-from repro.atpg import TestGenConfig, generate_tests
 from repro.experiments import ExperimentRunner
 from repro.utils.tables import render_table
 
 
 def main(circuit_name: str = "irs298"):
-    runner = ExperimentRunner(seed=2005)
-    prepared = runner.prepare(circuit_name)
-    print(f"{circuit_name}: {prepared.num_faults} collapsed faults, "
-          f"|U| = {prepared.selection.num_vectors}, "
-          f"ADI in {prepared.adi.adi_min_max()}")
+    flow = ExperimentRunner(seed=2005).flow(circuit_name)
+    print(f"{circuit_name}: {len(flow.faults())} collapsed faults, "
+          f"|U| = {flow.selection().num_vectors}, "
+          f"ADI in {flow.adi().adi_min_max()}")
 
     rows = []
     baseline = None
     for order_name in ("orig", "decr", "0decr", "dynm", "0dynm", "incr0"):
-        permutation = ORDERS[order_name](prepared.adi)
-        ordered = [prepared.faults[i] for i in permutation]
-        result = generate_tests(
-            prepared.circuit, ordered, TestGenConfig(seed=2005)
-        )
+        result = flow.tests(order_name)
         if order_name == "orig":
             baseline = result.num_tests
         rows.append((

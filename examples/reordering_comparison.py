@@ -22,13 +22,12 @@ from repro.utils.tables import render_table
 
 
 def main(circuit_name: str = "irs344"):
-    runner = ExperimentRunner(seed=2005)
-    prepared = runner.prepare(circuit_name)
-    circ, faults = prepared.circuit, prepared.faults
+    flow = ExperimentRunner(seed=2005).flow(circuit_name)
+    circ, faults = flow.circuit(), flow.faults()
 
     variants = {}
     for order in ("orig", "dynm"):
-        tests = runner.testgen(circuit_name, order).tests
+        tests = flow.tests(order).tests
         variants[order] = tests
         variants[f"{order} + reorder"] = reorder_by_detection(
             circ, faults, tests, greedy=True

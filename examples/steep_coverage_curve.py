@@ -12,28 +12,19 @@ import sys
 
 from repro.adi import ave_ratios
 from repro.experiments import ExperimentRunner
-from repro.experiments.figure1 import MARKERS
+from repro.experiments.figure1 import MARKERS, figure_from_reports
 from repro.utils.plotting import plot_coverage_curves
 
 
 def main(circuit_name: str = "irs344"):
-    runner = ExperimentRunner(seed=2005)
-    prepared = runner.prepare(circuit_name)
+    flow = ExperimentRunner(seed=2005).flow(circuit_name)
     orders = ("orig", "dynm", "0dynm")
 
-    reports = {order: runner.curve(circuit_name, order) for order in orders}
-    largest = max(r.num_tests for r in reports.values())
-    total = prepared.num_faults
-
-    curves = {}
-    for order, report in reports.items():
-        curves[order] = [
-            ((i + 1) / largest, report.curve[i] / total)
-            for i in range(report.num_tests)
-        ]
+    reports = {order: flow.report(order) for order in orders}
+    figure = figure_from_reports(circuit_name, len(flow.faults()), reports)
 
     print(plot_coverage_curves(
-        curves, MARKERS,
+        figure.points, MARKERS,
         title=f"Fault coverage curves for {circuit_name}",
     ))
 

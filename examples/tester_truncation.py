@@ -18,14 +18,10 @@ from repro.utils.tables import render_table
 
 
 def main(circuit_name: str = "irs298"):
-    runner = ExperimentRunner(seed=2005)
-    prepared = runner.prepare(circuit_name)
-    total = prepared.num_faults
+    flow = ExperimentRunner(seed=2005).flow(circuit_name)
+    total = len(flow.faults())
 
-    reports = {
-        order: runner.curve(circuit_name, order)
-        for order in ("orig", "dynm")
-    }
+    reports = {order: flow.report(order) for order in ("orig", "dynm")}
     print(f"{circuit_name}: {total} faults; test sets: "
           + ", ".join(f"{o}={r.num_tests}" for o, r in reports.items()))
 

@@ -74,21 +74,6 @@ class CurveReport:
         """The AVE steepness metric (lower = steeper)."""
         return ave_from_curve(self.curve)
 
-    def normalized_points(self) -> List[Tuple[float, float]]:
-        """(tests fraction, coverage fraction) points for plotting.
-
-        The x-axis is the test index as a fraction of this curve's own
-        length; Figure 1 rescales against the *largest* test set, which
-        the figure harness handles.
-        """
-        if not self.curve or not self.total_faults:
-            return []
-        k = len(self.curve)
-        return [
-            ((i + 1) / k, self.curve[i] / self.total_faults)
-            for i in range(k)
-        ]
-
 
 def coverage_curve(circ: CompiledCircuit, faults: Sequence,
                    tests: PatternBlock,
@@ -134,12 +119,12 @@ def curve_report(faults: Sequence, tests: PatternBlock,
     return CurveReport(curve=curve, total_faults=len(faults))
 
 
-def ave_ratios(reports: dict, baseline: str = "orig") -> dict:
+def ave_ratios(reports: dict) -> dict:
     """``AVE_ord / AVE_orig`` for a dict of named :class:`CurveReport`.
 
-    The paper's Table 7 rows.  Raises if the baseline name is missing.
+    The paper's Table 7 rows.  Raises if the ``orig`` report is missing.
     """
-    if baseline not in reports:
-        raise ExperimentError(f"baseline order {baseline!r} missing")
-    base = reports[baseline].ave
+    if "orig" not in reports:
+        raise ExperimentError("baseline order 'orig' missing")
+    base = reports["orig"].ave
     return {name: report.ave / base for name, report in reports.items()}

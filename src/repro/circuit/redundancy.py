@@ -61,47 +61,6 @@ def _const_signal(circuit: Circuit, value: int) -> str:
     return name
 
 
-def tie_fault_line(circ: CompiledCircuit, fault: Fault) -> Circuit:
-    """Netlist with the fault's line tied to its stuck value.
-
-    Only sound when ``fault`` is undetectable in ``circ`` — callers must
-    have proven that first.
-    """
-    netlist = to_netlist(circ)
-    if fault.is_stem:
-        name = circ.names[fault.node]
-        if fault.node < circ.num_inputs:
-            # Tie every use of the input; the PI itself stays declared so
-            # the circuit interface (and |U| vector width) is unchanged.
-            const = _const_signal(netlist, fault.value)
-            netlist.gates = [
-                GateDef(
-                    g.name, g.gtype,
-                    tuple(const if s == name else s for s in g.inputs),
-                )
-                for g in netlist.gates
-            ]
-        else:
-            gtype = GateType.CONST1 if fault.value else GateType.CONST0
-            netlist.gates = [
-                GateDef(name, gtype, ()) if g.name == name else g
-                for g in netlist.gates
-            ]
-    else:
-        gate_name = circ.names[fault.node]
-        const = _const_signal(netlist, fault.value)
-        rebuilt: List[GateDef] = []
-        for g in netlist.gates:
-            if g.name == gate_name:
-                inputs = list(g.inputs)
-                inputs[fault.pin] = const
-                rebuilt.append(GateDef(g.name, g.gtype, tuple(inputs)))
-            else:
-                rebuilt.append(g)
-        netlist.gates = rebuilt
-    return netlist
-
-
 def simplify_constants(circuit: Circuit) -> Circuit:
     """Constant-propagate and locally simplify a netlist to fixpoint.
 
@@ -270,12 +229,16 @@ def find_undetectable(
 
 
 def tie_fault_lines(circ: CompiledCircuit, faults: List[Fault]) -> Circuit:
-    """Tie several fault lines at once (batch mode).
+    """Netlist with each fault's line tied to its stuck value.
 
-    Unlike the one-at-a-time flow this does **not** preserve the circuit
-    function when the ties interact; it is meant for *synthesizing*
-    irredundant benchmark circuits, where only the final artefact matters
-    (the suite generator's use case — see :func:`make_irredundant`).
+    One undetectable fault's tie preserves the circuit function; callers
+    must have proven the fault undetectable first.  Several ties at once
+    do **not** preserve the function when they interact; batch mode is
+    meant for *synthesizing* irredundant benchmark circuits, where only
+    the final artefact matters (the suite generator's use case — see
+    :func:`make_irredundant`).  A primary input's tie rewires every use
+    of it; the input itself stays declared, so the circuit interface
+    (and ``|U|`` vector width) is unchanged.
     """
     netlist = to_netlist(circ)
     gates: dict = {g.name: g for g in netlist.gates}
@@ -340,38 +303,24 @@ def make_irredundant(
         )
         if not undetectable:
             break
-        progressed = False
-        if batch:
-            netlist = simplify_constants(
-                tie_fault_lines(current, undetectable)
-            )
+        # Batch mode ties every proven fault at once.  Otherwise apply the
+        # first removal that actually changes the netlist; degenerate ties
+        # (e.g. on logic that is already detached) would otherwise loop
+        # forever.
+        groups = [undetectable] if batch else [[f] for f in undetectable]
+        for group in groups:
+            netlist = simplify_constants(tie_fault_lines(current, group))
             if name:
                 netlist.name = name
             candidate = compile_circuit(netlist)
             if (candidate.num_gates, candidate.node_type, candidate.fanin) != (
                 current.num_gates, current.node_type, current.fanin
             ):
-                removed.extend(f.describe(current) for f in undetectable)
+                removed.extend(f.describe(current) for f in group)
                 current = candidate
-                progressed = True
+                break
         else:
-            # Apply the first removal that actually changes the netlist;
-            # degenerate ties (e.g. on logic that is already detached)
-            # would otherwise loop forever.
-            for fault in undetectable:
-                netlist = simplify_constants(tie_fault_line(current, fault))
-                if name:
-                    netlist.name = name
-                candidate = compile_circuit(netlist)
-                if (candidate.num_gates, candidate.node_type,
-                        candidate.fanin) != (
-                        current.num_gates, current.node_type, current.fanin):
-                    removed.append(fault.describe(current))
-                    current = candidate
-                    progressed = True
-                    break
-        if not progressed:
-            break
+            break  # no tie changed the netlist
 
     final_name = name or circ.name
     if current.name != final_name:

@@ -636,6 +636,26 @@ def diagnose_batch(dictionary: PassFailDictionary,
             ranker = chain
         else:
             ranker = ChainRanker(chain)
+        # A log built from masks skipped from_records' position check:
+        # reject a bit the circuit has no output for before any device
+        # moves, as failing_outputs_mask does for positions.
+        for device_id, failing in zip(log.device_ids, log.failing_outputs):
+            if failing is None:
+                continue
+            if failing < 0:
+                raise DiagnosisInputError(
+                    f"device {device_id!r}: negative failing-outputs mask "
+                    f"{failing}"
+                )
+            beyond = failing >> ranker.num_outputs
+            if beyond:
+                position = (ranker.num_outputs
+                            + (beyond & -beyond).bit_length() - 1)
+                raise DiagnosisInputError(
+                    f"device {device_id!r}: failing output {position} out "
+                    f"of range for a circuit with {ranker.num_outputs} "
+                    f"outputs"
+                )
         site_nodes = [fault.node for fault in dictionary.faults]
         with span("diagnosis.chain", devices=num_devices):
             for d in range(num_devices):

@@ -16,9 +16,7 @@ from repro.experiments.figure1 import Figure1Result, format_figure1, run_figure1
 from repro.experiments.runner import (
     CURVE_ORDERS,
     TABLE5_ORDERS,
-    TRANSITION_ORDERS,
     ExperimentRunner,
-    PreparedCircuit,
 )
 from repro.experiments.suite import (
     ALL_CIRCUITS,
@@ -37,9 +35,7 @@ from repro.experiments.table7 import Table7Row, format_table7, run_table7
 from repro.experiments.transition import (
     TransitionRow,
     format_transition,
-    format_transition_figure,
     run_transition,
-    run_transition_figure,
 )
 
 __all__ = [
@@ -47,12 +43,10 @@ __all__ = [
     "CURVE_ORDERS",
     "ExperimentRunner",
     "Figure1Result",
-    "PreparedCircuit",
     "QUICK_CIRCUITS",
     "SUITE",
     "SuiteEntry",
     "TABLE5_ORDERS",
-    "TRANSITION_ORDERS",
     "Table1Result",
     "Table4Row",
     "Table5Row",
@@ -67,7 +61,6 @@ __all__ = [
     "format_table6",
     "format_table7",
     "format_transition",
-    "format_transition_figure",
     "run_figure1",
     "run_table1",
     "run_table4",
@@ -75,7 +68,6 @@ __all__ = [
     "run_table6",
     "run_table7",
     "run_transition",
-    "run_transition_figure",
     "selected_circuits",
     "suite_entry",
 ]

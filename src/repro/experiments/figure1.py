@@ -11,7 +11,7 @@ faults are targeted first; all curves meet at their final coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.runner import CURVE_ORDERS, ExperimentRunner
 from repro.utils.plotting import plot_coverage_curves
@@ -35,8 +35,7 @@ def figure_from_reports(circuit: str, total_faults: int,
     """Normalize per-order curve reports the way the paper plots them.
 
     ``reports`` maps order name to a :class:`repro.adi.metrics.CurveReport`;
-    the x-axis is rescaled against the *largest* test set.  Shared by the
-    stuck-at figure and the transition experiment's curves.
+    the x-axis is rescaled against the *largest* test set.
     """
     largest = max(r.num_tests for r in reports.values())
     points: Dict[str, List[Tuple[float, float]]] = {}
@@ -54,17 +53,15 @@ def figure_from_reports(circuit: str, total_faults: int,
 
 
 def run_figure1(runner: Optional[ExperimentRunner] = None,
-                circuit: str = "irs420",
-                orders: Sequence[str] = CURVE_ORDERS) -> Figure1Result:
+                circuit: str = "irs420") -> Figure1Result:
     """Compute the figure's data points for ``circuit``."""
     runner = runner or ExperimentRunner()
-    prepared = runner.prepare(circuit)
-    reports = {order: runner.curve(circuit, order) for order in orders}
-    return figure_from_reports(circuit, len(prepared.faults), reports)
+    flow = runner.flow(circuit)
+    reports = {order: flow.report(order) for order in CURVE_ORDERS}
+    return figure_from_reports(circuit, len(flow.faults()), reports)
 
 
-def format_figure1(result: Figure1Result, width: int = 72,
-                   height: int = 24) -> str:
+def format_figure1(result: Figure1Result) -> str:
     """Render the ASCII version of the figure."""
     markers = {
         order: MARKERS.get(order, "*") for order in result.points
@@ -75,6 +72,4 @@ def format_figure1(result: Figure1Result, width: int = 72,
         + ", ".join(f"{o}={n}" for o, n in result.test_counts.items())
         + ")"
     )
-    return plot_coverage_curves(
-        result.points, markers, title, width=width, height=height
-    )
+    return plot_coverage_curves(result.points, markers, title)

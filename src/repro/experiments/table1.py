@@ -33,7 +33,7 @@ class Table1Result:
     adi: AdiResult
 
 
-def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
+def run_table1() -> Table1Result:
     """Compute the worked example end to end."""
     circ = lion_like()
     faults = list(collapse_faults(circ).representatives)
@@ -44,7 +44,7 @@ def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
     # coverage hits 100%).
     adi = compute_adi(circ, faults, patterns)
 
-    # A few illustrative faults: lowest-ADI, a middle one, highest-ADI.
+    # Three illustrative faults: lowest-ADI, a middle one, highest-ADI.
     detected = sorted(adi.detected_indices, key=lambda i: int(adi.adi[i]))
     picks: List[int] = []
     if detected:
@@ -58,12 +58,13 @@ def run_table1(example_faults: int = 3, prefix_length: int = 4) -> Table1Result:
             adi.matrix.row_indices(i).tolist(),
             int(adi.adi[i]),
         )
-        for i in picks[:example_faults]
+        for i in picks
     ]
 
+    # Section 3 walks through the first four placements.
     prefix = [
         (faults[i].describe(circ), value)
-        for i, value in dynamic_prefix(adi, prefix_length)
+        for i, value in dynamic_prefix(adi, 4)
     ]
     return Table1Result(
         circuit_name=circ.name,

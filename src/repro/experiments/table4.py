@@ -39,13 +39,13 @@ def run_table4(runner: Optional[ExperimentRunner] = None,
     runner = runner or ExperimentRunner()
     rows: List[Table4Row] = []
     for name in circuits or selected_circuits():
-        prepared = runner.prepare(name)
-        lo, hi = prepared.adi.adi_min_max()
+        flow = runner.flow(name)
+        lo, hi = flow.adi().adi_min_max()
         rows.append(
             Table4Row(
                 circuit=name,
-                inputs=prepared.circuit.num_inputs,
-                vectors=prepared.selection.num_vectors,
+                inputs=flow.circuit().num_inputs,
+                vectors=flow.selection().num_vectors,
                 adi_min=lo,
                 adi_max=hi,
             )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import TABLE5_ORDERS, ExperimentRunner
-from repro.experiments.suite import selected_circuits
+from repro.experiments.suite import selected_circuits, suite_entry
 from repro.utils.tables import render_table
 
 
@@ -28,28 +28,27 @@ class Table5Row:
 
 
 def run_table5(runner: Optional[ExperimentRunner] = None,
-               circuits: Optional[Sequence[str]] = None,
-               orders: Sequence[str] = TABLE5_ORDERS) -> List[Table5Row]:
+               circuits: Optional[Sequence[str]] = None) -> List[Table5Row]:
     """Generate tests under every order for the selected circuits."""
     runner = runner or ExperimentRunner()
     rows: List[Table5Row] = []
     for name in circuits or selected_circuits():
-        run_orders = runner.orders_for(name, orders)
-        tests: Dict[str, Optional[int]] = {}
-        for order in orders:
-            if order in run_orders:
-                tests[order] = runner.testgen(name, order).num_tests
-            else:
-                tests[order] = None
+        flow = runner.flow(name)
+        # The paper skips incr0 for the two largest circuits.
+        run_incr0 = suite_entry(name).run_incr0
+        tests: Dict[str, Optional[int]] = {
+            order: (flow.tests(order).num_tests
+                    if order != "incr0" or run_incr0 else None)
+            for order in TABLE5_ORDERS
+        }
         rows.append(Table5Row(circuit=name, tests=tests))
     return rows
 
 
-def averages(rows: Sequence[Table5Row],
-             orders: Sequence[str] = TABLE5_ORDERS) -> Dict[str, Optional[float]]:
+def averages(rows: Sequence[Table5Row]) -> Dict[str, Optional[float]]:
     """Per-order average over circuits where the order ran."""
     result: Dict[str, Optional[float]] = {}
-    for order in orders:
+    for order in TABLE5_ORDERS:
         values = [
             row.tests[order] for row in rows if row.tests.get(order) is not None
         ]
@@ -57,23 +56,23 @@ def averages(rows: Sequence[Table5Row],
     return result
 
 
-def format_table5(rows: Sequence[Table5Row],
-                  orders: Sequence[str] = TABLE5_ORDERS) -> str:
+def format_table5(rows: Sequence[Table5Row]) -> str:
     """Render in the published column layout, average row included."""
     def cell(value: Optional[object]) -> str:
         return "-" if value is None else str(value)
 
     body = [
-        [row.circuit] + [cell(row.tests.get(o)) for o in orders]
+        [row.circuit] + [cell(row.tests.get(o)) for o in TABLE5_ORDERS]
         for row in rows
     ]
-    avg = averages(rows, orders)
+    avg = averages(rows)
     body.append(
         ["average"] + [
-            cell(None if avg[o] is None else round(avg[o], 1)) for o in orders
+            cell(None if avg[o] is None else round(avg[o], 1))
+            for o in TABLE5_ORDERS
         ]
     )
     return render_table(
-        ["circuit"] + list(orders), body,
+        ["circuit"] + list(TABLE5_ORDERS), body,
         title="Table 5: Test generation (test-set sizes)",
     )

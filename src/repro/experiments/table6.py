@@ -37,24 +37,24 @@ class Table6Row:
 
 
 def run_table6(runner: Optional[ExperimentRunner] = None,
-               circuits: Optional[Sequence[str]] = None,
-               orders: Sequence[str] = CURVE_ORDERS) -> List[Table6Row]:
+               circuits: Optional[Sequence[str]] = None) -> List[Table6Row]:
     """Measure test-generation time per order for the selected circuits."""
     runner = runner or ExperimentRunner()
     rows: List[Table6Row] = []
     for name in circuits or selected_circuits():
-        prepared = runner.prepare(name)
+        flow = runner.flow(name)
+        adi = flow.adi()
         started = time.perf_counter()
-        for order in orders:
+        for order in CURVE_ORDERS:
             if order != "orig":
-                ORDERS[order](prepared.adi)
+                ORDERS[order](adi)
         overhead = time.perf_counter() - started
 
         absolute = {
-            order: runner.testgen(name, order).runtime_seconds
-            for order in orders
+            order: flow.tests(order).runtime_seconds
+            for order in CURVE_ORDERS
         }
-        base = absolute.get("orig", 0.0)
+        base = absolute["orig"]
         relative = {
             order: (value / base if base > 0 else float("nan"))
             for order, value in absolute.items()
@@ -70,29 +70,27 @@ def run_table6(runner: Optional[ExperimentRunner] = None,
     return rows
 
 
-def averages(rows: Sequence[Table6Row],
-             orders: Sequence[str] = CURVE_ORDERS) -> Dict[str, float]:
+def averages(rows: Sequence[Table6Row]) -> Dict[str, float]:
     """Per-order mean of the relative run times."""
     result: Dict[str, float] = {}
-    for order in orders:
+    for order in CURVE_ORDERS:
         values = [r.relative[order] for r in rows if order in r.relative]
         result[order] = sum(values) / len(values) if values else float("nan")
     return result
 
 
-def format_table6(rows: Sequence[Table6Row],
-                  orders: Sequence[str] = CURVE_ORDERS) -> str:
+def format_table6(rows: Sequence[Table6Row]) -> str:
     """Render in the published layout, with the overhead extension column."""
     body = [
         [r.circuit]
-        + [f"{r.relative[o]:.2f}" for o in orders]
+        + [f"{r.relative[o]:.2f}" for o in CURVE_ORDERS]
         + [f"{r.ordering_overhead_seconds * 1000:.0f}ms"]
         for r in rows
     ]
-    avg = averages(rows, orders)
-    body.append(["average"] + [f"{avg[o]:.2f}" for o in orders] + [""])
+    avg = averages(rows)
+    body.append(["average"] + [f"{avg[o]:.2f}" for o in CURVE_ORDERS] + [""])
     return render_table(
-        ["circuit"] + list(orders) + ["ordering"],
+        ["circuit"] + list(CURVE_ORDERS) + ["ordering"],
         body,
         title="Table 6: Relative run times (t.gen; 'ordering' column is our extension)",
     )

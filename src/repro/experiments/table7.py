@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.adi import ave_ratios
 from repro.experiments.runner import CURVE_ORDERS, ExperimentRunner
 from repro.experiments.suite import selected_circuits
 from repro.utils.tables import render_table
@@ -28,44 +29,40 @@ class Table7Row:
 
 
 def run_table7(runner: Optional[ExperimentRunner] = None,
-               circuits: Optional[Sequence[str]] = None,
-               orders: Sequence[str] = CURVE_ORDERS) -> List[Table7Row]:
+               circuits: Optional[Sequence[str]] = None) -> List[Table7Row]:
     """Compute AVE ratios for the selected circuits."""
     runner = runner or ExperimentRunner()
     rows: List[Table7Row] = []
     for name in circuits or selected_circuits():
-        absolute = {
-            order: runner.curve(name, order).ave for order in orders
-        }
-        base = absolute.get("orig", 0.0)
-        ratios = {
-            order: (value / base if base else float("nan"))
-            for order, value in absolute.items()
-        }
-        rows.append(Table7Row(circuit=name, ratios=ratios, absolute=absolute))
+        flow = runner.flow(name)
+        reports = {order: flow.report(order) for order in CURVE_ORDERS}
+        rows.append(Table7Row(
+            circuit=name,
+            ratios=ave_ratios(reports),
+            absolute={order: r.ave for order, r in reports.items()},
+        ))
     return rows
 
 
-def averages(rows: Sequence[Table7Row],
-             orders: Sequence[str] = CURVE_ORDERS) -> Dict[str, float]:
+def averages(rows: Sequence[Table7Row]) -> Dict[str, float]:
     """Per-order mean of the AVE ratios."""
     result: Dict[str, float] = {}
-    for order in orders:
+    for order in CURVE_ORDERS:
         values = [r.ratios[order] for r in rows if order in r.ratios]
         result[order] = sum(values) / len(values) if values else float("nan")
     return result
 
 
-def format_table7(rows: Sequence[Table7Row],
-                  orders: Sequence[str] = CURVE_ORDERS) -> str:
+def format_table7(rows: Sequence[Table7Row]) -> str:
     """Render in the published layout, average row included."""
     body = [
-        [r.circuit] + [f"{r.ratios[o]:.3f}" for o in orders] for r in rows
+        [r.circuit] + [f"{r.ratios[o]:.3f}" for o in CURVE_ORDERS]
+        for r in rows
     ]
-    avg = averages(rows, orders)
-    body.append(["average"] + [f"{avg[o]:.3f}" for o in orders])
+    avg = averages(rows)
+    body.append(["average"] + [f"{avg[o]:.3f}" for o in CURVE_ORDERS])
     return render_table(
-        ["circuit"] + list(orders),
+        ["circuit"] + list(CURVE_ORDERS),
         body,
         title="Table 7: Steepness of fault coverage curves (AVEord/AVEorig)",
     )

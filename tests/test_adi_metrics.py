@@ -5,6 +5,7 @@ import pytest
 from repro.adi import ave_from_curve, ave_ratios, coverage_curve, curve_report
 from repro.adi.metrics import CurveReport
 from repro.errors import ExperimentError
+from repro.experiments.figure1 import figure_from_reports
 from repro.faults import collapsed_fault_list
 from repro.atpg import generate_tests
 from repro.sim import PatternSet
@@ -59,9 +60,10 @@ class TestCurveReport:
         assert report.num_detected == len(faults)
         assert report.curve == tuple(sorted(report.curve))
 
-    def test_normalized_points_range(self, lion_report):
+    def test_figure_points_range(self, lion_report):
         __, report = lion_report
-        points = report.normalized_points()
+        points = figure_from_reports(
+            "lion", report.total_faults, {"orig": report}).points["orig"]
         assert len(points) == report.num_tests
         assert points[-1] == (1.0, report.num_detected / report.total_faults)
         for x, y in points:
@@ -73,7 +75,8 @@ class TestCurveReport:
 
     def test_empty_report_points(self):
         report = CurveReport(curve=(), total_faults=0)
-        assert report.normalized_points() == []
+        assert figure_from_reports(
+            "empty", 0, {"orig": report}).points == {"orig": []}
         assert report.num_detected == 0
 
 

@@ -14,7 +14,7 @@ from repro.circuit.redundancy import (
     find_undetectable,
     make_irredundant,
     simplify_constants,
-    tie_fault_line,
+    tie_fault_lines,
 )
 from repro.faults import collapsed_fault_list
 from repro.sim import PatternSet, simulate_outputs
@@ -163,7 +163,8 @@ class TestTieFaultLine:
     def test_tie_preserves_function_for_undetectable(self, redundant_circuit):
         undetectable, __ = find_undetectable(redundant_circuit)
         for fault in undetectable:
-            tied = compile_circuit(tie_fault_line(redundant_circuit, fault))
+            tied = compile_circuit(
+                tie_fault_lines(redundant_circuit, [fault]))
             assert _functionally_equal(
                 redundant_circuit, tied, redundant_circuit.num_inputs
             ), fault.describe(redundant_circuit)

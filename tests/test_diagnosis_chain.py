@@ -18,6 +18,7 @@ from repro.circuit.graph import (
 )
 from repro.diagnosis import (
     ChainRanker,
+    FailLog,
     build_pass_fail_dictionary,
     diagnose,
     diagnose_batch,
@@ -176,6 +177,40 @@ class TestRerank:
         for device in range(10):
             assert by_circ.report(device).candidates == \
                 by_ranker.report(device).candidates
+
+    @pytest.mark.parametrize("mask, message", [
+        (lambda n: 1 << n, "failing output {n} out of range for a circuit "
+                           "with {n} outputs"),
+        (lambda n: 0b1 | 1 << (n + 3), "failing output {n3} out of range"),
+        (lambda n: -1, "negative failing-outputs mask -1"),
+    ], ids=["first-past-last", "far-past-last", "negative"])
+    def test_batch_rejects_masks_the_circuit_cannot_have(self, setup, mask,
+                                                         message):
+        """A log built from masks has not been through ``from_records``:
+        a bit past the last output fails like ``rerank`` on the same
+        position, before any device is re-ranked."""
+        circ, dictionary = setup
+        ranker = ChainRanker(circ)
+        good = random_fail_log(dictionary, 4, seed=26, circ=circ)
+        failing = list(good.failing_outputs)
+        failing[2] = mask(ranker.num_outputs)
+        log = FailLog.from_masks(
+            [good.observed_mask(d) for d in range(4)], good.num_tests,
+            device_ids=["a", "b", "c", "d"], failing_outputs=failing)
+        expected = message.format(n=ranker.num_outputs,
+                                  n3=ranker.num_outputs + 3)
+        with pytest.raises(DiagnosisInputError,
+                           match=f"device 'c': {expected}"):
+            diagnose_batch(dictionary, log, chain=ranker)
+        if failing[2] > 0:
+            positions = [k for k in range(failing[2].bit_length())
+                         if (failing[2] >> k) & 1]
+            with pytest.raises(DiagnosisInputError):
+                ranker.rerank(dictionary,
+                              diagnose(dictionary, log.observed_mask(2)),
+                              positions)
+        # Without a ranker the masks are never read.
+        assert diagnose_batch(dictionary, log).chain_devices == 0
 
     def test_chain_without_outputs_is_noop(self, setup):
         circ, dictionary = setup

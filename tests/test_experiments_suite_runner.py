@@ -17,6 +17,7 @@ from repro.experiments import (
     suite_entry,
 )
 from repro.faults import collapse_faults
+from repro.flow import CircuitSpec, FaultModelSpec, FlowConfig
 
 SMALL = ("irs208", "irs298")
 
@@ -117,39 +118,59 @@ class TestExperimentRunner:
     def runner(self):
         return ExperimentRunner(seed=2005)
 
-    def test_prepare_shapes(self, runner):
-        prepared = runner.prepare("irs208")
-        assert prepared.num_faults == len(
-            collapse_faults(prepared.circuit).representatives
+    def test_flow_shapes(self, runner):
+        flow = runner.flow("irs208")
+        num_faults = len(flow.faults())
+        assert num_faults == len(
+            collapse_faults(flow.circuit()).representatives
         )
-        assert prepared.selection.num_vectors >= 1
-        assert len(prepared.adi.faults) == prepared.num_faults
+        assert flow.selection().num_vectors >= 1
+        assert len(flow.adi().faults) == num_faults
 
-    def test_prepare_cached(self, runner):
-        assert runner.prepare("irs208") is runner.prepare("irs208")
+    def test_flow_cached(self, runner):
+        assert runner.flow("irs208") is runner.flow("irs208")
+        transition = runner.flow("irs208", "transition")
+        assert runner.flow("irs208", "transition") is transition
+        assert transition is not runner.flow("irs208")
 
-    def test_order_permutation_valid(self, runner):
-        prepared = runner.prepare("irs208")
+    def test_flow_config_is_the_seeded_default(self, runner):
+        """10,000 vectors, 0.90 coverage, 200 backtracks, the default
+        engine and no disk cache: every knob but the seed at its
+        FlowConfig default."""
+        flow = runner.flow("irs208", "transition")
+        assert flow.config == FlowConfig(
+            circuit=CircuitSpec(kind="suite", name="irs208"),
+            fault_model=FaultModelSpec(name="transition"),
+            seed=2005,
+        )
+        assert (flow.config.u.max_vectors, flow.config.u.target_coverage,
+                flow.config.testgen.backtrack_limit,
+                flow.config.backend.fsim) == (10_000, 0.90, 200, None)
+        assert flow.cache is None
+
+    def test_unknown_circuit_rejected(self, runner):
+        with pytest.raises(ExperimentError, match="unknown suite circuit"):
+            runner.flow("irs9999")
+
+    def test_permutations_valid(self, runner):
+        flow = runner.flow("irs208")
         for order in ("orig", "decr", "0decr", "dynm", "0dynm", "incr0"):
-            permutation = runner.order_permutation("irs208", order)
-            assert sorted(permutation) == list(range(prepared.num_faults))
+            permutation = flow.permutation(order)
+            assert sorted(permutation) == list(range(len(flow.faults())))
 
     def test_unknown_order_rejected(self, runner):
         with pytest.raises(ExperimentError):
-            runner.order_permutation("irs208", "best")
+            runner.flow("irs208").permutation("best")
 
-    def test_testgen_cached(self, runner):
-        a = runner.testgen("irs208", "orig")
-        b = runner.testgen("irs208", "orig")
+    def test_tests_cached(self, runner):
+        a = runner.flow("irs208").tests("orig")
+        b = runner.flow("irs208").tests("orig")
         assert a is b
         assert a.num_tests > 0
 
-    def test_curve_matches_testgen(self, runner):
-        result = runner.testgen("irs208", "orig")
-        curve = runner.curve("irs208", "orig")
+    def test_report_matches_tests(self, runner):
+        flow = runner.flow("irs208")
+        result = flow.tests("orig")
+        curve = flow.report("orig")
         assert curve.num_tests == result.num_tests
         assert curve.num_detected == result.num_detected
-
-    def test_orders_for_filters_incr0(self, runner):
-        assert "incr0" in runner.orders_for("irs208")
-        assert "incr0" not in runner.orders_for("irs13207")

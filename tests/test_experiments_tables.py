@@ -1,5 +1,7 @@
 """Tests for the table/figure harnesses, on a two-circuit subset."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -16,7 +18,9 @@ from repro.experiments import (
     run_table5,
     run_table6,
     run_table7,
+    suite_entry,
 )
+from repro.experiments import table5
 from repro.experiments.table5 import averages as t5_averages
 from repro.experiments.table6 import averages as t6_averages
 from repro.experiments.table7 import averages as t7_averages
@@ -75,10 +79,15 @@ class TestTable5:
         text = format_table5(rows)
         assert "average" in text
 
-    def test_incr0_skipped_for_giants(self, runner):
-        # Do not actually run the giant circuit: just check the order
-        # filter that Table 5 uses for it.
-        assert runner.orders_for("irs13207") == ["orig", "dynm", "0dynm"]
+    def test_incr0_skipped_for_giants(self, runner, monkeypatch):
+        # Do not actually run a giant circuit: give irs208 a giant's
+        # suite entry and check that Table 5 leaves incr0 out for it.
+        giant = dataclasses.replace(suite_entry("irs208"), run_incr0=False)
+        monkeypatch.setattr(table5, "suite_entry", lambda name: giant)
+        rows = run_table5(runner, ["irs208"])
+        assert rows[0].tests["incr0"] is None
+        assert rows[0].tests["orig"] > 0
+        assert format_table5(rows).splitlines()[3].split()[-1] == "-"
 
 
 class TestTable6:

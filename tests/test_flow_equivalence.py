@@ -153,13 +153,14 @@ class TestCliMatchesExperimentRunner:
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == "repro.flow/v1"
 
-        prepared = runner.prepare(CIRCUIT, model)
-        tests = runner.testgen(CIRCUIT, ORDER, model)
-        curve = runner.curve(CIRCUIT, ORDER, model)
+        flow = runner.flow(CIRCUIT, model)
+        num_faults = len(flow.faults())
+        tests = flow.tests(ORDER)
+        curve = flow.report(ORDER)
 
-        assert document["faults"]["count"] == prepared.num_faults
-        assert document["u"]["num_vectors"] == prepared.selection.num_vectors
-        lo, hi = prepared.adi.adi_min_max()
+        assert document["faults"]["count"] == num_faults
+        assert document["u"]["num_vectors"] == flow.selection().num_vectors
+        lo, hi = flow.adi().adi_min_max()
         assert document["adi"]["min"] == lo
         assert document["adi"]["max"] == hi
         assert document["tests"]["count"] == tests.num_tests
@@ -175,7 +176,7 @@ class TestCliMatchesExperimentRunner:
                             "undetectable": tests.num_undetectable,
                             "aborted": tests.num_aborted}
         # Every target fault ends in exactly one outcome.
-        assert sum(outcomes.values()) == prepared.num_faults
+        assert sum(outcomes.values()) == num_faults
         assert document["curve"]["ave"] == pytest.approx(curve.ave)
 
     def test_warm_cli_rerun_all_cached(self, tmp_path, capsys):
