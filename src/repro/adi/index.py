@@ -77,8 +77,6 @@ class AdiResult:
     ndet: np.ndarray
     adi: np.ndarray
     mode: AdiMode
-    _positions: Optional[Dict[TargetFault, int]] = field(
-        default=None, init=False, repr=False, compare=False)
     # The dynamic orders' placement sequence, filled by repro.adi.dynamic.
     _placements: Optional[Tuple[Tuple[int, int], ...]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -92,12 +90,6 @@ class AdiResult:
     def undetected_indices(self) -> List[int]:
         """Positions of faults with ``ADI = 0`` (not detected by ``U``)."""
         return np.flatnonzero(~self.matrix.any_rows()).tolist()
-
-    def adi_of(self, fault: TargetFault) -> int:
-        """ADI value of a fault (by identity; O(1) after the first call)."""
-        if self._positions is None:
-            self._positions = {f: i for i, f in enumerate(self.faults)}
-        return int(self.adi[self._positions[fault]])
 
     def adi_min_max(self) -> Tuple[int, int]:
         """(ADImin, ADImax) over detected faults only — Table 4 columns.

@@ -11,14 +11,13 @@ from repro.atpg.compaction import (
     detection_matrix,
     reorder_by_detection,
 )
-from repro.atpg.cop import Cop, compute_cop, random_resistant_faults
+from repro.atpg.cop import Cop, compute_cop
 from repro.atpg.engine import TestGenConfig, TestGenResult, generate_tests
 from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus, podem
 from repro.atpg.random_fill import (
     fill_constant,
     fill_cube,
     fill_random,
-    specified_fraction,
 )
 from repro.atpg.sat import (
     CnfFormula,
@@ -53,9 +52,7 @@ __all__ = [
     "generate_tests",
     "generate_transition_tests",
     "podem",
-    "random_resistant_faults",
     "reorder_by_detection",
     "sat_podem",
     "solve_cnf",
-    "specified_fraction",
 ]

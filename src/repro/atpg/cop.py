@@ -16,7 +16,7 @@ against this prediction in ``benchmarks/bench_ablation_cop.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
@@ -118,18 +118,3 @@ def compute_cop(circ: CompiledCircuit) -> Cop:
         obs[node] = best
 
     return Cop(c1=tuple(c1), obs=tuple(obs))
-
-
-def random_resistant_faults(circ: CompiledCircuit, faults, threshold: float
-                            ) -> List[Fault]:
-    """Faults whose COP-predicted detection probability is below threshold.
-
-    Predicts the ``ADI = 0`` population for a given |U| budget: a fault
-    with detection probability ``p`` survives ``N`` random vectors with
-    probability ``(1-p)^N``.
-    """
-    cop = compute_cop(circ)
-    return [
-        f for f in faults
-        if cop.detection_probability(circ, f) < threshold
-    ]

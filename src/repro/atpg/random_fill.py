@@ -39,11 +39,3 @@ def fill_cube(cube: Sequence[int], policy: str,
     if policy == "one":
         return fill_constant(cube, 1)
     raise AtpgError(f"unknown fill policy {policy!r}")
-
-
-def specified_fraction(cube: Sequence[int]) -> float:
-    """Fraction of cube positions that PODEM actually assigned."""
-    if not cube:
-        return 1.0
-    assigned = sum(1 for v in cube if v != X)
-    return assigned / len(cube)

@@ -43,10 +43,6 @@ class Scoap:
     co: Tuple[int, ...]
     pin_co: Tuple[Tuple[int, ...], ...]
 
-    def cost(self, node: int, value: int) -> int:
-        """Controllability of setting ``node`` to ``value``."""
-        return self.cc1[node] if value else self.cc0[node]
-
 
 def _xor_controllability(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
     """(CC0, CC1) of an XOR over inputs with the given (CC0, CC1) pairs."""

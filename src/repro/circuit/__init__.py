@@ -15,7 +15,6 @@ from repro.circuit.flatten import CompiledCircuit, compile_circuit, to_netlist
 from repro.circuit.gate_types import GateType, controlling_value, eval_gate
 from repro.circuit.generator import DEFAULT_GATE_WEIGHTS, GeneratorSpec, generate_circuit
 from repro.circuit.graph import (
-    depth_to_output,
     output_cone,
     reaches_output,
     transitive_fanin,
@@ -50,7 +49,6 @@ __all__ = [
     "c17",
     "compile_circuit",
     "controlling_value",
-    "depth_to_output",
     "eval_gate",
     "full_scan_extract",
     "generate_circuit",

@@ -81,21 +81,6 @@ def is_inverting(gtype: GateType) -> bool:
     return gtype in INVERTING
 
 
-def output_when_controlled(gtype: GateType) -> Optional[int]:
-    """Output value when some input carries the controlling value."""
-    ctrl = controlling_value(gtype)
-    if ctrl is None:
-        return None
-    base = ctrl  # AND-family outputs 0, OR-family outputs 1
-    return base ^ 1 if is_inverting(gtype) else base
-
-
-def noncontrolling_value(gtype: GateType) -> Optional[int]:
-    """The input value that does not by itself determine the output."""
-    ctrl = controlling_value(gtype)
-    return None if ctrl is None else ctrl ^ 1
-
-
 def eval_gate(gtype: GateType, inputs: list[int]) -> int:
     """Evaluate a gate on scalar 0/1 inputs (reference semantics).
 

@@ -58,16 +58,6 @@ def reaches_output(circ: CompiledCircuit) -> List[bool]:
     return reach
 
 
-def observable_outputs(circ: CompiledCircuit, node: int) -> List[int]:
-    """Primary outputs inside the forward cone of ``node``."""
-    return [n for n in output_cone(circ, node) if circ.is_output[n]]
-
-
-def fanout_stems(circ: CompiledCircuit) -> List[int]:
-    """Nodes with more than one fanout pin (fanout stems)."""
-    return [n for n in range(circ.num_nodes) if len(circ.fanout[n]) > 1]
-
-
 def output_reach_masks(circ: CompiledCircuit) -> List[int]:
     """Per-node bitmask of reachable primary outputs (one reverse sweep).
 
@@ -89,22 +79,3 @@ def output_reach_masks(circ: CompiledCircuit) -> List[int]:
             for src in circ.fanin[node]:
                 masks[src] |= bits
     return masks
-
-
-def depth_to_output(circ: CompiledCircuit) -> List[int]:
-    """Per-node minimum gate distance to a primary output (PO = 0).
-
-    Nodes that do not reach any output get ``-1``; a validated circuit
-    has none.
-    """
-    inf = circ.num_nodes + 1
-    depth = [inf] * circ.num_nodes
-    for out in circ.outputs:
-        depth[out] = 0
-    for node in range(circ.num_nodes - 1, -1, -1):
-        if depth[node] <= circ.num_nodes:
-            d = depth[node] + 1
-            for src in circ.fanin[node]:
-                if d < depth[src]:
-                    depth[src] = d
-    return [d if d <= circ.num_nodes else -1 for d in depth]

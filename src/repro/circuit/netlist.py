@@ -128,13 +128,6 @@ class Circuit:
         """True when the circuit contains flip-flops."""
         return bool(self.dffs)
 
-    def signal_names(self) -> List[str]:
-        """All driven signal names: inputs, then DFF outputs, then gates."""
-        names = list(self.inputs)
-        names.extend(d.name for d in self.dffs)
-        names.extend(g.name for g in self.gates)
-        return names
-
     def driver_kind(self, name: str) -> Optional[str]:
         """Return ``"input"``/``"gate"``/``"dff"`` or None if undriven."""
         return self._drivers.get(name)

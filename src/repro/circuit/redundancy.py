@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.atpg.podem import PodemEngine, PodemStatus
 from repro.circuit.flatten import CompiledCircuit, compile_circuit, to_netlist
 from repro.circuit.gate_types import GateType
-from repro.circuit.graph import reaches_output
 from repro.circuit.netlist import Circuit, GateDef
 from repro.errors import CircuitStructureError
 from repro.faults.collapse import collapse_faults
@@ -45,11 +44,6 @@ class RedundancyResult:
     removed: List[str] = field(default_factory=list)
     aborted: List[str] = field(default_factory=list)
     passes: int = 0
-
-    @property
-    def is_proven_irredundant(self) -> bool:
-        """True when the final analysis pass proved every fault detectable."""
-        return not self.aborted
 
 
 def _const_signal(circuit: Circuit, value: int) -> str:

@@ -8,19 +8,17 @@ test costs ``chain_length`` shift cycles plus one capture cycle — so the
 cycle count to the first failing test is the physically meaningful
 version of the paper's AVE metric.
 
-This module maps combinational test vectors (over PIs + pseudo-PIs) onto
-scan-in sequences for a given chain order and converts test indices into
-tester cycles.
+This module describes a chain order over the pseudo-PIs of a
+combinational test vector and converts test indices into tester cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.circuit.scan import ScanInfo
 from repro.errors import CircuitStructureError
-from repro.sim.patterns import PatternSet
 
 
 @dataclass(frozen=True)
@@ -68,33 +66,6 @@ def make_scan_plan(input_names: Sequence[str], scan_info: ScanInfo,
             "chain_order must be a permutation of the pseudo inputs"
         )
     return ScanPlan(pi_names=pis, chain_order=order)
-
-
-def scan_in_sequence(plan: ScanPlan, input_names: Sequence[str],
-                     vector: Sequence[int]) -> Tuple[List[int], Dict[str, int]]:
-    """Split one combinational vector into (scan-in bits, broadside PIs).
-
-    Scan-in bits are returned in shift order: element 0 enters the chain
-    first and ends up at the far end.
-    """
-    if len(vector) != len(input_names):
-        raise CircuitStructureError(
-            f"vector has {len(vector)} bits for {len(input_names)} inputs"
-        )
-    by_name = dict(zip(input_names, vector))
-    shift_bits = [by_name[name] for name in reversed(plan.chain_order)]
-    pi_values = {name: by_name[name] for name in plan.pi_names}
-    return shift_bits, pi_values
-
-
-def test_application_cycles(plan: ScanPlan, num_tests: int) -> int:
-    """Cycles to apply a whole test set (shift-in overlaps shift-out)."""
-    if num_tests < 0:
-        raise CircuitStructureError("num_tests must be non-negative")
-    if num_tests == 0:
-        return 0
-    # Final response needs one extra full shift-out.
-    return num_tests * plan.cycles_per_test() + plan.chain_length
 
 
 def expected_cycles_to_detection(plan: ScanPlan,

@@ -27,10 +27,10 @@ spurious outputs, dictionary position).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from repro.circuit.flatten import CompiledCircuit
-from repro.circuit.graph import output_reach_masks, transitive_fanin
+from repro.circuit.graph import output_reach_masks
 from repro.diagnosis.locate import DiagnosisReport
 from repro.errors import DiagnosisInputError
 from repro.telemetry import span
@@ -63,8 +63,8 @@ class ChainRanker:
     Precomputes, for every node, the bitmask of primary outputs its
     forward cone reaches (bit ``k`` = ``circ.outputs[k]``).  Membership
     in the backward cone is the dual view: site ``n`` lies in
-    ``transitive_fanin(circ, [circ.outputs[k]])`` iff bit ``k`` of
-    ``reach_mask(n)`` is set (cross-checked in the test suite).
+    ``transitive_fanin(circ, [circ.outputs[k]])`` iff bit ``k`` of its
+    mask is set (cross-checked in the test suite).
     """
 
     def __init__(self, circ: CompiledCircuit):
@@ -72,10 +72,6 @@ class ChainRanker:
         self.num_outputs = len(circ.outputs)
         self._reach = output_reach_masks(circ)
         self._all_outputs = (1 << self.num_outputs) - 1
-
-    def reach_mask(self, node: int) -> int:
-        """Reachable-output bitmask of ``node``."""
-        return self._reach[node]
 
     def explains(self, node: int, failing_mask: int) -> bool:
         """Does ``node``'s cone cover *every* failing output?"""
@@ -85,20 +81,6 @@ class ChainRanker:
         """Outputs ``node`` reaches that never failed (fewer is better)."""
         return popcount(self._reach[node] & self._all_outputs
                         & ~failing_mask)
-
-    def suspects(self, failing_outputs: Sequence[int]) -> List[int]:
-        """Nodes in the union backward cone of the failing outputs.
-
-        The classical suspect set: every node outside it is causally
-        incapable of producing *any* of the observed failures.
-        Equivalent to :func:`repro.circuit.graph.transitive_fanin` from
-        the named outputs (and implemented with it, since callers use
-        this once per device, not per candidate).
-        """
-        mask = failing_outputs_mask(self, failing_outputs)
-        nodes = [self.circ.outputs[k] for k in range(self.num_outputs)
-                 if (mask >> k) & 1]
-        return transitive_fanin(self.circ, nodes)
 
     # -- re-ranking -----------------------------------------------------------
 

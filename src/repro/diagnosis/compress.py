@@ -28,7 +28,7 @@ exists: it separates same-signature candidates structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -89,15 +89,6 @@ class CompressedDictionary:
             counts = self.matrix.row_popcounts()
             object.__setattr__(self, "_class_popcounts", counts)
         return counts
-
-    def expand(self, class_index: int) -> List:
-        """The concrete faults of one class, in dictionary order."""
-        return [self.dictionary.faults[p]
-                for p in self.members[class_index]]
-
-    def representative(self, class_index: int):
-        """The class's representative fault (its first member)."""
-        return self.dictionary.faults[self.members[class_index][0]]
 
     def summary(self) -> dict:
         """Compression numbers for reports and benchmark artifacts."""

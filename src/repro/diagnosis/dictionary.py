@@ -86,11 +86,6 @@ class PassFailDictionary:
         """Indices of tests that fail when ``fault`` is present."""
         return self.fail_matrix.row_indices(self.position(fault)).tolist()
 
-    def detected_faults(self) -> List[Fault]:
-        """Faults the test set detects at all."""
-        return [f for f, hit in zip(self.faults, self.fail_matrix.any_rows())
-                if hit]
-
 
 def build_pass_fail_dictionary(circ: CompiledCircuit,
                                faults: Sequence,

@@ -17,7 +17,7 @@ The ranking metric is the standard match/mismatch count over tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,22 +46,9 @@ class DiagnosisReport:
     observed_mask: int
     candidates: Tuple[Tuple[Fault, float], ...]  # (fault, score), sorted
 
-    @property
-    def best(self) -> Optional[Fault]:
-        """Highest-scoring candidate (None when nothing matches at all).
-
-        Ties are resolved by dictionary position, so ``best`` is
-        deterministic.
-        """
-        return self.candidates[0][0] if self.candidates else None
-
     def exact_matches(self) -> List[Fault]:
         """Candidates whose predicted fail set equals the observation."""
         return [f for f, score in self.candidates if score == 1.0]
-
-    def top(self, k: int) -> List[Fault]:
-        """The ``k`` best candidates (deterministic under score ties)."""
-        return [f for f, __ in self.candidates[:k]]
 
 
 def diagnose(dictionary: PassFailDictionary, observed_mask: int,
@@ -126,9 +113,7 @@ def inject_and_observe(circ: CompiledCircuit, fault: Fault,
     return observed
 
 
-def expected_tests_to_first_fail(dictionary: PassFailDictionary,
-                                 faults: Optional[Sequence[Fault]] = None
-                                 ) -> float:
+def expected_tests_to_first_fail(dictionary: PassFailDictionary) -> float:
     """Mean index (1-based) of the first failing test over detected faults.
 
     This is the tester-time quantity the paper's steep-curve application
@@ -137,8 +122,6 @@ def expected_tests_to_first_fail(dictionary: PassFailDictionary,
     better; compare across test-set orders.
     """
     first = dictionary.fail_matrix.first_set_bits()
-    if faults is not None:
-        first = first[[dictionary.position(f) for f in faults]]
     firsts = first[first >= 0] + 1
     if not firsts.size:
         raise SimulationError("no detected faults to average over")

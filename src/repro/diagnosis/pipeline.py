@@ -53,10 +53,7 @@ from repro.diagnosis.compress import (
     CompressedDictionary,
     compress_dictionary,
 )
-from repro.diagnosis.dictionary import (
-    PassFailDictionary,
-    validate_observed_mask,
-)
+from repro.diagnosis.dictionary import PassFailDictionary
 from repro.diagnosis.locate import DiagnosisReport
 from repro.errors import DiagnosisInputError
 from repro.telemetry import get_registry, span
@@ -131,27 +128,6 @@ class FailLog:
     def observed_mask(self, device: int) -> int:
         """Device ``device``'s failing-test mask as a big int."""
         return self.matrix.row_int(device)
-
-    @staticmethod
-    def from_masks(masks: Sequence[int], num_tests: int,
-                   device_ids: Optional[Sequence[str]] = None,
-                   failing_outputs: Optional[Sequence[Optional[int]]] = None,
-                   true_positions: Optional[Sequence[int]] = None
-                   ) -> "FailLog":
-        """Pack big-int observed masks (validated) into a log."""
-        for mask in masks:
-            validate_observed_mask(mask, num_tests)
-        if device_ids is None:
-            device_ids = tuple(f"device{d:06d}" for d in range(len(masks)))
-        return FailLog(
-            num_tests=num_tests,
-            device_ids=tuple(str(i) for i in device_ids),
-            matrix=DetectionMatrix.from_bigints(masks, num_tests),
-            failing_outputs=(None if failing_outputs is None
-                             else tuple(failing_outputs)),
-            true_positions=(None if true_positions is None
-                            else tuple(int(p) for p in true_positions)),
-        )
 
     @staticmethod
     def from_records(records: Iterable[Tuple[str, Any]],
@@ -231,17 +207,16 @@ class FailLog:
 
     @staticmethod
     def from_jsonl(path: Union[str, Path],
-                   num_tests: Optional[int] = None,
                    num_outputs: Optional[int] = None) -> "FailLog":
         """Read a JSONL fail log (the tester hand-off format).
 
         The first line is a header ``{"schema": "repro.fail_log/v1",
         "num_tests": T}``; each further line is one device record in
         the format of :meth:`from_records`, which decodes them (bounding
-        output positions by ``num_outputs``).  A headerless file is
-        accepted when ``num_tests`` is passed explicitly.
+        output positions by ``num_outputs``).
         """
         path = Path(path)
+        num_tests: Optional[int] = None
         records: List[Tuple[str, Any]] = []
         with path.open() as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -255,29 +230,21 @@ class FailLog:
                     raise DiagnosisInputError(
                         f"{where}: not valid JSON: {exc}"
                     )
-                if not isinstance(record, dict) or "schema" not in record:
-                    if num_tests is None:
-                        raise DiagnosisInputError(
-                            f"{where}: no schema header and no explicit "
-                            f"num_tests"
-                        )
+                if num_tests is not None:
                     records.append((where, record))
                     continue
-                if record.get("schema") != FAIL_LOG_SCHEMA:
+                schema = (record.get("schema")
+                          if isinstance(record, dict) else None)
+                if schema != FAIL_LOG_SCHEMA:
                     raise DiagnosisInputError(
-                        f"{where}: unknown fail-log schema "
-                        f"{record.get('schema')!r}"
+                        f"{where}: expected a {FAIL_LOG_SCHEMA} header, "
+                        f"got schema {schema!r}"
                     )
                 header_tests = record.get("num_tests")
                 if type(header_tests) is not int or header_tests < 0:
                     raise DiagnosisInputError(
                         f"{where}: header num_tests must be a "
                         f"non-negative int"
-                    )
-                if num_tests is not None and num_tests != header_tests:
-                    raise DiagnosisInputError(
-                        f"{where}: header covers {header_tests} tests, "
-                        f"caller expected {num_tests}"
                     )
                 num_tests = header_tests
         if num_tests is None:
@@ -308,7 +275,7 @@ class FailLog:
 
 
 def random_fail_log(dictionary: PassFailDictionary, num_devices: int,
-                    *, seed: Optional[int] = None, rng=None,
+                    *, seed: Optional[int] = None,
                     drop_probability: float = 0.0,
                     circ=None) -> FailLog:
     """Synthesize a fail log: each device carries one dictionary fault.
@@ -325,7 +292,7 @@ def random_fail_log(dictionary: PassFailDictionary, num_devices: int,
         raise DiagnosisInputError(
             f"drop_probability must be in [0, 1), got {drop_probability}"
         )
-    generator = resolve_rng(seed=seed, rng=rng, label="fail_log")
+    generator = resolve_rng(seed=seed, label="fail_log")
     rows = dictionary.fail_matrix
     detected = np.flatnonzero(rows.any_rows()).tolist()
     if not detected:
@@ -514,20 +481,6 @@ class DiagnosisBatchReport:
             self._reports[device] = cached
         return cached
 
-    def reports(self) -> List[DiagnosisReport]:
-        """Every device's report, in log order."""
-        return [self.report(d) for d in range(self.num_devices)]
-
-    def best(self, device: int):
-        """Device ``device``'s top candidate (None when nothing matches)."""
-        position = int(self.ranked_positions[device, 0]) \
-            if self.ranked_positions.shape[1] else -1
-        return self.faults[position] if position >= 0 else None
-
-    def top(self, device: int, k: int) -> List:
-        """Device ``device``'s ``k`` best candidate faults."""
-        return [fault for fault, __ in self.candidates(device)[:k]]
-
     def hit_rate(self, true_positions: Sequence[int],
                  k: int = 1) -> float:
         """Fraction of devices whose true fault ranks in the top ``k``.
@@ -561,22 +514,18 @@ class DiagnosisBatchReport:
         }
 
 
-def diagnose_batch(dictionary: PassFailDictionary,
-                   devices: Union[FailLog, DetectionMatrix, Sequence[int]],
+def diagnose_batch(dictionary: PassFailDictionary, log: FailLog,
                    *, max_candidates: int = 10,
                    compressed: Optional[CompressedDictionary] = None,
                    chain: Optional[ChainRanker] = None
                    ) -> DiagnosisBatchReport:
-    """Diagnose a batch of observed fail signatures in one pass.
+    """Diagnose every device of a fail log in one pass.
 
-    ``devices`` is a :class:`FailLog`, a packed ``(D, ceil(T/64))``
-    :class:`~repro.utils.detmatrix.DetectionMatrix`, or a sequence of
-    big-int observed masks.  ``compressed`` reuses a prebuilt
+    ``compressed`` reuses a prebuilt
     :class:`~repro.diagnosis.compress.CompressedDictionary` (servers
-    memoize it per dictionary); ``chain`` — a
-    :class:`~repro.diagnosis.chain.ChainRanker` or a compiled circuit —
-    re-ranks each device's top candidates by backward-cone evidence
-    where the fail log carries failing outputs.
+    memoize it per dictionary); ``chain`` re-ranks each device's top
+    candidates by backward-cone evidence where the fail log carries
+    failing outputs.
 
     Every device's ranking is bit-identical to
     ``diagnose(dictionary, mask, max_candidates)`` (before chain
@@ -587,25 +536,12 @@ def diagnose_batch(dictionary: PassFailDictionary,
         raise DiagnosisInputError(
             f"max_candidates must be non-negative, got {max_candidates}"
         )
-    if isinstance(devices, FailLog):
-        if devices.num_tests != dictionary.num_tests:
-            raise DiagnosisInputError(
-                f"fail log covers {devices.num_tests} tests, dictionary "
-                f"{dictionary.num_tests}"
-            )
-        log: Optional[FailLog] = devices
-        observed = devices.matrix
-    elif isinstance(devices, DetectionMatrix):
-        if devices.num_patterns != dictionary.num_tests:
-            raise DiagnosisInputError(
-                f"signature matrix covers {devices.num_patterns} tests, "
-                f"dictionary {dictionary.num_tests}"
-            )
-        log = None
-        observed = devices
-    else:
-        log = FailLog.from_masks(list(devices), dictionary.num_tests)
-        observed = log.matrix
+    if log.num_tests != dictionary.num_tests:
+        raise DiagnosisInputError(
+            f"fail log covers {log.num_tests} tests, dictionary "
+            f"{dictionary.num_tests}"
+        )
+    observed = log.matrix
 
     if compressed is None:
         compressed = compress_dictionary(dictionary)
@@ -630,13 +566,8 @@ def diagnose_batch(dictionary: PassFailDictionary,
         ranked_scores = unique_scores[unique_inverse]
 
     chain_devices = 0
-    if chain is not None and log is not None \
-            and log.failing_outputs is not None:
-        if isinstance(chain, ChainRanker):
-            ranker = chain
-        else:
-            ranker = ChainRanker(chain)
-        # A log built from masks skipped from_records' position check:
+    if chain is not None and log.failing_outputs is not None:
+        # A log built directly skipped from_records' position check:
         # reject a bit the circuit has no output for before any device
         # moves, as failing_outputs_mask does for positions.
         for device_id, failing in zip(log.device_ids, log.failing_outputs):
@@ -647,13 +578,13 @@ def diagnose_batch(dictionary: PassFailDictionary,
                     f"device {device_id!r}: negative failing-outputs mask "
                     f"{failing}"
                 )
-            beyond = failing >> ranker.num_outputs
+            beyond = failing >> chain.num_outputs
             if beyond:
-                position = (ranker.num_outputs
+                position = (chain.num_outputs
                             + (beyond & -beyond).bit_length() - 1)
                 raise DiagnosisInputError(
                     f"device {device_id!r}: failing output {position} out "
-                    f"of range for a circuit with {ranker.num_outputs} "
+                    f"of range for a circuit with {chain.num_outputs} "
                     f"outputs"
                 )
         site_nodes = [fault.node for fault in dictionary.faults]
@@ -668,7 +599,7 @@ def diagnose_batch(dictionary: PassFailDictionary,
                 if not live.any():
                     continue
                 entries = [
-                    (ranker.sort_key(site_nodes[p], s, p, failing), p, s)
+                    (chain.sort_key(site_nodes[p], s, p, failing), p, s)
                     for p, s in zip(row[live], ranked_scores[d][live])
                 ]
                 entries.sort(key=lambda e: e[0])
@@ -680,8 +611,7 @@ def diagnose_batch(dictionary: PassFailDictionary,
     return DiagnosisBatchReport(
         faults=dictionary.faults,
         num_tests=dictionary.num_tests,
-        device_ids=(log.device_ids if log is not None else
-                    tuple(f"device{d:06d}" for d in range(num_devices))),
+        device_ids=log.device_ids,
         observed=observed,
         ranked_positions=ranked_positions,
         ranked_scores=ranked_scores,

@@ -96,7 +96,7 @@ def format_transition(rows: Sequence[TransitionRow]) -> str:
     if rows:
         body.append(
             ["average", "", ""]
-            + [round(avg["tests"][o], 1) for o in CURVE_ORDERS]
+            + [str(round(avg["tests"][o], 1)) for o in CURVE_ORDERS]
             + [f"{avg['ave_ratio'][o]:.3f}" for o in steeper]
         )
     return render_table(

@@ -28,7 +28,7 @@ from repro.faults.transition import (
     transition_fault_list,
     transition_universe,
 )
-from repro.faults.universe import count_lines, full_universe, line_branches
+from repro.faults.universe import full_universe, line_branches
 
 __all__ = [
     "CollapsedFaults",
@@ -46,7 +46,6 @@ __all__ = [
     "collapse_faults",
     "collapse_transition_faults",
     "collapsed_fault_list",
-    "count_lines",
     "dominance_collapse",
     "dominance_reduction",
     "fault_model",

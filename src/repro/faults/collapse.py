@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType
 from repro.faults.model import STEM, Fault
-from repro.faults.universe import full_universe, line_branches
+from repro.faults.universe import full_universe, input_line
 
 
 class _UnionFind:
@@ -86,14 +86,6 @@ class CollapsedFaults:
         return [f for f in self.universe if self.class_index[f] == idx]
 
 
-def _input_line_fault(circ: CompiledCircuit, gate: int, pin: int, value: int) -> Fault:
-    """The fault on the line feeding ``gate.pin``: branch or driver stem."""
-    src = circ.fanin[gate][pin]
-    if line_branches(circ, src):
-        return Fault(gate, pin, value)
-    return Fault(src, STEM, value)
-
-
 def collapse_faults(circ: CompiledCircuit,
                     universe: Sequence[Fault] | None = None) -> CollapsedFaults:
     """Collapse ``universe`` (default: the full universe) by equivalence."""
@@ -115,22 +107,22 @@ def collapse_faults(circ: CompiledCircuit,
         out1 = Fault(gate, STEM, 1)
         if gtype == GateType.AND:
             for pin in range(len(fanin)):
-                merge(_input_line_fault(circ, gate, pin, 0), out0)
+                merge(Fault(*input_line(circ, gate, pin), 0), out0)
         elif gtype == GateType.NAND:
             for pin in range(len(fanin)):
-                merge(_input_line_fault(circ, gate, pin, 0), out1)
+                merge(Fault(*input_line(circ, gate, pin), 0), out1)
         elif gtype == GateType.OR:
             for pin in range(len(fanin)):
-                merge(_input_line_fault(circ, gate, pin, 1), out1)
+                merge(Fault(*input_line(circ, gate, pin), 1), out1)
         elif gtype == GateType.NOR:
             for pin in range(len(fanin)):
-                merge(_input_line_fault(circ, gate, pin, 1), out0)
+                merge(Fault(*input_line(circ, gate, pin), 1), out0)
         elif gtype == GateType.NOT:
-            merge(_input_line_fault(circ, gate, 0, 0), out1)
-            merge(_input_line_fault(circ, gate, 0, 1), out0)
+            merge(Fault(*input_line(circ, gate, 0), 0), out1)
+            merge(Fault(*input_line(circ, gate, 0), 1), out0)
         elif gtype == GateType.BUF:
-            merge(_input_line_fault(circ, gate, 0, 0), out0)
-            merge(_input_line_fault(circ, gate, 0, 1), out1)
+            merge(Fault(*input_line(circ, gate, 0), 0), out0)
+            merge(Fault(*input_line(circ, gate, 0), 1), out1)
         # XOR / XNOR / CONST: no structural equivalences.
 
     return gather_classes(universe, uf)

@@ -35,13 +35,13 @@ matters.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Set
 
 from repro.circuit.flatten import CompiledCircuit
 from repro.circuit.gate_types import GateType, controlling_value, is_inverting
 from repro.faults.collapse import CollapsedFaults, collapse_faults
 from repro.faults.model import STEM, Fault
-from repro.faults.universe import line_branches
+from repro.faults.universe import input_line
 
 
 def _dominated_output_value(gtype: GateType) -> int | None:
@@ -51,14 +51,6 @@ def _dominated_output_value(gtype: GateType) -> int | None:
         return None
     controlled_output = ctrl ^ (1 if is_inverting(gtype) else 0)
     return controlled_output ^ 1
-
-
-def _input_line_fault(circ: CompiledCircuit, gate: int, pin: int,
-                      value: int) -> Fault:
-    src = circ.fanin[gate][pin]
-    if line_branches(circ, src):
-        return Fault(gate, pin, value)
-    return Fault(src, STEM, value)
 
 
 def dominance_collapse(circ: CompiledCircuit,
@@ -99,7 +91,7 @@ def dominance_collapse(circ: CompiledCircuit,
         input_value = ctrl ^ 1
         dominators = []
         for pin in range(len(circ.fanin[gate])):
-            in_fault = _input_line_fault(circ, gate, pin, input_value)
+            in_fault = Fault(*input_line(circ, gate, pin), input_value)
             class_id = collapsed.class_index.get(in_fault)
             if class_id is None:
                 continue

@@ -39,7 +39,7 @@ from repro.circuit.gate_types import GateType
 from repro.errors import FaultModelError
 from repro.faults.collapse import CollapsedFaults, _UnionFind, gather_classes
 from repro.faults.model import STEM, Fault, check_fault
-from repro.faults.universe import line_branches
+from repro.faults.universe import fault_lines, input_line
 
 #: ``rise`` value of a slow-to-rise fault (the slow transition is 0 -> 1).
 SLOW_TO_RISE = 1
@@ -109,12 +109,6 @@ class TransitionFault:
         """
         return Fault(self.node, self.pin, self.initial_value)
 
-    @staticmethod
-    def from_stuck_at(fault: Fault) -> "TransitionFault":
-        """Inverse of :meth:`as_stuck_at` (same site, same frozen value)."""
-        return TransitionFault(fault.node, fault.pin,
-                               SLOW_TO_RISE if fault.value == 0 else SLOW_TO_FALL)
-
     def describe(self, circ: CompiledCircuit) -> str:
         """Human-readable form, e.g. ``g12 slow-to-rise``."""
         kind = "slow-to-rise" if self.rise else "slow-to-fall"
@@ -147,28 +141,9 @@ def transition_universe(circ: CompiledCircuit) -> List[TransitionFault]:
     the deterministic topological order serves as the transition
     experiments' "original order".
     """
-    faults: List[TransitionFault] = []
-    for node in range(circ.num_nodes):
-        entries: List[TransitionFault] = []
-        if circ.fanout[node] or circ.is_output[node]:
-            entries.append(TransitionFault(node, STEM, SLOW_TO_FALL))
-            entries.append(TransitionFault(node, STEM, SLOW_TO_RISE))
-        for pin, src in enumerate(circ.fanin[node]):
-            if line_branches(circ, src):
-                entries.append(TransitionFault(node, pin, SLOW_TO_FALL))
-                entries.append(TransitionFault(node, pin, SLOW_TO_RISE))
-        entries.sort()
-        faults.extend(entries)
-    return faults
-
-
-def _input_line_fault(circ: CompiledCircuit, gate: int, pin: int,
-                      rise: int) -> TransitionFault:
-    """The transition fault on the line feeding ``gate.pin``."""
-    src = circ.fanin[gate][pin]
-    if line_branches(circ, src):
-        return TransitionFault(gate, pin, rise)
-    return TransitionFault(src, STEM, rise)
+    return [TransitionFault(node, pin, rise)
+            for node, pin in fault_lines(circ)
+            for rise in (SLOW_TO_FALL, SLOW_TO_RISE)]
 
 
 def collapse_transition_faults(circ: CompiledCircuit,
@@ -208,11 +183,11 @@ def collapse_transition_faults(circ: CompiledCircuit,
         gtype = circ.node_type[gate]
         if gtype == GateType.BUF:
             for rise in (SLOW_TO_FALL, SLOW_TO_RISE):
-                merge(_input_line_fault(circ, gate, 0, rise),
+                merge(TransitionFault(*input_line(circ, gate, 0), rise),
                       TransitionFault(gate, STEM, rise))
         elif gtype == GateType.NOT:
             for rise in (SLOW_TO_FALL, SLOW_TO_RISE):
-                merge(_input_line_fault(circ, gate, 0, rise),
+                merge(TransitionFault(*input_line(circ, gate, 0), rise),
                       TransitionFault(gate, STEM, 1 - rise))
         # Multi-input gates: dominance only, never equivalence (see above).
 

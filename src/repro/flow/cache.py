@@ -351,25 +351,22 @@ class ArtifactCache:
             return None
         return document["payload"]
 
-    def put(self, stage: str, key: str, payload: Dict[str, Any], *,
-            replace: bool = False) -> Path:
+    def put(self, stage: str, key: str, payload: Dict[str, Any]) -> Path:
         """Persist a payload atomically; returns the artifact path.
 
         Writes are serialized per stage: when several threads or
         processes race a put of the same key, exactly one writes and the
         rest observe the existing artifact and skip (keys are content
-        addresses — same key means same payload).  ``replace=True``
-        forces the write, for callers replacing an artifact they know to
-        be stale (e.g. one that deserialized but failed validation).
+        addresses — same key means same payload).  A caller replacing an
+        artifact it knows to be stale deletes it first.
         """
         started = time.perf_counter()
         try:
-            return self._put(stage, key, payload, replace=replace)
+            return self._put(stage, key, payload)
         finally:
             self._observe_op("put", started)
 
-    def _put(self, stage: str, key: str, payload: Dict[str, Any], *,
-             replace: bool = False) -> Path:
+    def _put(self, stage: str, key: str, payload: Dict[str, Any]) -> Path:
         path = self._path(stage, key)
         if self._degraded:
             # Pass-through mode: the disk is unwritable; skip cheaply and
@@ -389,7 +386,7 @@ class ArtifactCache:
                 "payload": payload,
             })
             with _FileLock(self._lock_path(stage)):
-                if not replace and self._read_valid(path, key) is not None:
+                if self._read_valid(path, key) is not None:
                     self._puts.labels(outcome="deduped").inc()
                     return path
                 fd, tmp_name = tempfile.mkstemp(

@@ -27,7 +27,6 @@ from repro.fsim.backend import (
     FaultSimBackend,
     available_backends,
     create_backend,
-    default_backend_name,
     register_backend,
     resolve_backend,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ParallelFaultSimulator",
     "available_backends",
     "create_backend",
-    "default_backend_name",
     "detection_counts",
     "detection_word",
     "detection_word_serial",

@@ -282,14 +282,10 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def default_backend_name() -> str:
-    """The process-wide default: ``$REPRO_FSIM_BACKEND`` or ``auto``."""
-    return os.environ.get(BACKEND_ENV_VAR, "").strip() or DEFAULT_BACKEND
-
-
 def create_backend(circ: CompiledCircuit,
                    backend: Optional[str] = None) -> FaultSimBackend:
-    """Instantiate a backend by name (default: :func:`default_backend_name`).
+    """Instantiate a backend by name (default: ``$REPRO_FSIM_BACKEND``,
+    else ``auto``).
 
     Unknown names raise :class:`SimulationError` listing the registered
     backends; when the bad name came from ``$REPRO_FSIM_BACKEND`` rather

@@ -6,7 +6,6 @@ from repro.utils.bitvec import (
     bits_to_array,
     full_mask,
     iter_bits,
-    pack_bits,
     popcount,
 )
 from repro.utils.detmatrix import DetectionMatrix, num_words_for, tail_mask
@@ -21,7 +20,6 @@ __all__ = [
     "iter_bits",
     "make_rng",
     "num_words_for",
-    "pack_bits",
     "popcount",
     "tail_mask",
 ]

@@ -13,7 +13,7 @@ simulators, the fault machinery and the ADI computation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
@@ -66,49 +66,3 @@ def bits_to_array(word: int, num_bits: int) -> np.ndarray:
     raw = word.to_bytes(num_bytes, "little") if num_bytes else b""
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return bits[:num_bits]
-
-
-def pack_bits(bits: Sequence[int] | Iterable[int]) -> int:
-    """Pack an iterable of 0/1 values into an integer (index i -> bit i)."""
-    word = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
-        if bit:
-            word |= 1 << i
-    return word
-
-
-def extract_pattern(words: Sequence[int], pattern_index: int) -> List[int]:
-    """Read pattern ``pattern_index`` out of a list of per-signal words.
-
-    ``words[s]`` holds signal ``s`` over all patterns; the result is the
-    single-pattern slice ``[bit(words[0]), bit(words[1]), ...]``.
-    """
-    if pattern_index < 0:
-        raise ValueError(f"pattern_index must be non-negative, got {pattern_index}")
-    return [(w >> pattern_index) & 1 for w in words]
-
-
-def transpose_patterns(vectors: Sequence[Sequence[int]]) -> List[int]:
-    """Turn a list of per-pattern 0/1 vectors into per-position words.
-
-    ``vectors[p][s]`` is the value of position ``s`` under pattern ``p``;
-    the result ``words[s]`` has bit ``p`` equal to that value.  This is the
-    loading step for the bit-parallel simulator.
-    """
-    if not vectors:
-        return []
-    width = len(vectors[0])
-    for p, vec in enumerate(vectors):
-        if len(vec) != width:
-            raise ValueError(
-                f"pattern {p} has length {len(vec)}, expected {width}"
-            )
-    words = [0] * width
-    for p, vec in enumerate(vectors):
-        bit = 1 << p
-        for s, value in enumerate(vec):
-            if value:
-                words[s] |= bit
-    return words

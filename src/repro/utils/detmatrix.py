@@ -73,7 +73,7 @@ def tail_mask(num_patterns: int) -> np.uint64:
 class DetectionMatrix:
     """Detection sets of ``num_faults`` faults packed into uint64 words.
 
-    Immutable by convention: operators return new matrices and
+    Immutable by convention: methods return new matrices and
     :attr:`words` should be treated as read-only (consumers that need a
     scratch copy — e.g. dynamic ordering — copy explicitly).
     """
@@ -429,27 +429,6 @@ class DetectionMatrix:
                 raw[:, :packed.shape[1]] = packed
                 words[start:start + packed.shape[0]] = raw.view("<u8")
         return DetectionMatrix(words, int(idx.size))
-
-    def _check_aligned(self, other: "DetectionMatrix") -> None:
-        if (self.num_patterns != other.num_patterns
-                or self.num_faults != other.num_faults):
-            raise ValueError(
-                f"matrix shapes differ: {self.num_faults}x"
-                f"{self.num_patterns} vs {other.num_faults}x"
-                f"{other.num_patterns}"
-            )
-
-    def __and__(self, other: "DetectionMatrix") -> "DetectionMatrix":
-        self._check_aligned(other)
-        return DetectionMatrix(self.words & other.words, self.num_patterns)
-
-    def __or__(self, other: "DetectionMatrix") -> "DetectionMatrix":
-        self._check_aligned(other)
-        return DetectionMatrix(self.words | other.words, self.num_patterns)
-
-    def __xor__(self, other: "DetectionMatrix") -> "DetectionMatrix":
-        self._check_aligned(other)
-        return DetectionMatrix(self.words ^ other.words, self.num_patterns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DetectionMatrix):

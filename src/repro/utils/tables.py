@@ -10,15 +10,6 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 
-def format_cell(value: object, width: int) -> str:
-    """Render one cell right-aligned in ``width`` characters."""
-    if isinstance(value, float):
-        text = f"{value:.3f}" if abs(value) < 100 else f"{value:.1f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -259,10 +259,6 @@ class TestComputeAdi:
         avg = compute_adi(lion_circuit, faults, patterns, mode=AdiMode.AVERAGE)
         assert np.all(avg.adi >= mn.adi)
 
-    def test_adi_of_lookup(self, lion_adi):
-        faults, result = lion_adi
-        assert result.adi_of(faults[0]) == int(result.adi[0])
-
     def test_row_indices_match_rows(self, lion_adi):
         faults, result = lion_adi
         for i, mask in enumerate(result.matrix.to_bigints()):

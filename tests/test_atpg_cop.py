@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atpg import compute_cop, random_resistant_faults
+from repro.atpg import compute_cop
 from repro.circuit import Circuit, GateType, and_chain, compile_circuit, xor_tree
 from repro.faults import Fault, STEM, collapsed_fault_list
 from repro.fsim import detection_counts
@@ -105,15 +105,6 @@ class TestDetectionPrediction:
         ob = np.argsort(np.argsort(observed))
         rho = np.corrcoef(pr, ob)[0, 1]
         assert rho > 0.4
-
-    def test_resistant_fault_flagging(self):
-        circ = and_chain(10)
-        faults = collapsed_fault_list(circ)
-        resistant = random_resistant_faults(circ, faults, threshold=0.01)
-        assert resistant  # deep-chain faults are RPR by construction
-        cop = compute_cop(circ)
-        for fault in resistant:
-            assert cop.detection_probability(circ, fault) < 0.01
 
     def test_branch_fault_probability(self, c17_circuit):
         from repro.faults import full_universe

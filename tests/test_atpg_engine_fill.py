@@ -12,7 +12,6 @@ from repro.atpg import (
     fill_cube,
     fill_random,
     generate_tests,
-    specified_fraction,
 )
 from repro.errors import AtpgError
 from repro.faults import FaultStatus, collapsed_fault_list
@@ -44,10 +43,6 @@ class TestFill:
         assert fill_cube(cube, "random", make_rng(1))[1] == 1
         with pytest.raises(AtpgError):
             fill_cube(cube, "bogus", make_rng(1))
-
-    def test_specified_fraction(self):
-        assert specified_fraction([0, 1, X, X]) == 0.5
-        assert specified_fraction([]) == 1.0
 
 
 class TestGenerateTests:

@@ -60,12 +60,6 @@ class TestControllability:
         assert scoap.cc1[k1] == 1
         assert scoap.cc0[k1] >= 10**9  # unreachable
 
-    def test_cost_helper(self, c17_circuit):
-        scoap = compute_scoap(c17_circuit)
-        node = c17_circuit.node_of("G10")
-        assert scoap.cost(node, 0) == scoap.cc0[node]
-        assert scoap.cost(node, 1) == scoap.cc1[node]
-
 
 class TestObservability:
     def test_po_is_zero(self, c17_circuit):

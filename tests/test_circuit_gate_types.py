@@ -11,8 +11,6 @@ from repro.circuit.gate_types import (
     controlling_value,
     eval_gate,
     is_inverting,
-    noncontrolling_value,
-    output_when_controlled,
 )
 
 MULTI_INPUT = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
@@ -66,7 +64,7 @@ class TestEvalGate:
             ctrl = controlling_value(gtype)
             forced = list(bits)
             forced[0] = ctrl
-            assert eval_gate(gtype, forced) == output_when_controlled(gtype)
+            assert eval_gate(gtype, forced) == ctrl ^ is_inverting(gtype)
 
 
 class TestAlgebraicProperties:
@@ -79,9 +77,14 @@ class TestAlgebraicProperties:
         assert controlling_value(GateType.NOT) is None
 
     def test_noncontrolling_values(self):
-        assert noncontrolling_value(GateType.AND) == 1
-        assert noncontrolling_value(GateType.NOR) == 0
-        assert noncontrolling_value(GateType.XOR) is None
+        # With every input at the non-controlling value 1 - c, the
+        # output is the complement of the controlled output c ^ inv.
+        for gtype in (GateType.AND, GateType.NAND, GateType.OR,
+                      GateType.NOR):
+            free = 1 - controlling_value(gtype)
+            for width in range(1, 5):
+                assert eval_gate(gtype, [free] * width) == \
+                    free ^ is_inverting(gtype)
 
     def test_is_inverting(self):
         assert is_inverting(GateType.NAND)

@@ -4,12 +4,11 @@ from repro.circuit import (
     Circuit,
     GateType,
     compile_circuit,
-    depth_to_output,
     output_cone,
     reaches_output,
     transitive_fanin,
 )
-from repro.circuit.graph import fanout_stems, observable_outputs
+from repro.circuit.graph import output_reach_masks
 
 
 def _diamond():
@@ -72,27 +71,20 @@ class TestReachability:
         assert reach[circ.node_of("y")]
 
     def test_observable_outputs(self):
-        circ = _diamond()
-        assert observable_outputs(circ, circ.node_of("a")) == [circ.node_of("y")]
-
-
-class TestDepthAndStems:
-    def test_depth_to_output(self):
-        circ = _diamond()
-        depth = depth_to_output(circ)
-        assert depth[circ.node_of("y")] == 0
-        assert depth[circ.node_of("p")] == 1
-        assert depth[circ.node_of("a")] == 2
-
-    def test_depth_of_dead_node_is_minus_one(self):
+        # Bit k of a node's mask: primary output k is in its forward cone.
         c = Circuit()
         c.add_input("a")
-        c.add_gate("dead", GateType.NOT, ("a",))
-        c.add_gate("y", GateType.BUF, ("a",))
+        c.add_input("b")
+        c.add_gate("p", GateType.AND, ("a", "b"))
+        c.add_gate("q", GateType.NOT, ("a",))
+        c.add_gate("y", GateType.OR, ("p", "q"))
+        c.add_gate("z", GateType.BUF, ("b",))
+        c.add_gate("dead", GateType.NOT, ("b",))
         c.add_output("y")
+        c.add_output("z")
         circ = compile_circuit(c)
-        assert depth_to_output(circ)[circ.node_of("dead")] == -1
-
-    def test_fanout_stems(self):
-        circ = _diamond()
-        assert fanout_stems(circ) == [circ.node_of("a")]
+        masks = output_reach_masks(circ)
+        expected = {"a": 0b01, "b": 0b11, "p": 0b01, "q": 0b01,
+                    "y": 0b01, "z": 0b10, "dead": 0}
+        assert {name: masks[circ.node_of(name)]
+                for name in expected} == expected

@@ -80,13 +80,6 @@ class TestCircuitBuilder:
         c.add_dff("q", "d")
         assert c.is_sequential
 
-    def test_signal_names_order(self):
-        c = Circuit()
-        c.add_input("a")
-        c.add_dff("q", "g")
-        c.add_gate("g", GateType.NOT, ("a",))
-        assert c.signal_names() == ["a", "q", "g"]
-
     def test_driver_kind(self):
         c = Circuit()
         c.add_input("a")

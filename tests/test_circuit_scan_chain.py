@@ -1,14 +1,12 @@
-"""Tests for scan-chain serialization and cycle accounting."""
+"""Tests for scan plans and cycle accounting."""
 
 import pytest
 
 from repro.circuit import Circuit, GateType, compile_circuit, full_scan_extract
-from repro.circuit.scan_chain import test_application_cycles as application_cycles
 from repro.circuit.scan_chain import (
     ScanPlan,
     expected_cycles_to_detection,
     make_scan_plan,
-    scan_in_sequence,
 )
 from repro.errors import CircuitStructureError
 
@@ -66,41 +64,7 @@ class TestScanPlan:
             plan.cycles_to_test(-1)
 
 
-class TestScanInSequence:
-    def test_split(self, extracted):
-        circ, info = extracted
-        names = [circ.names[i] for i in range(circ.num_inputs)]
-        plan = make_scan_plan(names, info)
-        # vector order: a, b, q1, q2
-        shift, pis = scan_in_sequence(plan, names, [1, 0, 1, 0])
-        assert pis == {"a": 1, "b": 0}
-        # q2 is last in the chain order, so it shifts in first.
-        assert shift == [0, 1]
-
-    def test_width_checked(self, extracted):
-        circ, info = extracted
-        names = [circ.names[i] for i in range(circ.num_inputs)]
-        plan = make_scan_plan(names, info)
-        with pytest.raises(CircuitStructureError):
-            scan_in_sequence(plan, names, [1, 0])
-
-
 class TestCycleAccounting:
-    def test_full_set_cycles(self, extracted):
-        circ, info = extracted
-        names = [circ.names[i] for i in range(circ.num_inputs)]
-        plan = make_scan_plan(names, info)
-        assert application_cycles(plan, 0) == 0
-        # 10 tests * 3 cycles + final 2-cycle shift-out.
-        assert application_cycles(plan, 10) == 32
-
-    def test_negative_count_rejected(self, extracted):
-        circ, info = extracted
-        names = [circ.names[i] for i in range(circ.num_inputs)]
-        plan = make_scan_plan(names, info)
-        with pytest.raises(CircuitStructureError):
-            application_cycles(plan, -1)
-
     def test_expected_cycles(self, extracted):
         circ, info = extracted
         names = [circ.names[i] for i in range(circ.num_inputs)]

@@ -180,23 +180,6 @@ class TestQueries:
 
 
 class TestCombination:
-    def test_operators_match_bigint_ops(self):
-        width = 130
-        a_words = reference_words(1, 11, width)
-        b_words = reference_words(2, 11, width)
-        a = DetectionMatrix.from_bigints(a_words, width)
-        b = DetectionMatrix.from_bigints(b_words, width)
-        assert (a & b).to_bigints() == [x & y for x, y in zip(a_words, b_words)]
-        assert (a | b).to_bigints() == [x | y for x, y in zip(a_words, b_words)]
-        assert (a ^ b).to_bigints() == [x ^ y for x, y in zip(a_words, b_words)]
-
-    def test_operator_shape_mismatch(self):
-        a = DetectionMatrix.zeros(2, 10)
-        with pytest.raises(ValueError):
-            a & DetectionMatrix.zeros(3, 10)
-        with pytest.raises(ValueError):
-            a | DetectionMatrix.zeros(2, 11)
-
     def test_select_rows(self):
         words = reference_words(3, 6, 70)
         matrix = DetectionMatrix.from_bigints(words, 70)

@@ -121,13 +121,10 @@ class TestCompressDictionary:
             for position in members:
                 assert dictionary.fail_matrix.row_int(position) == rep_mask
 
-    def test_expand_and_representative(self):
+    def test_members_in_dictionary_order(self):
         dictionary = make_dictionary([5, 5, 3], 3)
         compressed = compress_dictionary(dictionary)
-        assert compressed.expand(0) == [dictionary.faults[0],
-                                        dictionary.faults[1]]
-        assert compressed.representative(0) is dictionary.faults[0]
-        assert compressed.representative(1) is dictionary.faults[2]
+        assert compressed.members == ((0, 1), (2,))
 
     def test_compression_ratio_and_summary(self):
         compressed = compress_dictionary(

@@ -27,6 +27,7 @@ from repro.errors import DiagnosisInputError, SimulationError
 from repro.faults import collapsed_fault_list
 from repro.faults.transition import transition_fault_list
 from repro.sim.patterns import PatternPairSet, PatternSet
+from repro.utils.bitvec import bit_indices
 from repro.utils.detmatrix import DetectionMatrix
 
 
@@ -36,6 +37,13 @@ def stuck_at_setup(num_tests, seed=3):
     faults = collapsed_fault_list(circ)
     tests = PatternSet.random(circ.num_inputs, num_tests, seed=seed + 1)
     return circ, build_pass_fail_dictionary(circ, faults, tests)
+
+
+def mask_log(masks, num_tests):
+    """A fail log of big-int failing-test masks, through the decoder."""
+    return FailLog.from_records(
+        ((f"masks[{i}]", {"failing_tests": bit_indices(mask)})
+         for i, mask in enumerate(masks)), num_tests)
 
 
 def transition_setup(num_tests, seed=4):
@@ -71,16 +79,6 @@ class TestBatchSingleEquivalence:
             single = diagnose(dictionary, log.observed_mask(device))
             assert batch.report(device).candidates == single.candidates
 
-    def test_best_and_top_agree(self):
-        __, dictionary = stuck_at_setup(64)
-        log = random_fail_log(dictionary, 50, seed=5,
-                              drop_probability=0.3)
-        batch = diagnose_batch(dictionary, log)
-        for device in range(len(log)):
-            single = diagnose(dictionary, log.observed_mask(device))
-            assert batch.best(device) == single.best
-            assert batch.top(device, 3) == single.top(3)
-
     def test_truncation_matches(self):
         __, dictionary = stuck_at_setup(64)
         log = random_fail_log(dictionary, 40, seed=6,
@@ -102,37 +100,26 @@ class TestBatchSingleEquivalence:
         assert multi is not None, "generated dictionary has no ties"
         mask = dictionary.fail_matrix.row_int(multi[0])
         single = diagnose(dictionary, mask)
-        batch = diagnose_batch(dictionary, [mask])
+        batch = diagnose_batch(dictionary,
+                               mask_log([mask], dictionary.num_tests))
         assert batch.report(0).candidates == single.candidates
         tied = [dictionary.position(f)
                 for f, score in single.candidates if score == 1.0]
         assert tied == sorted(tied)
         assert tuple(tied) == multi[:len(tied)]
 
-    def test_accepts_matrix_and_mask_sequences(self):
-        __, dictionary = stuck_at_setup(64)
-        rows = dictionary.fail_matrix
-        masks = [rows.row_int(0), rows.row_int(3), 0]
-        from_masks = diagnose_batch(dictionary, masks)
-        matrix = DetectionMatrix.from_bigints(masks,
-                                              dictionary.num_tests)
-        from_matrix = diagnose_batch(dictionary, matrix)
-        for device in range(3):
-            assert from_masks.report(device).candidates == \
-                from_matrix.report(device).candidates
-
     def test_empty_batch(self):
         __, dictionary = stuck_at_setup(64)
-        batch = diagnose_batch(dictionary, [])
+        batch = diagnose_batch(dictionary, mask_log([], 64))
         assert batch.num_devices == 0
-        assert batch.reports() == []
+        assert batch.device_ids == ()
 
 
 class TestBatchValidation:
     def test_mask_beyond_tests_rejected(self):
         __, dictionary = stuck_at_setup(64)
         with pytest.raises(DiagnosisInputError):
-            diagnose_batch(dictionary, [1 << dictionary.num_tests])
+            mask_log([1 << dictionary.num_tests], dictionary.num_tests)
 
     def test_diagnosis_error_is_valueerror_and_simulationerror(self):
         __, dictionary = stuck_at_setup(64)
@@ -143,7 +130,10 @@ class TestBatchValidation:
 
     def test_width_mismatch_rejected(self):
         __, dictionary = stuck_at_setup(64)
-        wrong = DetectionMatrix.zeros(2, dictionary.num_tests + 1)
+        wrong = FailLog(num_tests=dictionary.num_tests + 1,
+                        device_ids=("a", "b"),
+                        matrix=DetectionMatrix.zeros(
+                            2, dictionary.num_tests + 1))
         with pytest.raises(DiagnosisInputError):
             diagnose_batch(dictionary, wrong)
 
@@ -151,13 +141,13 @@ class TestBatchValidation:
         __, dictionary = stuck_at_setup(64)
         __, other = stuck_at_setup(64, seed=8)
         with pytest.raises(DiagnosisInputError):
-            diagnose_batch(dictionary, [0],
+            diagnose_batch(dictionary, mask_log([0], 64),
                            compressed=compress_dictionary(other))
 
     def test_negative_max_candidates_rejected(self):
         __, dictionary = stuck_at_setup(64)
         with pytest.raises(DiagnosisInputError):
-            diagnose_batch(dictionary, [], max_candidates=-1)
+            diagnose_batch(dictionary, mask_log([], 64), max_candidates=-1)
 
 
 class TestFailLog:
@@ -186,13 +176,11 @@ class TestFailLog:
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"schema": "repro.fail_log/v1", "num_tests": 64}
 
-    def test_missing_header_needs_explicit_width(self, tmp_path):
+    def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         path.write_text('{"device": "x", "failing_tests": [1]}\n')
         with pytest.raises(DiagnosisInputError):
             FailLog.from_jsonl(path)
-        log = FailLog.from_jsonl(path, num_tests=8)
-        assert log.observed_mask(0) == 0b10
 
     @pytest.mark.parametrize("line", [
         "not json",
@@ -219,13 +207,6 @@ class TestFailLog:
             + entry + "\n")
         with pytest.raises(DiagnosisInputError):
             FailLog.from_jsonl(path)
-
-    def test_from_masks_validates(self):
-        with pytest.raises(DiagnosisInputError):
-            FailLog.from_masks([1 << 10], num_tests=10)
-        log = FailLog.from_masks([0b11, 0], num_tests=10)
-        assert log.num_devices == 2
-        assert log.observed_mask(0) == 0b11
 
     def test_shape_mismatches_rejected(self):
         matrix = DetectionMatrix.from_bigints([1, 2], 4)
@@ -371,7 +352,8 @@ class TestBatchReport:
     def test_summary_and_dedup_accounting(self):
         __, dictionary = stuck_at_setup(64)
         mask = dictionary.fail_matrix.row_int(0)
-        batch = diagnose_batch(dictionary, [mask, mask, mask, 0])
+        batch = diagnose_batch(dictionary, mask_log([mask, mask, mask, 0],
+                                                    dictionary.num_tests))
         summary = batch.summary()
         assert summary["num_devices"] == 4
         assert summary["num_unique_signatures"] == 2
@@ -396,13 +378,13 @@ class TestBatchReport:
         __, dictionary = stuck_at_setup(64)
         registry = telemetry.MetricsRegistry()
         with telemetry.scoped_registry(registry):
-            diagnose_batch(dictionary, [0b1, 0b10, 0b100])
+            diagnose_batch(dictionary, mask_log([0b1, 0b10, 0b100], 64))
         series = registry.counter(
             "repro_diagnosis_devices_total", "").labels()
         assert series.value == 3.0
 
     def test_report_objects_cached(self):
         __, dictionary = stuck_at_setup(64)
-        batch = diagnose_batch(dictionary,
-                               [dictionary.fail_matrix.row_int(0)])
+        batch = diagnose_batch(dictionary, mask_log(
+            [dictionary.fail_matrix.row_int(0)], dictionary.num_tests))
         assert batch.report(0) is batch.report(0)

@@ -78,7 +78,7 @@ GOLDEN = {
         '-------------------------------------------------------------------------------------------',
         'irs208      538     530         113         100           88          0.857           0.767',
         'irs298      468     195          78          68           64          0.790           0.810',
-        'average                      95.500      84.000       76.000          0.823           0.788',
+        'average                        95.5        84.0         76.0          0.823           0.788',
     ),
 }
 

@@ -20,7 +20,7 @@ from repro.experiments import (
     run_table7,
     suite_entry,
 )
-from repro.experiments import table5
+from repro.experiments import table5, table6
 from repro.experiments.table5 import averages as t5_averages
 from repro.experiments.table6 import averages as t6_averages
 from repro.experiments.table7 import averages as t7_averages
@@ -100,6 +100,29 @@ class TestTable6:
         avg = t6_averages(rows)
         assert avg["orig"] == pytest.approx(1.0)
         assert "ordering" in format_table6(rows)
+
+    def test_orders_timed_without_cached_placements(self, runner,
+                                                    monkeypatch):
+        """After Table 5 has ordered the Flow's ADI, Table 6 still times
+        the dynamic orders' placement work, not a read of its cache."""
+        run_table5(runner, ["irs208"])
+        assert runner.flow("irs208").adi()._placements is not None
+        real = dict(table6.ORDERS)
+        seen = []
+
+        def spy(order):
+            def timed(adi):
+                seen.append((order, adi._placements))
+                return real[order](adi)
+            return timed
+
+        monkeypatch.setattr(table6, "ORDERS", {
+            **real, "dynm": spy("dynm"), "0dynm": spy("0dynm")})
+        rows = run_table6(runner, ["irs208"])
+        assert seen[0] == ("dynm", None)
+        flow = runner.flow("irs208")
+        assert rows[0].ordering_overhead_seconds >= (
+            flow.stage_log["u"].seconds + flow.stage_log["adi"].seconds)
 
 
 class TestTable7:

@@ -13,7 +13,7 @@ from repro.experiments import (
     format_transition,
     run_transition,
 )
-from repro.experiments.transition import averages
+from repro.experiments.transition import TransitionRow, averages
 from repro.sim.patterns import PatternPairSet
 
 SMALL = ["irs208", "irs298"]
@@ -91,3 +91,13 @@ class TestReporting:
             assert name in text
         assert "average" in text
         assert "AVE dynm/orig" in text
+
+    def test_average_tests_print_one_decimal(self):
+        rows = [TransitionRow(name, 10, 20,
+                              tests={o: count for o in CURVE_ORDERS},
+                              coverage={o: 1.0 for o in CURVE_ORDERS},
+                              ratios={o: 1.0 for o in CURVE_ORDERS})
+                for name, count in (("one", 95), ("two", 96))]
+        average = format_transition(rows).splitlines()[-1].split()
+        assert average == (["average"] + ["95.5"] * len(CURVE_ORDERS)
+                           + ["1.000"] * (len(CURVE_ORDERS) - 1))

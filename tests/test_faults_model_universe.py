@@ -4,8 +4,8 @@ import pytest
 
 from repro.circuit import Circuit, GateType, compile_circuit
 from repro.errors import FaultModelError
-from repro.faults import STEM, Fault, check_fault, count_lines, full_universe
-from repro.faults.universe import line_branches
+from repro.faults import STEM, Fault, check_fault, full_universe
+from repro.faults.universe import fault_lines, input_line, line_branches
 
 
 class TestFaultModel:
@@ -51,12 +51,44 @@ class TestUniverse:
         # (G3, G11, G16 feed two pins each -> 6 branch lines).
         faults = full_universe(c17_circuit)
         assert len(faults) == 2 * (11 + 6)
-        assert len(faults) == 2 * count_lines(c17_circuit)
+        assert len(faults) == 2 * len(fault_lines(c17_circuit))
 
     def test_universe_sorted_unique(self, small_circuit):
         faults = full_universe(small_circuit)
         assert faults == sorted(faults)
         assert len(set(faults)) == len(faults)
+
+    def test_lines_are_the_universe_sites(self, small_circuit):
+        sites = {fault.site() for fault in full_universe(small_circuit)}
+        assert fault_lines(small_circuit) == sorted(sites)
+
+    def test_input_line_is_a_fault_line(self, small_circuit):
+        """Every gate pin is fed by one universe line: its own branch
+        when the driver's line branches, else the driver's stem."""
+        lines = set(fault_lines(small_circuit))
+        for gate in small_circuit.gate_nodes():
+            for pin, src in enumerate(small_circuit.fanin[gate]):
+                line = input_line(small_circuit, gate, pin)
+                assert line in lines
+                assert line == ((gate, pin)
+                                if line_branches(small_circuit, src)
+                                else (src, STEM))
+
+    def test_fanout_stems(self):
+        # a feeds p and q; every other line has a single destination.
+        c = Circuit(name="diamond")
+        c.add_input("a")
+        c.add_input("b")
+        c.add_gate("p", GateType.AND, ("a", "b"))
+        c.add_gate("q", GateType.NOT, ("a",))
+        c.add_gate("y", GateType.OR, ("p", "q"))
+        c.add_output("y")
+        circ = compile_circuit(c)
+        assert [circ.names[n] for n in range(circ.num_nodes)
+                if line_branches(circ, n)] == ["a"]
+        p, q = circ.node_of("p"), circ.node_of("q")
+        assert [line for line in fault_lines(circ) if line[1] != STEM] \
+            == sorted([(p, 0), (q, 0)])
 
     def test_branch_faults_only_on_branching_lines(self, small_circuit):
         for fault in full_universe(small_circuit):

@@ -57,10 +57,15 @@ class TestModel:
         assert str_fault.as_stuck_at() == Fault(3, STEM, 0)
         assert stf_fault.as_stuck_at() == Fault(3, 1, 1)
 
-    def test_stuck_at_round_trip(self):
-        for fault in (TransitionFault(2, STEM, SLOW_TO_RISE),
-                      TransitionFault(5, 0, SLOW_TO_FALL)):
-            assert TransitionFault.from_stuck_at(fault.as_stuck_at()) == fault
+    def test_stuck_at_round_trip(self, c17_circuit):
+        """``as_stuck_at`` maps the transition universe one-to-one onto
+        the stuck-at universe: slow-to-v is stuck-at-(not v)."""
+        universe = transition_universe(c17_circuit)
+        stuck = [f.as_stuck_at() for f in universe]
+        assert sorted(stuck) == full_universe(c17_circuit)
+        for fault, as_stuck in zip(universe, stuck):
+            assert TransitionFault(as_stuck.node, as_stuck.pin,
+                                   1 - as_stuck.value) == fault
 
     def test_describe(self, c17_circuit):
         stem = TransitionFault(c17_circuit.num_inputs, STEM, SLOW_TO_RISE)
@@ -92,6 +97,14 @@ class TestUniverse:
             f.site() for f in transition_universe(small_circuit)
         }
         assert stuck_sites == transition_sites
+
+    def test_pairs_with_stuck_at_universe(self, small_circuit):
+        """Both universes walk the same lines in the same order, the
+        transition value ``rise`` in the stuck-at value's place."""
+        assert transition_universe(small_circuit) == [
+            TransitionFault(f.node, f.pin, f.value)
+            for f in full_universe(small_circuit)
+        ]
 
     def test_two_faults_per_line(self, small_circuit):
         universe = transition_universe(small_circuit)

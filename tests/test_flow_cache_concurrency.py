@@ -71,12 +71,14 @@ class TestPutRace:
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:
             thread.start()
+        def rewrite(_):
+            # The Flow's replacement of a stale artifact: delete, then put.
+            cache.delete("u", KEY)
+            cache.put("u", KEY, PAYLOAD)
+
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(
-                    lambda i: cache.put("u", KEY, PAYLOAD, replace=True),
-                    range(200),
-                ))
+                list(pool.map(rewrite, range(200)))
         finally:
             stop.set()
             for thread in threads:
@@ -129,12 +131,13 @@ class TestPutRace:
 
 
 class TestReplaceAndDelete:
-    def test_replace_overwrites(self, tmp_path):
+    def test_delete_then_put_replaces(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("u", KEY, {"v": 1})
         cache.put("u", KEY, {"v": 2})  # deduped: same key, no overwrite
         assert cache.get("u", KEY) == {"v": 1}
-        cache.put("u", KEY, {"v": 3}, replace=True)
+        cache.delete("u", KEY)
+        cache.put("u", KEY, {"v": 3})
         assert cache.get("u", KEY) == {"v": 3}
 
     def test_delete(self, tmp_path):

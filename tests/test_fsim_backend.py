@@ -28,7 +28,6 @@ from repro.fsim.backend import (
     AutoFaultSim,
     available_backends,
     create_backend,
-    default_backend_name,
     register_backend,
     resolve_backend,
 )
@@ -134,11 +133,11 @@ class TestRegistry:
         with pytest.raises(SimulationError, match="already registered"):
             register_backend("bigint", ParallelFaultSimulator)
 
-    def test_env_var_sets_default(self, monkeypatch):
+    def test_env_var_sets_default(self, c17_circuit, monkeypatch):
         monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "numpy")
-        assert default_backend_name() == "numpy"
+        assert isinstance(create_backend(c17_circuit), NumpyFaultSim)
         monkeypatch.delenv(backend_mod.BACKEND_ENV_VAR)
-        assert default_backend_name() == "auto"
+        assert isinstance(create_backend(c17_circuit), AutoFaultSim)
 
     def test_bad_env_var_raises_with_source(self, c17_circuit, monkeypatch):
         monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "no-such-engine")

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from repro.utils.bitvec import (
     bit_indices,
     bits_to_array,
-    extract_pattern,
     full_mask,
     iter_bits,
-    pack_bits,
     popcount,
-    transpose_patterns,
 )
 
 
@@ -82,52 +79,8 @@ class TestBitsToArray:
     def test_round_trip_property(self, word, width):
         arr = bits_to_array(word, width)
         assert arr.sum() == popcount(word)
-        assert pack_bits(arr.tolist()) == word
+        assert sum(int(bit) << i for i, bit in enumerate(arr)) == word
 
     def test_dtype(self):
         assert bits_to_array(5, 4).dtype == np.uint8
 
-
-class TestPackBits:
-    def test_empty(self):
-        assert pack_bits([]) == 0
-
-    def test_known(self):
-        assert pack_bits([1, 0, 1, 1]) == 0b1101
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            pack_bits([0, 2, 1])
-
-
-class TestPatternTransforms:
-    def test_extract_pattern(self):
-        words = [0b01, 0b10, 0b11]
-        assert extract_pattern(words, 0) == [1, 0, 1]
-        assert extract_pattern(words, 1) == [0, 1, 1]
-
-    def test_extract_negative_rejected(self):
-        with pytest.raises(ValueError):
-            extract_pattern([1], -1)
-
-    def test_transpose_empty(self):
-        assert transpose_patterns([]) == []
-
-    def test_transpose_known(self):
-        vectors = [[1, 0], [1, 1], [0, 1]]
-        words = transpose_patterns(vectors)
-        assert words == [0b011, 0b110]
-
-    def test_transpose_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            transpose_patterns([[1, 0], [1]])
-
-    @given(st.lists(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=3,
-                 max_size=3),
-        min_size=1, max_size=20,
-    ))
-    def test_transpose_extract_round_trip(self, vectors):
-        words = transpose_patterns(vectors)
-        for p, vec in enumerate(vectors):
-            assert extract_pattern(words, p) == vec

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.utils.plotting import AsciiPlot, plot_coverage_curves
-from repro.utils.tables import format_cell, render_table
+from repro.utils.tables import render_table
 
 
 class TestRenderTable:
@@ -35,8 +35,15 @@ class TestRenderTable:
         assert lines[-2].rstrip().endswith("1")
 
     def test_format_cell_width(self):
-        assert format_cell(7, 5) == "    7"
-        assert format_cell(0.25, 6) == " 0.250"
+        # Floats print with three decimals, every other cell as str();
+        # columns widen to min_width and right-align after the first.
+        text = render_table(["name", "n"], [("x", 7), ("y", 0.25),
+                                            ("z", "95.5")])
+        assert text.splitlines()[-3:] == [
+            "x            7",
+            "y        0.250",
+            "z         95.5",
+        ]
 
 
 class TestAsciiPlot:
