@@ -67,7 +67,11 @@ class TestGenResult:
     :class:`PatternPairSet` of launch/capture pairs (transition);
     ``detected_per_test[i]`` counts the faults dropped by test ``i``
     (its target plus accidental detections) — the raw material of the
-    paper's argument.
+    paper's argument.  ``podem_calls`` and ``backtracks`` count every
+    PODEM query of the run, including a stuck-at fault asked for again
+    (a transition launch fallback that is also another target's capture
+    query): the run replays that fault's first outcome and adds its
+    recorded backtracks again rather than searching a second time.
     """
 
     __test__ = False  # Test* name, but not a pytest test class
@@ -133,7 +137,8 @@ def ordered_tests(
     fill)``, which returns its test or the status it ends in
     (``UNDETECTABLE`` or ``ABORTED``).  ``podem(fault)`` returns the
     PODEM cube or the status of an unsuccessful run, counting every
-    call; ``fill(cube)`` fills X positions from the RNG stream
+    call; it searches once per fault and replays that outcome when the
+    fault comes back.  ``fill(cube)`` fills X positions from the RNG stream
     ``<fill_stream>:<circuit name>``.  ``to_block(tests)`` packs tests
     into the model's container: one new test at a time for dropping
     through :func:`repro.faults.registry.query_detection_matrix`, and
@@ -151,15 +156,20 @@ def ordered_tests(
     targeted: list = []
     podem_calls = 0
     backtracks = 0
+    # fault -> (cube or status, backtracks) of its one PODEM search.
+    outcomes: Dict[Fault, tuple] = {}
 
     def podem(fault: Fault):
         nonlocal podem_calls, backtracks
-        result = engine.run(fault, backtrack_limit=config.backtrack_limit)
+        if fault not in outcomes:
+            result = engine.run(fault, backtrack_limit=config.backtrack_limit)
+            outcome = (result.cube if result.status == PodemStatus.SUCCESS
+                       else FaultStatus(result.status.value))
+            outcomes[fault] = outcome, result.backtracks
+        outcome, fault_backtracks = outcomes[fault]
         podem_calls += 1
-        backtracks += result.backtracks
-        if result.status == PodemStatus.SUCCESS:
-            return result.cube
-        return FaultStatus(result.status.value)  # UNDETECTABLE or ABORTED
+        backtracks += fault_backtracks
+        return outcome
 
     def fill(cube):
         return fill_cube(cube, config.fill, fill_rng)

@@ -29,11 +29,22 @@ changed fanins, so implication settles at the unique 3-valued fixpoint of
 both copies: the values, and with them every decision, are those of two
 separately simulated copies (:func:`repro.sim.threeval.eval_gate3` is the
 reference the tests hold each evaluator to).
+
+An assignment only refines values: one input goes from X to 0 or 1, and
+3-valued evaluation is monotone, so a gate whose two copies are both
+defined keeps its code and its event is dropped unevaluated.  Inserting
+the fault is not a refinement: a stem fault on a node that a constant
+drives turns its defined faulty value into the other value, so injection
+evaluates every event.  One propagation evaluates each node at most
+once, so a decision's trail holds each node once and restoring it in any
+order gives the same codes.  A decision also works on a copy of the D
+set (the nodes carrying D, a handful), so a backtrack puts the copy from
+before it back instead of re-deriving membership per trail entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -88,6 +99,11 @@ _CARRIES_D = tuple(c in (pair_code(1, 0), pair_code(0, 1))
                    for c in range(16))
 #: Codes with at least one copy at X.
 _UNRESOLVED = tuple(not (c & 0b0011 and c & 0b1100) for c in range(16))
+#: Codes a propagation leaves unevaluated, as they cannot change: those
+#: with both copies defined for an input assignment (a refinement), none
+#: for a fault insertion (see the module docstring).
+_DEFINED = tuple(not u for u in _UNRESOLVED)
+_NONE_FIXED = (False,) * 16
 #: A fault-free PI assignment: value -> code.
 _BOTH = (pair_code(0, 0), pair_code(1, 1))
 
@@ -235,12 +251,16 @@ class PodemResult:
         return self.status == PodemStatus.SUCCESS
 
 
-@dataclass
-class _Decision:
-    pi: int
-    value: int
-    tried_both: bool
-    trail: List[Tuple[int, int]] = field(default_factory=list)
+#: ``(node, old code)`` of each node a decision changed, each node once.
+_Trail = List[Tuple[int, int]]
+#: A decision on the search stack: the input, its value, whether both
+#: values were tried, its trail and the D set from before it.
+_Decision = Tuple[int, int, bool, _Trail, Set[int]]
+#: Backtrace kinds of a node: the AND/OR families (and constants) go by
+#: controlling value, the others by their own rule.
+_KIND_CTRL, _KIND_BUF, _KIND_NOT, _KIND_XOR, _KIND_XNOR = range(5)
+_KINDS = {GateType.BUF: _KIND_BUF, GateType.NOT: _KIND_NOT,
+          GateType.XOR: _KIND_XOR, GateType.XNOR: _KIND_XNOR}
 
 
 class PodemEngine:
@@ -256,7 +276,6 @@ class PodemEngine:
         self.scoap = scoap or compute_scoap(circ)
         scoap = self.scoap
         self._num_inputs = circ.num_inputs
-        self._num_nodes = circ.num_nodes
         # The evaluators are bound to this list: it is reset in place,
         # never replaced.
         self._codes: List[int] = [pair_code(X, X)] * circ.num_nodes
@@ -273,6 +292,7 @@ class PodemEngine:
                                for c0, c1 in zip(scoap.cc0, scoap.cc1))
         self._ctrl = tuple(controlling_value(t) for t in circ.node_type)
         self._inverting = tuple(int(is_inverting(t)) for t in circ.node_type)
+        self._kind = tuple(_KINDS.get(t, _KIND_CTRL) for t in circ.node_type)
 
         # Fault-free state with every PI at X: the constants and whatever
         # they imply, the starting point of every run.
@@ -280,7 +300,7 @@ class PodemEngine:
         consts = [node for node in circ.gate_nodes()
                   if circ.node_type[node] in (GateType.CONST0,
                                               GateType.CONST1)]
-        self._propagate(consts, [])
+        self._propagate(consts, [], _DEFINED)
         self._settled = tuple(self._codes)
 
     # -- public API ---------------------------------------------------------
@@ -326,7 +346,7 @@ class PodemEngine:
         if fault.is_stem and node < self._num_inputs:
             self._stem_pi = node
             codes[node] = self._forced
-            self._propagate(self._fanout[node], [])
+            self._propagate(self._fanout[node], [], _NONE_FIXED)
             return
         if fault.is_stem:
             self._evals[node] = stem_fault_evaluator(self._evals[node], stuck)
@@ -335,41 +355,50 @@ class PodemEngine:
                 self.circ.node_type[node], self.circ.fanin[node], fault.pin,
                 stuck, codes,
             )
-        self._propagate((node,), [])
+        self._propagate((node,), [], _NONE_FIXED)
 
-    def _undo(self, trail: List[Tuple[int, int]]) -> None:
+    def _undo(self, trail: _Trail, d_nodes: Set[int]) -> None:
+        """Take a decision back: restore the codes it changed and the D
+        set from before it."""
         codes = self._codes
-        carries_d = _CARRIES_D
-        d_nodes = self._d_nodes
-        for node, old in reversed(trail):
+        # Each node is on the trail once, so the order does not matter.
+        for node, old in trail:
             codes[node] = old
-            if carries_d[old]:
-                d_nodes.add(node)
-            else:
-                d_nodes.discard(node)
+        self._d_nodes = d_nodes
 
-    def _assign_pi(self, pi: int, value: int,
-                   trail: List[Tuple[int, int]]) -> None:
+    def _assign_pi(self, pi: int, value: int) -> Tuple[_Trail, Set[int]]:
+        """Assign ``value`` to input ``pi`` and imply it; return what
+        :meth:`_undo` needs to take the assignment back."""
+        d_nodes = self._d_nodes
+        # The decision works on a copy, so a backtrack just puts the
+        # old set back.
+        self._d_nodes = set(d_nodes)
         code = _BOTH[value]
         if pi == self._stem_pi:
             code = code & 0b0011 | self._forced
-        trail.append((pi, self._codes[pi]))
+        trail = [(pi, self._codes[pi])]
         self._codes[pi] = code
+        # The input was X (only X inputs are decided): it carried no D.
         if _CARRIES_D[code]:
             self._d_nodes.add(pi)
-        else:
-            self._d_nodes.discard(pi)
-        self._propagate(self._fanout[pi], trail)
+        self._propagate(self._fanout[pi], trail, _DEFINED)
+        return trail, d_nodes
 
-    def _propagate(self, start_nodes: Sequence[int],
-                   trail: List[Tuple[int, int]]) -> None:
+    def _propagate(self, start_nodes: Sequence[int], trail: _Trail,
+                   fixed: Sequence[bool]) -> None:
+        """Evaluate the events from ``start_nodes`` to a fixpoint.
+
+        Nodes are evaluated in id (topological) order, each at most once,
+        and every change is recorded on ``trail``.  A node whose code is
+        ``fixed`` is not queued.
+        """
         codes = self._codes
         evals = self._evals
         fanout = self._fanout
         carries_d = _CARRIES_D
         d_nodes = self._d_nodes
         record = trail.append
-        heap = list(start_nodes)
+        heap = [node for node in start_nodes if not fixed[codes[node]]]
         heapify(heap)
         queued = set(heap)
         while heap:
@@ -385,7 +414,7 @@ class PodemEngine:
             elif carries_d[old]:
                 d_nodes.discard(node)
             for nxt in fanout[node]:
-                if nxt not in queued:
+                if nxt not in queued and not fixed[codes[nxt]]:
                     queued.add(nxt)
                     heappush(heap, nxt)
 
@@ -408,9 +437,8 @@ class PodemEngine:
                 if target is not None:
                     pi, value = target
                     result.decisions += 1
-                    trail: List[Tuple[int, int]] = []
-                    self._assign_pi(pi, value, trail)
-                    stack.append(_Decision(pi, value, False, trail))
+                    trail, d_nodes = self._assign_pi(pi, value)
+                    stack.append((pi, value, False, trail, d_nodes))
                     continue
                 # No X-path of assignable inputs towards the objective:
                 # treat it exactly like a conflict.
@@ -429,21 +457,20 @@ class PodemEngine:
         tree is exhausted.
         """
         while stack:
-            decision = stack.pop()
-            self._undo(decision.trail)
-            if not decision.tried_both:
+            pi, value, tried_both, trail, d_nodes = stack.pop()
+            self._undo(trail, d_nodes)
+            if not tried_both:
                 result.backtracks += 1
                 if (backtrack_limit is not None
                         and result.backtracks > backtrack_limit):
                     return PodemStatus.ABORTED
-                value = decision.value ^ 1
-                trail: List[Tuple[int, int]] = []
-                self._assign_pi(decision.pi, value, trail)
-                stack.append(_Decision(decision.pi, value, True, trail))
+                value ^= 1
+                trail, d_nodes = self._assign_pi(pi, value)
+                stack.append((pi, value, True, trail, d_nodes))
                 return None
         return PodemStatus.UNDETECTABLE
 
-    def _frontier(self) -> List[int]:
+    def _frontier(self) -> Set[int]:
         codes = self._codes
         unresolved = _UNRESOLVED
         fanout = self._fanout
@@ -458,7 +485,9 @@ class PodemEngine:
         if (gate >= 0 and codes[self._site] & 0b0011 == self._active_rails
                 and unresolved[codes[gate]]):
             frontier.add(gate)
-        return sorted(frontier)
+        # Unordered: the objective is the minimum over (co, gate) and the
+        # X-path check a bool, so no order can change a decision.
+        return frontier
 
     def _next_action(self):
         """Decide the next step: success, backtrack, or an objective."""
@@ -497,7 +526,7 @@ class PodemEngine:
         src = min(x_pins, key=self._cost[value].__getitem__)
         return (src, value)
 
-    def _x_path_exists(self, frontier: Sequence[int]) -> bool:
+    def _x_path_exists(self, frontier: Set[int]) -> bool:
         """Can some frontier gate still reach an unresolved primary output?"""
         codes = self._codes
         unresolved = _UNRESOLVED
@@ -519,27 +548,24 @@ class PodemEngine:
     def _backtrace(self, node: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk an objective back to an unassigned PI, SCOAP-guided."""
         codes = self._codes
-        node_type = self.circ.node_type
+        kinds = self._kind
         fanin = self.circ.fanin
         num_inputs = self._num_inputs
-        guard = 0
+        # Every step moves to a fanin, whose id is lower: the walk ends.
         while node >= num_inputs:
-            guard += 1
-            if guard > self._num_nodes:
-                raise AtpgError("backtrace failed to terminate")
-            gtype = node_type[node]
+            kind = kinds[node]
             srcs = fanin[node]
             x_srcs = [s for s in srcs if not codes[s] & 0b0011]
             if not x_srcs:
                 return None
-            if gtype in (GateType.BUF, GateType.NOT):
+            if kind == _KIND_BUF or kind == _KIND_NOT:
                 node = srcs[0]
-                if gtype == GateType.NOT:
+                if kind == _KIND_NOT:
                     value ^= 1
                 continue
-            if gtype in (GateType.XOR, GateType.XNOR):
+            if kind == _KIND_XOR or kind == _KIND_XNOR:
                 if len(x_srcs) == 1:
-                    parity = value ^ (1 if gtype == GateType.XNOR else 0)
+                    parity = value ^ (1 if kind == _KIND_XNOR else 0)
                     for s in srcs:
                         # A defined good copy is 0b01 (0) or 0b10 (1).
                         parity ^= (codes[s] & 0b0011) >> 1

@@ -16,7 +16,7 @@ The solver implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 

@@ -11,7 +11,7 @@ cross-validate PODEM in the test suite and benchmarked as an ablation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.atpg.podem import PodemResult, PodemStatus
 from repro.atpg.sat import CnfFormula, SatStatus, solve_cnf

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import re
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import TextIO, Union
 
 from repro.circuit.gate_types import BENCH_NAMES, GateType
 from repro.circuit.netlist import Circuit

@@ -16,7 +16,7 @@ Node ids, not signal names, are what faults, simulators and ATPG speak.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.gate_types import GateType
 from repro.circuit.netlist import Circuit

@@ -30,7 +30,7 @@ Construction outline:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.circuit.flatten import CompiledCircuit, compile_circuit

@@ -102,13 +102,12 @@ class FaultModel:
 _REGISTRY: Dict[str, FaultModel] = {}
 
 
-def register_fault_model(model: FaultModel, replace: bool = False) -> None:
-    """Register a fault model under its ``name``.
+def register_fault_model(model: FaultModel) -> None:
+    """Register a fault model under its ``name``, which must be new.
 
-    Third-party models plug in here; ``replace=True`` allows overriding a
-    built-in (used by tests to stub models).
+    Third-party models plug in here.
     """
-    if not replace and model.name in _REGISTRY:
+    if model.name in _REGISTRY:
         raise FaultModelError(
             f"fault model {model.name!r} already registered"
         )

@@ -51,11 +51,8 @@ from repro.flow.cache import ArtifactCache, default_cache_root
 from repro.flow.config import (
     AdiSpec,
     CircuitSpec,
-    FaultModelSpec,
     FlowConfig,
     OrderSpec,
-    TestGenSpec,
-    USpec,
 )
 from repro.flow.flow import Flow
 from repro.telemetry import enabled, set_enabled, tracing

@@ -21,7 +21,7 @@ specific simulator:
   argument — or the ``REPRO_FSIM_BACKEND`` environment variable — switches
   the whole pipeline.  A name is the whole configuration of an engine:
   an engine with other settings is a factory registered under its own
-  name (or over an existing one with ``replace=True``).
+  name.
 
 Registered backends:
 
@@ -265,14 +265,13 @@ BackendFactory = Callable[[CompiledCircuit], FaultSimBackend]
 _REGISTRY: Dict[str, BackendFactory] = {}
 
 
-def register_backend(name: str, factory: BackendFactory,
-                     replace: bool = False) -> None:
-    """Register a backend factory under ``name``.
+def register_backend(name: str, factory: BackendFactory) -> None:
+    """Register a backend factory under a new ``name``.
 
-    Third-party engines plug in here; ``replace=True`` allows overriding
-    a built-in (used by tests to stub engines).
+    Third-party engines plug in here; a registered name cannot be
+    registered again.
     """
-    if not replace and name in _REGISTRY:
+    if name in _REGISTRY:
         raise SimulationError(f"fault-sim backend {name!r} already registered")
     _REGISTRY[name] = factory
 

@@ -12,16 +12,24 @@ The cases cover the loop's distinct exits: the default backtrack limit
 on ``lion_like``, a budgeted run where faults abort, an unbudgeted run
 that proves faults undetectable, and two crafted circuits whose
 transition targets take the PODEM launch fallback -- one where it
-succeeds and one where it fails and the fault must end ABORTED.
+succeeds and one where it fails and the fault must end ABORTED.  In the
+latter the failed fallback's stuck-at fault is also another target's
+capture query: PODEM searches it once and the run counts it twice.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from repro.atpg import TestGenConfig, generate_tests, generate_transition_tests
+from repro.atpg import (
+    PodemEngine,
+    TestGenConfig,
+    generate_tests,
+    generate_transition_tests,
+)
 from repro.circuit import Circuit, GateType, compile_circuit, lion_like
-from repro.faults import FaultStatus
+from repro.faults import Fault, FaultStatus
 from repro.faults.registry import fault_model
 
 from helpers import generated_circuit
@@ -180,6 +188,27 @@ def test_launch_fallback_failure_aborts(fill):
     # A failed launch justification proves nothing about the target:
     # it must stay ABORTED, never become UNDETECTABLE.
     assert result.status[slow_to_rise[0]] == FaultStatus.ABORTED
+
+
+@pytest.mark.parametrize("fill", ["random", "zero"])
+def test_repeated_query_replays_one_search(fill, monkeypatch):
+    # The failed launch fallback asks for ``s`` stuck-at-1, which is also
+    # the capture query of slow-to-fall at ``s``: one search serves both.
+    searched = Counter()
+    run = PodemEngine.run
+
+    def counted(engine, fault, backtrack_limit=200):
+        searched[fault] += 1
+        return run(engine, fault, backtrack_limit)
+
+    monkeypatch.setattr(PodemEngine, "run", counted)
+    circ, __, result = _run("launch_fail", "transition", fill)
+    s = circ.node_of("s")
+    assert searched[Fault(s, -1, 1)] == 1
+    assert set(searched.values()) == {1}
+    # Counted as the two searches would count: 12 calls, 6 backtracks.
+    assert sum(searched.values()) == 11
+    assert (result.podem_calls, result.backtracks) == (12, 6)
 
 
 def test_fault_efficiency_discounts_only_proven_faults():

@@ -8,8 +8,10 @@ the digest, so an engine rewrite that claims "same search" is held to it.
 
 The cases cover the search's distinct exits: a budgeted run where
 ABORTED appears, an unbudgeted run that has to exhaust the decision tree
-to prove faults UNDETECTABLE, the c17 fixture, and a crafted circuit with
-constant gates, repeated fanin and 3-4 input XOR/XNOR gates.
+to prove faults UNDETECTABLE, the c17 fixture, a crafted circuit with
+constant gates, repeated fanin and 3-4 input XOR/XNOR gates, and the
+stuck-at circuit of perfbench's ``cold_atpg`` workload (12 inputs, 120
+gates, 6 outputs) at the default limit, where all three statuses occur.
 """
 
 import hashlib
@@ -18,7 +20,13 @@ from collections import Counter
 import pytest
 
 from repro.atpg import PodemEngine
-from repro.circuit import Circuit, GateType, compile_circuit
+from repro.circuit import (
+    Circuit,
+    GateType,
+    GeneratorSpec,
+    compile_circuit,
+    generate_circuit,
+)
 from repro.faults import collapsed_fault_list
 
 from helpers import generated_circuit
@@ -67,6 +75,14 @@ GOLDEN = {
         200,
         {"success": 22},
         "b59982841553a095e70ad624f83228edf73641429dcb86a3d1ddb2c0da73fca2",
+    ),
+    "atpg_sa42_limit200": (
+        lambda: generate_circuit(GeneratorSpec(
+            name="atpg_sa42", num_inputs=12, num_gates=120, num_outputs=6,
+            seed=42)),
+        200,
+        {"success": 375, "undetectable": 41, "aborted": 36},
+        "d30410f57463b40c2ca71270436d88c73d360128132f1320ca6efa17569aeecb",
     ),
     "const_xor_unbounded": (
         _const_xor_circuit,

@@ -46,10 +46,6 @@ class TestLookup:
         with pytest.raises(FaultModelError):
             register_fault_model(STUCK_AT)
 
-    def test_replace_allows_override(self):
-        register_fault_model(STUCK_AT, replace=True)
-        assert fault_model("stuck_at") is STUCK_AT
-
 
 class TestDispatch:
     def test_model_for_block(self):

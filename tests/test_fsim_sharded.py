@@ -33,7 +33,6 @@ from repro.fsim.backend import (
     AutoFaultSim,
     available_backends,
     create_backend,
-    register_backend,
 )
 from repro.fsim.sharded import (
     SHARDS_ENV_VAR,
@@ -285,10 +284,9 @@ class TestOptInThroughFlow:
     :class:`Flow` through the worker pool and changes no result."""
 
     @pytest.fixture
-    def pooled_parallel(self):
-        """``parallel`` re-registered as two shards that never run
-        inline; the engines built are closed and the name restored."""
-        original = backend_mod._REGISTRY["parallel"]
+    def pooled_parallel(self, monkeypatch):
+        """``parallel`` stubbed as two shards that never run inline; the
+        engines built are closed and the name restored."""
         engines = []
 
         def factory(circ):
@@ -296,11 +294,10 @@ class TestOptInThroughFlow:
             engines.append(engine)
             return engine
 
-        register_backend("parallel", factory, replace=True)
+        monkeypatch.setitem(backend_mod._REGISTRY, "parallel", factory)
         try:
             yield engines
         finally:
-            register_backend("parallel", original, replace=True)
             for engine in engines:
                 engine.close()
 

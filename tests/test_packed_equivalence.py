@@ -23,7 +23,6 @@ from repro.fsim.backend import (
     FaultSimBackend,
     available_backends,
     create_backend,
-    register_backend,
 )
 from repro.fsim.serial import detection_word_serial
 from repro.sim.patterns import PatternPairSet, PatternSet
@@ -188,20 +187,20 @@ class PackedMinimalEngine(FaultSimBackend):
         )
 
 
-def _registered(engine_cls):
-    register_backend(engine_cls.name, engine_cls, replace=True)
-    yield engine_cls.name
-    backend_mod._REGISTRY.pop(engine_cls.name)
+def _registered(monkeypatch, engine_cls):
+    # Removed again when the test ends.
+    monkeypatch.setitem(backend_mod._REGISTRY, engine_cls.name, engine_cls)
+    return engine_cls.name
 
 
 @pytest.fixture
-def minimal_backend():
-    yield from _registered(MinimalEngine)
+def minimal_backend(monkeypatch):
+    return _registered(monkeypatch, MinimalEngine)
 
 
 @pytest.fixture
-def packed_minimal_backend():
-    yield from _registered(PackedMinimalEngine)
+def packed_minimal_backend(monkeypatch):
+    return _registered(monkeypatch, PackedMinimalEngine)
 
 
 class TestEngineContract:

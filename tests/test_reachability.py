@@ -22,6 +22,10 @@ reached only through an attribute, a string or a name in a class body
 a class, so each such method needs an :data:`ALLOWED` entry.  Names are
 matched by identifier alone, so a method name used as an attribute
 anywhere (``args.top``) counts for every class.
+
+:func:`unused_imports` applies the same rule inside each module: a name
+a module imports and never references fails the suite.  A package
+``__init__`` imports names to re-export them and is not checked.
 """
 
 import ast
@@ -154,12 +158,18 @@ def _exported_constants(tree: ast.Module) -> Set[int]:
     return ids
 
 
-def _references(path: Path, tree: ast.Module
+def _references(path: Path, tree: ast.Module, of_imports: bool = False
                 ) -> Iterator[Tuple[str, bool]]:
     """Yield ``(identifier, can reach a method)`` for each reference,
-    skipping a definition's own name inside its body."""
+    skipping a definition's own name inside its body.
+
+    ``of_imports=True`` collects what can use the module's own imports
+    instead: a ``from ... import`` does not use the names it lists, and a
+    definition's own name inside its body does count (a method called
+    ``random`` annotated with ``random.Random``).
+    """
     exported = _exported_constants(tree)
-    in_init = path.name == "__init__.py"
+    in_init = path.name == "__init__.py" or of_imports
 
     def visit(node: ast.AST, enclosing: frozenset, in_class: bool
               ) -> Iterator[Tuple[str, bool]]:
@@ -180,7 +190,7 @@ def _references(path: Path, tree: ast.Module
         else:
             found = []
         for name, member in found:
-            if name not in enclosing:
+            if of_imports or name not in enclosing:
                 yield name, member
         for child in ast.iter_child_nodes(node):
             yield from visit(child, enclosing, in_class)
@@ -219,6 +229,30 @@ def unreached(result: Optional[Scan] = None) -> List[str]:
                   and qualified not in ALLOWED)
 
 
+def unused_imports(src: Path = SRC) -> List[str]:
+    """``module: name`` for each name a module of ``src`` imports and
+    never references.  A package ``__init__`` imports names to re-export
+    them, so it is not checked."""
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {name for name, __ in _references(path, tree, of_imports=True)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{_module_name(path, src)}: {name}"
+                       for name in bound if name not in used]
+    return unused
+
+
 def test_every_public_name_is_reached():
     missing = unreached()
     assert not missing, (
@@ -236,14 +270,23 @@ def test_every_allowed_entry_is_needed():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
-def scan_package(root: Path, files: Dict[str, str]) -> List[str]:
-    """Write ``files`` under ``root`` and return what nothing reaches in
-    the package ``root/src/pkg``, with ``root/entry`` as the one
-    entry-point directory."""
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imported names nothing references: {unused}"
+
+
+def _write_files(root: Path, files: Dict[str, str]) -> None:
     for name, text in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
+
+
+def scan_package(root: Path, files: Dict[str, str]) -> List[str]:
+    """Write ``files`` under ``root`` and return what nothing reaches in
+    the package ``root/src/pkg``, with ``root/entry`` as the one
+    entry-point directory."""
+    _write_files(root, files)
     src = root / "src" / "pkg"
     entry = root / "entry"
     entry.mkdir(exist_ok=True)
@@ -330,5 +373,28 @@ def test_operator_methods_always_need_an_entry(tmp_path):
     }) == ["pkg.mod.Mask.__and__"]
 
 
+def test_import_scan_names_unused_imports_outside_init(tmp_path):
+    _write_files(tmp_path, {
+        "pkg/__init__.py": "from pkg.mod import helper\nimport os\n",
+        "pkg/mod.py": """
+            from __future__ import annotations
+            import os.path
+            import random
+            from typing import List, Sequence
+            from dataclasses import dataclass as dc, field
+
+            def helper(xs: List[int]) -> Sequence[int]:
+                return os.path.join(*xs)
+
+            class Pool:
+                def random(self, rng: random.Random): pass
+
+            def field_names():
+                return dc
+            """,
+    })
+    assert unused_imports(tmp_path / "pkg") == ["pkg.mod: field"]
+
+
 if __name__ == "__main__":
-    print("\n".join(unreached()))
+    print("\n".join(unreached() + unused_imports()))
